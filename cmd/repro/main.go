@@ -9,17 +9,7 @@
 //	-exp schemas   Figures 5 & 6: the mapped schemas of the Plays DTD
 //	-exp monet     §2: Monet table-count comparison
 //	-exp compress  §4.1: XADT storage-format decision per corpus
-//	-exp parallel  intra-query parallelism: DOP 1 vs DOP N speedups
-//	-exp xadt      XADT fast path: header filter + decode cache vs baseline
-//	-exp index     XADT fragment indexes: path + keyword postings vs scans
-//	-exp spill     memory-bounded execution: spilling operators + Top-N pushdown
-//	-exp vector    vectorized batch execution vs the row-at-a-time engine
-//	-exp optimizer cost-based planning: greedy vs DP join order, adaptive DOP gate
 //	-exp difftest  differential correctness fuzzing across the full matrix
-//	-exp crash     crash a WAL-backed load at a seeded point and recover it
-//	-exp durability  load throughput with the WAL off/batch/always synced
-//	-exp mutation  update-workload throughput: DML access paths + WAL cost
-//	-exp concurrent  MVCC sessions: reader throughput vs writers + commit latency
 //	-exp all       everything above
 //
 // The difftest experiment takes -seed and -iters and writes a minimized
@@ -35,23 +25,17 @@
 // corrupts the Gather reorder to prove the harness detects a broken
 // configuration.
 //
-// Use -quick for a reduced-scale smoke run, -scales to override the
-// DSxN sweep, and -dop to set the parallel degree (default GOMAXPROCS).
-// The parallel experiment also writes BENCH_parallel.json; the xadt
-// experiment writes BENCH_xadt.json; the index experiment writes
-// BENCH_index.json; the spill experiment writes
-// BENCH_spill.json; the vector experiment writes BENCH_vector.json; the
-// durability experiment writes BENCH_durability.json; the mutation
-// experiment writes BENCH_mutation.json; the concurrent experiment
-// writes BENCH_concurrent.json; the optimizer experiment writes
-// BENCH_optimizer.json. -cpuprofile and
-// -memprofile write pprof profiles covering the selected experiments.
+// Use -quick for a reduced-scale smoke run and -scales to override the
+// DSxN sweep. -cpuprofile and -memprofile write pprof profiles covering
+// the selected experiments. Engine features beyond the paper
+// (parallelism, indexes, spilling, durability, sessions) are measured
+// by the benchmark module: see benchmark/README.md.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -64,37 +48,42 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/difftest"
 	"repro/internal/dtd"
-	"repro/internal/engine"
 	"repro/internal/engine/exec"
-	"repro/internal/engine/storage"
-	"repro/internal/engine/wal"
 	"repro/internal/mapping"
 	"repro/internal/xadt"
 )
 
-func main() { os.Exit(realMain()) }
+func main() { os.Exit(realMain(os.Args[1:], os.Stderr)) }
 
-// realMain runs the CLI and returns the process exit code; keeping it
-// separate from main lets the profiling defers flush before exit.
-func realMain() int {
+// realMain runs the CLI on args and returns the process exit code;
+// keeping it separate from main lets the profiling defers flush before
+// exit. Errors are reported on stderr.
+func realMain(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "experiment to run")
-		quick     = flag.Bool("quick", false, "reduced data sizes for a fast smoke run")
-		scaleStr  = flag.String("scales", "1,2,4,8", "comma-separated DSxN scale factors")
-		repeats   = flag.Int("repeats", 5, "runs per query (trimmed mean, paper uses 5)")
-		dop       = flag.Int("dop", runtime.GOMAXPROCS(0), "degree of parallelism for -exp parallel")
-		seed      = flag.Int64("seed", 1, "base seed for -exp difftest and -exp crash")
-		iters     = flag.Int("iters", 0, "iterations for -exp difftest (0 = 200, or 50 with -quick)")
-		crash     = flag.Bool("crash", false, "add the crash-recovery axis to -exp difftest")
-		mutate    = flag.Bool("mutate", false, "run -exp difftest as randomized mutation histories (DML + document ops)")
-		conc      = flag.Bool("concurrent", false, "run -exp difftest as concurrent snapshot-transaction schedules")
-		membudget = flag.Int64("membudget", 0, "per-query memory budget in bytes for the -exp difftest budget axis (0 = off)")
-		costmodel = flag.Bool("costmodel", false, "add the cost-model axis to -exp difftest (greedy / no-stats / stale-stats cells)")
-		sabotage  = flag.Bool("sabotage", false, "corrupt the Gather reorder so -exp difftest must fail")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		exp       = fs.String("exp", "all", "experiment to run")
+		quick     = fs.Bool("quick", false, "reduced data sizes for a fast smoke run")
+		scaleStr  = fs.String("scales", "1,2,4,8", "comma-separated DSxN scale factors")
+		repeats   = fs.Int("repeats", 5, "runs per query (trimmed mean, paper uses 5)")
+		seed      = fs.Int64("seed", 1, "base seed for -exp difftest")
+		iters     = fs.Int("iters", 0, "iterations for -exp difftest (0 = 200, or 50 with -quick)")
+		crash     = fs.Bool("crash", false, "add the crash-recovery axis to -exp difftest")
+		mutate    = fs.Bool("mutate", false, "run -exp difftest as randomized mutation histories (DML + document ops)")
+		conc      = fs.Bool("concurrent", false, "run -exp difftest as concurrent snapshot-transaction schedules")
+		membudget = fs.Int64("membudget", 0, "per-query memory budget in bytes for the -exp difftest budget axis (0 = off)")
+		costmodel = fs.Bool("costmodel", false, "add the cost-model axis to -exp difftest (greedy / no-stats / stale-stats cells)")
+		sabotage  = fs.Bool("sabotage", false, "corrupt the Gather reorder so -exp difftest must fail")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	perror := func(err error) int {
+		fmt.Fprintln(stderr, "repro:", err)
+		return 1
+	}
 
 	scales, err := parseScales(*scaleStr)
 	if err != nil {
@@ -125,55 +114,39 @@ func realMain() int {
 			}
 		}()
 	}
-	r := &runner{quick: *quick, scales: scales, repeats: *repeats, dop: *dop,
+	r := &runner{quick: *quick, scales: scales, repeats: *repeats,
 		seed: *seed, iters: *iters, crash: *crash, mutate: *mutate, concurrent: *conc,
 		membudget: *membudget, costmodel: *costmodel, sabotage: *sabotage}
 
-	experiments := map[string]func() error{
-		"schemas":    r.schemas,
-		"monet":      r.monet,
-		"table1":     r.table1,
-		"table2":     r.table2,
-		"fig11":      r.fig11,
-		"fig13":      r.fig13,
-		"fig14":      r.fig14,
-		"compress":   r.compress,
-		"parallel":   r.parallel,
-		"xadt":       r.xadt,
-		"index":      r.index,
-		"spill":      r.spill,
-		"vector":     r.vector,
-		"difftest":   r.difftest,
-		"crash":      r.crashDemo,
-		"durability": r.durability,
-		"mutation":   r.mutation,
-		"concurrent": r.concurrentBench,
-		"optimizer":  r.optimizer,
+	// Run order for -exp all.
+	experiments := []struct {
+		name string
+		fn   func() error
+	}{
+		{"schemas", r.schemas},
+		{"monet", r.monet},
+		{"table1", r.table1},
+		{"table2", r.table2},
+		{"fig11", r.fig11},
+		{"fig13", r.fig13},
+		{"fig14", r.fig14},
+		{"compress", r.compress},
+		{"difftest", r.difftest},
 	}
-	order := []string{"schemas", "monet", "table1", "table2", "fig11", "fig13", "fig14", "compress", "parallel", "xadt", "index", "spill", "vector", "optimizer", "difftest", "crash", "durability", "mutation", "concurrent"}
-
-	if *exp == "all" {
-		for _, name := range order {
-			if err := run(name, experiments[name]); err != nil {
-				return perror(err)
-			}
+	found := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		return 0
+		found = true
+		if err := run(e.name, e.fn); err != nil {
+			return perror(err)
+		}
 	}
-	fn, ok := experiments[*exp]
-	if !ok {
+	if !found {
 		return perror(fmt.Errorf("unknown experiment %q", *exp))
 	}
-	if err := run(*exp, fn); err != nil {
-		return perror(err)
-	}
 	return 0
-}
-
-// perror reports err on stderr and returns the failure exit code.
-func perror(err error) int {
-	fmt.Fprintln(os.Stderr, "repro:", err)
-	return 1
 }
 
 func run(name string, fn func() error) error {
@@ -190,7 +163,6 @@ type runner struct {
 	quick      bool
 	scales     []int
 	repeats    int
-	dop        int
 	seed       int64
 	iters      int
 	crash      bool
@@ -257,16 +229,14 @@ func (r *runner) monet() error {
 }
 
 func (r *runner) sizeTable(title string, ds bench.Dataset) error {
-	hybrid, hload, err := bench.BuildStore(ds, core.Hybrid, 1)
+	_, hload, err := bench.BuildStore(ds, core.Hybrid, 1)
 	if err != nil {
 		return err
 	}
-	_ = hybrid
-	xorator, xload, err := bench.BuildStore(ds, core.XORator, 1)
+	_, xload, err := bench.BuildStore(ds, core.XORator, 1)
 	if err != nil {
 		return err
 	}
-	_ = xorator
 	fmt.Print(bench.SizeTable(title, hload, xload))
 	return nil
 }
@@ -311,149 +281,6 @@ func (r *runner) fig14() error {
 		return err
 	}
 	fmt.Print(bench.UDFTable(ms))
-	return nil
-}
-
-// parallel measures every workload query at DOP 1 and DOP N on both
-// mappings, prints the parallel_speedup table, and writes
-// BENCH_parallel.json.
-func (r *runner) parallel() error {
-	var all []bench.ParallelMeasurement
-	for _, w := range []struct {
-		ds      bench.Dataset
-		queries []bench.Query
-	}{
-		{r.shakespeareDS(), bench.ShakespeareQueries()},
-		{r.sigmodDS(), bench.SigmodQueries()},
-	} {
-		for _, alg := range []core.Algorithm{core.Hybrid, core.XORator} {
-			st, _, err := bench.BuildStore(w.ds, alg, 1)
-			if err != nil {
-				return err
-			}
-			mapName := "hybrid"
-			if alg == core.XORator {
-				mapName = "xorator"
-			}
-			ms, err := bench.RunParallel(st, w.queries, mapName, r.dop, r.repeats)
-			if err != nil {
-				return err
-			}
-			all = append(all, ms...)
-		}
-	}
-	fmt.Print(bench.ParallelTable(all))
-	if err := bench.WriteParallelJSON("BENCH_parallel.json", all); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_parallel.json")
-	return nil
-}
-
-// xadt measures the XADT fast path (fragment-header fast-reject +
-// decode cache + pushdown) against the parse-every-call baseline on the
-// same stores, prints the table, and writes BENCH_xadt.json.
-func (r *runner) xadt() error {
-	ms, err := bench.RunXadt(r.shakespeareDS(), r.sigmodDS(), r.dop, r.repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.XadtTable(ms))
-	// Show where each predicate ended up — pushed into the scan, answered
-	// by an index, fused into the apply, or residual — per query plan.
-	rep, err := bench.XadtPlanReport(r.shakespeareDS(), r.sigmodDS())
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep)
-	if err := bench.WriteXadtJSON("BENCH_xadt.json", ms); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_xadt.json")
-	return nil
-}
-
-// index measures the XADT fragment indexes (structural path + inverted
-// keyword postings) against the fast-path scan and seed scan baselines,
-// prints each query's plan and predicate classification, and writes
-// BENCH_index.json.
-func (r *runner) index() error {
-	ms, err := bench.RunIndex(r.shakespeareDS(), r.sigmodDS(), r.dop, r.repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.IndexTable(ms))
-	rep, err := bench.IndexPlanReport(r.shakespeareDS(), r.sigmodDS())
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep)
-	if err := bench.WriteIndexJSON("BENCH_index.json", ms); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_index.json")
-	return nil
-}
-
-// spill measures memory-bounded execution: the Top-N fusion against the
-// seed full-sort plan, and the three blocking operators at unlimited
-// memory vs a 4 MiB per-query budget (forcing external sort, Grace
-// join, and aggregate spilling), verifying identical rows serially and
-// at DOP N. Writes BENCH_spill.json.
-func (r *runner) spill() error {
-	rows, budget := 60000, int64(4<<20)
-	if r.quick {
-		rows, budget = 8000, int64(256<<10)
-	}
-	ms, err := bench.RunSpill(rows, budget, r.dop, r.repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.SpillTable(ms))
-	if err := bench.WriteSpillJSON("BENCH_spill.json", ms); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_spill.json")
-	return nil
-}
-
-// vector measures the batch-at-a-time engine against the seed
-// row-at-a-time engine on scan, filter, aggregation, and Top-N shapes at
-// DOP 1 and DOP N, requiring identical rows cell by cell.
-func (r *runner) vector() error {
-	rows := 60000
-	if r.quick {
-		rows = 8000
-	}
-	ms, err := bench.RunVector(rows, r.dop, r.repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.VectorTable(ms))
-	if err := bench.WriteVectorJSON("BENCH_vector.json", ms); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_vector.json")
-	return nil
-}
-
-// optimizer measures the cost-based planner against the greedy
-// join-order baseline and the serial baseline for the adaptive DOP
-// gate, prints the table, and writes BENCH_optimizer.json.
-func (r *runner) optimizer() error {
-	n := 4000
-	if r.quick {
-		n = 1500
-	}
-	ms, err := bench.RunOptimizer(n, r.dop, r.repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.OptimizerTable(ms))
-	if err := bench.WriteOptimizerJSON("BENCH_optimizer.json", ms); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_optimizer.json")
 	return nil
 }
 
@@ -527,182 +354,16 @@ func (r *runner) difftest() error {
 	return nil
 }
 
-// crashDemo kills a WAL-backed load at a seeded fault point without
-// killing the process (a fault-injecting in-memory filesystem stands in
-// for the disk), recovers the store, verifies the committed prefix
-// byte-for-byte against an uninterrupted twin, and resumes loading to
-// completion.
-func (r *runner) crashDemo() error {
-	ds := r.shakespeareDS()
-	format := xadt.Raw
-	mk := func(vfs storage.VFS) (*core.Store, error) {
-		cfg := core.Config{Algorithm: core.XORator, ForceFormat: &format}
-		if vfs != nil {
-			cfg.Engine = engine.Config{WALDir: "wal", WALSync: wal.SyncBatch, VFS: vfs}
-		}
-		return core.NewStore(ds.DTD, cfg)
-	}
-	timeline := func(vfs storage.VFS) error {
-		st, err := mk(vfs)
+func (r *runner) compress() error {
+	for _, ds := range []bench.Dataset{r.shakespeareDS(), r.sigmodDS()} {
+		raw, err := corpusFormatSize(ds, xadt.Raw)
 		if err != nil {
 			return err
 		}
-		half := len(ds.Docs) / 2
-		if err := st.Load(ds.Docs[:half]); err != nil {
+		comp, err := corpusFormatSize(ds, xadt.Compressed)
+		if err != nil {
 			return err
 		}
-		if err := st.Checkpoint(); err != nil {
-			return err
-		}
-		if err := st.Load(ds.Docs[half:]); err != nil {
-			return err
-		}
-		return st.Close()
-	}
-
-	counter := &storage.FaultVFS{Inner: storage.NewMemVFS()}
-	if err := timeline(counter); err != nil {
-		return err
-	}
-	kinds := counter.OpKinds()
-	firstCheckpoint := 0
-	for i, k := range kinds {
-		if k == "rename" {
-			firstCheckpoint = i + 1
-			break
-		}
-	}
-	rng := rand.New(rand.NewSource(r.seed))
-	failAt := firstCheckpoint + 1 + rng.Intn(len(kinds)-firstCheckpoint)
-	fmt.Printf("loading %d documents issues %d filesystem operations; crashing at op %d (%s), seed %d\n",
-		len(ds.Docs), len(kinds), failAt, kinds[failAt-1], r.seed)
-
-	mem := storage.NewMemVFS()
-	if err := timeline(&storage.FaultVFS{Inner: mem, FailAtOp: failAt}); err == nil {
-		return fmt.Errorf("timeline survived its injected fault")
-	} else {
-		fmt.Printf("crash: %v\n", err)
-	}
-
-	start := time.Now()
-	rec, err := core.OpenRecovered(core.Config{ForceFormat: &format,
-		Engine: engine.Config{WALDir: "wal", WALSync: wal.SyncBatch, VFS: mem}})
-	if err != nil {
-		return fmt.Errorf("recovery: %w", err)
-	}
-	committed := int(rec.CommittedBatches())
-	fmt.Printf("recovered %d/%d committed documents in %v\n",
-		committed, len(ds.Docs), time.Since(start).Round(time.Microsecond))
-
-	twin, err := mk(nil)
-	if err != nil {
-		return err
-	}
-	if committed > 0 {
-		if err := twin.Load(ds.Docs[:committed]); err != nil {
-			return err
-		}
-	}
-	if err := difftest.CompareStores(rec, twin); err != nil {
-		return fmt.Errorf("recovered store differs from the committed prefix: %w", err)
-	}
-	fmt.Println("recovered store is byte-identical to an uninterrupted load of the committed prefix")
-
-	if err := rec.Load(ds.Docs[committed:]); err != nil {
-		return fmt.Errorf("resuming load: %w", err)
-	}
-	full, err := mk(nil)
-	if err != nil {
-		return err
-	}
-	if err := full.Load(ds.Docs); err != nil {
-		return err
-	}
-	if err := difftest.CompareStores(rec, full); err != nil {
-		return fmt.Errorf("resumed store differs from a full load: %w", err)
-	}
-	fmt.Printf("resumed the remaining %d documents; final state matches a never-crashed store\n",
-		len(ds.Docs)-committed)
-	return rec.Close()
-}
-
-// durability measures document-load throughput with the WAL disabled and
-// at each sync policy, prints the overhead table, and writes
-// BENCH_durability.json.
-func (r *runner) mutation() error {
-	dir, err := os.MkdirTemp("", "repro-mutation-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	ops, repeats := 400, r.repeats
-	if r.quick {
-		ops, repeats = 120, 1
-	}
-	ms, err := bench.RunMutation(r.shakespeareDS(), dir, ops, repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.MutationTable(ms))
-	if err := bench.WriteMutationJSON("BENCH_mutation.json", ms); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_mutation.json")
-	return nil
-}
-
-// concurrentBench measures MVCC session throughput: snapshot-reader
-// queries per second with 0/1/4 concurrent writer transactions, and
-// write-transaction commit latency under each WAL sync policy. Writes
-// BENCH_concurrent.json.
-func (r *runner) concurrentBench() error {
-	dir, err := os.MkdirTemp("", "repro-concurrent-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	reads, commits := 2000, 200
-	if r.quick {
-		reads, commits = 400, 50
-	}
-	ms, err := bench.RunConcurrent(r.shakespeareDS(), dir, reads, commits)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.ConcurrentTable(ms))
-	if err := bench.WriteConcurrentJSON("BENCH_concurrent.json", ms); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_concurrent.json")
-	return nil
-}
-
-func (r *runner) durability() error {
-	dir, err := os.MkdirTemp("", "repro-durability-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	repeats := r.repeats
-	if r.quick {
-		repeats = 1
-	}
-	ms, err := bench.RunDurability(r.shakespeareDS(), dir, repeats)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.DurabilityTable(ms))
-	if err := bench.WriteDurabilityJSON("BENCH_durability.json", ms); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_durability.json")
-	return nil
-}
-
-func (r *runner) compress() error {
-	for _, ds := range []bench.Dataset{r.shakespeareDS(), r.sigmodDS()} {
-		raw := corpusFormatSize(ds, false)
-		comp := corpusFormatSize(ds, true)
 		choice := "raw"
 		saving := 1 - float64(comp)/float64(raw)
 		if saving >= 0.20 {
@@ -716,21 +377,15 @@ func (r *runner) compress() error {
 
 // corpusFormatSize loads the corpus under XORator with a forced XADT
 // format and reports the database size.
-func corpusFormatSize(ds bench.Dataset, compressed bool) int64 {
-	format := core.Config{Algorithm: core.XORator}
-	f := xadt.Raw
-	if compressed {
-		f = xadt.Compressed
-	}
-	format.ForceFormat = &f
-	st, err := core.NewStore(ds.DTD, format)
+func corpusFormatSize(ds bench.Dataset, f xadt.Format) (int64, error) {
+	st, err := core.NewStore(ds.DTD, core.Config{Algorithm: core.XORator, ForceFormat: &f})
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	if err := st.Load(ds.Docs); err != nil {
-		fatal(err)
+		return 0, err
 	}
-	return st.Stats().DataBytes
+	return st.Stats().DataBytes, nil
 }
 
 func parseScales(s string) ([]int, error) {
@@ -743,9 +398,4 @@ func parseScales(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "repro:", err)
-	os.Exit(1)
 }

@@ -59,7 +59,11 @@ type LoadResult struct {
 // before each measurement). LoadTime covers document shredding only,
 // matching the paper's loading-time metric.
 func BuildStore(ds Dataset, alg core.Algorithm, scale int) (*core.Store, LoadResult, error) {
-	st, err := core.NewStore(ds.DTD, core.Config{Algorithm: alg})
+	return buildStore(ds, core.Config{Algorithm: alg}, scale)
+}
+
+func buildStore(ds Dataset, cfg core.Config, scale int) (*core.Store, LoadResult, error) {
+	st, err := core.NewStore(ds.DTD, cfg)
 	if err != nil {
 		return nil, LoadResult{}, err
 	}

@@ -42,10 +42,6 @@ type Config struct {
 	// XADTCacheEntries bounds each worker's XADT decode cache; 0 uses
 	// xadt.DefaultCacheEntries.
 	XADTCacheEntries int
-	// DisableXADTFastPath starts the database with header fast-reject
-	// and decode caching off (the parse-every-call baseline). Toggle at
-	// runtime with SetXADTFastPath.
-	DisableXADTFastPath bool
 	// WALDir, when non-empty, enables the record-level write-ahead log:
 	// every document load becomes one committed batch under this
 	// directory, checkpoints truncate the log, and core.OpenRecovered
@@ -73,11 +69,11 @@ type Config struct {
 	SpillDir string
 	// DisableVectorized runs every query with the row-at-a-time operator
 	// paths instead of batch-at-a-time execution — the seed behaviour,
-	// kept for the before/after benchmark and the differential harness.
+	// kept as the reference the differential harness compares against.
 	DisableVectorized bool
 	// DisableXADTIndexes keeps the planner off the XADT fragment indexes
 	// (path + keyword) even when they exist — the scan baseline for the
-	// index benchmark and the index-off differential cells.
+	// index-off differential cells.
 	DisableXADTIndexes bool
 	// MVCC attaches a transaction manager and per-table version sidecars
 	// at open, enabling Begin/Commit/Rollback sessions with snapshot
@@ -88,8 +84,8 @@ type Config struct {
 
 // xadtRuntime is the per-database XADT evaluation state: the decode
 // cache pool the UDFs borrow worker-private caches from, and the
-// fast-path switch benchmarks toggle to compare against the
-// parse-every-call baseline.
+// fast-path switch (on by default; the differential harness turns it
+// off to compare against the parse-every-call baseline).
 type xadtRuntime struct {
 	caches  *xadt.CachePool
 	enabled atomic.Bool
@@ -97,7 +93,7 @@ type xadtRuntime struct {
 
 func newXadtRuntime(cfg Config) *xadtRuntime {
 	rt := &xadtRuntime{caches: xadt.NewCachePool(cfg.XADTCacheEntries)}
-	rt.enabled.Store(!cfg.DisableXADTFastPath)
+	rt.enabled.Store(true)
 	return rt
 }
 
@@ -154,9 +150,6 @@ func (db *Database) ResetSpillStats() { db.spill.Reset() }
 // on or off at runtime. Off reproduces the parse-every-call baseline on
 // the same stored data, so results must be byte-identical either way.
 func (db *Database) SetXADTFastPath(on bool) { db.xadtRT.enabled.Store(on) }
-
-// XADTFastPath reports whether the fast path is on.
-func (db *Database) XADTFastPath() bool { return db.xadtRT.enabled.Load() }
 
 // XADTCacheStats returns the decode-cache hit/miss totals accumulated
 // so far, the XADT counterpart of Pool.Stats.

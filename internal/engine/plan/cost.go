@@ -403,7 +403,7 @@ func (p *Planner) accessCost(b *baseItem, te *tableEst) float64 {
 }
 
 // CostSummary reports the optimizer's decisions for one statement —
-// EXPLAIN companions, benchmark assertions, and tests read it. It is
+// EXPLAIN companions and tests read it. It is
 // returned by value from PlanSummary; the planner itself stays
 // stateless so engine sessions can share copies safely.
 type CostSummary struct {

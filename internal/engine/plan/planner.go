@@ -71,7 +71,7 @@ type Options struct {
 	SpillDir string
 	// DisableTopN keeps ORDER BY + LIMIT as a full Sort + Limit instead
 	// of fusing them into the bounded-heap TopN operator — the seed
-	// behaviour, kept for the before/after benchmark and ablations.
+	// behaviour, kept as the reference shape the plan tests compare against.
 	DisableTopN bool
 	// DisableVectorized turns batch-at-a-time execution off, planning the
 	// row-at-a-time operator paths everywhere. The zero value vectorizes
@@ -87,13 +87,14 @@ type Options struct {
 	// DisableXADTIndexes turns the XADT fragment-index rewrite off: even
 	// when a valid path/keyword index covers a findKeyInElm conjunct, the
 	// planner keeps the sequential scan. Used by the differential harness
-	// (index-on vs index-off cells) and the index benchmark baselines.
+	// (index-on vs index-off cells) and the paper-query oracle.
 	DisableXADTIndexes bool
 	// DisableCostModel turns the statistics-driven cost model off: the
 	// greedy join order, rule-based access paths, hash joins, and the
 	// fixed page/row parallelism thresholds — exactly the
-	// pre-statistics planner, kept for ablations and as the optimizer
-	// benchmark baseline. The zero value plans with the cost model.
+	// pre-statistics planner, kept for ablations and as the
+	// differential harness's greedy cell. The zero value plans with the
+	// cost model.
 	DisableCostModel bool
 	// DisableAutoStats stops the planner from refreshing statistics
 	// that drifted past catalog.DefaultStaleRatio before planning; the
