@@ -44,6 +44,7 @@ FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDTDParse -fuzztime=$(FUZZTIME) ./internal/dtd/
 	$(GO) test -run=NONE -fuzz=FuzzRawScanEntities -fuzztime=$(FUZZTIME) ./internal/xadt/
+	$(GO) test -run=NONE -fuzz=FuzzScanVsTree -fuzztime=$(FUZZTIME) ./internal/xadt/
 	$(GO) test -run=NONE -fuzz=FuzzHeaderDecode -fuzztime=$(FUZZTIME) ./internal/xadt/
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/engine/wal/
 	$(GO) test -run=NONE -fuzz=FuzzMutationReplay -fuzztime=$(FUZZTIME) ./internal/engine/wal/

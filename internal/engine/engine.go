@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/engine/catalog"
@@ -39,7 +38,7 @@ type Config struct {
 	// runtime.GOMAXPROCS(0); 1 forces serial execution. A non-zero
 	// Planner.DOP takes precedence.
 	DOP int
-	// XADTCacheEntries bounds each worker's XADT decode cache; 0 uses
+	// XADTCacheEntries bounds each worker's XADT table cache; 0 uses
 	// xadt.DefaultCacheEntries.
 	XADTCacheEntries int
 	// WALDir, when non-empty, enables the record-level write-ahead log:
@@ -82,10 +81,10 @@ type Config struct {
 	MVCC bool
 }
 
-// xadtRuntime is the per-database XADT evaluation state: the decode
+// xadtRuntime is the per-database XADT evaluation state: the table
 // cache pool the UDFs borrow worker-private caches from, and the
 // fast-path switch (on by default; the differential harness turns it
-// off to compare against the parse-every-call baseline).
+// off to compare against the scan-every-call baseline).
 type xadtRuntime struct {
 	caches  *xadt.CachePool
 	enabled atomic.Bool
@@ -97,18 +96,22 @@ func newXadtRuntime(cfg Config) *xadtRuntime {
 	return rt
 }
 
-// evaluator returns the evaluator for one UDF invocation and its
-// release function. With the fast path on, the evaluator carries a
-// pooled cache (sync.Pool keeps it effectively worker-private, so the
-// hot path takes no locks); off, it parses every call and ignores
-// headers, reproducing seed-era behaviour exactly.
-func (rt *xadtRuntime) evaluator() (*xadt.Evaluator, func()) {
+// evaluator returns the evaluator for one UDF invocation; pair it with
+// release. With the fast path on, the evaluator carries a pooled cache
+// (sync.Pool keeps it effectively worker-private, so the hot path takes
+// no locks); off, it scans every call and ignores headers.
+func (rt *xadtRuntime) evaluator() xadt.Evaluator {
 	if !rt.enabled.Load() {
-		return &xadt.Evaluator{NoFilter: true}, func() {}
+		return xadt.Evaluator{NoFilter: true}
 	}
-	c := rt.caches.Get()
-	e := &xadt.Evaluator{Cache: c}
-	return e, func() { rt.caches.Put(c) }
+	return xadt.Evaluator{Cache: rt.caches.Get()}
+}
+
+// release returns the evaluator's cache to the pool.
+func (rt *xadtRuntime) release(e xadt.Evaluator) {
+	if e.Cache != nil {
+		rt.caches.Put(e.Cache)
+	}
 }
 
 // Database is an embedded database instance.
@@ -146,12 +149,12 @@ func (db *Database) SpillStats() exec.SpillStats { return db.spill.Stats() }
 // spill activity to one measured query.
 func (db *Database) ResetSpillStats() { db.spill.Reset() }
 
-// SetXADTFastPath switches XADT header fast-reject and decode caching
-// on or off at runtime. Off reproduces the parse-every-call baseline on
-// the same stored data, so results must be byte-identical either way.
+// SetXADTFastPath switches XADT header fast-reject and table caching on
+// or off at runtime. Off scans every fragment on every call, so results
+// must be byte-identical either way.
 func (db *Database) SetXADTFastPath(on bool) { db.xadtRT.enabled.Store(on) }
 
-// XADTCacheStats returns the decode-cache hit/miss totals accumulated
+// XADTCacheStats returns the table-cache hit/miss totals accumulated
 // so far, the XADT counterpart of Pool.Stats.
 func (db *Database) XADTCacheStats() xadt.CacheStats { return db.xadtRT.caches.Stats() }
 
@@ -352,7 +355,7 @@ func OpenSnapshot(r io.Reader, cfg Config) (*Database, error) {
 // registerStandardFunctions installs the XADT methods (§3.4.2), the
 // unnest table function (§3.5), and the built-in/UDF string function
 // pairs of the Figure 14 experiment. The XADT UDFs evaluate through rt:
-// each invocation borrows a worker-private decode cache and honors the
+// each invocation borrows a worker-private table cache and honors the
 // fast-path switch. They are ReadOnly — they never mutate the fragment
 // bytes — so the call convention skips the defensive argument copy.
 func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
@@ -381,8 +384,8 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if len(args) == 5 && !args[4].IsNull() {
 				level = int(args[4].Int())
 			}
-			eval, release := rt.evaluator()
-			defer release()
+			eval := rt.evaluator()
+			defer rt.release(eval)
 			out, err := eval.GetElm(in, rootElm, searchElm, searchKey, level)
 			if err != nil {
 				return types.Null, err
@@ -406,8 +409,8 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if err != nil {
 				return types.Null, err
 			}
-			eval, release := rt.evaluator()
-			defer release()
+			eval := rt.evaluator()
+			defer rt.release(eval)
 			found, err := eval.FindKeyInElm(in, searchElm, searchKey)
 			if err != nil {
 				return types.Null, err
@@ -437,8 +440,8 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if args[3].IsNull() || args[4].IsNull() {
 				return types.Null, nil
 			}
-			eval, release := rt.evaluator()
-			defer release()
+			eval := rt.evaluator()
+			defer rt.release(eval)
 			out, err := eval.GetElmIndex(in, parentElm, childElm, int(args[3].Int()), int(args[4].Int()))
 			if err != nil {
 				return types.Null, err
@@ -480,15 +483,13 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if err != nil {
 				return types.Null, err
 			}
-			nodes, err := in.Nodes()
+			eval := rt.evaluator()
+			defer rt.release(eval)
+			s, err := eval.InnerText(in)
 			if err != nil {
 				return types.Null, err
 			}
-			var sb strings.Builder
-			for _, n := range nodes {
-				sb.WriteString(n.InnerText())
-			}
-			return types.NewString(sb.String()), nil
+			return types.NewString(s), nil
 		},
 	}))
 
@@ -508,8 +509,8 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if args[1].IsNull() || args[1].Kind() != types.KindString {
 				return nil, fmt.Errorf("engine: unnest tag must be a string")
 			}
-			eval, release := rt.evaluator()
-			defer release()
+			eval := rt.evaluator()
+			defer rt.release(eval)
 			vals, err := eval.Unnest(in, args[1].Str())
 			if err != nil {
 				return nil, err

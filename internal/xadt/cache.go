@@ -3,34 +3,35 @@ package xadt
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/xmltree"
 )
 
-// DefaultCacheEntries bounds each decode cache. 128 fragments is enough
-// to cover the reuse pattern that matters — a WHERE predicate parsing a
-// fragment and the projection re-parsing the same one — while keeping a
-// worker's cache well under a megabyte on the paper's datasets.
+// DefaultCacheEntries bounds each table cache. 128 fragments is enough
+// to cover the reuse pattern that matters — a WHERE predicate scanning a
+// fragment and the projection scanning the same one again — while
+// keeping a worker's cache well under a megabyte on the paper's
+// datasets.
 const DefaultCacheEntries = 128
 
-// Cache memoizes fragment→parsed-tree, keyed by the fragment's encoded
-// bytes, with LRU eviction. It is not safe for concurrent use; each
-// execution worker owns one (see CachePool).
+// Cache memoizes fragment→element table, keyed by the fragment's stored
+// bytes, with LRU eviction. A table holds only offsets, so a hit applies
+// it to the caller's bytes, which equal the key. It is not safe for
+// concurrent use; each execution worker owns one (see CachePool).
 type Cache struct {
 	cap     int
 	entries map[string]*cacheEntry
 	// Intrusive LRU list with a sentinel: head.next is most recent.
-	head cacheEntry
+	head         cacheEntry
 	hits, misses uint64
 	// missStreak counts consecutive misses; a long streak means the
 	// caller is sweeping distinct fragments (no reuse), so admission is
 	// throttled to avoid paying key-copy + eviction per call.
 	missStreak int
+	w          scratch
 }
 
 type cacheEntry struct {
 	key        string
-	nodes      []*xmltree.Node
+	t          table
 	prev, next *cacheEntry
 }
 
@@ -45,10 +46,10 @@ func NewCache(max int) *Cache {
 	return c
 }
 
-// Nodes returns the parsed node list for v, decoding and caching on
-// miss. Callers must treat the returned trees as read-only: they are
-// shared across lookups of the same fragment.
-func (c *Cache) Nodes(v Value) ([]*xmltree.Node, error) {
+// table returns the element table of v, scanning and caching on miss.
+// A table the cache does not keep lives in its scratch space and is
+// valid until the next call.
+func (c *Cache) table(v Value) (*table, error) {
 	// The inline string(v.data) conversion lets the compiler elide the
 	// key copy on the hit path.
 	if e, ok := c.entries[string(v.data)]; ok {
@@ -56,29 +57,36 @@ func (c *Cache) Nodes(v Value) ([]*xmltree.Node, error) {
 		c.missStreak = 0
 		c.unlink(e)
 		c.pushFront(e)
-		return e.nodes, nil
+		return &e.t, nil
 	}
 	c.misses++
 	c.missStreak++
-	nodes, err := v.Nodes()
-	if err != nil {
+	if err := c.w.scan(v.data, &c.w.t); err != nil {
 		return nil, err
 	}
 	// Sweep detection: after 2*cap consecutive misses nothing inserted
 	// recently has been re-referenced, so admit only every 8th fragment.
 	// A single hit resets the streak and restores full admission.
 	if c.missStreak > 2*c.cap && c.missStreak%8 != 0 {
-		return nodes, nil
+		return &c.w.t, nil
 	}
+	// The evicted entry's table slices are reused for the new one.
+	e := &cacheEntry{}
 	if len(c.entries) >= c.cap {
-		lru := c.head.prev
-		c.unlink(lru)
-		delete(c.entries, lru.key)
+		e = c.head.prev
+		c.unlink(e)
+		delete(c.entries, e.key)
 	}
-	e := &cacheEntry{key: string(v.data), nodes: nodes}
+	e.key = string(v.data)
+	e.t = table{
+		format: c.w.t.format,
+		body:   c.w.t.body,
+		names:  append(e.t.names[:0], c.w.t.names...),
+		elems:  append(e.t.elems[:0], c.w.t.elems...),
+	}
 	c.entries[e.key] = e
 	c.pushFront(e)
-	return nodes, nil
+	return &e.t, nil
 }
 
 func (c *Cache) unlink(e *cacheEntry) {
@@ -101,13 +109,13 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses}
 }
 
-// CacheStats are decode-cache counters, aggregated per pool.
+// CacheStats are table-cache counters, aggregated per pool.
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64
 }
 
-// CachePool hands out decode caches to execution workers. It is backed
+// CachePool hands out table caches to execution workers. It is backed
 // by sync.Pool, so under the parallel executor each worker effectively
 // keeps a private cache for the life of a pipeline (no contention on the
 // hot path); counters are flushed into the pool's atomic totals on Put
@@ -132,7 +140,7 @@ func (p *CachePool) Get() *Cache { return p.pool.Get().(*Cache) }
 
 // Put returns a cache to the pool, folding its counters into the pool
 // totals. The cache keeps its contents, so a worker that re-borrows one
-// still benefits from earlier decodes.
+// still benefits from earlier scans.
 func (p *CachePool) Put(c *Cache) {
 	p.hits.Add(c.hits)
 	p.misses.Add(c.misses)

@@ -11,8 +11,8 @@ import (
 // (§4.4/§5): "storing of metadata with the XADT attribute to improve the
 // performance of the methods on the XADT" — here, a directory of the
 // fragment's top-level elements (tag name, byte range) in front of the
-// raw text, so order-access methods like getElmIndex and the unnest table
-// function can slice elements out without parsing.
+// raw text. Method outputs on Directory values are Directory values too,
+// with a directory over the elements they return.
 //
 // Layout:
 //
@@ -49,130 +49,38 @@ func encodeDirectory(nodes []*xmltree.Node) Value {
 	return Value{data: data}
 }
 
-// directoryParts splits a Directory value into its entries and text.
-func directoryParts(data []byte) ([]dirEntry, string, error) {
-	r := &byteReader{b: data}
+// directoryBody checks the directory of a Directory payload at data[pos]
+// and returns the offset of the fragment text after it. Every entry must
+// lie within the text.
+func directoryBody(data []byte, pos int) (int, error) {
+	r := byteReader{b: data, pos: pos}
 	n, err := r.uvarint()
 	if err != nil {
-		return nil, "", err
+		return 0, err
 	}
 	if n > uint64(len(data)) {
-		return nil, "", errors.New("xadt: corrupt directory size")
+		return 0, errors.New("xadt: corrupt directory size")
 	}
-	entries := make([]dirEntry, n)
-	for i := range entries {
-		name, err := r.str()
-		if err != nil {
-			return nil, "", err
+	var maxEnd uint64
+	for ; n > 0; n-- {
+		if _, err := r.bytes(); err != nil {
+			return 0, err
 		}
 		start, err := r.uvarint()
 		if err != nil {
-			return nil, "", err
+			return 0, err
 		}
 		end, err := r.uvarint()
 		if err != nil {
-			return nil, "", err
+			return 0, err
 		}
-		entries[i] = dirEntry{name: name, start: int(start), end: int(end)}
-	}
-	text := string(data[r.pos:])
-	for _, e := range entries {
-		if e.start > e.end || e.end > len(text) {
-			return nil, "", errors.New("xadt: directory entry out of range")
+		if start > end {
+			return 0, errors.New("xadt: directory entry out of range")
 		}
+		maxEnd = max(maxEnd, end)
 	}
-	return entries, text, nil
-}
-
-// sliceIndexed implements getElmIndex over the directory when parentElm
-// is empty: the childElm occurrences are picked by position and sliced
-// out of the text without parsing.
-func sliceIndexed(data []byte, childElm string, startPos, endPos int) (Value, bool, error) {
-	entries, text, err := directoryParts(data)
-	if err != nil {
-		return Value{}, false, err
+	if maxEnd > uint64(len(data)-r.pos) {
+		return 0, errors.New("xadt: directory entry out of range")
 	}
-	var out []byte
-	pos := 0
-	for _, e := range entries {
-		if e.name != childElm {
-			continue
-		}
-		pos++
-		if pos >= startPos && pos <= endPos {
-			out = append(out, text[e.start:e.end]...)
-		}
-	}
-	result := make([]byte, 0, len(out)+1)
-	result = append(result, byte(Raw))
-	result = append(result, out...)
-	return Value{data: result}, true, nil
-}
-
-// sliceUnnest implements unnest over the directory: top-level elements
-// with the tag are sliced out of the text directly. An entry is parsed
-// only when the string scanner detects a nested same-tag occurrence
-// inside it, keeping semantics identical to the tree-based path.
-func sliceUnnest(data []byte, tag string) ([]Value, error) {
-	entries, text, err := directoryParts(data)
-	if err != nil {
-		return nil, err
-	}
-	var out []Value
-	appendRaw := func(s string) {
-		b := make([]byte, 0, len(s)+1)
-		b = append(b, byte(Raw))
-		b = append(b, s...)
-		out = append(out, Value{data: b})
-	}
-	for _, e := range entries {
-		region := text[e.start:e.end]
-		inner := innerOf(region)
-		if indexOpenTag(inner, "<"+tag) < 0 {
-			// Fast path: no nested occurrence; the top-level slice is
-			// the only candidate.
-			if e.name == tag {
-				appendRaw(region)
-			}
-			continue
-		}
-		// Rare path: nested same-tag elements; parse this entry only and
-		// emit every match in document order.
-		nodes, err := xmltree.ParseFragment(region)
-		if err != nil {
-			return nil, err
-		}
-		forEachElement(nodes, func(n *xmltree.Node) {
-			if n.Name == tag {
-				appendRaw(xmltree.Serialize(n))
-			}
-		})
-	}
-	return out, nil
-}
-
-// innerOf strips the outermost start and end tag from an element's
-// serialized text.
-func innerOf(region string) string {
-	gt := -1
-	for i := 0; i < len(region); i++ {
-		if region[i] == '>' {
-			gt = i
-			break
-		}
-	}
-	if gt < 0 {
-		return ""
-	}
-	lt := -1
-	for i := len(region) - 1; i >= 0; i-- {
-		if region[i] == '<' {
-			lt = i
-			break
-		}
-	}
-	if lt <= gt {
-		return ""
-	}
-	return region[gt+1 : lt]
+	return r.pos, nil
 }

@@ -2,7 +2,6 @@ package xadt
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 
 	"repro/internal/xmltree"
 )
@@ -14,9 +13,7 @@ import (
 // carrying a Bloom filter over the fragment's element names and the
 // fragment's element depth. GetElm, FindKeyInElm, GetElmIndex and Unnest
 // consult the filter to reject fragments that cannot contain the element
-// they search for in O(header) time, without decoding the payload — the
-// dominant cost on Compressed values, which otherwise require a full
-// parse per method call.
+// they search for in O(header) time, without scanning the payload.
 //
 // Layout (in front of any legacy-format payload):
 //
@@ -75,11 +72,14 @@ func setBit(filter []byte, i uint32) {
 	filter[i/8] |= 1 << (i % 8)
 }
 
-// filterHashes derives the two Bloom probes from one 64-bit FNV-1a hash.
+// filterHashes derives the two Bloom probes from one 64-bit FNV-1a hash,
+// computed inline so a probe allocates nothing.
 func filterHashes(name string) (uint32, uint32) {
-	f := fnv.New64a()
-	f.Write([]byte(name))
-	h := f.Sum64()
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211 // FNV-1a prime
+	}
 	return uint32(h), uint32(h >> 32)
 }
 

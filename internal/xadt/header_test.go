@@ -2,6 +2,8 @@ package xadt
 
 import (
 	"bytes"
+	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -187,7 +189,7 @@ func TestCacheLRUAndStats(t *testing.T) {
 	d := Encode(fragment(t, "<D>z</D>"), Raw)
 
 	for _, v := range []Value{a, b, a} {
-		if _, err := c.Nodes(v); err != nil {
+		if _, err := c.table(v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,16 +197,16 @@ func TestCacheLRUAndStats(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 hit / 2 misses", s)
 	}
 	// Insert d: b is LRU and must be evicted, a stays.
-	if _, err := c.Nodes(d); err != nil {
+	if _, err := c.table(d); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
 	}
-	if _, err := c.Nodes(a); err != nil {
+	if _, err := c.table(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Nodes(b); err != nil {
+	if _, err := c.table(b); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats()
@@ -212,11 +214,27 @@ func TestCacheLRUAndStats(t *testing.T) {
 		t.Errorf("stats = %+v, want 2 hits / 4 misses (b evicted)", s)
 	}
 
-	// Cached decodes must agree with direct decodes.
-	n1, _ := c.Nodes(a)
-	n2, _ := a.Nodes()
-	if xmltree.SerializeAll(n1) != xmltree.SerializeAll(n2) {
-		t.Error("cached decode differs from direct decode")
+	// Cached tables must agree with direct scans.
+	cached, _ := c.table(a)
+	var w scratch
+	if err := w.scan(a.Bytes(), &w.t); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*cached, w.t) {
+		t.Errorf("cached table %+v differs from direct scan %+v", *cached, w.t)
+	}
+}
+
+// The inline FNV-1a behind the Bloom probes must equal hash/fnv, or
+// stored fragment headers stop matching the names they were built from.
+func TestFilterHashesMatchFNV(t *testing.T) {
+	for _, name := range []string{"", "LINE", "SPEECH", "sListTuple", "a", "\xff\x00", "AuthorPosition"} {
+		f := fnv.New64a()
+		f.Write([]byte(name))
+		h := f.Sum64()
+		if h1, h2 := filterHashes(name); h1 != uint32(h) || h2 != uint32(h>>32) {
+			t.Errorf("filterHashes(%q) = %#x, %#x; want %#x, %#x", name, h1, h2, uint32(h), uint32(h>>32))
+		}
 	}
 }
 
@@ -225,7 +243,7 @@ func TestCachePoolFlushesStats(t *testing.T) {
 	c := p.Get()
 	v := Encode(fragment(t, "<A>x</A>"), Compressed)
 	for i := 0; i < 3; i++ {
-		if _, err := c.Nodes(v); err != nil {
+		if _, err := c.table(v); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,35 +1,33 @@
 package xadt
 
-import (
-	"errors"
-	"strings"
-
-	"repro/internal/xmltree"
-)
+import "errors"
 
 // Evaluator runs the XADT methods with the fast-path machinery: header
 // fast-reject (skip fragments whose element-name filter proves the
-// searched element absent, without decoding) and an optional decode
-// cache (skip re-parsing fragments seen earlier in the execution). A nil
-// *Evaluator is valid and evaluates with both disabled, which is the
-// seed-era behaviour; the package-level functions use it.
+// searched element absent, without scanning) and an optional table
+// cache (skip re-scanning fragments seen earlier in the execution). A
+// nil *Evaluator is valid and evaluates with both disabled; the
+// package-level functions use it.
 //
 // Evaluators are cheap value-like structs; each execution worker should
 // use its own Cache (see CachePool) since caches are not thread-safe.
 type Evaluator struct {
-	// Cache, when non-nil, memoizes fragment decoding across calls.
+	// Cache, when non-nil, memoizes fragment element tables across calls.
 	Cache *Cache
-	// NoFilter disables header fast-reject, forcing the full decode path
-	// even on headered values — the parse-every-call baseline.
+	// NoFilter disables header fast-reject, forcing a scan even on
+	// headered values — the scan-every-call baseline.
 	NoFilter bool
 }
 
-// nodes decodes in, through the cache when one is attached.
-func (e *Evaluator) nodes(in Value) ([]*xmltree.Node, error) {
+// table scans in, through the cache when one is attached, and returns
+// its element table with the scratch space to build outputs in.
+func (e *Evaluator) table(in Value) (*table, *scratch, error) {
 	if e != nil && e.Cache != nil {
-		return e.Cache.Nodes(in)
+		t, err := e.Cache.table(in)
+		return t, &e.Cache.w, err
 	}
-	return in.Nodes()
+	w := &scratch{}
+	return &w.t, w, w.scan(in.data, &w.t)
 }
 
 // mayContain reports whether in may contain an element called name.
@@ -71,27 +69,26 @@ func (e *Evaluator) depthBelow(in Value, min int) bool {
 // Results are always headerless, matching what the seed produced.
 func (e *Evaluator) GetElm(in Value, rootElm, searchElm, searchKey string, level int) (Value, error) {
 	// Fast reject: no rootElm element, or no searchElm anywhere, means an
-	// empty result — which Encode produces identically without a decode.
+	// empty result — which Encode produces identically without a scan.
 	// A searchElm distinct from the root must sit strictly inside it, so
 	// a fragment only one level deep cannot match either.
 	if !e.mayContain(in, rootElm) || !e.mayContain(in, searchElm) ||
 		(searchElm != "" && searchElm != rootElm && e.depthBelow(in, 2)) {
 		return Encode(nil, in.Format()), nil
 	}
-	nodes, err := e.nodes(in)
+	t, w, err := e.table(in)
 	if err != nil {
 		return Value{}, err
 	}
-	var out []*xmltree.Node
-	forEachElement(nodes, func(n *xmltree.Node) {
-		if n.Name != rootElm {
-			return
+	root, search := t.code(in.data, rootElm), t.code(in.data, searchElm)
+	picks := w.picks[:0]
+	for i := range t.elems {
+		if t.elems[i].name == root && t.holds(in.data, i, searchElm != "", search, searchKey, level) {
+			picks = append(picks, int32(i))
 		}
-		if matchesElm(n, searchElm, searchKey, level) {
-			out = append(out, n)
-		}
-	})
-	return Encode(out, in.Format()), nil
+	}
+	w.picks = picks
+	return t.encode(in.data, w, picks), nil
 }
 
 // GetElm evaluates with the default (seed-behaviour) evaluator.
@@ -99,38 +96,25 @@ func GetElm(in Value, rootElm, searchElm, searchKey string, level int) (Value, e
 	return (*Evaluator)(nil).GetElm(in, rootElm, searchElm, searchKey, level)
 }
 
-// matchesElm reports whether root has a searchElm descendant within the
-// given depth whose content contains searchKey.
-func matchesElm(root *xmltree.Node, searchElm, searchKey string, level int) bool {
-	if searchElm == "" {
-		if searchKey == "" {
+// holds reports whether element i qualifies for getElm: with a search
+// element, i itself or a descendant at most level below it (any depth
+// when level <= 0) has that name and content containing key; without
+// one, i's own content contains key. The root takes part at depth 0, so
+// getElm(x, 'LINE', 'LINE', key) filters LINE elements by their own
+// content, as query QE1 uses it.
+func (t *table) holds(data []byte, i int, hasSearch bool, search int32, key string, level int) bool {
+	root := &t.elems[i]
+	if !hasSearch {
+		return containsText(data, int(root.start), int(root.end), key)
+	}
+	for j := i; j < len(t.elems) && (j == i || t.elems[j].depth > root.depth); j++ {
+		d := &t.elems[j]
+		if d.name == search && (level <= 0 || int(d.depth-root.depth) <= level) &&
+			containsText(data, int(d.start), int(d.end), key) {
 			return true
 		}
-		return strings.Contains(root.InnerText(), searchKey)
 	}
-	found := false
-	var visit func(n *xmltree.Node, depth int)
-	visit = func(n *xmltree.Node, depth int) {
-		if found {
-			return
-		}
-		if n.Name == searchElm && (searchKey == "" || strings.Contains(n.InnerText(), searchKey)) {
-			found = true
-			return
-		}
-		if level > 0 && depth >= level {
-			return
-		}
-		for _, c := range n.Children {
-			if c.IsElement() {
-				visit(c, depth+1)
-			}
-		}
-	}
-	// The root participates at depth 0, so getElm(x, 'LINE', 'LINE', key)
-	// filters LINE elements by their own content, as query QE1 uses it.
-	visit(root, 0)
-	return found
+	return false
 }
 
 // FindKeyInElm implements the findKeyInElm method of §3.4.2: it reports
@@ -143,36 +127,21 @@ func (e *Evaluator) FindKeyInElm(in Value, searchElm, searchKey string) (bool, e
 	if searchElm == "" && searchKey == "" {
 		return false, errors.New("xadt: findKeyInElm requires searchElm or searchKey")
 	}
-	if searchElm != "" {
-		if !e.mayContain(in, searchElm) {
-			return false, nil
-		}
-		// The paper implements this method "using the C string compare
-		// and copy functions on the VARCHAR": scan the raw fragment text
-		// directly instead of materializing a tree. Raw values are
-		// always produced by the package serializer, so tags are never
-		// self-closing and markup characters in content are escaped.
-		if text, ok := in.textPart(); ok {
-			return findKeyRaw(text, searchElm, searchKey), nil
-		}
+	if !e.mayContain(in, searchElm) {
+		return false, nil
 	}
-	nodes, err := e.nodes(in)
+	t, _, err := e.table(in)
 	if err != nil {
 		return false, err
 	}
-	found := false
-	forEachElement(nodes, func(n *xmltree.Node) {
-		if found {
-			return
+	search := t.code(in.data, searchElm)
+	for i := range t.elems {
+		el := &t.elems[i]
+		if (searchElm == "" || el.name == search) && containsText(in.data, int(el.start), int(el.end), searchKey) {
+			return true, nil
 		}
-		if searchElm != "" && n.Name != searchElm {
-			return
-		}
-		if searchKey == "" || strings.Contains(n.InnerText(), searchKey) {
-			found = true
-		}
-	})
-	return found, nil
+	}
+	return false, nil
 }
 
 // FindKeyInElm evaluates with the default (seed-behaviour) evaluator.
@@ -184,7 +153,8 @@ func FindKeyInElm(in Value, searchElm, searchKey string) (bool, error) {
 // childElm children of each parentElm element whose 1-based order among
 // same-named siblings falls in [startPos, endPos]. With an empty parentElm
 // the childElm elements at the top level of the fragment are indexed.
-// childElm must not be empty.
+// childElm must not be empty. The result keeps the input's storage
+// format.
 func (e *Evaluator) GetElmIndex(in Value, parentElm, childElm string, startPos, endPos int) (Value, error) {
 	if childElm == "" {
 		return Value{}, errors.New("xadt: getElmIndex requires a childElm")
@@ -192,49 +162,46 @@ func (e *Evaluator) GetElmIndex(in Value, parentElm, childElm string, startPos, 
 	if !e.mayContain(in, childElm) || !e.mayContain(in, parentElm) {
 		return Encode(nil, in.Format()), nil
 	}
-	if parentElm == "" && in.Format() == Directory {
-		// The element directory resolves top-level positions without
-		// parsing — the metadata speed-up the paper proposes.
-		out, ok, err := sliceIndexed(in.payloadBytes()[1:], childElm, startPos, endPos)
-		if err == nil && ok {
-			return out, nil
-		}
-		if err != nil {
-			return Value{}, err
-		}
-	}
-	nodes, err := e.nodes(in)
+	t, w, err := e.table(in)
 	if err != nil {
 		return Value{}, err
 	}
-	var out []*xmltree.Node
-	pick := func(children []*xmltree.Node) {
-		pos := 0
-		for _, c := range children {
-			if c.Name != childElm {
-				continue
-			}
-			pos++
-			if pos >= startPos && pos <= endPos {
-				out = append(out, c)
+	child := t.code(in.data, childElm)
+	picks := w.picks[:0]
+	if parentElm == "" {
+		picks = t.pickChildren(picks, -1, child, startPos, endPos)
+	} else if parent := t.code(in.data, parentElm); parent >= 0 {
+		for i := range t.elems {
+			if t.elems[i].name == parent {
+				picks = t.pickChildren(picks, i, child, startPos, endPos)
 			}
 		}
 	}
-	if parentElm == "" {
-		pick(nodes)
-	} else {
-		forEachElement(nodes, func(n *xmltree.Node) {
-			if n.Name == parentElm {
-				pick(n.Children)
-			}
-		})
-	}
-	return Encode(out, in.Format()), nil
+	w.picks = picks
+	return t.encode(in.data, w, picks), nil
 }
 
 // GetElmIndex evaluates with the default (seed-behaviour) evaluator.
 func GetElmIndex(in Value, parentElm, childElm string, startPos, endPos int) (Value, error) {
 	return (*Evaluator)(nil).GetElmIndex(in, parentElm, childElm, startPos, endPos)
+}
+
+// pickChildren appends to picks the child elements of element parent
+// (the top level when parent is -1) with code child whose position among
+// them lies in [startPos, endPos].
+func (t *table) pickChildren(picks []int32, parent int, child int32, startPos, endPos int) []int32 {
+	depth, pos := int32(1), 0
+	if parent >= 0 {
+		depth = t.elems[parent].depth + 1
+	}
+	for j := parent + 1; j < len(t.elems) && t.elems[j].depth >= depth && pos < endPos; j++ {
+		if c := &t.elems[j]; c.depth == depth && c.name == child {
+			if pos++; pos >= startPos {
+				picks = append(picks, int32(j))
+			}
+		}
+	}
+	return picks
 }
 
 // Unnest implements the unnest table function of §3.5: it splits the
@@ -244,19 +211,26 @@ func (e *Evaluator) Unnest(in Value, tag string) ([]Value, error) {
 	if tag != "" && !e.mayContain(in, tag) {
 		return nil, nil
 	}
-	if in.Format() == Directory {
-		return sliceUnnest(in.payloadBytes()[1:], tag)
-	}
-	nodes, err := e.nodes(in)
+	t, w, err := e.table(in)
 	if err != nil {
 		return nil, err
 	}
-	var out []Value
-	forEachElement(nodes, func(n *xmltree.Node) {
-		if n.Name == tag {
-			out = append(out, Encode([]*xmltree.Node{n}, in.Format()))
+	code, n := t.code(in.data, tag), 0
+	for i := range t.elems {
+		if t.elems[i].name == code {
+			n++
 		}
-	})
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]Value, 0, n)
+	for i := range t.elems {
+		if t.elems[i].name == code {
+			w.picks = append(w.picks[:0], int32(i))
+			out = append(out, t.encode(in.data, w, w.picks))
+		}
+	}
 	return out, nil
 }
 
@@ -265,15 +239,12 @@ func Unnest(in Value, tag string) ([]Value, error) {
 	return (*Evaluator)(nil).Unnest(in, tag)
 }
 
-// forEachElement visits every element in the fragment in document order,
-// including nested ones.
-func forEachElement(nodes []*xmltree.Node, fn func(*xmltree.Node)) {
-	for _, n := range nodes {
-		n.Walk(func(d *xmltree.Node) bool {
-			if d.IsElement() {
-				fn(d)
-			}
-			return true
-		})
+// InnerText returns the fragment's character data without tags or
+// attributes: the concatenated InnerText of its top-level nodes.
+func (e *Evaluator) InnerText(in Value) (string, error) {
+	t, _, err := e.table(in)
+	if err != nil {
+		return "", err
 	}
+	return string(appendText(nil, in.data, t.body, len(in.data))), nil
 }

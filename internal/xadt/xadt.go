@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/xmltree"
@@ -118,17 +119,18 @@ func (v Value) Nodes() ([]*xmltree.Node, error) {
 	case byte(Compressed):
 		return decodeCompressed(p[1:])
 	case byte(Directory):
-		_, text, err := directoryParts(p[1:])
+		body, err := directoryBody(p, 1)
 		if err != nil {
 			return nil, err
 		}
-		return xmltree.ParseFragment(text)
+		return xmltree.ParseFragment(string(p[body:]))
 	default:
 		return xmltree.ParseFragment(string(p[1:]))
 	}
 }
 
-// Text returns the serialized fragment text, decompressing if needed.
+// Text returns the serialized fragment text, expanding the tag codes of
+// a Compressed value.
 func (v Value) Text() (string, error) {
 	p := v.payloadBytes()
 	if len(p) == 0 {
@@ -138,35 +140,17 @@ func (v Value) Text() (string, error) {
 	case byte(Raw):
 		return string(p[1:]), nil
 	case byte(Directory):
-		_, text, err := directoryParts(p[1:])
-		return text, err
-	default:
-		nodes, err := v.Nodes()
+		body, err := directoryBody(p, 1)
 		if err != nil {
 			return "", err
 		}
-		return xmltree.SerializeAll(nodes), nil
-	}
-}
-
-// textPart returns the raw fragment text for formats that store it
-// verbatim (Raw and Directory), for the string-scanning fast paths.
-func (v Value) textPart() (string, bool) {
-	p := v.payloadBytes()
-	if len(p) == 0 {
-		return "", false
-	}
-	switch p[0] {
-	case byte(Raw):
-		return string(p[1:]), true
-	case byte(Directory):
-		_, text, err := directoryParts(p[1:])
-		if err != nil {
-			return "", false
-		}
-		return text, true
+		return string(p[body:]), nil
 	default:
-		return "", false
+		var w scratch
+		if err := w.scan(v.data, &w.t); err != nil {
+			return "", err
+		}
+		return string(w.t.text(v.data)), nil
 	}
 }
 
@@ -235,7 +219,7 @@ func encodeCompressed(nodes []*xmltree.Node) Value {
 }
 
 func appendDecimal(b []byte, n int) []byte {
-	return append(b, []byte(fmt.Sprintf("%d", n))...)
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -257,19 +241,26 @@ func (r *byteReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *byteReader) str() (string, error) {
+// bytes returns the next length-prefixed string as a sub-slice of the
+// input.
+func (r *byteReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	// Compare as uint64 first: a corrupt varint length can exceed
 	// math.MaxInt and flip negative under int().
 	if n > uint64(len(r.b)) || r.pos+int(n) > len(r.b) {
-		return "", errors.New("xadt: truncated string")
+		return nil, errors.New("xadt: truncated string")
 	}
-	s := string(r.b[r.pos : r.pos+int(n)])
+	b := r.b[r.pos : r.pos+int(n)]
 	r.pos += int(n)
-	return s, nil
+	return b, nil
+}
+
+func (r *byteReader) str() (string, error) {
+	b, err := r.bytes()
+	return string(b), err
 }
 
 func (r *byteReader) done() bool { return r.pos >= len(r.b) }

@@ -70,21 +70,23 @@ func (p *parser) skipSpace() {
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-func isNameStart(c byte) bool {
+// IsNameStart reports whether c may start an element or attribute name.
+func IsNameStart(c byte) bool {
 	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
 }
 
-func isNameChar(c byte) bool {
-	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
+// IsNameChar reports whether c may continue an element or attribute name.
+func IsNameChar(c byte) bool {
+	return IsNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
 }
 
 func (p *parser) parseName() (string, error) {
 	start := p.pos
-	if p.eof() || !isNameStart(p.src[p.pos]) {
+	if p.eof() || !IsNameStart(p.src[p.pos]) {
 		return "", p.errorf("expected name")
 	}
 	p.pos++
-	for !p.eof() && isNameChar(p.src[p.pos]) {
+	for !p.eof() && IsNameChar(p.src[p.pos]) {
 		p.pos++
 	}
 	return p.src[start:p.pos], nil
