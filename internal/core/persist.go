@@ -32,9 +32,6 @@ type storeHeader struct {
 	// been made (the first documents loaded) when the snapshot was
 	// taken.
 	FormatSet bool `json:"format_set"`
-	// Legacy mirrors Config.DisableXADTHeaders so resumed loads keep
-	// writing the representation the store was built with.
-	Legacy bool `json:"legacy,omitempty"`
 	// LastBatch is the WAL batch sequence number this snapshot absorbs;
 	// recovery replays only batches after it.
 	LastBatch uint64 `json:"last_batch"`
@@ -72,7 +69,6 @@ func (st *Store) Save(w io.Writer) error {
 		Algorithm: string(st.cfg.Algorithm),
 		Format:    byte(st.Format),
 		FormatSet: st.loader != nil,
-		Legacy:    st.cfg.DisableXADTHeaders,
 		LastBatch: st.CommittedBatches(),
 		IDs:       ids,
 		DTD:       st.DTD.String(),
@@ -208,9 +204,8 @@ func decodeSnapshot(r io.Reader, engineCfg engine.Config) (*Store, *storeHeader,
 		Schema:     schema,
 		Format:     xadt.Format(hdr.Format),
 		cfg: Config{
-			Algorithm:          alg,
-			DisableXADTHeaders: hdr.Legacy,
-			Engine:             engineCfg,
+			Algorithm: alg,
+			Engine:    engineCfg,
 		},
 	}, &hdr, nil
 }
@@ -239,7 +234,6 @@ func (st *Store) resumeLoader(floors ...map[string]int64) error {
 	if err != nil {
 		return err
 	}
-	loader.DisableHeaders = st.cfg.DisableXADTHeaders
 	for _, fl := range floors {
 		for rel, id := range fl {
 			loader.EnsureIDFloor(rel, id)

@@ -2,11 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/engine/storage"
+	"repro/internal/engine/types"
+	"repro/internal/xadt"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -164,5 +169,100 @@ func TestSnapshotPreservesXADTPayloads(t *testing.T) {
 	}
 	if a.Rows[0][0].Str() != b.Rows[0][0].Str() {
 		t.Error("XADT payload changed across snapshot")
+	}
+}
+
+// TestSnapshotOpensHeaderlessLegacyStore opens a snapshot shaped like
+// those written by stores that stored XADT values without fragment
+// headers: headerless values and "legacy": true in the header. The
+// field is ignored, the values read as before, and later loads write
+// headered values beside them.
+func TestSnapshotOpensHeaderlessLegacyStore(t *testing.T) {
+	st := newPlayStore(t, XORator)
+	q := `SELECT xadtText(speech_line) FROM speech WHERE findKeyInElm(speech_speaker, 'SPEAKER', 'ROMEO') = 1`
+	texts := func(s *Store) []string {
+		t.Helper()
+		res, err := s.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			out[i] = r[0].Str()
+		}
+		slices.Sort(out)
+		return out
+	}
+	want := texts(st)
+	if len(want) == 0 {
+		t.Fatal("query matches no speech")
+	}
+
+	// Rewrite every stored fragment of speech without its header.
+	tbl := st.DB.Catalog.Table("speech")
+	var rids []storage.RID
+	var rows [][]types.Value
+	if err := tbl.Heap.Scan(func(rid storage.RID, row []types.Value) error {
+		rids, rows = append(rids, rid), append(rows, row)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		for j, v := range row {
+			if v.Kind() != types.KindXADT {
+				continue
+			}
+			nodes, err := xadt.FromBytes(v.XADT()).Nodes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[j] = types.NewXADT(xadt.Encode(nodes, st.Format).Bytes())
+		}
+		if _, err := tbl.UpdateRID(rids[i], row); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	hlen, n := binary.Uvarint(data)
+	hdr := append([]byte(`{"legacy":true,`), data[n+1:n+int(hlen)]...)
+	snap := binary.AppendUvarint(nil, uint64(len(hdr)))
+	snap = append(append(snap, hdr...), data[n+int(hlen):]...)
+
+	restored, err := OpenSnapshot(bytes.NewReader(snap), engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored types.Value
+	if err := restored.DB.Catalog.Table("speech").Heap.Scan(func(_ storage.RID, row []types.Value) error {
+		for _, v := range row {
+			if v.Kind() == types.KindXADT && stored.Kind() != types.KindXADT {
+				stored = v
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := xadt.FromBytes(stored.XADT()).Header(); ok {
+		t.Fatal("restored fragment carries a header; the test store is not headerless")
+	}
+	if got := texts(restored); !slices.Equal(got, want) {
+		t.Fatalf("headerless snapshot returns %d fragments, want %d", len(got), len(want))
+	}
+
+	cfg := datagen.DefaultPlayConfig()
+	cfg.Plays = 1
+	cfg.Seed = 99
+	if err := restored.Load(datagen.GeneratePlays(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if got := texts(restored); len(got) < len(want) {
+		t.Fatalf("after a resumed load the query returns %d fragments, fewer than %d", len(got), len(want))
 	}
 }

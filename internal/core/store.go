@@ -45,9 +45,6 @@ type Config struct {
 	SampleDocs int
 	// ForceFormat, when non-nil, overrides the sampling decision.
 	ForceFormat *xadt.Format
-	// DisableXADTHeaders stores seed-era headerless XADT values, for
-	// exercising the legacy decode path.
-	DisableXADTHeaders bool
 	// Engine configures the underlying database.
 	Engine engine.Config
 }
@@ -248,7 +245,6 @@ func (st *Store) ensureLoader(docs []*xmltree.Document) error {
 	if err != nil {
 		return err
 	}
-	loader.DisableHeaders = st.cfg.DisableXADTHeaders
 	st.loader = loader
 	st.Format = format
 	if st.wal != nil {

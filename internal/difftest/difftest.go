@@ -180,7 +180,7 @@ type iterState struct {
 	format *xadt.Format
 	cases  []Case
 
-	hy, xo, legacy *core.Store
+	hy, xo *core.Store
 	// recovered is the crash-recovered XORator twin, present only when
 	// Options.Crash is set.
 	recovered *core.Store
@@ -217,12 +217,11 @@ func buildIteration(opts Options, seed int64) (*iterState, error) {
 	return st, nil
 }
 
-// build creates the three stores — Hybrid, XORator, and the headerless
-// legacy XORator twin — and loads the document set into each.
+// build creates the two stores — Hybrid and XORator — and loads the
+// document set into each.
 func (st *iterState) build(opts Options) error {
-	mk := func(alg core.Algorithm, legacy bool) (*core.Store, error) {
-		cfg := core.Config{Algorithm: alg, ForceFormat: st.format, DisableXADTHeaders: legacy}
-		s, err := core.NewStore(st.dtdSrc, cfg)
+	mk := func(alg core.Algorithm) (*core.Store, error) {
+		s, err := core.NewStore(st.dtdSrc, core.Config{Algorithm: alg, ForceFormat: st.format})
 		if err != nil {
 			return nil, err
 		}
@@ -240,14 +239,11 @@ func (st *iterState) build(opts Options) error {
 		return s, nil
 	}
 	var err error
-	if st.hy, err = mk(core.Hybrid, false); err != nil {
+	if st.hy, err = mk(core.Hybrid); err != nil {
 		return fmt.Errorf("hybrid store: %w", err)
 	}
-	if st.xo, err = mk(core.XORator, false); err != nil {
+	if st.xo, err = mk(core.XORator); err != nil {
 		return fmt.Errorf("xorator store: %w", err)
-	}
-	if st.legacy, err = mk(core.XORator, true); err != nil {
-		return fmt.Errorf("legacy xorator store: %w", err)
 	}
 	if opts.Crash {
 		if err := st.buildRecovered(opts); err != nil {
@@ -283,11 +279,9 @@ func checkAll(opts Options, st *iterState) ([]Divergence, int, error) {
 // checkCase executes one case across the matrix. Within a store, every
 // cell must match the serial fast-path reference exactly (same rows, same
 // order); the crash-recovered twin holds byte-identical data, so its
-// cells are held to the same exact standard. The legacy twin stores
-// different XADT bytes, so its cells
-// compare after canonicalizing fragments to their text; the cross-mapping
-// cell compares canonicalized row multisets, because the two mappings may
-// plan different row orders.
+// cells are held to the same exact standard. The cross-mapping cell
+// compares canonicalized row multisets, because the two mappings may plan
+// different row orders.
 func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 	var divs []Divergence
 	cells := 0
@@ -299,15 +293,10 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 		o    plan.Options
 		fast bool
 	}
-	// The serial reference runs the default engine, which vectorizes
-	// every capable subtree; the rowengine cells disable that and must
-	// match byte-for-byte — the batch/row differential axis. Parallel
-	// cells disable the small-input gate (MinParallelPages: -1) so the
-	// tiny generated tables still produce genuinely parallel plans.
+	// Parallel cells disable the small-input gate (MinParallelPages: -1)
+	// so the tiny generated tables still produce genuinely parallel plans.
 	serial := plan.Options{DOP: 1}
 	par := plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1}
-	rowSerial := plan.Options{DOP: 1, DisableVectorized: true}
-	rowPar := plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1, DisableVectorized: true}
 	// Index cells: the reference runs with the XADT fragment indexes on
 	// (stores build them by default), so the noindex cells are the
 	// index-on vs index-off differential axis — an indexed plan must
@@ -316,12 +305,11 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 	noIdxPar := plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1, DisableXADTIndexes: true}
 	// Budget cells spill through one shared in-memory VFS; spill file
 	// names are globally unique, so cells never collide.
-	var budget, budgetPar, budgetRow plan.Options
+	var budget, budgetPar plan.Options
 	if opts.MemBudget > 0 {
 		spillFS := storage.NewMemVFS()
 		budget = plan.Options{DOP: 1, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS}
 		budgetPar = plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS}
-		budgetRow = plan.Options{DOP: 1, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS, DisableVectorized: true}
 	}
 	run := func(s *core.Store, o plan.Options, fast bool, sql string) (*engine.Result, error) {
 		s.DB.SetXADTFastPath(fast)
@@ -346,16 +334,13 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 		hyRef = ref
 		hyCells := []cellSpec{
 			{"hybrid:dop", par, true},
-			{"hybrid:rowengine", rowSerial, true},
-			{"hybrid:rowengine+dop", rowPar, true},
 			{"hybrid:noindex", noIdx, true},
 			{"hybrid:noindex+dop", noIdxPar, true},
 		}
 		if opts.MemBudget > 0 {
 			hyCells = append(hyCells,
 				cellSpec{"hybrid:membudget", budget, true},
-				cellSpec{"hybrid:membudget+dop", budgetPar, true},
-				cellSpec{"hybrid:rowengine+membudget", budgetRow, true})
+				cellSpec{"hybrid:membudget+dop", budgetPar, true})
 		}
 		for _, cell := range hyCells {
 			got, err := run(st.hy, cell.o, cell.fast, c.Hybrid)
@@ -376,8 +361,6 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 		xoRef = ref
 		xoCells := []cellSpec{
 			{"xorator:dop", par, true},
-			{"xorator:rowengine", rowSerial, true},
-			{"xorator:rowengine+dop", rowPar, true},
 			{"xorator:fastpath", serial, false},
 			{"xorator:fastpath+dop", par, false},
 			{"xorator:noindex", noIdx, true},
@@ -386,8 +369,7 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 		if opts.MemBudget > 0 {
 			xoCells = append(xoCells,
 				cellSpec{"xorator:membudget", budget, true},
-				cellSpec{"xorator:membudget+dop", budgetPar, true},
-				cellSpec{"xorator:rowengine+membudget", budgetRow, true})
+				cellSpec{"xorator:membudget+dop", budgetPar, true})
 		}
 		for _, cell := range xoCells {
 			got, err := run(st.xo, cell.o, cell.fast, c.XORator)
@@ -416,24 +398,6 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 				if !sameRows(ref.Rows, got.Rows) {
 					record(cell.axis, diffRows(ref.Rows, got.Rows))
 				}
-			}
-		}
-		for _, cell := range []struct {
-			axis string
-			o    plan.Options
-		}{
-			{"xorator:legacy", serial},
-			{"xorator:legacy+dop", par},
-			{"xorator:legacy+noindex", noIdx},
-		} {
-			got, err := run(st.legacy, cell.o, true, c.XORator)
-			if err != nil {
-				return divs, cells, fmt.Errorf("legacy xorator %w", err)
-			}
-			cells++
-			a, b := canonRows(ref.Rows), canonRows(got.Rows)
-			if !equalStrings(a, b) {
-				record(cell.axis, diffCanon(a, b))
 			}
 		}
 	}

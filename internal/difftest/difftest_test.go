@@ -12,7 +12,7 @@ import (
 
 // TestDifferentialSmoke is the short-budget differential run that make ci
 // executes under -race: a dozen random DTDs, each checked across the full
-// mapping × DOP × fast-path × legacy matrix.
+// mapping × DOP × fast-path × index matrix.
 func TestDifferentialSmoke(t *testing.T) {
 	seed := testutil.Seed(t, 1)
 	sum, err := Run(Options{

@@ -1,8 +1,8 @@
 // Package difftest is a seeded differential-correctness harness. Each
 // iteration derives a random DTD, generates documents that conform to it by
-// construction, shreds them under both the Hybrid and XORator mappings (plus
-// a headerless legacy XADT twin), and executes randomly generated queries
-// across the full configuration matrix — mapping × DOP × XADT fast path —
+// construction, shreds them under both the Hybrid and XORator mappings, and
+// executes randomly generated queries across the full configuration
+// matrix — mapping × DOP × XADT fast path × XADT indexes —
 // asserting that every cell returns identical rows. Any divergence is
 // minimized and written to a failure artifact that replays from its seed.
 package difftest

@@ -29,7 +29,7 @@ type Config struct {
 	// BufferPoolPages bounds the tracked page residency; 0 disables
 	// buffer accounting.
 	BufferPoolPages int
-	// Planner options (join algorithm, pushdown, index usage).
+	// Planner options (join algorithm, index usage, parallelism).
 	Planner plan.Options
 	// FencedUDFs runs UDFs in a separate goroutine (DB2's FENCED mode).
 	// The paper measures NOT FENCED.
@@ -38,9 +38,6 @@ type Config struct {
 	// runtime.GOMAXPROCS(0); 1 forces serial execution. A non-zero
 	// Planner.DOP takes precedence.
 	DOP int
-	// XADTCacheEntries bounds each worker's XADT table cache; 0 uses
-	// xadt.DefaultCacheEntries.
-	XADTCacheEntries int
 	// WALDir, when non-empty, enables the record-level write-ahead log:
 	// every document load becomes one committed batch under this
 	// directory, checkpoints truncate the log, and core.OpenRecovered
@@ -66,10 +63,6 @@ type Config struct {
 	// uses a subdirectory of os.TempDir(). Spill I/O goes through VFS
 	// when set (falling back to the OS).
 	SpillDir string
-	// DisableVectorized runs every query with the row-at-a-time operator
-	// paths instead of batch-at-a-time execution — the seed behaviour,
-	// kept as the reference the differential harness compares against.
-	DisableVectorized bool
 	// DisableXADTIndexes keeps the planner off the XADT fragment indexes
 	// (path + keyword) even when they exist — the scan baseline for the
 	// index-off differential cells.
@@ -90,8 +83,8 @@ type xadtRuntime struct {
 	enabled atomic.Bool
 }
 
-func newXadtRuntime(cfg Config) *xadtRuntime {
-	rt := &xadtRuntime{caches: xadt.NewCachePool(cfg.XADTCacheEntries)}
+func newXadtRuntime() *xadtRuntime {
+	rt := &xadtRuntime{caches: xadt.NewCachePool(xadt.DefaultCacheEntries)}
 	rt.enabled.Store(true)
 	return rt
 }
@@ -177,7 +170,7 @@ func Open(cfg Config) *Database {
 		Registry: reg,
 		Pool:     pool,
 		planner:  &plan.Planner{Cat: cat, Reg: reg, Opts: resolveOptions(cfg), Spill: spill},
-		xadtRT:   newXadtRuntime(cfg),
+		xadtRT:   newXadtRuntime(),
 		spill:    spill,
 	}
 	registerStandardFunctions(reg, db.xadtRT)
@@ -209,9 +202,6 @@ func resolveOptions(cfg Config) plan.Options {
 	}
 	if opts.SpillDir == "" {
 		opts.SpillDir = cfg.SpillDir
-	}
-	if cfg.DisableVectorized {
-		opts.DisableVectorized = true
 	}
 	if cfg.DisableXADTIndexes {
 		opts.DisableXADTIndexes = true
@@ -342,7 +332,7 @@ func OpenSnapshot(r io.Reader, cfg Config) (*Database, error) {
 		Registry: reg,
 		Pool:     pool,
 		planner:  &plan.Planner{Cat: cat, Reg: reg, Opts: resolveOptions(cfg), Spill: spill},
-		xadtRT:   newXadtRuntime(cfg),
+		xadtRT:   newXadtRuntime(),
 		spill:    spill,
 	}
 	registerStandardFunctions(reg, db.xadtRT)

@@ -50,13 +50,9 @@ type HashAggregate struct {
 	GroupNames []string
 	Aggs       []AggSpec
 	// Ctx enables spilling under its memory budget; nil keeps the
-	// unbounded in-memory path.
+	// unbounded in-memory path, which consumes a batch-producing child
+	// batch-at-a-time (see openVec).
 	Ctx *QueryCtx
-	// Vec consumes the child batch-at-a-time: group keys and aggregate
-	// arguments are evaluated column-wise and hashed with the batch hash
-	// kernel. Only the unbounded in-memory path vectorizes — the planner
-	// sets Vec only when Ctx is nil and the child produces batches.
-	Vec bool
 
 	schema *expr.RowSchema
 
@@ -98,7 +94,7 @@ func (h *HashAggregate) Schema() *expr.RowSchema { return h.schema }
 // spilling new-key rows to partitions when group state overflows the
 // budget.
 func (h *HashAggregate) Open() (err error) {
-	if h.Vec && h.Ctx == nil && batchCapable(h.Child) {
+	if h.batchInput() {
 		return h.openVec()
 	}
 	h.discard()
@@ -211,6 +207,20 @@ func (h *HashAggregate) Open() (err error) {
 		return err
 	}
 	return h.finishSpill(order, parts, groupTracked)
+}
+
+// batchInput reports whether Open consumes the child batch-at-a-time:
+// only the unbounded in-memory path does, and only over a child that
+// produces batches.
+func (h *HashAggregate) batchInput() bool { return h.Ctx == nil && Batched(h.Child) }
+
+// String describes the aggregate for plan explanations.
+func (h *HashAggregate) String() string {
+	s := fmt.Sprintf("HashAggregate(%d groups keys, %d aggs)", len(h.GroupBy), len(h.Aggs))
+	if h.batchInput() {
+		s += " [vec]"
+	}
+	return s
 }
 
 // openVec is the batch-at-a-time consume loop of the unbounded in-memory

@@ -6,13 +6,12 @@ import (
 	"repro/internal/engine/vec"
 )
 
-// Filter passes through rows for which the predicate is true. With Vec
-// set it narrows each child batch's selection vector with the columnar
-// predicate kernels instead of evaluating row by row.
+// Filter passes through rows for which the predicate is true. Over a
+// batch-producing child it narrows each child batch's selection vector
+// with the columnar predicate kernels instead of evaluating row by row.
 type Filter struct {
 	Child Operator
 	Pred  expr.Expr
-	Vec   bool
 
 	bchild  BatchOperator
 	scratch expr.VecScratch
@@ -30,10 +29,7 @@ func (f *Filter) Schema() *expr.RowSchema { return f.Child.Schema() }
 // Open implements Operator.
 func (f *Filter) Open() error {
 	f.shim.reset()
-	f.bchild = nil
-	if f.Vec {
-		f.bchild = f.Child.(BatchOperator)
-	}
+	f.bchild = batchChild(f.Child)
 	return f.Child.Open()
 }
 
@@ -52,7 +48,7 @@ func (f *Filter) NextBatch() (*vec.Batch, error) {
 
 // Next implements Operator.
 func (f *Filter) Next() ([]types.Value, error) {
-	if f.Vec {
+	if f.bchild != nil {
 		return f.shim.next(f.NextBatch)
 	}
 	for {
@@ -76,20 +72,20 @@ func (f *Filter) Close() error {
 	return f.Child.Close()
 }
 
-// Project evaluates output expressions over each input row. With Vec
-// set it works batch-at-a-time: bare column references alias the child
-// batch's column slices (zero copy, the common SELECT-list shape), and
-// computed expressions evaluate column-wise into the operator's own
-// storage; the child's selection carries through unchanged.
+// Project evaluates output expressions over each input row. Over a
+// batch-producing child it works batch-at-a-time: bare column
+// references alias the child batch's column slices (zero copy, the
+// common SELECT-list shape), and computed expressions evaluate
+// column-wise into the operator's own storage; the child's selection
+// carries through unchanged.
 type Project struct {
 	Child  Operator
 	Exprs  []expr.Expr
-	Vec    bool
 	schema *expr.RowSchema
 
 	bchild  BatchOperator
-	out     *vec.Batch       // shell batch; Cols repointed per call
-	own     [][]types.Value  // private storage for computed outputs
+	out     *vec.Batch      // shell batch; Cols repointed per call
+	own     [][]types.Value // private storage for computed outputs
 	scratch expr.VecScratch
 	shim    rowShim
 }
@@ -110,9 +106,8 @@ func (p *Project) Schema() *expr.RowSchema { return p.schema }
 // Open implements Operator.
 func (p *Project) Open() error {
 	p.shim.reset()
-	p.bchild = nil
-	if p.Vec {
-		p.bchild = p.Child.(BatchOperator)
+	p.bchild = batchChild(p.Child)
+	if p.bchild != nil {
 		if p.out == nil {
 			p.out = &vec.Batch{Cols: make([][]types.Value, len(p.Exprs))}
 			p.own = make([][]types.Value, len(p.Exprs))
@@ -152,7 +147,7 @@ func (p *Project) NextBatch() (*vec.Batch, error) {
 
 // Next implements Operator.
 func (p *Project) Next() ([]types.Value, error) {
-	if p.Vec {
+	if p.bchild != nil {
 		return p.shim.next(p.NextBatch)
 	}
 	row, err := p.Child.Next()
@@ -178,13 +173,12 @@ func (p *Project) Close() error {
 	return p.Child.Close()
 }
 
-// Limit passes through at most N rows. With Vec set it truncates the
-// selection vector of the batch that crosses the bound instead of
-// counting rows one at a time.
+// Limit passes through at most N rows. Over a batch-producing child it
+// truncates the selection vector of the batch that crosses the bound
+// instead of counting rows one at a time.
 type Limit struct {
 	Child Operator
 	N     int64
-	Vec   bool
 	seen  int64
 
 	bchild BatchOperator
@@ -203,10 +197,7 @@ func (l *Limit) Schema() *expr.RowSchema { return l.Child.Schema() }
 func (l *Limit) Open() error {
 	l.seen = 0
 	l.shim.reset()
-	l.bchild = nil
-	if l.Vec {
-		l.bchild = l.Child.(BatchOperator)
-	}
+	l.bchild = batchChild(l.Child)
 	return l.Child.Open()
 }
 
@@ -242,7 +233,7 @@ func (l *Limit) NextBatch() (*vec.Batch, error) {
 
 // Next implements Operator.
 func (l *Limit) Next() ([]types.Value, error) {
-	if l.Vec {
+	if l.bchild != nil {
 		return l.shim.next(l.NextBatch)
 	}
 	if l.seen >= l.N {

@@ -27,13 +27,12 @@ import (
 // of a parallel pipeline: the owning Gather re-targets it with SetRange
 // for every morsel its worker claims. A fused predicate (the parallel
 // twin of SeqScan.Pred) runs inside the worker, so pushed-down filters
-// parallelize across morsels. With Vec set it decodes page runs
-// column-major into a pooled batch, exactly like SeqScan.
+// parallelize across morsels. It decodes page runs column-major into a
+// pooled batch, exactly like SeqScan.
 type MorselScan struct {
-	Table  *catalog.Table
-	Alias  string
-	Pred expr.Expr // optional, resolved against the scan schema
-	Vec  bool
+	Table *catalog.Table
+	Alias string
+	Pred  expr.Expr // optional, resolved against the scan schema
 	// Est is the planner's estimated output cardinality for the whole
 	// scan (copied from the SeqScan it replaces); advisory only.
 	Est    float64
@@ -62,7 +61,7 @@ func (s *MorselScan) Schema() *expr.RowSchema { return s.schema }
 func (s *MorselScan) Open() error {
 	s.cursor = s.Table.Heap.NewRangeCursor(s.lo, s.hi)
 	s.shim.reset()
-	if s.Vec && s.batch == nil {
+	if s.batch == nil {
 		s.batch = vec.Get(len(s.schema.Cols))
 	}
 	return nil
@@ -89,25 +88,7 @@ func (s *MorselScan) NextBatch() (*vec.Batch, error) {
 
 // Next implements Operator.
 func (s *MorselScan) Next() ([]types.Value, error) {
-	if s.Vec {
-		return s.shim.next(s.NextBatch)
-	}
-	for {
-		_, row, ok, err := s.cursor.Next()
-		if err != nil || !ok {
-			return nil, err
-		}
-		if s.Pred != nil {
-			v, err := s.Pred.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		return row, nil
-	}
+	return s.shim.next(s.NextBatch)
 }
 
 // Close implements Operator.
@@ -121,14 +102,10 @@ func (s *MorselScan) Close() error {
 
 // String describes the scan for plan explanations.
 func (s *MorselScan) String() string {
-	suffix := ""
-	if s.Vec {
-		suffix = " [vec]"
-	}
 	if s.Pred != nil {
-		return fmt.Sprintf("MorselScan(%s as %s, filter: %s)%s", s.Table.Schema.Table, s.Alias, s.Pred, suffix)
+		return fmt.Sprintf("MorselScan(%s as %s, filter: %s) [vec]", s.Table.Schema.Table, s.Alias, s.Pred)
 	}
-	return fmt.Sprintf("MorselScan(%s as %s)%s", s.Table.Schema.Table, s.Alias, suffix)
+	return fmt.Sprintf("MorselScan(%s as %s) [vec]", s.Table.Schema.Table, s.Alias)
 }
 
 // Pipeline is one worker's copy of a parallelized plan fragment: the
@@ -218,12 +195,12 @@ type Gather struct {
 	// Shared is per-execution state reused by all workers (hash builds,
 	// materialized join inners); it is reset on every Open.
 	Shared []Resettable
-	// Vec makes the workers drain their pipelines batch-at-a-time and
-	// Gather forward whole batches; set by the planner only when every
-	// pipeline root is batch-capable.
-	Vec bool
 
 	schema *expr.RowSchema
+	// batched makes the workers drain their pipelines batch-at-a-time and
+	// Gather forward whole batches; Open sets it when every pipeline root
+	// produces batches.
+	batched bool
 
 	src     *storage.MorselSource
 	ch      chan morselBatch
@@ -276,6 +253,7 @@ func (g *Gather) Open() error {
 	g.shim.reset()
 	g.err = nil
 	g.drained = false
+	g.batched = Batched(g)
 
 	var wg sync.WaitGroup
 	for _, p := range g.Pipes {
@@ -305,7 +283,7 @@ func (g *Gather) worker(p Pipeline, wg *sync.WaitGroup) {
 			batches []*vec.Batch
 			err     error
 		)
-		if g.Vec {
+		if g.batched {
 			batches, err = drainBatches(p.Root)
 		} else {
 			rows, err = Drain(p.Root)
@@ -331,7 +309,7 @@ func (g *Gather) worker(p Pipeline, wg *sync.WaitGroup) {
 // otherwise advances to the next batch in morsel order. A vectorized
 // Gather serves rows through the batch→row shim instead.
 func (g *Gather) Next() ([]types.Value, error) {
-	if g.Vec {
+	if g.batched {
 		return g.shim.next(g.NextBatch)
 	}
 	for {
@@ -464,7 +442,7 @@ func (g *Gather) Close() error {
 
 // String describes the exchange for plan explanations.
 func (g *Gather) String() string {
-	if g.Vec {
+	if Batched(g) {
 		return fmt.Sprintf("Gather(dop=%d) [vec]", len(g.Pipes))
 	}
 	return fmt.Sprintf("Gather(dop=%d)", len(g.Pipes))

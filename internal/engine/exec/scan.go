@@ -24,16 +24,15 @@ func tableSchema(t *catalog.Table, alias string) *expr.RowSchema {
 // drops rows at the cursor before anything above the scan sees them —
 // the destination of the planner's predicate pushdown.
 //
-// With Vec set (the planner's vectorize pass), the scan decodes whole
-// page runs column-major into a pooled batch and runs the predicate as
-// a columnar kernel; Next still works through the batch→row shim.
+// A heap scan decodes whole page runs column-major into a pooled batch
+// and runs the predicate as a columnar kernel; Next works through the
+// batch→row shim.
 type SeqScan struct {
 	Table *catalog.Table
 	Alias string
 	Pred  expr.Expr // optional, resolved against the scan schema
-	Vec   bool
 	// View, when set, is a materialized MVCC snapshot: the scan iterates
-	// its rows instead of the live heap. View takes precedence over Vec.
+	// its rows, one at a time, instead of the live heap.
 	View *mvcc.View
 	// Est is the planner's estimated output cardinality (rows surviving
 	// the fused predicate); zero when no estimate was made. Advisory
@@ -64,7 +63,7 @@ func (s *SeqScan) Open() error {
 	}
 	s.cursor = s.Table.Heap.NewCursor()
 	s.shim.reset()
-	if s.Vec && s.batch == nil {
+	if s.batch == nil {
 		s.batch = vec.Get(len(s.schema.Cols))
 	}
 	return nil
@@ -110,25 +109,7 @@ func (s *SeqScan) Next() ([]types.Value, error) {
 		}
 		return nil, nil
 	}
-	if s.Vec {
-		return s.shim.next(s.NextBatch)
-	}
-	for {
-		_, row, ok, err := s.cursor.Next()
-		if err != nil || !ok {
-			return nil, err
-		}
-		if s.Pred != nil {
-			v, err := s.Pred.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		return row, nil
-	}
+	return s.shim.next(s.NextBatch)
 }
 
 // Close implements Operator.
@@ -143,7 +124,7 @@ func (s *SeqScan) Close() error {
 // String describes the scan for plan explanations.
 func (s *SeqScan) String() string {
 	suffix := ""
-	if s.Vec {
+	if Batched(s) {
 		suffix = " [vec]"
 	}
 	if s.Pred != nil {
@@ -229,13 +210,11 @@ func (s *IndexScan) String() string {
 		s.Table.Schema.Table, s.Alias, s.Index.Column, s.Key)
 }
 
-// ValuesScan produces a fixed in-memory row set; the planner uses it for
-// materialized inputs and tests use it as a stub source. With Vec set it
-// scatters its rows into column-major batches, which gives tests a
-// controllable batch producer.
+// ValuesScan produces a fixed in-memory row set, scattered into
+// column-major batches; tests use it as a stub source and a controllable
+// batch producer.
 type ValuesScan struct {
 	Rows   [][]types.Value
-	Vec    bool
 	schema *expr.RowSchema
 	pos    int
 
@@ -255,7 +234,7 @@ func (s *ValuesScan) Schema() *expr.RowSchema { return s.schema }
 func (s *ValuesScan) Open() error {
 	s.pos = 0
 	s.shim.reset()
-	if s.Vec && s.batch == nil {
+	if s.batch == nil {
 		s.batch = vec.Get(len(s.schema.Cols))
 	}
 	return nil
@@ -286,15 +265,7 @@ func (s *ValuesScan) NextBatch() (*vec.Batch, error) {
 
 // Next implements Operator.
 func (s *ValuesScan) Next() ([]types.Value, error) {
-	if s.Vec {
-		return s.shim.next(s.NextBatch)
-	}
-	if s.pos >= len(s.Rows) {
-		return nil, nil
-	}
-	row := s.Rows[s.pos]
-	s.pos++
-	return row, nil
+	return s.shim.next(s.NextBatch)
 }
 
 // Close implements Operator.

@@ -1,13 +1,13 @@
 // Batch-at-a-time execution support: the BatchOperator contract, the
-// batch→row adapter shim that keeps every vectorized operator usable
-// from the row-at-a-time Operator interface, and the inline FNV-1a hash
-// kernel that hashes whole key columns per batch.
+// Batched rule that decides which operators produce batches, the
+// batch→row adapter shim that keeps every batch producer usable from the
+// row-at-a-time Operator interface, and the inline FNV-1a hash kernel
+// that hashes whole key columns per batch.
 //
-// The planner (plan.vectorize) flips the Vec flag on operators whose
-// subtree can produce batches; everything else — row-only operators such
-// as TableFuncApply, the spill paths, sorts — consumes vectorized
-// children through the shim, so the refactor needs no parallel operator
-// tree and plans keep their seed shapes.
+// No plan pass or option turns batches on: each streaming operator asks
+// Batched about its child when it opens. Row-only operators — joins,
+// sorts, TableFuncApply, the spill paths — consume batch producers
+// through the shim, so there is one operator tree per plan.
 package exec
 
 import (
@@ -80,24 +80,40 @@ func hashKeyCols(keyCols [][]types.Value, b *vec.Batch, hashes []uint64) {
 	}
 }
 
-// batchCapable reports whether op produces batches when asked: it
-// implements BatchOperator and its Vec flag is on.
-func batchCapable(op Operator) bool {
+// Batched reports whether op produces batches, from the operator tree
+// alone: heap scans (SeqScan without a snapshot View, MorselScan) and
+// ValuesScan always do; Filter, Project and Limit do iff their child
+// does; Gather does iff every worker pipeline does. Everything else
+// produces rows. HashAggregate produces rows but consumes batches when
+// it has no spill context and Batched(child) holds.
+func Batched(op Operator) bool {
 	switch n := op.(type) {
 	case *SeqScan:
-		return n.Vec
-	case *MorselScan:
-		return n.Vec
-	case *ValuesScan:
-		return n.Vec
+		return n.View == nil
+	case *MorselScan, *ValuesScan:
+		return true
 	case *Filter:
-		return n.Vec
+		return Batched(n.Child)
 	case *Project:
-		return n.Vec
+		return Batched(n.Child)
 	case *Limit:
-		return n.Vec
+		return Batched(n.Child)
 	case *Gather:
-		return n.Vec
+		for _, p := range n.Pipes {
+			if !Batched(p.Root) {
+				return false
+			}
+		}
+		return true
 	}
 	return false
+}
+
+// batchChild returns child as a batch producer when Batched says it is
+// one, and nil otherwise.
+func batchChild(child Operator) BatchOperator {
+	if Batched(child) {
+		return child.(BatchOperator)
+	}
+	return nil
 }

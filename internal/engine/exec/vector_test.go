@@ -48,21 +48,34 @@ func TestHashKeyColsMatchesHashRow(t *testing.T) {
 	}
 }
 
-// vecValuesPlan builds scan → filter(v-pred) → limit over rows, with or
-// without the vectorized path engaged.
-func vecValuesPlan(rows [][]types.Value, pred expr.Expr, limit int64, vecOn bool) Operator {
+// rowsOnly hides its operator's NextBatch: Batched reports false for it,
+// so the operators above take their row-at-a-time paths. Tests wrap a
+// batch producer in it to compare both paths over the same input.
+type rowsOnly struct{ Operator }
+
+// valuesSource returns a ValuesScan over rows, hidden behind rowsOnly
+// unless batches is set.
+func valuesSource(rows [][]types.Value, batches bool) Operator {
 	scan := NewValuesScan(valuesSchema(), rows)
-	scan.Vec = vecOn
-	var op Operator = scan
+	if !batches {
+		return rowsOnly{scan}
+	}
+	return scan
+}
+
+// vecValuesPlan builds scan → filter(v-pred) → limit over rows, with or
+// without the batch path engaged.
+func vecValuesPlan(t *testing.T, rows [][]types.Value, pred expr.Expr, limit int64, vecOn bool) Operator {
+	t.Helper()
+	op := valuesSource(rows, vecOn)
 	if pred != nil {
-		f := NewFilter(op, pred)
-		f.Vec = vecOn
-		op = f
+		op = NewFilter(op, pred)
 	}
 	if limit >= 0 {
-		l := NewLimit(op, limit)
-		l.Vec = vecOn
-		op = l
+		op = NewLimit(op, limit)
+	}
+	if Batched(op) != vecOn {
+		t.Fatalf("Batched = %t, want %t", !vecOn, vecOn)
 	}
 	return op
 }
@@ -91,11 +104,11 @@ func TestVecBoundaries(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rows := intRows(tc.nrows)
 			base := vec.Outstanding()
-			want, err := Drain(vecValuesPlan(rows, tc.pred, tc.limit, false))
+			want, err := Drain(vecValuesPlan(t, rows, tc.pred, tc.limit, false))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Drain(vecValuesPlan(rows, tc.pred, tc.limit, true))
+			got, err := Drain(vecValuesPlan(t, rows, tc.pred, tc.limit, true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,14 +125,10 @@ func TestVecBoundaries(t *testing.T) {
 func TestVecProjectComputedAndAliased(t *testing.T) {
 	rows := intRows(2500)
 	build := func(vecOn bool) Operator {
-		scan := NewValuesScan(valuesSchema(), rows)
-		scan.Vec = vecOn
 		// One aliased column, one computed expression: exercises both
 		// NextBatch paths.
 		cmp := &expr.Cmp{Op: expr.GT, L: &expr.Col{Idx: 0, Name: "k"}, R: &expr.Col{Idx: 1, Name: "v"}}
-		p := NewProject(scan, []expr.Expr{&expr.Col{Idx: 1, Name: "v"}, cmp}, []string{"v", "b"})
-		p.Vec = vecOn
-		return p
+		return NewProject(valuesSource(rows, vecOn), []expr.Expr{&expr.Col{Idx: 1, Name: "v"}, cmp}, []string{"v", "b"})
 	}
 	want, err := Drain(build(false))
 	if err != nil {
@@ -146,10 +155,8 @@ func TestVecAggregateMatchesRow(t *testing.T) {
 		rows[i] = []types.Value{types.NewInt(int64(i % 13)), v}
 	}
 	build := func(vecOn bool) Operator {
-		scan := NewValuesScan(valuesSchema(), rows)
-		scan.Vec = vecOn
 		arg := &expr.Col{Idx: 1, Name: "v"}
-		agg := NewHashAggregate(scan,
+		return NewHashAggregate(valuesSource(rows, vecOn),
 			[]expr.Expr{&expr.Col{Idx: 0, Name: "k"}}, []string{"k"},
 			[]AggSpec{
 				{Kind: AggCount, Name: "cnt"},
@@ -159,8 +166,6 @@ func TestVecAggregateMatchesRow(t *testing.T) {
 				{Kind: AggMax, Arg: arg, Name: "max"},
 				{Kind: AggCount, Arg: arg, Distinct: true, Name: "dcnt"},
 			})
-		agg.Vec = vecOn
-		return agg
 	}
 	want, err := Drain(build(false))
 	if err != nil {
@@ -186,8 +191,7 @@ func TestVecEqualKeyOrderStability(t *testing.T) {
 	}
 	key := []expr.Expr{&expr.Col{Idx: 1, Name: "v"}}
 	build := func(vecOn bool, topn bool) Operator {
-		scan := NewValuesScan(valuesSchema(), rows)
-		scan.Vec = vecOn
+		scan := valuesSource(rows, vecOn)
 		if topn {
 			return NewTopN(scan, key, []bool{false}, 50)
 		}
@@ -208,24 +212,6 @@ func TestVecEqualKeyOrderStability(t *testing.T) {
 	}
 }
 
-// vecScanPipes is scanPipes with the vectorized flag set on every scan
-// and an optional vectorized filter above each.
-func vecScanPipes(tbl *catalog.Table, alias string, dop int, pred func(*expr.RowSchema) expr.Expr) []Pipeline {
-	pipes := make([]Pipeline, dop)
-	for i := range pipes {
-		leaf := NewMorselScan(tbl, alias)
-		leaf.Vec = true
-		root := Operator(leaf)
-		if pred != nil {
-			f := NewFilter(root, pred(leaf.Schema()))
-			f.Vec = true
-			root = f
-		}
-		pipes[i] = Pipeline{Root: root, Leaf: leaf}
-	}
-	return pipes
-}
-
 func TestGatherBatchForwardingMatchesRows(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 3000)
@@ -236,16 +222,24 @@ func TestGatherBatchForwardingMatchesRows(t *testing.T) {
 		}
 		return &expr.Cmp{Op: expr.GT, L: &expr.Col{Idx: i, Name: "val"}, R: &expr.Const{Val: types.NewInt(4000)}}
 	}
-	want, err := Drain(NewGather(scanPipes(tbl, "t", 4, func(op Operator) Operator {
-		return NewFilter(op, pred(op.Schema()))
-	}), 1, nil))
+	rowGather := NewGather(scanPipes(tbl, "t", 4, func(op Operator) Operator {
+		return NewFilter(rowsOnly{op}, pred(op.Schema()))
+	}), 1, nil)
+	if Batched(rowGather) {
+		t.Fatal("Gather over row pipelines reports batches")
+	}
+	want, err := Drain(rowGather)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	base := vec.Outstanding()
-	g := NewGather(vecScanPipes(tbl, "t", 4, pred), 1, nil)
-	g.Vec = true
+	g := NewGather(scanPipes(tbl, "t", 4, func(op Operator) Operator {
+		return NewFilter(op, pred(op.Schema()))
+	}), 1, nil)
+	if !Batched(g) {
+		t.Fatal("Gather over batch pipelines reports rows")
+	}
 	got, err := Drain(g)
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +257,7 @@ func TestGatherBatchEarlyCloseReleasesAll(t *testing.T) {
 	tbl := buildTable(t, c, "t", 5000)
 	for round := 0; round < 3; round++ {
 		base := vec.Outstanding()
-		g := NewGather(vecScanPipes(tbl, "t", 4, nil), 1, nil)
-		g.Vec = true
+		g := NewGather(scanPipes(tbl, "t", 4, nil), 1, nil)
 		if err := g.Open(); err != nil {
 			t.Fatal(err)
 		}

@@ -29,8 +29,6 @@ type Options struct {
 	Join JoinAlgorithm
 	// DisableIndexScan forces sequential scans.
 	DisableIndexScan bool
-	// DisablePushdown keeps all predicates above the joins.
-	DisablePushdown bool
 	// IndexJoin enables index-nested-loop joins when the inner table has
 	// an index on the join column.
 	IndexJoin bool
@@ -69,14 +67,6 @@ type Options struct {
 	// SpillDir is the base directory for per-query spill directories;
 	// empty uses a subdirectory of os.TempDir().
 	SpillDir string
-	// DisableTopN keeps ORDER BY + LIMIT as a full Sort + Limit instead
-	// of fusing them into the bounded-heap TopN operator — the seed
-	// behaviour, kept as the reference shape the plan tests compare against.
-	DisableTopN bool
-	// DisableVectorized turns batch-at-a-time execution off, planning the
-	// row-at-a-time operator paths everywhere. The zero value vectorizes
-	// every subtree that supports it (see vectorize.go).
-	DisableVectorized bool
 	// MinParallelPages gates intra-query parallelism on input size: a
 	// scan fragment stays serial when its table has both fewer data pages
 	// than this and fewer rows than DefaultMinParallelRows, because the
@@ -199,7 +189,7 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 				return nil, nil, err
 			}
 			switch {
-			case len(aliases) == 1 && !p.Opts.DisablePushdown && isBaseAlias(bases, aliases):
+			case len(aliases) == 1 && isBaseAlias(bases, aliases):
 				alias := firstKey(aliases)
 				b := findBase(bases, alias)
 				b.push = append(b.push, conj)
@@ -247,20 +237,18 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 	for _, b := range bases {
 		boundAliases[b.alias] = true
 	}
-	if !p.Opts.DisablePushdown {
-		ready, rest, err := partitionReady(residual, boundAliases, schemas)
+	ready, rest, err := partitionReady(residual, boundAliases, schemas)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(ready) > 0 {
+		pred, err := p.bindConjuncts(ready, root.Schema())
 		if err != nil {
 			return nil, nil, err
 		}
-		if len(ready) > 0 {
-			pred, err := p.bindConjuncts(ready, root.Schema())
-			if err != nil {
-				return nil, nil, err
-			}
-			root = exec.NewFilter(root, pred)
-		}
-		residual = rest
+		root = exec.NewFilter(root, pred)
 	}
+	residual = rest
 
 	// Lateral table functions, in declaration order.
 	for _, f := range funcs {
@@ -273,26 +261,23 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 			args[i] = bound
 		}
 		apply := exec.NewTableFuncApply(root, f.fn, args, f.alias)
-		if !p.Opts.DisablePushdown {
-			boundAliases[f.alias] = true
-			ready, rest, err := partitionReady(residual, boundAliases, schemas)
+		boundAliases[f.alias] = true
+		ready, rest, err := partitionReady(residual, boundAliases, schemas)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(ready) > 0 {
+			pred, err := p.bindConjuncts(ready, apply.Schema())
 			if err != nil {
 				return nil, nil, err
 			}
-			if len(ready) > 0 {
-				pred, err := p.bindConjuncts(ready, apply.Schema())
-				if err != nil {
-					return nil, nil, err
-				}
-				apply.Filter = pred
-			}
-			residual = rest
+			apply.Filter = pred
 		}
+		residual = rest
 		root = apply
 	}
 
-	// Residual predicates not attachable earlier (or all of them when
-	// pushdown is disabled).
+	// Residual predicates not attachable earlier.
 	if len(residual) > 0 {
 		pred, err := p.bindConjuncts(residual, root.Schema())
 		if err != nil {
@@ -336,7 +321,7 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 			keys[i] = bound
 			desc[i] = o.Desc
 		}
-		if stmt.Limit >= 0 && !p.Opts.DisableTopN && !p.topNOverBudget(stmt.Limit, root) {
+		if stmt.Limit >= 0 && !p.topNOverBudget(stmt.Limit, root) {
 			// ORDER BY + LIMIT k fuses into a bounded heap: O(k) memory
 			// instead of materializing and sorting the whole input. The
 			// parallel rewrite additionally pushes a partial TopN below
@@ -344,7 +329,7 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 			root = exec.NewTopN(root, keys, desc, stmt.Limit)
 			limitDone = true
 		} else {
-			// Full sort: either no LIMIT, TopN disabled, or the cost
+			// Full sort: either no LIMIT, or the cost
 			// model judged the bounded heap itself too large for the
 			// memory budget — the Sort can spill, the heap cannot. TopN
 			// is a stable sort plus a cutoff, so the switch is
@@ -366,13 +351,6 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 	// yields the exact serial tree.
 	if p.Opts.DOP > 1 && p.Opts.Views == nil {
 		root = p.parallelize(root, sum)
-	}
-
-	// Batch-at-a-time execution: flip the Vec flag on every subtree that
-	// can produce batches. Runs after parallelize so worker pipelines and
-	// the exchange vectorize too.
-	if !p.Opts.DisableVectorized && p.Opts.Views == nil {
-		vectorizeOp(root)
 	}
 	return root, sum, nil
 }
@@ -695,8 +673,8 @@ func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order [
 		curEst = outCard
 	}
 
-	// Any join predicates never consumed (e.g. self predicates within one
-	// alias when pushdown is disabled) become filters.
+	// Any join predicate never consumed becomes a filter, so none is
+	// dropped.
 	for i, jp := range joinPreds {
 		if used[i] {
 			continue
@@ -911,7 +889,7 @@ func connected(alias string, joined map[string]bool, preds []joinPred, used []bo
 	return false
 }
 
-// vecSuffix marks a vectorized operator in Explain output.
+// vecSuffix marks a batch-at-a-time operator in Explain output.
 func vecSuffix(vec bool) string {
 	if vec {
 		return " [vec]"
@@ -949,10 +927,10 @@ func explain(sb *strings.Builder, op exec.Operator, depth int) {
 	case *exec.ValuesScan:
 		fmt.Fprintf(sb, "%sValuesScan(%d rows)\n", indent, len(n.Rows))
 	case *exec.Filter:
-		fmt.Fprintf(sb, "%sFilter(%s)%s\n", indent, n.Pred, vecSuffix(n.Vec))
+		fmt.Fprintf(sb, "%sFilter(%s)%s\n", indent, n.Pred, vecSuffix(exec.Batched(n)))
 		explain(sb, n.Child, depth+1)
 	case *exec.Project:
-		fmt.Fprintf(sb, "%sProject(%s)%s\n", indent, strings.Join(n.Schema().Names(), ", "), vecSuffix(n.Vec))
+		fmt.Fprintf(sb, "%sProject(%s)%s\n", indent, strings.Join(n.Schema().Names(), ", "), vecSuffix(exec.Batched(n)))
 		explain(sb, n.Child, depth+1)
 	case *exec.HashJoin:
 		fmt.Fprintf(sb, "%sHashJoin(%s = %s)%s\n", indent, n.LeftKey, n.RightKey, estSuffix(n.Est))
@@ -981,7 +959,7 @@ func explain(sb *strings.Builder, op exec.Operator, depth int) {
 		}
 		explain(sb, n.Child, depth+1)
 	case *exec.HashAggregate:
-		fmt.Fprintf(sb, "%sHashAggregate(%d groups keys, %d aggs)%s\n", indent, len(n.GroupBy), len(n.Aggs), vecSuffix(n.Vec))
+		fmt.Fprintf(sb, "%s%s\n", indent, n)
 		explain(sb, n.Child, depth+1)
 	case *exec.Sort:
 		fmt.Fprintf(sb, "%sSort\n", indent)
@@ -993,7 +971,7 @@ func explain(sb *strings.Builder, op exec.Operator, depth int) {
 		fmt.Fprintf(sb, "%sDistinct\n", indent)
 		explain(sb, n.Child, depth+1)
 	case *exec.Limit:
-		fmt.Fprintf(sb, "%sLimit(%d)%s\n", indent, n.N, vecSuffix(n.Vec))
+		fmt.Fprintf(sb, "%sLimit(%d)%s\n", indent, n.N, vecSuffix(exec.Batched(n)))
 		explain(sb, n.Child, depth+1)
 	case *exec.Gather:
 		// All pipelines are clones; show the first as representative.

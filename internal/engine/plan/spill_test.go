@@ -24,14 +24,15 @@ func TestTopNPlanShape(t *testing.T) {
 		t.Fatalf("fused plan still contains Sort/Limit:\n%s", text)
 	}
 
-	// DisableTopN restores the seed Sort + Limit shape.
-	seed := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{DisableTopN: true}}
-	text = Explain(planFor(t, seed, q))
+	// A bounded heap that would itself blow the memory budget plans the
+	// spillable Sort + Limit instead.
+	tight := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{MemBudgetBytes: 64}}
+	text = Explain(planFor(t, tight, q))
 	if strings.Contains(text, "TopN(") {
-		t.Fatalf("DisableTopN plan contains TopN:\n%s", text)
+		t.Fatalf("over-budget plan contains TopN:\n%s", text)
 	}
 	if !strings.Contains(text, "Sort") || !strings.Contains(text, "Limit(5)") {
-		t.Fatalf("DisableTopN plan missing Sort/Limit:\n%s", text)
+		t.Fatalf("over-budget plan missing Sort/Limit:\n%s", text)
 	}
 
 	// ORDER BY without LIMIT must not become a TopN.

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/engine/catalog"
+	"repro/internal/engine/exec"
 	"repro/internal/engine/expr"
+	"repro/internal/engine/mvcc"
 	"repro/internal/engine/types"
 )
 
@@ -71,36 +73,67 @@ func TestSmallInputGatePassesRowFloor(t *testing.T) {
 	}
 }
 
+// TestVectorizePassMarksPlan checks which planned operators exec.Batched
+// reports as batch producers and that Explain marks exactly those [vec].
 func TestVectorizePassMarksPlan(t *testing.T) {
 	cat := bigFixture(t)
-	on := &Planner{Cat: cat, Reg: expr.NewRegistry()}
-	off := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{DisableVectorized: true}}
+	serial := &Planner{Cat: cat, Reg: expr.NewRegistry()}
 
+	// Scan → Project: batches all the way up, and Explain marks every
+	// batch producer.
 	q := `SELECT id, val FROM fact WHERE val > 500`
-	onText := Explain(planFor(t, on, q))
-	if !strings.Contains(onText, "[vec]") {
-		t.Fatalf("default plan has no vectorized operators:\n%s", onText)
+	op := planFor(t, serial, q)
+	if !exec.Batched(op) {
+		t.Fatalf("project over a heap scan does not produce batches:\n%s", Explain(op))
 	}
-	offText := Explain(planFor(t, off, q))
-	if strings.Contains(offText, "[vec]") {
-		t.Fatalf("DisableVectorized plan still vectorized:\n%s", offText)
+	if text := Explain(op); strings.Count(text, "[vec]") != 2 {
+		t.Fatalf("want Project and SeqScan marked:\n%s", text)
 	}
 
-	// Parallel plans vectorize inside the worker pipelines and forward
-	// batches through the exchange.
+	// A snapshot View turns the scan, and everything batched only
+	// through it, back into rows.
+	scan := op.(*exec.Project).Child.(*exec.SeqScan)
+	scan.View = &mvcc.View{}
+	if exec.Batched(op) || strings.Contains(Explain(op), "[vec]") {
+		t.Fatalf("view scan still marked as batched:\n%s", Explain(op))
+	}
+
+	// Parallel plans produce batches inside the worker pipelines and
+	// forward them through the exchange.
 	par := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{DOP: 4, MorselPages: 1, CPUs: 4}}
-	parText := Explain(planFor(t, par, q))
-	if !strings.Contains(parText, "Gather(dop=4) [vec]") || !strings.Contains(parText, "MorselScan") {
-		t.Fatalf("parallel plan not batch-forwarding:\n%s", parText)
+	parOp := planFor(t, par, q)
+	if !exec.Batched(parOp) {
+		t.Fatalf("parallel plan not batch-forwarding:\n%s", Explain(parOp))
+	}
+	if text := Explain(parOp); !strings.Contains(text, "Gather(dop=4) [vec]") || !strings.Contains(text, "MorselScan") {
+		t.Fatalf("parallel plan not batch-forwarding:\n%s", text)
 	}
 
-	// Row-wise operators above a vectorized scan: the scan is marked,
-	// the sort is not.
-	sortText := Explain(planFor(t, on, `SELECT id, val FROM fact ORDER BY val LIMIT 5`))
-	if !strings.Contains(sortText, "[vec]") {
-		t.Fatalf("scan below TopN should still vectorize:\n%s", sortText)
+	// Row-only operators above a batch scan: the scan is marked, the
+	// TopN and the join are not.
+	for _, q := range []string{
+		`SELECT id, val FROM fact ORDER BY val LIMIT 5`,
+		`SELECT id, label FROM fact, dim WHERE grp = grpID`,
+	} {
+		op := planFor(t, serial, q)
+		text := Explain(op)
+		if exec.Batched(op) || !strings.Contains(text, "SeqScan(fact as fact) [vec]") {
+			t.Fatalf("%s: want only the scans batched:\n%s", q, text)
+		}
+		if strings.Contains(text, "TopN(5) [vec]") || strings.Contains(text, "Join(grp = grpID) [vec]") {
+			t.Fatalf("%s: row-only operator marked as batched:\n%s", q, text)
+		}
 	}
-	if strings.Contains(sortText, "TopN") && strings.Contains(sortText, "TopN(5) [vec]") {
-		t.Fatalf("TopN must stay row-wise:\n%s", sortText)
+
+	// HashAggregate consumes batches without producing them, and only
+	// on its unbounded in-memory path.
+	agg := `SELECT grp, COUNT(*) FROM fact GROUP BY grp`
+	op = planFor(t, serial, agg)
+	if exec.Batched(op) || !strings.Contains(Explain(op), "HashAggregate(1 groups keys, 1 aggs) [vec]") {
+		t.Fatalf("aggregate should consume batches and emit rows:\n%s", Explain(op))
+	}
+	budget := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{MemBudgetBytes: 1 << 20}}
+	if text := Explain(planFor(t, budget, agg)); strings.Contains(text, "HashAggregate(1 groups keys, 1 aggs) [vec]") {
+		t.Fatalf("spillable aggregate marked as batched:\n%s", text)
 	}
 }

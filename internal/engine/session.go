@@ -52,12 +52,11 @@ func (db *Database) Begin() (*Session, error) {
 		overlay: make(map[string]*tableOverlay),
 	}
 	// Sessions plan serial row-at-a-time trees over materialized views:
-	// morsel parallelism, vectorized page decoding, fragment-index
-	// probes, and index nested loops all walk shared physical structures
-	// that a snapshot cannot trust, so the Views provider gates them off.
+	// morsel parallelism, heap page decoding, fragment-index probes, and
+	// index nested loops all walk shared physical structures that a
+	// snapshot cannot trust, so the Views provider gates them off.
 	opts := db.planner.Opts
 	opts.DOP = 1
-	opts.DisableVectorized = true
 	opts.Views = s
 	s.planner = &plan.Planner{Cat: db.planner.Cat, Reg: db.planner.Reg, Opts: opts, Spill: db.planner.Spill}
 	return s, nil

@@ -34,6 +34,35 @@ func TestDecodeRecordCols(t *testing.T) {
 	}
 }
 
+// drainCursor reads a cursor to the end in batches of max rows and
+// returns the rows it produced.
+func drainCursor(t *testing.T, cur *Cursor, ncols, max int) [][]types.Value {
+	t.Helper()
+	cols := make([][]types.Value, ncols)
+	for j := range cols {
+		cols[j] = make([]types.Value, max)
+	}
+	var rows [][]types.Value
+	for {
+		k, err := cur.NextBatch(cols, max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			return rows
+		}
+		for i := 0; i < k; i++ {
+			row := make([]types.Value, ncols)
+			for j := range cols {
+				row[j] = cols[j][i]
+			}
+			rows = append(rows, row)
+		}
+	}
+}
+
+// TestCursorNextBatchMatchesNext holds the batch cursor to the next row
+// of a row-at-a-time Scan: same rows, same order, overflow rows included.
 func TestCursorNextBatchMatchesNext(t *testing.T) {
 	h := NewHeapFile(nil)
 	const n = 3000
@@ -47,45 +76,24 @@ func TestCursorNextBatchMatchesNext(t *testing.T) {
 		h.Insert([]types.Value{types.NewInt(int64(i)), v})
 	}
 
-	var rowwise [][]types.Value
-	cur := h.NewCursor()
-	for {
-		_, row, ok, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		rowwise = append(rowwise, row)
+	var want [][]types.Value
+	if err := h.Scan(func(_ RID, row []types.Value) error {
+		want = append(want, row)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-
-	cols := [][]types.Value{make([]types.Value, 100), make([]types.Value, 100)}
-	bc := h.NewCursor()
-	got := 0
-	for {
-		// Deliberately small batches so page boundaries land mid-batch.
-		k, err := bc.NextBatch(cols, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k == 0 {
-			break
-		}
-		for i := 0; i < k; i++ {
-			if got+i >= len(rowwise) {
-				t.Fatalf("batch cursor produced more than %d rows", len(rowwise))
-			}
-			for j := range cols {
-				if !types.Equal(cols[j][i], rowwise[got+i][j]) {
-					t.Fatalf("row %d col %d = %v, want %v", got+i, j, cols[j][i], rowwise[got+i][j])
-				}
+	// Deliberately small batches so page boundaries land mid-batch.
+	got := drainCursor(t, h.NewCursor(), 2, 100)
+	if len(got) != n || len(want) != n {
+		t.Fatalf("batch cursor produced %d rows, Scan %d, want %d", len(got), len(want), n)
+	}
+	for i := range want {
+		for j := range want[i] {
+			if !types.Equal(got[i][j], want[i][j]) {
+				t.Fatalf("row %d col %d = %v, want %v", i, j, got[i][j], want[i][j])
 			}
 		}
-		got += k
-	}
-	if got != n {
-		t.Fatalf("batch cursor produced %d rows, want %d", got, n)
 	}
 }
 
@@ -95,37 +103,16 @@ func TestCursorNextBatchTouchAccounting(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		h.Insert([]types.Value{types.NewInt(int64(i))})
 	}
-
-	rowCur := h.NewCursor()
-	for {
-		_, _, ok, err := rowCur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	drainCursor(t, h.NewCursor(), 1, 512)
+	if got, pages := bp.Stats().Total(), int64(h.DataPages()); got != pages {
+		t.Fatalf("batch cursor touched %d pages, file has %d data pages", got, pages)
 	}
-	rowStats := bp.Stats()
-
-	bp2 := NewBufferPool(64)
-	h2 := NewHeapFile(bp2)
-	for i := 0; i < 2000; i++ {
-		h2.Insert([]types.Value{types.NewInt(int64(i))})
+	// Scan accounts the same way: one Touch per data page.
+	bp.Reset()
+	if err := h.Scan(func(RID, []types.Value) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
-	cols := [][]types.Value{make([]types.Value, 512)}
-	bc := h2.NewCursor()
-	for {
-		k, err := bc.NextBatch(cols, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k == 0 {
-			break
-		}
-	}
-	batchStats := bp2.Stats()
-	if rowStats != batchStats {
-		t.Fatalf("buffer-pool accounting diverged: row %+v vs batch %+v", rowStats, batchStats)
+	if got, pages := bp.Stats().Total(), int64(h.DataPages()); got != pages {
+		t.Fatalf("Scan touched %d pages, file has %d data pages", got, pages)
 	}
 }

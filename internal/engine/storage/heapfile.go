@@ -361,9 +361,9 @@ func (h *HeapFile) Rows() int {
 func (h *HeapFile) DataPages() int { return len(h.pageSnapshot()) }
 
 // Cursor iterates a contiguous page range of the heap file in insertion
-// order, pull-style, for the executor's iterator model. It works over a
-// snapshot of the page directory, so concurrent cursors over the same
-// file never interfere.
+// order, a batch of rows per call, for the executor's scans. It works
+// over a snapshot of the page directory, so concurrent cursors over the
+// same file never interfere.
 type Cursor struct {
 	h     *HeapFile
 	pages []*page // snapshot of the covered range
@@ -395,37 +395,6 @@ func (h *HeapFile) NewRangeCursor(lo, hi int) *Cursor {
 	return &Cursor{h: h, pages: pages[lo:hi], base: lo}
 }
 
-// Next returns the next row and its RID, or ok=false at the end.
-func (c *Cursor) Next() (RID, []types.Value, bool, error) {
-	for c.i < len(c.pages) {
-		p := c.pages[c.i]
-		if c.slot >= p.nslots() {
-			c.i++
-			c.slot = 0
-			continue
-		}
-		if c.slot == 0 && c.h.pool != nil {
-			c.h.pool.Touch(PageID{File: c.h, Page: c.base + c.i})
-		}
-		if !p.slotLive(c.slot) {
-			c.slot++
-			continue
-		}
-		rec, err := p.read(c.slot)
-		if err != nil {
-			return RID{}, nil, false, err
-		}
-		row, err := c.h.decode(rec)
-		if err != nil {
-			return RID{}, nil, false, err
-		}
-		rid := RID{Page: int32(c.base + c.i), Slot: int32(c.slot)}
-		c.slot++
-		return rid, row, true, nil
-	}
-	return RID{}, nil, false, nil
-}
-
 // decodeInto decodes one record into column arrays at row, resolving
 // overflow stubs exactly like decode (including the logical buffer-pool
 // touches for overflow page runs).
@@ -452,8 +421,8 @@ func (h *HeapFile) decodeInto(rec []byte, cols [][]types.Value, row int) error {
 // batch access path of vectorized scans. cols must hold one slice per
 // table column, each at least max long; rows land in cols[j][0:n] in
 // cursor order. It returns the number of rows decoded; 0 means the page
-// range is exhausted. Buffer-pool accounting is identical to Next
-// (one Touch per page entered).
+// range is exhausted. Buffer-pool accounting matches Scan: one Touch per
+// page entered.
 func (c *Cursor) NextBatch(cols [][]types.Value, max int) (int, error) {
 	n := 0
 	for n < max && c.i < len(c.pages) {

@@ -125,15 +125,7 @@ func TestRangeCursor(t *testing.T) {
 	var got []int64
 	mid := pages / 2
 	for _, r := range [][2]int{{0, mid}, {mid, pages}} {
-		cur := h.NewRangeCursor(r[0], r[1])
-		for {
-			_, row, ok, err := cur.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
+		for _, row := range drainCursor(t, h.NewRangeCursor(r[0], r[1]), 1, 256) {
 			got = append(got, row[0].Int())
 		}
 	}
@@ -146,19 +138,7 @@ func TestRangeCursor(t *testing.T) {
 		}
 	}
 	// Out-of-bounds ranges clamp rather than panic.
-	cur := h.NewRangeCursor(-5, pages+100)
-	n := 0
-	for {
-		_, _, ok, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 3000 {
+	if n := len(drainCursor(t, h.NewRangeCursor(-5, pages+100), 1, 256)); n != 3000 {
 		t.Errorf("clamped cursor yielded %d rows, want 3000", n)
 	}
 }

@@ -122,10 +122,9 @@ func (w *sessionStore) SpliceFragment(table, col string, id int64, frags []strin
 func runConcurrentTimeline(vfs storage.VFS, cfg crashConfig, docs []*xmltree.Document) error {
 	format := cfg.format
 	st, err := core.NewStore(corpus.ShakespeareDTD, core.Config{
-		Algorithm:          cfg.alg,
-		DisableXADTHeaders: cfg.legacy,
-		ForceFormat:        &format,
-		Engine:             engine.Config{MVCC: true, WALDir: "wal", WALSync: cfg.sync, VFS: vfs},
+		Algorithm:   cfg.alg,
+		ForceFormat: &format,
+		Engine:      engine.Config{MVCC: true, WALDir: "wal", WALSync: cfg.sync, VFS: vfs},
 	})
 	if err != nil {
 		return err
@@ -223,9 +222,8 @@ func TestCrashMatrixConcurrent(t *testing.T) {
 				}
 				format := cfg.format
 				tw, err := core.NewStore(corpus.ShakespeareDTD, core.Config{
-					Algorithm:          cfg.alg,
-					DisableXADTHeaders: cfg.legacy,
-					ForceFormat:        &format,
+					Algorithm:   cfg.alg,
+					ForceFormat: &format,
 				})
 				if err != nil {
 					t.Fatalf("twin store: %v", err)

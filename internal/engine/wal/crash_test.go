@@ -26,22 +26,20 @@ import (
 // number of documents — and resuming the load from that prefix must
 // reach the same state as a store that never crashed.
 
-// crashConfig is one store configuration of the matrix: mapping
-// algorithm × XADT header mode, with the sync policy and forced storage
-// format varied alongside so all three policies and both formats get
-// crash coverage.
+// crashConfig is one store configuration of the matrix: the mapping
+// algorithm, with the sync policy and forced storage format varied
+// alongside so all three policies and both formats get crash coverage.
 type crashConfig struct {
 	name   string
 	alg    core.Algorithm
-	legacy bool
 	sync   wal.SyncPolicy
 	format xadt.Format
 }
 
 var crashConfigs = []crashConfig{
-	{"hybrid-always", core.Hybrid, false, wal.SyncAlways, xadt.Raw},
-	{"xorator-batch", core.XORator, false, wal.SyncBatch, xadt.Compressed},
-	{"xorator-legacy-off", core.XORator, true, wal.SyncOff, xadt.Raw},
+	{"hybrid-always", core.Hybrid, wal.SyncAlways, xadt.Raw},
+	{"xorator-batch", core.XORator, wal.SyncBatch, xadt.Compressed},
+	{"xorator-off", core.XORator, wal.SyncOff, xadt.Raw},
 }
 
 // tinyPlay builds a minimal document conforming to the Shakespeare DTD.
@@ -90,10 +88,9 @@ func crashDocs(t *testing.T) []*xmltree.Document {
 func runTimeline(vfs storage.VFS, cfg crashConfig, docs []*xmltree.Document) error {
 	format := cfg.format
 	st, err := core.NewStore(corpus.ShakespeareDTD, core.Config{
-		Algorithm:          cfg.alg,
-		DisableXADTHeaders: cfg.legacy,
-		ForceFormat:        &format,
-		Engine:             engine.Config{WALDir: "wal", WALSync: cfg.sync, VFS: vfs},
+		Algorithm:   cfg.alg,
+		ForceFormat: &format,
+		Engine:      engine.Config{WALDir: "wal", WALSync: cfg.sync, VFS: vfs},
 	})
 	if err != nil {
 		return err
@@ -150,9 +147,8 @@ func TestCrashMatrix(t *testing.T) {
 				}
 				format := cfg.format
 				tw, err := core.NewStore(corpus.ShakespeareDTD, core.Config{
-					Algorithm:          cfg.alg,
-					DisableXADTHeaders: cfg.legacy,
-					ForceFormat:        &format,
+					Algorithm:   cfg.alg,
+					ForceFormat: &format,
 				})
 				if err != nil {
 					t.Fatalf("twin store: %v", err)
@@ -242,7 +238,7 @@ func TestCrashMatrix(t *testing.T) {
 func TestRecoveredStoreAnswersQueries(t *testing.T) {
 	docs := crashDocs(t)
 	mem := storage.NewMemVFS()
-	cfg := crashConfigs[1] // xorator, headered
+	cfg := crashConfigs[1] // xorator, compressed
 	counter := &storage.FaultVFS{Inner: storage.NewMemVFS()}
 	if err := runTimeline(counter, cfg, docs); err != nil {
 		t.Fatal(err)
@@ -327,10 +323,9 @@ func mutationOps(t *testing.T, alg core.Algorithm, docs []*xmltree.Document) []f
 func runMutationTimeline(vfs storage.VFS, cfg crashConfig, ops []func(*core.Store) error) error {
 	format := cfg.format
 	st, err := core.NewStore(corpus.ShakespeareDTD, core.Config{
-		Algorithm:          cfg.alg,
-		DisableXADTHeaders: cfg.legacy,
-		ForceFormat:        &format,
-		Engine:             engine.Config{WALDir: "wal", WALSync: cfg.sync, VFS: vfs},
+		Algorithm:   cfg.alg,
+		ForceFormat: &format,
+		Engine:      engine.Config{WALDir: "wal", WALSync: cfg.sync, VFS: vfs},
 	})
 	if err != nil {
 		return err
@@ -389,9 +384,8 @@ func TestCrashMatrixMutation(t *testing.T) {
 				}
 				format := cfg.format
 				tw, err := core.NewStore(corpus.ShakespeareDTD, core.Config{
-					Algorithm:          cfg.alg,
-					DisableXADTHeaders: cfg.legacy,
-					ForceFormat:        &format,
+					Algorithm:   cfg.alg,
+					ForceFormat: &format,
 				})
 				if err != nil {
 					t.Fatalf("twin store: %v", err)

@@ -24,10 +24,6 @@ type Loader struct {
 	// Format is the storage representation used for XADT columns,
 	// normally decided by ChooseFormat over sample documents (§4.1).
 	Format xadt.Format
-	// DisableHeaders writes seed-era headerless XADT values instead of
-	// headered ones — for stores that must exercise the legacy decode
-	// path.
-	DisableHeaders bool
 	// OnInsert, when non-nil, observes every tuple before it reaches the
 	// table — the write-ahead log hook. An error aborts the load before
 	// the unlogged insert is applied.
@@ -226,8 +222,6 @@ func (l *Loader) emit(rel *mapping.Relation, n *xmltree.Node, parentID int64, pa
 			frags := n.ChildrenNamed(col.Path[0])
 			if len(frags) == 0 {
 				row[i] = types.Null
-			} else if l.DisableHeaders {
-				row[i] = types.NewXADT(xadt.Encode(frags, l.Format).Bytes())
 			} else {
 				// Stored values carry the fragment header so the XADT
 				// methods can fast-reject without decoding.

@@ -140,25 +140,6 @@ func EncodeStored(nodes []*xmltree.Node, f Format) Value {
 	return Value{data: data}
 }
 
-// WithHeader returns v with a fragment header prepended, decoding the
-// payload to compute it. Already-headered values are returned unchanged.
-func WithHeader(v Value) (Value, error) {
-	if _, off, ok := parseHeader(v.data); ok && off > 0 {
-		return v, nil
-	}
-	nodes, err := v.Nodes()
-	if err != nil {
-		return Value{}, err
-	}
-	return EncodeStored(nodes, v.Format()), nil
-}
-
-// StripHeader returns the headerless legacy value carried in v. Values
-// without a header are returned unchanged.
-func StripHeader(v Value) Value {
-	return Value{data: v.payloadBytes()}
-}
-
 // Header returns the decoded fragment header, or ok=false for legacy
 // (headerless) or corrupt values.
 func (v Value) Header() (Header, bool) {
