@@ -138,6 +138,42 @@ func TestPaperQueryOracle(t *testing.T) {
 		}
 	})
 
+	// probes holds planning to one fragment-index probe per indexable
+	// conjunct, shared by the estimate, the join search and the access
+	// path. Each findKeyInElm call in the text bounds one such conjunct.
+	t.Run("probes", func(t *testing.T) {
+		total := uint64(0)
+		for _, ps := range stores {
+			if ps.alg != core.XORator {
+				continue
+			}
+			cat := ps.st.DB.Catalog
+			lookups := func() uint64 {
+				var n uint64
+				for _, name := range cat.TableNames() {
+					for _, fi := range cat.Table(name).FragIndexes {
+						n += fi.Lookups()
+					}
+				}
+				return n
+			}
+			for id, text := range ps.queries {
+				before := lookups()
+				if _, err := ps.st.DB.Plan(text); err != nil {
+					t.Fatalf("%s/%s: %v", ps.name, id, err)
+				}
+				got := lookups() - before
+				if limit := uint64(strings.Count(text, "findKeyInElm")); got > limit {
+					t.Errorf("%s/%s: %d fragment-index probes while planning, want at most %d", ps.name, id, got, limit)
+				}
+				total += got
+			}
+		}
+		if total == 0 {
+			t.Error("no paper query probed a fragment index")
+		}
+	})
+
 	// plans pins the Explain text of every paper query under both
 	// mappings, serial and parallel, so an executor refactor that must not
 	// change plans — shapes, estimates or [vec] marks — is held to that;

@@ -21,7 +21,8 @@ import (
 type IndexedFragScan struct {
 	Table *catalog.Table
 	Alias string
-	// RIDs are the candidate rows, sorted in heap order.
+	// RIDs are the candidate rows, sorted in heap order. The slice may be
+	// shared with the planner's per-statement probe results: read-only.
 	RIDs []storage.RID
 	// Pred is the full conjunction of pushed predicates, re-evaluated on
 	// every candidate row.

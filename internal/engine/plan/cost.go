@@ -68,12 +68,13 @@ type tableEst struct {
 	// fresh reports whether the snapshot is trusted: valid and not
 	// drifted past catalog.DefaultStaleRatio. When false the estimator
 	// falls back to the same defaults the pre-statistics planner used.
-	fresh bool
-	rows  float64 // base cardinality (statistics when fresh, live count otherwise)
-	pages float64 // heap data pages
-	width float64 // row-width scale factor, 1 + avgRowBytes/256
-	sel   float64 // combined selectivity of the pushed conjuncts
-	out   float64 // rows × sel, floored at 1 — the post-pushdown estimate
+	fresh  bool
+	rows   float64 // base cardinality (statistics when fresh, live count otherwise)
+	pages  float64 // heap data pages
+	width  float64 // row-width scale factor, 1 + avgRowBytes/256
+	sel    float64 // combined selectivity of the pushed conjuncts
+	out    float64 // rows × sel, floored at 1 — the post-pushdown estimate
+	access float64 // accessCost of the table, computed once per statement
 }
 
 // ndv returns the distinct count of a column, falling back to
@@ -132,6 +133,7 @@ func (p *Planner) estimate(bases []*baseItem) map[string]*tableEst {
 			te.out = rows
 			b.est = rows
 			te.width = rowWidthScale(b.table, te.rows)
+			te.access = p.accessCost(b, te)
 			ests[b.alias] = te
 			continue
 		}
@@ -152,6 +154,7 @@ func (p *Planner) estimate(bases []*baseItem) map[string]*tableEst {
 			te.out = 1
 		}
 		b.est = te.out
+		te.access = p.accessCost(b, te)
 		ests[b.alias] = te
 	}
 	return ests
@@ -177,14 +180,14 @@ func rowWidthScale(t *catalog.Table, rows float64) float64 {
 // cells. In particular the fragment-index document frequency is
 // consulted even when the index rewrite itself is disabled.
 func (p *Planner) selConjunct(b *baseItem, te *tableEst, conj sql.Expr) float64 {
-	if fk, ok := matchFindKey(b, conj); ok {
-		if fi := b.table.FragIndexOn(fk.column); fi != nil && fi.Valid() && fi.Rows() == b.table.Rows() {
-			if rids, ok := fi.LookupFindKey(fk.elm, fk.key); ok {
-				return clampSel(float64(len(rids)) / te.rows)
-			}
-			return clampSel(1 / te.rows) // indexed and provably absent
+	if pr := b.probe(conj); pr.matched {
+		if pr.ok {
+			return clampSel(float64(len(pr.rids)) / te.rows)
 		}
-		return 0.05 // keyword probes are sharp even unindexed
+		// Unindexed, or an index that cannot answer this key (no element
+		// name, no word-shaped token) — which says nothing about how many
+		// rows match. Keyword probes are sharp either way.
+		return 0.05
 	}
 	if ref, val, ok := constEquality(conj); ok {
 		if te.fresh {
@@ -373,14 +376,15 @@ func predCostExpr(e expr.Expr) float64 {
 // selConjunct, it is flag-blind: it considers the indexes that exist,
 // not the ones the current Options allow, so the estimate (and with it
 // the join order) is identical across the differential harness's
-// index-on/index-off cells.
+// index-on/index-off cells. estimate stores it in tableEst.access; a
+// fragment index that cannot answer its conjunct offers no alternative.
 func (p *Planner) accessCost(b *baseItem, te *tableEst) float64 {
 	predCost := predCostSQL(b.push)
 	scan := te.pages*cPageTouch + te.rows*(cRowTouch*te.width+predCost)
 	best := scan
 	for _, conj := range b.push {
-		if fk, ok := matchFindKey(b, conj); ok {
-			if fi := b.table.FragIndexOn(fk.column); fi != nil && fi.Valid() && fi.Rows() == b.table.Rows() {
+		if pr := b.probe(conj); pr.matched {
+			if pr.ok {
 				df := te.rows * p.selConjunct(b, te, conj)
 				cost := 2*cIndexProbeRow + df*(cRowTouch*te.width+predCost)
 				if cost < best {

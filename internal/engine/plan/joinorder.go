@@ -104,11 +104,8 @@ func (p *Planner) dpOrder(bases []*baseItem, preds []joinPred, ests map[string]*
 		byAlias[b.alias] = i
 	}
 	out := make([]float64, n)
-	access := make([]float64, n)
 	for i, b := range bases {
-		te := ests[b.alias]
-		out[i] = te.out
-		access[i] = p.accessCost(b, te)
+		out[i] = ests[b.alias].out
 	}
 	var edges []dpEdge
 	for _, jp := range preds {
@@ -149,8 +146,8 @@ func (p *Planner) dpOrder(bases []*baseItem, preds []joinPred, ests map[string]*
 		cost[S] = math.Inf(1)
 		last[S] = -1
 	}
-	for i := 0; i < n; i++ {
-		cost[1<<i] = access[i]
+	for i, b := range bases {
+		cost[1<<i] = ests[b.alias].access
 		last[1<<i] = i
 	}
 	for S := 3; S <= full; S++ {
@@ -166,7 +163,7 @@ func (p *Planner) dpOrder(bases []*baseItem, preds []joinPred, ests map[string]*
 			if math.IsInf(cost[prev], 1) {
 				continue
 			}
-			step, _ := p.joinStepCost(bases[t], ests[bases[t].alias],
+			step, _ := p.joinStepCost(ests[bases[t].alias],
 				card[prev], out[t], card[S], dpInnerIndexed(t, prev, edges, bases))
 			if total := cost[prev] + step; total < cost[S] {
 				cost[S] = total
@@ -227,8 +224,9 @@ const (
 )
 
 // joinStepCost returns the cost of joining the accumulated left side
-// (leftCard rows) with base table b (outT post-pushdown rows, outCard
-// estimated join output), choosing the cheapest eligible algorithm.
+// (leftCard rows) with the base table b that te estimates (outT
+// post-pushdown rows, outCard estimated join output; te.access is b's
+// access cost), choosing the cheapest eligible algorithm.
 // inlOK is the structural index-nested-loop eligibility; Views-gated
 // callers pass false. The returned choice is what the cost model would
 // pick absent explicit Join/IndexJoin options.
@@ -237,9 +235,8 @@ const (
 // descent per accumulated row, no scan of b at all. Merge: scan b, then
 // materialize and sort both sides. The accumulated side's production
 // cost is paid by the caller's running total, not here.
-func (p *Planner) joinStepCost(b *baseItem, te *tableEst, leftCard, outT, outCard float64, inlOK bool) (float64, physJoin) {
-	acc := p.accessCost(b, te)
-	hash := leftCard*cHashBuildRow + acc + outT*cHashProbeRow + outCard*cOutRow
+func (p *Planner) joinStepCost(te *tableEst, leftCard, outT, outCard float64, inlOK bool) (float64, physJoin) {
+	hash := leftCard*cHashBuildRow + te.access + outT*cHashProbeRow + outCard*cOutRow
 	best, alg := hash, physHash
 	if inlOK && p.Opts.Views == nil {
 		inl := leftCard*(cIndexProbeRow+cRowTouch*te.width) + outCard*cOutRow
@@ -247,7 +244,7 @@ func (p *Planner) joinStepCost(b *baseItem, te *tableEst, leftCard, outT, outCar
 			best, alg = inl, physINL
 		}
 	}
-	merge := cMergeSetup + acc + sortCost(leftCard) + sortCost(outT) +
+	merge := cMergeSetup + te.access + sortCost(leftCard) + sortCost(outT) +
 		(leftCard+outT)*cRowTouch + outCard*cOutRow
 	if merge < best {
 		best, alg = merge, physMerge

@@ -128,6 +128,9 @@ type baseItem struct {
 	schema *expr.RowSchema
 	push   []sql.Expr // single-alias conjuncts pushed to this table
 	est    float64    // estimated output cardinality after pushdown
+	// probes memoizes fragment-index answers per pushed conjunct for
+	// this statement; see probe.
+	probes map[sql.Expr]fragProbe
 }
 
 // funcItem is one TABLE(f(...)) FROM entry.
@@ -553,7 +556,7 @@ func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order [
 	curEst := first.est
 	curCost := 0.0
 	if te := ests[first.alias]; te != nil {
-		curCost = p.accessCost(first, te)
+		curCost = te.access
 	}
 	sum.JoinOrder = append(sum.JoinOrder, first.alias)
 
@@ -617,7 +620,7 @@ func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order [
 		useINL := inlOK && p.Opts.IndexJoin
 		alg := p.Opts.Join
 		if !useINL && costOn && alg == "" && keyL != nil && te != nil {
-			step, phys := p.joinStepCost(b, te, curEst, b.est, outCard, inlOK)
+			step, phys := p.joinStepCost(te, curEst, b.est, outCard, inlOK)
 			curCost += step
 			switch phys {
 			case physINL:
@@ -626,7 +629,7 @@ func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order [
 				alg = JoinMerge
 			}
 		} else if te != nil {
-			step, _ := p.joinStepCost(b, te, curEst, b.est, outCard, false)
+			step, _ := p.joinStepCost(te, curEst, b.est, outCard, false)
 			curCost += step
 		}
 

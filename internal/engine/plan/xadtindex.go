@@ -12,7 +12,6 @@ import (
 // answer: findKeyInElm(col, 'Elm', 'key') = 1 with literal arguments,
 // where col is an indexed XADT column of the base table.
 type findKeyConjunct struct {
-	conj   sql.Expr
 	column string
 	elm    string
 	key    string
@@ -58,7 +57,38 @@ func matchFindKey(b *baseItem, conj sql.Expr) (findKeyConjunct, bool) {
 	if !ok {
 		return none, false
 	}
-	return findKeyConjunct{conj: conj, column: ref.Name, elm: elm.Val, key: key.Val}, true
+	return findKeyConjunct{column: ref.Name, elm: elm.Val, key: key.Val}, true
+}
+
+// fragProbe is the fragment-index answer for one pushed conjunct,
+// computed once per statement: the estimate, the join orderer and the
+// access path all read the same candidate list.
+type fragProbe struct {
+	matched bool          // the conjunct has the indexable findKeyInElm shape
+	rids    []storage.RID // candidates in heap order; shared, read-only
+	ok      bool          // a valid, covering index answered the probe
+}
+
+// probe returns conj's fragment-index answer, running LookupFindKey the
+// first time any caller asks for it.
+func (b *baseItem) probe(conj sql.Expr) fragProbe {
+	if pr, done := b.probes[conj]; done {
+		return pr
+	}
+	var pr fragProbe
+	var fk findKeyConjunct
+	if fk, pr.matched = matchFindKey(b, conj); pr.matched {
+		// A missing, invalidated, or stale index (one that has not absorbed
+		// every heap row) is never consulted — fall back, never guess.
+		if fi := b.table.FragIndexOn(fk.column); fi != nil && fi.Valid() && fi.Rows() == b.table.Rows() {
+			pr.rids, pr.ok = fi.LookupFindKey(fk.elm, fk.key)
+		}
+	}
+	if b.probes == nil {
+		b.probes = map[sql.Expr]fragProbe{}
+	}
+	b.probes[conj] = pr
+	return pr
 }
 
 // xadtIndexAccess tries to answer b's pushed predicates through XADT
@@ -78,27 +108,17 @@ func (p *Planner) xadtIndexAccess(b *baseItem) (exec.Operator, error) {
 	var matched []string
 	have := false
 	for _, conj := range b.push {
-		fk, ok := matchFindKey(b, conj)
-		if !ok {
-			continue
-		}
-		fi := b.table.FragIndexOn(fk.column)
-		if fi == nil || !fi.Valid() || fi.Rows() != b.table.Rows() {
-			// Missing, invalidated, or stale (has not absorbed every heap
-			// row) — the contract says fall back, never guess.
-			continue
-		}
-		cand, ok := fi.LookupFindKey(fk.elm, fk.key)
-		if !ok {
+		pr := b.probe(conj)
+		if !pr.ok {
 			continue
 		}
 		if have {
-			rids = intersectRIDs(rids, cand)
+			rids = intersectRIDs(rids, pr.rids)
 		} else {
-			rids = cand
+			rids = pr.rids
 			have = true
 		}
-		matched = append(matched, fk.conj.String())
+		matched = append(matched, conj.String())
 	}
 	if !have {
 		return nil, nil
@@ -114,7 +134,8 @@ func (p *Planner) xadtIndexAccess(b *baseItem) (exec.Operator, error) {
 	return scan, nil
 }
 
-// intersectRIDs intersects two candidate lists sorted in heap order.
+// intersectRIDs intersects two candidate lists sorted in heap order into
+// a fresh slice, leaving both inputs (shared probe results) untouched.
 func intersectRIDs(a, b []storage.RID) []storage.RID {
 	out := a[:0:0]
 	i, j := 0, 0

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
@@ -30,6 +31,7 @@ type FragmentIndex struct {
 
 	rows    int
 	invalid bool
+	lookups atomic.Uint64
 
 	// Mutation bookkeeping. The delta-coded posting lists are append-only,
 	// so deletes tombstone (dead) and out-of-order inserts — page reuse
@@ -156,6 +158,10 @@ func (fi *FragmentIndex) DeleteRow(rid storage.RID) {
 	fi.dead[key] = true
 }
 
+// Lookups reports how many LookupFindKey calls this index has served. It
+// is a statistic only; a rebuilt index starts again from zero.
+func (fi *FragmentIndex) Lookups() uint64 { return fi.lookups.Load() }
+
 // Backlog reports how many keys lookups must patch over (tombstones plus
 // overlay rows); the catalog rebuilds the index when this grows past its
 // threshold.
@@ -211,6 +217,7 @@ func (fi *FragmentIndex) addNodes(rid storage.RID, nodes []*xmltree.Node) bool {
 // invalid, or both the element name is empty and the key has no
 // word-shaped tokens to look up.
 func (fi *FragmentIndex) LookupFindKey(elm, key string) (rids []storage.RID, ok bool) {
+	fi.lookups.Add(1)
 	fi.mu.RLock()
 	defer fi.mu.RUnlock()
 	if fi.invalid {
