@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/engine/catalog"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
 	"repro/internal/xadt"
@@ -51,6 +52,34 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !restored.Table("speech").Stats.Valid {
 		t.Error("stats not refreshed")
+	}
+	// Load rebuilds every index equal to the saved store's.
+	entries := func(idx *catalog.Index) (keys []types.Value, rids []storage.RID) {
+		idx.Tree.Ascend(func(k types.Value, rid storage.RID) bool {
+			keys, rids = append(keys, k), append(rids, rid)
+			return true
+		})
+		return keys, rids
+	}
+	sameKey := func(a, b types.Value) bool { return types.Compare(a, b) == 0 }
+	for _, name := range st.DB.Catalog.TableNames() {
+		a, b := st.Table(name), restored.Table(name)
+		if len(a.Indexes) != len(b.Indexes) || len(a.FragIndexes) != len(b.FragIndexes) {
+			t.Fatalf("%s: %d B+trees and %d fragment indexes restored, want %d and %d",
+				name, len(b.Indexes), len(b.FragIndexes), len(a.Indexes), len(a.FragIndexes))
+		}
+		for i, idx := range a.Indexes {
+			wk, wr := entries(idx)
+			gk, gr := entries(b.Indexes[i])
+			if b.Indexes[i].Column != idx.Column || !slices.EqualFunc(gk, wk, sameKey) || !slices.Equal(gr, wr) {
+				t.Errorf("%s: restored index on %s differs from the saved one", name, idx.Column)
+			}
+		}
+		for i, fi := range a.FragIndexes {
+			if d := b.FragIndexes[i].Diff(fi); d != "" || b.FragIndexes[i].Column() != fi.Column() {
+				t.Errorf("%s.%s: restored fragment index differs: %s", name, fi.Column(), d)
+			}
+		}
 	}
 }
 

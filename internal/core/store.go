@@ -273,7 +273,9 @@ func (st *Store) LoadXML(texts []string) error {
 // stand-in for running the DB2 Index Wizard: B+trees on every ID,
 // parentID, parentCODE and childOrder column, plus every string-valued
 // column (value, inlined and attribute columns), which the selection
-// queries filter on.
+// queries filter on. Fragment columns get the secondary XADT index
+// (structural paths + inverted keywords) instead of a B+tree on the
+// bytes. A table's new indexes are filled in one pass over its heap.
 func (st *Store) CreateDefaultIndexes() error {
 	if st.DB.TxnMgr != nil {
 		// Index builds scan heaps and splice shared structures; take the
@@ -285,28 +287,22 @@ func (st *Store) CreateDefaultIndexes() error {
 
 func (st *Store) createDefaultIndexesLocked() error {
 	for _, rel := range st.Schema.Relations {
+		t := st.DB.Catalog.Table(rel.Name)
+		var cols []string
 		for _, col := range rel.Columns {
-			switch col.Kind {
-			case mapping.KindXADT:
-				// Fragments get the secondary XADT index (structural paths
-				// + inverted keywords) instead of a B+tree on the bytes.
-				if t := st.DB.Catalog.Table(rel.Name); t != nil && t.FragIndexOn(col.Name) != nil {
-					continue
-				}
-				if err := st.DB.CreateXADTIndex(rel.Name, col.Name); err != nil {
-					return err
-				}
-				continue
-			}
 			// Skip indexes that already exist so the call is idempotent —
 			// a store recovered from a checkpoint carries that
 			// checkpoint's index definitions.
-			if t := st.DB.Catalog.Table(rel.Name); t != nil && t.IndexOn(col.Name) != nil {
+			if t != nil && (t.IndexOn(col.Name) != nil || t.FragIndexOn(col.Name) != nil) {
 				continue
 			}
-			if err := st.DB.CreateIndex(rel.Name, col.Name); err != nil {
-				return err
-			}
+			cols = append(cols, col.Name)
+		}
+		if len(cols) == 0 {
+			continue
+		}
+		if err := st.DB.CreateIndexes(rel.Name, cols); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -142,12 +143,7 @@ func (t *Table) InsertRID(row []types.Value) (storage.RID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rid := t.Heap.Insert(row)
-	for _, idx := range t.Indexes {
-		idx.Tree.Insert(row[idx.ColIdx], rid)
-	}
-	for _, fi := range t.FragIndexes {
-		fi.AddRow(rid, row[fi.ColumnIndex()])
-	}
+	indexRow(t.Indexes, t.FragIndexes, rid, row)
 	if t.V != nil {
 		t.V.NoteInsert(rid)
 	}
@@ -221,25 +217,48 @@ func (t *Table) UpdateRID(rid storage.RID, row []types.Value) (storage.RID, erro
 	return newRID, nil
 }
 
-// maybeRebuildFragLocked rebuilds any fragment index whose mutation
-// backlog has grown past the threshold. Called with t.mu held; the heap
-// has its own lock, so the backfill scan is safe here.
+// maybeRebuildFragLocked rebuilds every fragment index whose mutation
+// backlog has grown past the threshold, all in one backfill pass. Called
+// with t.mu held; the heap has its own lock, so the scan is safe here.
 func (t *Table) maybeRebuildFragLocked() {
+	var stale []int
+	var fresh []*xindex.FragmentIndex
 	for i, fi := range t.FragIndexes {
-		if fi.Backlog() < fragRebuildBacklog {
-			continue
+		if fi.Backlog() >= fragRebuildBacklog {
+			stale = append(stale, i)
+			fresh = append(fresh, xindex.NewFragmentIndex(fi.Table(), fi.Column(), fi.ColumnIndex()))
 		}
-		fresh := xindex.NewFragmentIndex(fi.Table(), fi.Column(), fi.ColumnIndex())
-		ci := fi.ColumnIndex()
-		err := t.Heap.Scan(func(rid storage.RID, row []types.Value) error {
-			fresh.AddRow(rid, row[ci])
-			return nil
-		})
-		if err != nil {
-			fresh.Invalidate()
-		}
-		t.FragIndexes[i] = fresh
 	}
+	if len(fresh) == 0 {
+		return
+	}
+	if err := t.backfill(nil, fresh); err != nil {
+		for _, fi := range fresh {
+			fi.Invalidate()
+		}
+	}
+	for j, i := range stale {
+		t.FragIndexes[i] = fresh[j]
+	}
+}
+
+// indexRow adds the heap row at rid to the given indexes.
+func indexRow(idxs []*Index, fis []*xindex.FragmentIndex, rid storage.RID, row []types.Value) {
+	for _, idx := range idxs {
+		idx.Tree.Insert(row[idx.ColIdx], rid)
+	}
+	for _, fi := range fis {
+		fi.AddRow(rid, row[fi.ColumnIndex()])
+	}
+}
+
+// backfill fills new indexes with the rows already in the heap, in heap
+// order, in one scan however many indexes there are.
+func (t *Table) backfill(idxs []*Index, fis []*xindex.FragmentIndex) error {
+	return t.Heap.Scan(func(rid storage.RID, row []types.Value) error {
+		indexRow(idxs, fis, rid, row)
+		return nil
+	})
 }
 
 // IndexOn returns the index over the named column, or nil.
@@ -381,70 +400,84 @@ func (c *Catalog) TableNames() []string {
 	return append([]string(nil), c.order...)
 }
 
-// CreateIndex builds a B+tree index over one column of a table,
-// backfilling existing rows.
-func (c *Catalog) CreateIndex(table, column string) (*Index, error) {
+// CreateIndexes builds the index each listed column's type calls for —
+// the path + keyword fragment index over an XADT column, a B+tree over
+// any other — and fills them all from the table's existing rows in one
+// heap scan. Inserts maintain them from then on; a row a fragment index
+// cannot read invalidates that index (the planner then falls back to
+// scans) rather than failing the build.
+func (c *Catalog) CreateIndexes(table string, columns []string) error {
 	t := c.Table(table)
 	if t == nil {
-		return nil, fmt.Errorf("catalog: no table %s", table)
+		return fmt.Errorf("catalog: no table %s", table)
 	}
-	ci := t.Schema.ColIndex(column)
-	if ci < 0 {
-		return nil, fmt.Errorf("catalog: table %s has no column %s", table, column)
+	var idxs []*Index
+	var fis []*xindex.FragmentIndex
+	for i, column := range columns {
+		ci := t.Schema.ColIndex(column)
+		if ci < 0 {
+			return fmt.Errorf("catalog: table %s has no column %s", table, column)
+		}
+		if t.IndexOn(column) != nil || t.FragIndexOn(column) != nil || slices.Contains(columns[:i], column) {
+			return fmt.Errorf("catalog: index on %s.%s already exists", table, column)
+		}
+		if t.Schema.Columns[ci].Type == types.KindXADT {
+			fis = append(fis, xindex.NewFragmentIndex(table, column, ci))
+			continue
+		}
+		idxs = append(idxs, &Index{
+			Name:   fmt.Sprintf("idx_%s_%s", table, column),
+			Column: column,
+			ColIdx: ci,
+			Tree:   index.New(),
+		})
 	}
-	if t.IndexOn(column) != nil {
-		return nil, fmt.Errorf("catalog: index on %s.%s already exists", table, column)
-	}
-	idx := &Index{
-		Name:   fmt.Sprintf("idx_%s_%s", table, column),
-		Column: column,
-		ColIdx: ci,
-		Tree:   index.New(),
-	}
-	err := t.Heap.Scan(func(rid storage.RID, row []types.Value) error {
-		idx.Tree.Insert(row[ci], rid)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	if err := t.backfill(idxs, fis); err != nil {
+		return err
 	}
 	t.mu.Lock()
-	t.Indexes = append(t.Indexes, idx)
+	t.Indexes = append(t.Indexes, idxs...)
+	t.FragIndexes = append(t.FragIndexes, fis...)
 	t.mu.Unlock()
-	return idx, nil
+	return nil
+}
+
+// CreateIndex builds a B+tree index over one non-XADT column of a
+// table, backfilling existing rows.
+func (c *Catalog) CreateIndex(table, column string) (*Index, error) {
+	if k, ok := c.columnType(table, column); ok && k == types.KindXADT {
+		return nil, fmt.Errorf("catalog: column %s.%s is an XADT column; it takes a fragment index", table, column)
+	}
+	if err := c.CreateIndexes(table, []string{column}); err != nil {
+		return nil, err
+	}
+	return c.Table(table).IndexOn(column), nil
 }
 
 // CreateXADTIndex builds the path + keyword fragment index over one XADT
-// column, backfilling existing rows in heap order. Inserts maintain it
-// from then on; a row that fails to index invalidates it (the planner
-// then falls back to scans) rather than failing the load.
+// column, backfilling existing rows.
 func (c *Catalog) CreateXADTIndex(table, column string) (*xindex.FragmentIndex, error) {
+	if k, ok := c.columnType(table, column); ok && k != types.KindXADT {
+		return nil, fmt.Errorf("catalog: column %s.%s is not an XADT column", table, column)
+	}
+	if err := c.CreateIndexes(table, []string{column}); err != nil {
+		return nil, err
+	}
+	return c.Table(table).FragIndexOn(column), nil
+}
+
+// columnType returns the type of table.column; ok is false when either
+// is missing.
+func (c *Catalog) columnType(table, column string) (k types.Kind, ok bool) {
 	t := c.Table(table)
 	if t == nil {
-		return nil, fmt.Errorf("catalog: no table %s", table)
+		return k, false
 	}
 	ci := t.Schema.ColIndex(column)
 	if ci < 0 {
-		return nil, fmt.Errorf("catalog: table %s has no column %s", table, column)
+		return k, false
 	}
-	if t.Schema.Columns[ci].Type != types.KindXADT {
-		return nil, fmt.Errorf("catalog: column %s.%s is not an XADT column", table, column)
-	}
-	if t.FragIndexOn(column) != nil {
-		return nil, fmt.Errorf("catalog: XADT index on %s.%s already exists", table, column)
-	}
-	fi := xindex.NewFragmentIndex(table, column, ci)
-	err := t.Heap.Scan(func(rid storage.RID, row []types.Value) error {
-		fi.AddRow(rid, row[ci])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	t.FragIndexes = append(t.FragIndexes, fi)
-	t.mu.Unlock()
-	return fi, nil
+	return t.Schema.Columns[ci].Type, true
 }
 
 // RunStats recomputes optimizer statistics for one table — the analogue
@@ -475,6 +508,7 @@ func (c *Catalog) RunStats(table string) error {
 		stride = 1
 	}
 	rows := 0
+	var names elementCounter
 	err := t.Heap.Scan(func(_ storage.RID, row []types.Value) error {
 		sampled := rows%stride == 0
 		rows++
@@ -491,7 +525,7 @@ func (c *Catalog) RunStats(table string) error {
 			case types.KindInt, types.KindString:
 				samples[i] = append(samples[i], v)
 			case types.KindXADT:
-				countElementNames(v, pathFreqs[i])
+				names.count(v, pathFreqs[i])
 			}
 		}
 		return nil

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
+	"repro/internal/xadt"
 )
 
 func newTestTable(t *testing.T) (*Catalog, *Table) {
@@ -98,6 +100,58 @@ func TestCreateIndexErrors(t *testing.T) {
 	}
 	if _, err := c.CreateIndex("speech", "speaker"); err == nil {
 		t.Error("duplicate index should fail")
+	}
+}
+
+// TestCreateIndexesOnePass: every new index of a table, B+trees and
+// fragment indexes alike, fills from one heap scan, and the kind of
+// index follows the column's type.
+func TestCreateIndexesOnePass(t *testing.T) {
+	pool := storage.NewBufferPool(0) // counts every page access as a miss
+	c := New(pool)
+	tbl, err := c.CreateTable("speech", []Column{
+		{Name: "speechID", Type: types.KindInt},
+		{Name: "speaker", Type: types.KindString},
+		{Name: "line", Type: types.KindXADT},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		line, err := xadt.Parse(fmt.Sprintf("<LINE>line %d of %s</LINE>", i, strings.Repeat("x", i%40)), xadt.Raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.Insert([]types.Value{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("S%d", i%10)), types.NewXADT(line.Bytes())})
+	}
+	before := pool.Stats().Total()
+	if err := c.CreateIndexes("speech", []string{"speechID", "line", "speaker"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, pages := pool.Stats().Total()-before, tbl.Heap.DataPages(); got != int64(pages) || pages < 2 {
+		t.Errorf("building three indexes touched %d pages of a %d-page heap, want one scan", got, pages)
+	}
+	if len(tbl.Indexes) != 2 || tbl.IndexOn("speaker") == nil || len(tbl.FragIndexes) != 1 {
+		t.Fatalf("indexes %d B+trees, %d fragment indexes", len(tbl.Indexes), len(tbl.FragIndexes))
+	}
+	if fi := tbl.FragIndexOn("line"); !fi.Valid() || fi.Rows() != 500 {
+		t.Errorf("fragment index Valid=%v Rows=%d", fi.Valid(), fi.Rows())
+	}
+	if got := len(tbl.IndexOn("speaker").Tree.Lookup(types.NewString("S3"))); got != 50 {
+		t.Errorf("backfilled speaker lookup = %d, want 50", got)
+	}
+	if err := c.CreateIndexes("speech", []string{"speaker"}); err == nil {
+		t.Error("an existing index was built again")
+	}
+	c.CreateTable("t2", []Column{{Name: "a", Type: types.KindInt}, {Name: "x", Type: types.KindXADT}})
+	if err := c.CreateIndexes("t2", []string{"a", "a"}); err == nil {
+		t.Error("a column listed twice got two indexes")
+	}
+	if _, err := c.CreateIndex("t2", "x"); err == nil {
+		t.Error("CreateIndex built a B+tree on an XADT column")
+	}
+	if _, err := c.CreateXADTIndex("t2", "a"); err == nil {
+		t.Error("CreateXADTIndex accepted an integer column")
 	}
 }
 

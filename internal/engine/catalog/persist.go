@@ -151,16 +151,17 @@ func Load(r io.Reader, pool *storage.BufferPool) (*Catalog, error) {
 			return nil, fmt.Errorf("catalog: table %s heap: %w", name, err)
 		}
 		tbl.Heap = heap
-		for _, col := range idxCols {
-			if frag, ok := strings.CutPrefix(col, xadtIndexPrefix); ok {
-				if _, err := c.CreateXADTIndex(name, frag); err != nil {
-					return nil, err
-				}
-				continue
+		// The column's type decides the kind of index CreateIndexes
+		// builds; the prefix must agree with it.
+		for j, def := range idxCols {
+			col, frag := strings.CutPrefix(def, xadtIndexPrefix)
+			if ci := tbl.Schema.ColIndex(col); ci >= 0 && (cols[ci].Type == types.KindXADT) != frag {
+				return nil, fmt.Errorf("catalog: table %s: index %q does not fit its column's type", name, def)
 			}
-			if _, err := c.CreateIndex(name, col); err != nil {
-				return nil, err
-			}
+			idxCols[j] = col
+		}
+		if err := c.CreateIndexes(name, idxCols); err != nil {
+			return nil, err
 		}
 		restored := false
 		if hasStats {

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/engine/types"
 	"repro/internal/xadt"
-	"repro/internal/xmltree"
 )
 
 const (
@@ -220,27 +219,18 @@ func buildHistogram(kind types.Kind, sample []types.Value, totalNonNull int) *Hi
 	return h
 }
 
-// countElementNames decodes one XADT fragment and tallies its element
-// names into freq. Decode failures are ignored — statistics must never
-// fail a scan.
-func countElementNames(v types.Value, freq map[string]int) {
-	nodes, err := xadt.FromBytes(v.XADT()).Nodes()
-	if err != nil {
-		return
-	}
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
-		if !n.IsElement() {
-			return
-		}
-		freq[n.Name]++
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	for _, n := range nodes {
-		walk(n)
-	}
+// elementCounter tallies the element names of stored XADT fragments from
+// the scanner's element table, reusing its working space across rows.
+type elementCounter struct {
+	w    xadt.Walker
+	text []byte
+}
+
+// count adds the element names of the fragment v to freq. A fragment
+// that does not scan is skipped, so its error is dropped: statistics
+// must never fail a scan.
+func (c *elementCounter) count(v types.Value, freq map[string]int) {
+	c.text, _ = c.w.Walk(v.XADT(), c.text[:0], func(name []byte, _ int) { freq[string(name)]++ })
 }
 
 // capPathFreq keeps the statsMaxPaths highest-count entries,

@@ -5,12 +5,16 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/engine/types"
+	"repro/internal/testutil"
+	"repro/internal/xadt"
+	"repro/internal/xmltree"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -133,6 +137,37 @@ func TestStatsEncodingGolden(t *testing.T) {
 	}
 	if string(want) != dump {
 		t.Errorf("stats encoding drifted from %s (rerun with -update if intended)\ngot:\n%s", path, dump)
+	}
+}
+
+// TestElementCountsMatchNodeWalk holds RunStats' element-name tally,
+// taken from the scanner's element table, to a walk of the decoded nodes
+// over generated fragments in every storage format, with and without the
+// fragment header.
+func TestElementCountsMatchNodeWalk(t *testing.T) {
+	frags := testutil.Fragments()
+	want := map[string]int{}
+	for _, nodes := range frags {
+		for _, n := range nodes {
+			n.Walk(func(d *xmltree.Node) bool {
+				if d.IsElement() {
+					want[d.Name]++
+				}
+				return true
+			})
+		}
+	}
+	for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed, xadt.Directory} {
+		for _, encode := range []func([]*xmltree.Node, xadt.Format) xadt.Value{xadt.Encode, xadt.EncodeStored} {
+			got := map[string]int{}
+			var c elementCounter
+			for _, nodes := range frags {
+				c.count(types.NewXADT(encode(nodes, f).Bytes()), got)
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("%v: element counts %v, node walk %v", f, got, want)
+			}
+		}
 	}
 }
 

@@ -220,17 +220,11 @@ func (db *Database) CreateTable(name string, cols []catalog.Column) (*catalog.Ta
 	return db.Catalog.CreateTable(name, cols)
 }
 
-// CreateIndex builds an index over table.column.
-func (db *Database) CreateIndex(table, column string) error {
-	_, err := db.Catalog.CreateIndex(table, column)
-	return err
-}
-
-// CreateXADTIndex builds the path + keyword fragment index over an XADT
-// column.
-func (db *Database) CreateXADTIndex(table, column string) error {
-	_, err := db.Catalog.CreateXADTIndex(table, column)
-	return err
+// CreateIndexes builds an index over each listed column of a table — the
+// path + keyword fragment index over an XADT column, a B+tree over any
+// other — filling them all in one pass over the table.
+func (db *Database) CreateIndexes(table string, columns []string) error {
+	return db.Catalog.CreateIndexes(table, columns)
 }
 
 // RunStats refreshes optimizer statistics on every table.

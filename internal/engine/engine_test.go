@@ -187,7 +187,7 @@ func TestJoinCountAndExplain(t *testing.T) {
 
 func TestIndexedQuery(t *testing.T) {
 	db := fixtureDB(t)
-	if err := db.CreateIndex("speech", "speech_parentID"); err != nil {
+	if err := db.CreateIndexes("speech", []string{"speech_parentID"}); err != nil {
 		t.Fatal(err)
 	}
 	rows := queryStrings(t, db, `SELECT speechID FROM speech WHERE speech_parentID = 1`)
@@ -249,7 +249,7 @@ func TestBufferPoolAccounting(t *testing.T) {
 
 func TestConcurrentReadQueries(t *testing.T) {
 	db := fixtureDB(t)
-	if err := db.CreateIndex("speech", "speechID"); err != nil {
+	if err := db.CreateIndexes("speech", []string{"speechID"}); err != nil {
 		t.Fatal(err)
 	}
 	queries := []string{

@@ -135,6 +135,35 @@ func TestPlanProbesEachFragmentIndexOnce(t *testing.T) {
 	}
 }
 
+// TestScannerRejectedFragmentDisablesIndex: a stored value the tree
+// parser reads but the byte scanner rejects, such as a self-closing tag
+// or a comment, invalidates its fragment index. The row still counts
+// toward Rows, and the planner falls back to scans.
+func TestScannerRejectedFragmentDisablesIndex(t *testing.T) {
+	p := fragFixture(t, true)
+	speech := p.Cat.Table("speech")
+	stored := func(markup string) types.Value {
+		t.Helper()
+		v := xadt.FromBytes(append([]byte{byte(xadt.Raw)}, markup...))
+		if _, err := v.Nodes(); err != nil {
+			t.Fatalf("Nodes rejects %q: %v", markup, err)
+		}
+		return types.NewXADT(v.Bytes())
+	}
+	if err := speech.Insert([]types.Value{types.NewInt(200), types.NewInt(0), types.NewString("SCENE"),
+		stored("<SPEAKER/>"), stored("<LINE>love<!-- aside --></LINE>")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, fi := range speech.FragIndexes {
+		if fi.Valid() || fi.Rows() != speech.Rows() {
+			t.Errorf("%s: Valid=%v Rows=%d, want an invalid index covering %d rows", fi.Column(), fi.Valid(), fi.Rows(), speech.Rows())
+		}
+	}
+	if ex := Explain(planFor(t, p, qs5Shape)); strings.Contains(ex, "IndexedFragScan") {
+		t.Errorf("plan uses an invalid fragment index:\n%s", ex)
+	}
+}
+
 // TestUnanswerableFragmentProbePlansAsUnindexed: LookupFindKey's ok=false
 // means the index cannot answer the key (no element name and no
 // word-shaped token), not that no row matches. Such a conjunct must be

@@ -1,15 +1,16 @@
 package xindex
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
 	"repro/internal/xadt"
-	"repro/internal/xmltree"
 )
 
 // FragmentIndex is the combined secondary index over one stored XADT
@@ -43,6 +44,12 @@ type FragmentIndex struct {
 	anyKey  bool
 	dead    map[uint64]bool
 	overlay map[uint64]bool
+
+	// Working space of AddRow, reused from row to row.
+	walker  xadt.Walker
+	text    []byte // the row's character data
+	pathBuf []byte // the path of the current element
+	ends    []int  // ends[d-1]: length of the path of the open element at depth d
 }
 
 // NewFragmentIndex returns an empty index over table.column at colIdx.
@@ -97,8 +104,8 @@ func (fi *FragmentIndex) SizeBytes() int64 {
 // coverage, including NULL fragments (which simply contribute no
 // postings). Rows at RIDs past every posting extend the main indexes; a
 // row at a reused (lower) RID lands in the overlay instead, since the
-// delta-coded postings are append-only. A decode failure on the main
-// path invalidates the index instead of erroring the insert —
+// delta-coded postings are append-only. A fragment the byte scanner
+// rejects invalidates the index instead of erroring the insert —
 // correctness comes from the planner's fallback, not from aborting
 // loads.
 func (fi *FragmentIndex) AddRow(rid storage.RID, v types.Value) {
@@ -123,18 +130,33 @@ func (fi *FragmentIndex) AddRow(rid storage.RID, v types.Value) {
 	if v.IsNull() {
 		return
 	}
-	if v.Kind() != types.KindXADT {
-		fi.invalid = true
-		return
-	}
-	nodes, err := xadt.FromBytes(v.XADT()).Nodes()
-	if err != nil {
-		fi.invalid = true
-		return
-	}
-	if !fi.addNodes(rid, nodes) {
+	if v.Kind() != types.KindXADT || !fi.addFragment(rid, v.XADT()) {
 		fi.invalid = true
 	}
+}
+
+// addFragment indexes one stored fragment under fi.mu from the scanner's
+// element table, without decoding it to nodes. Every distinct
+// root-to-element path gets one posting for the row. The keyword
+// postings come from the fragment's character data in document order —
+// the concatenation InnerText performs, so any element's inner text is a
+// contiguous substring of it and the tokenizer's superset guarantee
+// carries through. It reports false when the bytes do not scan.
+func (fi *FragmentIndex) addFragment(rid storage.RID, data []byte) bool {
+	ends := fi.ends[:0]
+	text, err := fi.walker.Walk(data, fi.text[:0], func(name []byte, depth int) {
+		ends = ends[:depth-1]
+		path := fi.pathBuf[:0]
+		if depth > 1 {
+			path = append(path[:ends[depth-2]], '/')
+		}
+		path = append(path, name...)
+		ends = append(ends, len(path))
+		fi.pathBuf = path
+		fi.path.Add(rid, path)
+	})
+	fi.ends, fi.text = ends, text
+	return err == nil && fi.kw.add(ridKey(rid), text)
 }
 
 // DeleteRow records the removal of the heap row at rid: the key leaves
@@ -169,45 +191,6 @@ func (fi *FragmentIndex) Backlog() int {
 	fi.mu.RLock()
 	defer fi.mu.RUnlock()
 	return len(fi.dead) + len(fi.overlay)
-}
-
-// addNodes indexes one decoded fragment under fi.mu.
-func (fi *FragmentIndex) addNodes(rid storage.RID, nodes []*xmltree.Node) bool {
-	// Keyword postings over the concatenated character data in document
-	// order — the same concatenation InnerText performs, so any
-	// element's inner text is a contiguous substring of it and the
-	// tokenizer's superset guarantee carries through.
-	var sb strings.Builder
-	for _, n := range nodes {
-		sb.WriteString(n.InnerText())
-	}
-	if !fi.kw.Add(ridKey(rid), TokenSet(sb.String())) {
-		return false
-	}
-	// Structural postings: each distinct root-to-element path, once per
-	// row no matter how often the document repeats it.
-	seen := map[string]bool{}
-	var walk func(n *xmltree.Node, prefix string)
-	walk = func(n *xmltree.Node, prefix string) {
-		if !n.IsElement() {
-			return
-		}
-		p := n.Name
-		if prefix != "" {
-			p = prefix + "/" + n.Name
-		}
-		if !seen[p] {
-			seen[p] = true
-			fi.path.Add(rid, p)
-		}
-		for _, c := range n.Children {
-			walk(c, p)
-		}
-	}
-	for _, n := range nodes {
-		walk(n, "")
-	}
-	return true
 }
 
 // LookupFindKey answers a findKeyInElm(col, elm, key) = 1 conjunct with
@@ -277,4 +260,47 @@ func (fi *FragmentIndex) LookupFindKey(elm, key string) (rids []storage.RID, ok 
 		out[i] = keyRID(k)
 	}
 	return out, true
+}
+
+// Diff describes the first difference between the contents of fi and o
+// — row count, validity, the path dictionary and each path's postings,
+// the keyword terms and their postings, tombstones and overlay — or
+// returns "" when both hold the same index. It lets tests compare two
+// builds of one column.
+func (fi *FragmentIndex) Diff(o *FragmentIndex) string {
+	fi.mu.RLock()
+	defer fi.mu.RUnlock()
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	switch {
+	case fi.rows != o.rows:
+		return fmt.Sprintf("rows %d vs %d", fi.rows, o.rows)
+	case fi.invalid != o.invalid:
+		return fmt.Sprintf("invalid %v vs %v", fi.invalid, o.invalid)
+	case len(fi.path.paths) != len(o.path.paths):
+		return fmt.Sprintf("%d paths vs %d", len(fi.path.paths), len(o.path.paths))
+	case len(fi.kw.terms) != len(o.kw.terms):
+		return fmt.Sprintf("%d terms vs %d", len(fi.kw.terms), len(o.kw.terms))
+	case !maps.Equal(fi.dead, o.dead) || !maps.Equal(fi.overlay, o.overlay):
+		return "tombstones or overlay differ"
+	}
+	for path, e := range fi.path.paths {
+		oe := o.path.paths[path]
+		if oe == nil {
+			return fmt.Sprintf("path %q missing", path)
+		}
+		if a, b := fi.path.tree.Lookup(e.key), o.path.tree.Lookup(oe.key); !slices.Equal(a, b) {
+			return fmt.Sprintf("path %q: rows %v vs %v", path, a, b)
+		}
+	}
+	for term, pl := range fi.kw.terms {
+		opl := o.kw.terms[term]
+		if opl == nil {
+			return fmt.Sprintf("term %q missing", term)
+		}
+		if a, b := pl.Values(), opl.Values(); !slices.Equal(a, b) {
+			return fmt.Sprintf("term %q: postings %v vs %v", term, a, b)
+		}
+	}
+	return ""
 }

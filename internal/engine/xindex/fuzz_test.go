@@ -1,8 +1,10 @@
 package xindex
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // FuzzPostingCodec drives the delta/skip codec with arbitrary gap
@@ -94,11 +96,36 @@ func FuzzPostingCodec(f *testing.F) {
 	})
 }
 
+// refTokenize is the rune-loop tokenizer the byte tokenizer replaced:
+// the reference nextToken must split exactly like, invalid UTF-8
+// included.
+func refTokenize(s string) []string {
+	var out []string
+	start := -1
+	for i, r := range s {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			out = append(out, s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		out = append(out, s[start:])
+	}
+	return out
+}
+
 // FuzzTokenizeSuperset checks the property the keyword index's
 // correctness rests on: if key occurs as a substring of text, then every
 // token of the key must be a substring of some token of the text — so
 // unioning postings of dictionary terms that contain a key token can
-// never miss a truly matching row.
+// never miss a truly matching row. It also holds the byte tokenizer to
+// the rune-loop reference on arbitrary bytes.
 func FuzzTokenizeSuperset(f *testing.F) {
 	f.Add("O Romeo, Romeo! wherefore art thou", "Romeo")
 	f.Add("soft, what light through yonder window", "what light")
@@ -106,7 +133,15 @@ func FuzzTokenizeSuperset(f *testing.F) {
 	f.Add("  spaced   out  ", " ")
 	f.Add("Ünïcodé über alles", "über")
 	f.Add("", "")
+	f.Add("καλημέρα κόσμε, 東京タワー and Ωmega", "κόσμε")      // multi-byte letters
+	f.Add("٣٤ ४२ ௰ ½ x²y ⅷ", "४२")                         // digits (and numbers that are not) of other scripts
+	f.Add("ab\xffcd \xe2\x82 x\xed\xa0\x80y �z", "\xffcd") // invalid UTF-8 and U+FFFD
 	f.Fuzz(func(t *testing.T, text, key string) {
+		for _, s := range []string{text, key} {
+			if got, want := Tokenize(s), refTokenize(s); !slices.Equal(got, want) {
+				t.Fatalf("Tokenize(%q) = %q, rune loop %q", s, got, want)
+			}
+		}
 		ttoks := Tokenize(text)
 		for _, tok := range ttoks {
 			if tok == "" {

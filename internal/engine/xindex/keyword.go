@@ -30,15 +30,19 @@ func (k *KeywordIndex) SizeBytes() int64 {
 	return n
 }
 
-// Add appends rid to the posting list of each token. Tokens must be
-// deduplicated per row and rids must arrive in increasing order; it
-// reports false if an append would break posting order.
-func (k *KeywordIndex) Add(rid uint64, tokens []string) bool {
-	for _, t := range tokens {
-		pl := k.terms[t]
+// add appends rid to the posting list of each token of text, once per
+// term: rids arrive in increasing order, so a list already ending at rid
+// has this row. A new term's key is a copy, so the index never pins a
+// row's text. It reports false if an append would break posting order.
+func (k *KeywordIndex) add(rid uint64, text []byte) bool {
+	for lo, hi := nextToken(text, 0); lo < hi; lo, hi = nextToken(text, hi) {
+		pl := k.terms[string(text[lo:hi])]
 		if pl == nil {
 			pl = &PostingList{}
-			k.terms[t] = pl
+			k.terms[string(text[lo:hi])] = pl
+		}
+		if pl.n > 0 && pl.last == rid {
+			continue
 		}
 		if !pl.Append(rid) {
 			return false

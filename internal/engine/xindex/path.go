@@ -17,12 +17,19 @@ import (
 // segment-membership lookups.
 type PathIndex struct {
 	tree  *index.BTree
-	paths map[string][]string // path → its element-name segments
+	paths map[string]*pathEntry
+}
+
+// pathEntry is one distinct path of the dictionary.
+type pathEntry struct {
+	key  types.Value // the path as the B+tree key
+	segs []string    // its element-name segments
+	last storage.RID // the row recorded last
 }
 
 // NewPathIndex returns an empty index.
 func NewPathIndex() *PathIndex {
-	return &PathIndex{tree: index.New(), paths: map[string][]string{}}
+	return &PathIndex{tree: index.New(), paths: map[string]*pathEntry{}}
 }
 
 // Paths reports the distinct path count.
@@ -31,13 +38,20 @@ func (p *PathIndex) Paths() int { return len(p.paths) }
 // SizeBytes reports the B+tree footprint.
 func (p *PathIndex) SizeBytes() int64 { return p.tree.SizeBytes() }
 
-// Add records that the row at rid contains path. Callers deduplicate
-// paths per row (a document may repeat a path many times).
-func (p *PathIndex) Add(rid storage.RID, path string) {
-	if _, ok := p.paths[path]; !ok {
-		p.paths[path] = strings.Split(path, "/")
+// Add records that the row at rid contains path. Rows are added one at a
+// time, so a path the row at rid already recorded — a document may
+// repeat a path many times — adds nothing. Only a new path allocates.
+func (p *PathIndex) Add(rid storage.RID, path []byte) {
+	e := p.paths[string(path)]
+	if e == nil {
+		s := string(path)
+		e = &pathEntry{key: types.NewString(s), segs: strings.Split(s, "/")}
+		p.paths[s] = e
+	} else if e.last == rid {
+		return
 	}
-	p.tree.Insert(types.NewString(path), rid)
+	e.last = rid
+	p.tree.Insert(e.key, rid)
 }
 
 // LookupName returns the sorted, deduplicated posting keys of the rows
@@ -45,11 +59,11 @@ func (p *PathIndex) Add(rid storage.RID, path string) {
 // by unioning the postings of every dictionary path with that segment.
 func (p *PathIndex) LookupName(name string) []uint64 {
 	var all []uint64
-	for path, segs := range p.paths {
-		if !containsSeg(segs, name) {
+	for _, e := range p.paths {
+		if !containsSeg(e.segs, name) {
 			continue
 		}
-		for _, rid := range p.tree.Lookup(types.NewString(path)) {
+		for _, rid := range p.tree.Lookup(e.key) {
 			all = append(all, ridKey(rid))
 		}
 	}

@@ -131,8 +131,8 @@ func TestIntersectAcrossBlocks(t *testing.T) {
 	a, b := &PostingList{}, &PostingList{}
 	var want []uint64
 	for i := uint64(0); i < uint64(3*SkipInterval); i++ {
-		a.Append(2 * i)           // evens
-		b.Append(3 * i)           // multiples of 3
+		a.Append(2 * i) // evens
+		b.Append(3 * i) // multiples of 3
 		if 3*i%2 == 0 && 3*i < 2*uint64(3*SkipInterval) {
 			want = append(want, 3*i) // multiples of 6 within a's range
 		}
@@ -152,9 +152,9 @@ func head(v []uint64) []uint64 {
 
 func TestKeywordCandidatesSubstringTerms(t *testing.T) {
 	kw := NewKeywordIndex()
-	kw.Add(1, []string{"STAGEDIR", "Rising"})
-	kw.Add(2, []string{"uprising", "noise"})
-	kw.Add(3, []string{"quiet"})
+	kw.add(1, []byte("STAGEDIR Rising"))
+	kw.add(2, []byte("uprising, noise"))
+	kw.add(3, []byte("quiet"))
 	// "Rising" must match both the exact term and "upRising"? No —
 	// matching is case-sensitive substring: "Rising" ⊄ "uprising", but
 	// "rising" ⊂ "uprising". Candidates("rising") should hit row 2 only.
@@ -283,9 +283,9 @@ func TestNullAndInvalidRows(t *testing.T) {
 
 func TestPathIndexLookupName(t *testing.T) {
 	p := NewPathIndex()
-	p.Add(rid(0, 1), "SPEECH/LINE")
-	p.Add(rid(0, 0), "SPEECH/LINE/STAGEDIR")
-	p.Add(rid(0, 1), "SPEECH/SPEAKER")
+	p.Add(rid(0, 1), []byte("SPEECH/LINE"))
+	p.Add(rid(0, 0), []byte("SPEECH/LINE/STAGEDIR"))
+	p.Add(rid(0, 1), []byte("SPEECH/SPEAKER"))
 	got := p.LookupName("LINE")
 	if !reflect.DeepEqual(got, []uint64{ridKey(rid(0, 0)), ridKey(rid(0, 1))}) {
 		t.Fatalf("LookupName(LINE) = %v", got)

@@ -79,13 +79,17 @@ func EnsureXADTIndexes(db *engine.Database, schema *mapping.Schema) error {
 		if t == nil {
 			continue
 		}
+		var cols []string
 		for _, col := range rel.Columns {
-			if col.Kind != mapping.KindXADT || t.FragIndexOn(col.Name) != nil {
-				continue
+			if col.Kind == mapping.KindXADT && t.FragIndexOn(col.Name) == nil {
+				cols = append(cols, col.Name)
 			}
-			if err := db.CreateXADTIndex(rel.Name, col.Name); err != nil {
-				return err
-			}
+		}
+		if len(cols) == 0 {
+			continue
+		}
+		if err := db.CreateIndexes(rel.Name, cols); err != nil {
+			return err
 		}
 	}
 	return nil

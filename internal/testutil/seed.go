@@ -5,7 +5,8 @@
 //
 // so a CI failure can be replayed from the seed its log prints. The flag
 // defaults to 0, meaning "use the test's own fixed default seed" — runs
-// stay deterministic unless a seed is given explicitly.
+// stay deterministic unless a seed is given explicitly. It also holds
+// fixtures several packages' tests share.
 package testutil
 
 import (

@@ -385,16 +385,62 @@ func containsText(data []byte, lo, hi int, key string) bool {
 	}
 }
 
-// appendText appends the character data of data[lo:hi] to dst.
+// appendText appends the character data of the scanned markup
+// data[lo:hi] to dst, a run at a time.
 func appendText(dst, data []byte, lo, hi int) []byte {
-	for i := lo; ; {
-		c, next, ok := textByte(data, i, hi)
-		if !ok {
-			return dst
+	for i := lo; i < hi; {
+		if data[i] == '<' {
+			// '>' is escaped everywhere but at the end of a tag.
+			gt := bytes.IndexByte(data[i:hi], '>')
+			if gt < 0 {
+				return dst
+			}
+			i += gt + 1
+			continue
 		}
-		dst = append(dst, c)
-		i = next
+		n := bytes.IndexByte(data[i:hi], '<')
+		if n < 0 {
+			n = hi - i
+		}
+		for run := data[i : i+n]; ; {
+			amp := bytes.IndexByte(run, '&')
+			if amp < 0 {
+				dst = append(dst, run...)
+				break
+			}
+			c, m := unescape(run[amp:], false)
+			if m == 0 { // not in scanned text; keep the byte
+				c, m = '&', 1
+			}
+			dst = append(append(dst, run[:amp]...), c)
+			run = run[amp+m:]
+		}
+		i += n
 	}
+	return dst
+}
+
+// Walker is the reusable working space of Walk. The zero value is ready
+// to use; a Walker must not be used by two goroutines at once.
+type Walker struct{ w scratch }
+
+// Walk scans the stored value data, without a Cache and without
+// consulting its header filter, and calls elem with the name and depth
+// (1 for a top-level element) of each element in document order. Names
+// alias data; a Compressed value's come from its dictionary. Walk then
+// returns text with the value's character data appended: the bytes
+// Evaluator.InnerText returns. A value the scanner rejects is an error,
+// and elem is not called for it. Once the Walker has seen values of the
+// same shape, a call allocates nothing beyond text's growth.
+func (k *Walker) Walk(data, text []byte, elem func(name []byte, depth int)) ([]byte, error) {
+	t := &k.w.t
+	if err := k.w.scan(data, t); err != nil {
+		return text, err
+	}
+	for _, e := range t.elems {
+		elem(t.name(data, e.name), int(e.depth))
+	}
+	return appendText(text, data, t.body, len(data)), nil
 }
 
 // rewriteCodes appends the coded markup data[lo:hi] to dst with every

@@ -2,7 +2,9 @@ package xadt
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,7 +223,7 @@ func TestMethodsKeepInputFormat(t *testing.T) {
 // TestWarmCallAllocations guards the allocation budget of method calls
 // on a fragment already in the cache: FindKeyInElm allocates nothing,
 // GetElm only its result, Unnest its result slice and one buffer per
-// result.
+// result. A warm Walk allocates nothing either.
 func TestWarmCallAllocations(t *testing.T) {
 	for _, f := range []Format{Raw, Compressed, Directory} {
 		v := EncodeStored(fragment(t, speechFrag), f)
@@ -235,6 +237,9 @@ func TestWarmCallAllocations(t *testing.T) {
 		check("FindKeyInElm", 0, func() { e.FindKeyInElm(v, "LINE", "prince") })
 		check("GetElm", 1, func() { e.GetElm(v, "LINE", "LINE", "night", 0) })
 		check("Unnest", 1+3, func() { e.Unnest(v, "LINE") })
+		var k Walker
+		var text []byte
+		check("Walk", 0, func() { text, _ = k.Walk(v.Bytes(), text[:0], func([]byte, int) {}) })
 	}
 }
 
@@ -293,6 +298,8 @@ func FuzzScanVsTree(f *testing.F) {
 		f.Add(xmltree.Serialize(tu), "sListTuple", "author", "a", uint8(1), uint8(2), int8(2))
 		f.Add(xmltree.Serialize(tu), "authors", "author", "", uint8(2), uint8(2), int8(-1))
 	}
+	// Multi-byte letters, digits of other scripts, invalid UTF-8.
+	f.Add("<LINE>καλημέρα ٣٤ 東京</LINE><LINE>x\xffy \xe2\x82 z<S>\xed\xa0\x80</S></LINE>", "LINE", "S", "٣٤", uint8(1), uint8(2), int8(0))
 	f.Fuzz(func(t *testing.T, markup, a, b, key string, lo, hi uint8, level int8) {
 		vals := []Value{FromBytes([]byte(markup))}
 		for _, fm := range []Format{Raw, Compressed, Directory} {
@@ -334,6 +341,32 @@ func agreeWithTree(t *testing.T, v Value, a, b, key string, lo, hi, level int) {
 	}
 	if text, err := v.Text(); err != nil || text != xmltree.SerializeAll(nodes) {
 		t.Fatalf("Text of %q = %q, %v; want %q", v.Bytes(), text, err, xmltree.SerializeAll(nodes))
+	}
+	// Walk reports the elements of the Nodes preorder, with their depths,
+	// and the concatenated InnerText.
+	var want []string
+	var visit func(n *xmltree.Node, depth int)
+	visit = func(n *xmltree.Node, depth int) {
+		if n.IsElement() {
+			want = append(want, fmt.Sprintf("%d %s", depth, n.Name))
+			for _, c := range n.Children {
+				visit(c, depth+1)
+			}
+		}
+	}
+	for _, n := range nodes {
+		visit(n, 1)
+	}
+	wtext, _ := treeInnerText(v)
+	var k Walker
+	for pass := 0; pass < 2; pass++ { // the second pass reuses the Walker
+		var got []string
+		text, err := k.Walk(v.Bytes(), nil, func(name []byte, depth int) {
+			got = append(got, fmt.Sprintf("%d %s", depth, name))
+		})
+		if err != nil || !slices.Equal(got, want) || string(text) != wtext {
+			t.Fatalf("Walk of %q = %q, %q, %v; want %q, %q", v.Bytes(), got, text, err, want, wtext)
+		}
 	}
 	for _, e := range []*Evaluator{nil, {Cache: NewCache(0)}, {Cache: NewCache(0), NoFilter: true}} {
 		for pass := 0; pass < 2; pass++ { // the second pass hits the cache
