@@ -286,8 +286,8 @@ func (r *runner) fig14() error {
 
 // difftest runs the differential correctness harness: random DTDs,
 // documents, and queries checked across the Hybrid/XORator × DOP1/DOPN ×
-// fast-path/index matrix. Any divergence is minimized into
-// difftest_failure.txt and fails the experiment with a replay command.
+// index matrix. Any divergence is minimized into difftest_failure.txt
+// and fails the experiment with a replay command.
 func (r *runner) difftest() error {
 	if r.sabotage {
 		exec.DisableGatherReorder = true

@@ -76,11 +76,9 @@ func TestPaperQueryOracle(t *testing.T) {
 	cells := []struct {
 		name      string
 		opts      plan.Options
-		slowXADT  bool // XADT header fast-reject and table cache off
 		unordered bool // compare row multisets
 	}{
 		{name: "dop4", opts: plan.Options{DOP: 4, MorselPages: 1, CPUs: 4}},
-		{name: "nofastpath", opts: serial, slowXADT: true},
 		{name: "noxadtindex", opts: plan.Options{DOP: 1, DisableXADTIndexes: true}},
 		{name: "nocostmodel", opts: plan.Options{DOP: 1, DisableCostModel: true}, unordered: true},
 		{name: "membudget4k", opts: plan.Options{DOP: 1, MemBudgetBytes: 4 << 10, SpillVFS: storage.NewMemVFS()}},
@@ -92,7 +90,6 @@ func TestPaperQueryOracle(t *testing.T) {
 				st := ps.st
 				st.DB.ResetSpillStats()
 				st.DB.SetPlannerOptions(c.opts)
-				st.DB.SetXADTFastPath(!c.slowXADT)
 				for id, text := range ps.queries {
 					res, err := st.Query(text)
 					if err != nil {
@@ -109,7 +106,6 @@ func TestPaperQueryOracle(t *testing.T) {
 				}
 				spillRuns += st.DB.SpillStats().Runs
 				st.DB.SetPlannerOptions(serial)
-				st.DB.SetXADTFastPath(true)
 			}
 			if c.opts.MemBudgetBytes > 0 && spillRuns == 0 {
 				t.Errorf("no query spilled under a %d-byte budget", c.opts.MemBudgetBytes)

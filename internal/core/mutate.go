@@ -340,7 +340,7 @@ func (st *Store) spliceFragmentDirect(table, column string, id int64, fragTexts 
 	}
 	val := types.Null
 	if len(frags) > 0 {
-		val = types.NewXADT(xadt.EncodeStored(frags, st.Format).Bytes())
+		val = types.NewXADT(xadt.Encode(frags, st.Format).Bytes())
 	}
 
 	tbl := st.DB.Catalog.Table(table)

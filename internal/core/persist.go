@@ -262,8 +262,8 @@ func OpenSnapshotFile(path string, engineCfg engine.Config) (*Store, error) {
 //
 // Structural log damage beyond a torn tail surfaces as a
 // *wal.CorruptError; a directory without a checkpoint yields
-// ErrNoCheckpoint. The store's identity (mapping algorithm, XADT format,
-// header mode) comes from the checkpoint, not from cfg, which supplies
+// ErrNoCheckpoint. The store's identity (mapping algorithm, XADT format)
+// comes from the checkpoint, not from cfg, which supplies
 // the engine configuration and the loading policy
 // (ForceFormat/CompressionThreshold/SampleDocs) — the latter matters
 // only when the crash preceded the first committed batch, so the format

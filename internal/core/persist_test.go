@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
+	"repro/internal/engine/xindex"
+	"repro/internal/testutil"
 	"repro/internal/xadt"
 )
 
@@ -201,13 +204,19 @@ func TestSnapshotPreservesXADTPayloads(t *testing.T) {
 	}
 }
 
-// TestSnapshotOpensHeaderlessLegacyStore opens a snapshot shaped like
-// those written by stores that stored XADT values without fragment
-// headers: headerless values and "legacy": true in the header. The
-// field is ignored, the values read as before, and later loads write
-// headered values beside them.
-func TestSnapshotOpensHeaderlessLegacyStore(t *testing.T) {
+// TestSnapshotOpensMixedHeaderStore opens a snapshot whose speech
+// fragments carry the v1 header that stores wrote before values were
+// stored headerless (and whose header says "legacy": true, as some of
+// those snapshots do), then resumes loading into it, so headerless rows
+// land beside the headered ones. Queries answer as before; RunStats
+// element counts equal a store built fresh from the same documents; and
+// after the next snapshot each fragment index equals one built over
+// headerless encodings of the same rows.
+func TestSnapshotOpensMixedHeaderStore(t *testing.T) {
 	st := newPlayStore(t, XORator)
+	if err := st.CreateDefaultIndexes(); err != nil {
+		t.Fatal(err)
+	}
 	q := `SELECT xadtText(speech_line) FROM speech WHERE findKeyInElm(speech_speaker, 'SPEAKER', 'ROMEO') = 1`
 	texts := func(s *Store) []string {
 		t.Helper()
@@ -227,7 +236,7 @@ func TestSnapshotOpensHeaderlessLegacyStore(t *testing.T) {
 		t.Fatal("query matches no speech")
 	}
 
-	// Rewrite every stored fragment of speech without its header.
+	// Rewrite every stored fragment of speech behind a v1 header.
 	tbl := st.DB.Catalog.Table("speech")
 	var rids []storage.RID
 	var rows [][]types.Value
@@ -239,14 +248,9 @@ func TestSnapshotOpensHeaderlessLegacyStore(t *testing.T) {
 	}
 	for i, row := range rows {
 		for j, v := range row {
-			if v.Kind() != types.KindXADT {
-				continue
+			if v.Kind() == types.KindXADT {
+				row[j] = types.NewXADT(testutil.WithV1Header(v.XADT()))
 			}
-			nodes, err := xadt.FromBytes(v.XADT()).Nodes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			row[j] = types.NewXADT(xadt.Encode(nodes, st.Format).Bytes())
 		}
 		if _, err := tbl.UpdateRID(rids[i], row); err != nil {
 			t.Fatal(err)
@@ -267,31 +271,85 @@ func TestSnapshotOpensHeaderlessLegacyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stored types.Value
-	if err := restored.DB.Catalog.Table("speech").Heap.Scan(func(_ storage.RID, row []types.Value) error {
-		for _, v := range row {
-			if v.Kind() == types.KindXADT && stored.Kind() != types.KindXADT {
-				stored = v
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := xadt.FromBytes(stored.XADT()).Header(); ok {
-		t.Fatal("restored fragment carries a header; the test store is not headerless")
-	}
 	if got := texts(restored); !slices.Equal(got, want) {
-		t.Fatalf("headerless snapshot returns %d fragments, want %d", len(got), len(want))
+		t.Fatalf("headered snapshot returns %d fragments, want %d", len(got), len(want))
 	}
 
-	cfg := datagen.DefaultPlayConfig()
-	cfg.Plays = 1
-	cfg.Seed = 99
-	if err := restored.Load(datagen.GeneratePlays(cfg)); err != nil {
+	more := smallPlays(t, 1)
+	fresh := newPlayStore(t, XORator)
+	for _, s := range []*Store{restored, fresh} {
+		if err := s.Load(more); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunStats(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := texts(restored), texts(fresh); !slices.Equal(got, want) {
+		t.Fatalf("after a resumed load the query returns %d fragments, a fresh store %d", len(got), len(want))
+	}
+	// Reopening builds the fragment indexes in heap order, the order the
+	// reference below adds rows in.
+	buf.Reset()
+	if err := restored.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := texts(restored); len(got) < len(want) {
-		t.Fatalf("after a resumed load the query returns %d fragments, fewer than %d", len(got), len(want))
+	if restored, err = OpenSnapshot(&buf, engine.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	mixed := restored.Table("speech")
+	// headered counts the values that start with the v1 header marker
+	// rather than a format byte.
+	headered := func(s *Store) int {
+		n := 0
+		if err := s.Table("speech").Heap.Scan(func(_ storage.RID, row []types.Value) error {
+			for _, v := range row {
+				if v.Kind() == types.KindXADT && v.XADT()[0] > byte(xadt.Directory) {
+					n++
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n, f := headered(restored), headered(fresh); n == 0 || f != 0 || mixed.Heap.Rows() != fresh.Table("speech").Heap.Rows() {
+		t.Fatalf("%d headered fragments in %d rows; fresh store: %d in %d rows", n, mixed.Heap.Rows(), f, fresh.Table("speech").Heap.Rows())
+	}
+	for _, col := range mixed.Schema.Columns {
+		if col.Type != types.KindXADT {
+			continue
+		}
+		got, want := mixed.Stats.Cols[col.Name].PathFreq, fresh.Table("speech").Stats.Cols[col.Name].PathFreq
+		if len(want) == 0 || !maps.Equal(got, want) {
+			t.Errorf("%s element counts %v, fresh store %v", col.Name, got, want)
+		}
+	}
+
+	// Headered rows moved when they grew, so the mixed store's RIDs are
+	// its own: the reference indexes its rows, re-encoded.
+	if len(mixed.FragIndexes) == 0 {
+		t.Fatal("no fragment index on speech")
+	}
+	for _, fi := range mixed.FragIndexes {
+		ref := xindex.NewFragmentIndex(fi.Table(), fi.Column(), fi.ColumnIndex())
+		if err := mixed.Heap.Scan(func(rid storage.RID, row []types.Value) error {
+			v := row[fi.ColumnIndex()]
+			if !v.IsNull() {
+				nodes, err := xadt.FromBytes(v.XADT()).Nodes()
+				if err != nil {
+					return err
+				}
+				v = types.NewXADT(xadt.Encode(nodes, restored.Format).Bytes())
+			}
+			ref.AddRow(rid, v)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if d := fi.Diff(ref); d != "" {
+			t.Errorf("%s: fragment index differs from a headerless build: %s", fi.Column(), d)
+		}
 	}
 }

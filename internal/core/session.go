@@ -235,7 +235,7 @@ func (s *Session) SpliceFragment(table, column string, id int64, fragTexts []str
 	}
 	val := types.Null
 	if len(frags) > 0 {
-		val = types.NewXADT(xadt.EncodeStored(frags, st.Format).Bytes())
+		val = types.NewXADT(xadt.Encode(frags, st.Format).Bytes())
 	}
 	if st.DB.Catalog.Table(table) == nil {
 		return fmt.Errorf("core: table %s does not exist yet", table)

@@ -277,9 +277,9 @@ func checkAll(opts Options, st *iterState) ([]Divergence, int, error) {
 }
 
 // checkCase executes one case across the matrix. Within a store, every
-// cell must match the serial fast-path reference exactly (same rows, same
-// order); the crash-recovered twin holds byte-identical data, so its
-// cells are held to the same exact standard. The cross-mapping cell
+// cell must match the serial reference exactly (same rows, same order);
+// the crash-recovered twin holds byte-identical data, so its cells are
+// held to the same exact standard. The cross-mapping cell
 // compares canonicalized row multisets, because the two mappings may plan
 // different row orders.
 func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
@@ -291,7 +291,6 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 	type cellSpec struct {
 		axis string
 		o    plan.Options
-		fast bool
 	}
 	// Parallel cells disable the small-input gate (MinParallelPages: -1)
 	// so the tiny generated tables still produce genuinely parallel plans.
@@ -311,13 +310,9 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 		budget = plan.Options{DOP: 1, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS}
 		budgetPar = plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS}
 	}
-	run := func(s *core.Store, o plan.Options, fast bool, sql string) (*engine.Result, error) {
-		s.DB.SetXADTFastPath(fast)
+	run := func(s *core.Store, o plan.Options, sql string) (*engine.Result, error) {
 		s.DB.SetPlannerOptions(o)
-		defer func() {
-			s.DB.SetXADTFastPath(true)
-			s.DB.SetPlannerOptions(serial)
-		}()
+		defer s.DB.SetPlannerOptions(serial)
 		res, err := s.Query(sql)
 		if err != nil {
 			return nil, fmt.Errorf("%q: %w", sql, err)
@@ -327,23 +322,23 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 
 	var hyRef, xoRef *engine.Result
 	if c.Hybrid != "" {
-		ref, err := run(st.hy, serial, true, c.Hybrid)
+		ref, err := run(st.hy, serial, c.Hybrid)
 		if err != nil {
 			return divs, cells, fmt.Errorf("hybrid %w", err)
 		}
 		hyRef = ref
 		hyCells := []cellSpec{
-			{"hybrid:dop", par, true},
-			{"hybrid:noindex", noIdx, true},
-			{"hybrid:noindex+dop", noIdxPar, true},
+			{"hybrid:dop", par},
+			{"hybrid:noindex", noIdx},
+			{"hybrid:noindex+dop", noIdxPar},
 		}
 		if opts.MemBudget > 0 {
 			hyCells = append(hyCells,
-				cellSpec{"hybrid:membudget", budget, true},
-				cellSpec{"hybrid:membudget+dop", budgetPar, true})
+				cellSpec{"hybrid:membudget", budget},
+				cellSpec{"hybrid:membudget+dop", budgetPar})
 		}
 		for _, cell := range hyCells {
-			got, err := run(st.hy, cell.o, cell.fast, c.Hybrid)
+			got, err := run(st.hy, cell.o, c.Hybrid)
 			if err != nil {
 				return divs, cells, fmt.Errorf("hybrid %w", err)
 			}
@@ -354,25 +349,23 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 		}
 	}
 	if c.XORator != "" {
-		ref, err := run(st.xo, serial, true, c.XORator)
+		ref, err := run(st.xo, serial, c.XORator)
 		if err != nil {
 			return divs, cells, fmt.Errorf("xorator %w", err)
 		}
 		xoRef = ref
 		xoCells := []cellSpec{
-			{"xorator:dop", par, true},
-			{"xorator:fastpath", serial, false},
-			{"xorator:fastpath+dop", par, false},
-			{"xorator:noindex", noIdx, true},
-			{"xorator:noindex+dop", noIdxPar, true},
+			{"xorator:dop", par},
+			{"xorator:noindex", noIdx},
+			{"xorator:noindex+dop", noIdxPar},
 		}
 		if opts.MemBudget > 0 {
 			xoCells = append(xoCells,
-				cellSpec{"xorator:membudget", budget, true},
-				cellSpec{"xorator:membudget+dop", budgetPar, true})
+				cellSpec{"xorator:membudget", budget},
+				cellSpec{"xorator:membudget+dop", budgetPar})
 		}
 		for _, cell := range xoCells {
-			got, err := run(st.xo, cell.o, cell.fast, c.XORator)
+			got, err := run(st.xo, cell.o, c.XORator)
 			if err != nil {
 				return divs, cells, fmt.Errorf("xorator %w", err)
 			}
@@ -382,15 +375,12 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 			}
 		}
 		if st.recovered != nil {
-			for _, cell := range []struct {
-				axis string
-				o    plan.Options
-			}{
+			for _, cell := range []cellSpec{
 				{"xorator:recovered", serial},
 				{"xorator:recovered+dop", par},
 				{"xorator:recovered+noindex", noIdx},
 			} {
-				got, err := run(st.recovered, cell.o, true, c.XORator)
+				got, err := run(st.recovered, cell.o, c.XORator)
 				if err != nil {
 					return divs, cells, fmt.Errorf("recovered xorator %w", err)
 				}
@@ -427,7 +417,7 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 // are restored with a fresh RunStats after each perturbation, which is
 // deterministic over the unchanged heap.
 func checkCostModelCells(opts Options, st *iterState, c Case, hyRef, xoRef *engine.Result,
-	run func(*core.Store, plan.Options, bool, string) (*engine.Result, error),
+	run func(*core.Store, plan.Options, string) (*engine.Result, error),
 	record func(axis, detail string)) (int, error) {
 	cells := 0
 	compare := func(axis string, ref, got *engine.Result) {
@@ -459,7 +449,7 @@ func checkCostModelCells(opts Options, st *iterState, c Case, hyRef, xoRef *engi
 	greedy := plan.Options{DOP: 1, DisableCostModel: true}
 	stale := plan.Options{DOP: 1, DisableAutoStats: true}
 	for _, tg := range targets {
-		got, err := run(tg.s, greedy, true, tg.sql)
+		got, err := run(tg.s, greedy, tg.sql)
 		if err != nil {
 			return cells, fmt.Errorf("%s greedy %w", tg.label, err)
 		}
@@ -470,7 +460,7 @@ func checkCostModelCells(opts Options, st *iterState, c Case, hyRef, xoRef *engi
 		// auto-analyzes a table without stats) and still return the same
 		// rows.
 		tg.s.DB.Catalog.InvalidateStats()
-		got, err = run(tg.s, serial, true, tg.sql)
+		got, err = run(tg.s, serial, tg.sql)
 		if rerr := tg.s.RunStats(); rerr != nil {
 			return cells, fmt.Errorf("%s restoring stats: %w", tg.label, rerr)
 		}
@@ -486,7 +476,7 @@ func checkCostModelCells(opts Options, st *iterState, c Case, hyRef, xoRef *engi
 			t := tg.s.DB.Catalog.Table(name)
 			t.AdvanceMods(int64(t.Rows()) + 1)
 		}
-		got, err = run(tg.s, stale, true, tg.sql)
+		got, err = run(tg.s, stale, tg.sql)
 		if rerr := tg.s.RunStats(); rerr != nil {
 			return cells, fmt.Errorf("%s restoring stats: %w", tg.label, rerr)
 		}

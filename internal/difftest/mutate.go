@@ -630,13 +630,9 @@ func (ms *mutState) opSplice() (string, []Divergence, error) {
 
 // runStoreQuery executes one query under the given planner options,
 // restoring the store's default configuration afterwards.
-func runStoreQuery(s *core.Store, o plan.Options, fast bool, sql string) (*engine.Result, error) {
-	s.DB.SetXADTFastPath(fast)
+func runStoreQuery(s *core.Store, o plan.Options, sql string) (*engine.Result, error) {
 	s.DB.SetPlannerOptions(o)
-	defer func() {
-		s.DB.SetXADTFastPath(true)
-		s.DB.SetPlannerOptions(plan.Options{DOP: 1})
-	}()
+	defer s.DB.SetPlannerOptions(plan.Options{DOP: 1})
 	res, err := s.Query(sql)
 	if err != nil {
 		return nil, fmt.Errorf("%q: %w", sql, err)
@@ -652,7 +648,7 @@ func fragileCross(name string) bool {
 
 // checkMutCase runs one case across the mutation cell set: serial
 // reference vs DOP-N, index-on vs index-off (both the XADT fragment
-// indexes and the B+tree scans), the XADT fast path, and — while the
+// indexes and the B+tree scans), and — while the
 // mapping equivalence holds — the cross-mapping multiset comparison.
 func (ms *mutState) checkMutCase(opts Options, c Case) ([]Divergence, int, error) {
 	var divs []Divergence
@@ -668,21 +664,20 @@ func (ms *mutState) checkMutCase(opts Options, c Case) ([]Divergence, int, error
 	type cellSpec struct {
 		axis string
 		o    plan.Options
-		fast bool
 	}
 	var hyRef, xoRef *engine.Result
 	if c.Hybrid != "" {
-		ref, err := runStoreQuery(ms.hy, serial, true, c.Hybrid)
+		ref, err := runStoreQuery(ms.hy, serial, c.Hybrid)
 		if err != nil {
 			return divs, cells, fmt.Errorf("hybrid %w", err)
 		}
 		hyRef = ref
 		for _, cell := range []cellSpec{
-			{"hybrid:dop", par, true},
-			{"hybrid:noindex", noIdx, true},
-			{"hybrid:noindex+dop", noIdxPar, true},
+			{"hybrid:dop", par},
+			{"hybrid:noindex", noIdx},
+			{"hybrid:noindex+dop", noIdxPar},
 		} {
-			got, err := runStoreQuery(ms.hy, cell.o, cell.fast, c.Hybrid)
+			got, err := runStoreQuery(ms.hy, cell.o, c.Hybrid)
 			if err != nil {
 				return divs, cells, fmt.Errorf("hybrid %w", err)
 			}
@@ -693,18 +688,17 @@ func (ms *mutState) checkMutCase(opts Options, c Case) ([]Divergence, int, error
 		}
 	}
 	if c.XORator != "" {
-		ref, err := runStoreQuery(ms.xo, serial, true, c.XORator)
+		ref, err := runStoreQuery(ms.xo, serial, c.XORator)
 		if err != nil {
 			return divs, cells, fmt.Errorf("xorator %w", err)
 		}
 		xoRef = ref
 		for _, cell := range []cellSpec{
-			{"xorator:dop", par, true},
-			{"xorator:fastpath", serial, false},
-			{"xorator:noindex", noIdx, true},
-			{"xorator:noindex+dop", noIdxPar, true},
+			{"xorator:dop", par},
+			{"xorator:noindex", noIdx},
+			{"xorator:noindex+dop", noIdxPar},
 		} {
-			got, err := runStoreQuery(ms.xo, cell.o, cell.fast, c.XORator)
+			got, err := runStoreQuery(ms.xo, cell.o, c.XORator)
 			if err != nil {
 				return divs, cells, fmt.Errorf("xorator %w", err)
 			}
@@ -772,11 +766,11 @@ func (ms *mutState) recoverDurable() ([]Divergence, int, error) {
 		if c.XORator == "" {
 			continue
 		}
-		ref, err := runStoreQuery(ms.xo, plan.Options{DOP: 1}, true, c.XORator)
+		ref, err := runStoreQuery(ms.xo, plan.Options{DOP: 1}, c.XORator)
 		if err != nil {
 			return divs, cells, fmt.Errorf("xorator %w", err)
 		}
-		got, err := runStoreQuery(rec, plan.Options{DOP: 1}, true, c.XORator)
+		got, err := runStoreQuery(rec, plan.Options{DOP: 1}, c.XORator)
 		if err != nil {
 			return divs, cells, fmt.Errorf("recovered %w", err)
 		}
@@ -827,11 +821,11 @@ func (ms *mutState) checkFreshLoad() ([]Divergence, int, error) {
 	var divs []Divergence
 	cells := 0
 	check := func(mutated, fresh *core.Store, axis, q string) error {
-		a, err := runStoreQuery(mutated, plan.Options{DOP: 1}, true, q)
+		a, err := runStoreQuery(mutated, plan.Options{DOP: 1}, q)
 		if err != nil {
 			return err
 		}
-		b, err := runStoreQuery(fresh, plan.Options{DOP: 1}, true, q)
+		b, err := runStoreQuery(fresh, plan.Options{DOP: 1}, q)
 		if err != nil {
 			return err
 		}

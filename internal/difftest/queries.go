@@ -12,7 +12,7 @@ import (
 // Case is one generated query. Cross cases carry semantically equivalent
 // SQL for both mappings and their (sorted) row sets must agree across
 // stores; single-mapping cases leave the other side empty and are checked
-// only across that mapping's DOP/fast-path/index cells.
+// only across that mapping's DOP/index cells.
 type Case struct {
 	Name    string
 	Hybrid  string

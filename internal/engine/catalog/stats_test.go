@@ -142,8 +142,8 @@ func TestStatsEncodingGolden(t *testing.T) {
 
 // TestElementCountsMatchNodeWalk holds RunStats' element-name tally,
 // taken from the scanner's element table, to a walk of the decoded nodes
-// over generated fragments in every storage format, with and without the
-// fragment header.
+// over generated fragments in every storage format, with and without a
+// v1 header.
 func TestElementCountsMatchNodeWalk(t *testing.T) {
 	frags := testutil.Fragments()
 	want := map[string]int{}
@@ -158,14 +158,18 @@ func TestElementCountsMatchNodeWalk(t *testing.T) {
 		}
 	}
 	for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed, xadt.Directory} {
-		for _, encode := range []func([]*xmltree.Node, xadt.Format) xadt.Value{xadt.Encode, xadt.EncodeStored} {
+		for _, headered := range []bool{false, true} {
 			got := map[string]int{}
 			var c elementCounter
 			for _, nodes := range frags {
-				c.count(types.NewXADT(encode(nodes, f).Bytes()), got)
+				enc := xadt.Encode(nodes, f).Bytes()
+				if headered {
+					enc = testutil.WithV1Header(enc)
+				}
+				c.count(types.NewXADT(enc), got)
 			}
 			if !maps.Equal(got, want) {
-				t.Errorf("%v: element counts %v, node walk %v", f, got, want)
+				t.Errorf("%v headered=%v: element counts %v, node walk %v", f, headered, got, want)
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/exec"
@@ -63,48 +62,11 @@ type Config struct {
 	// uses a subdirectory of os.TempDir(). Spill I/O goes through VFS
 	// when set (falling back to the OS).
 	SpillDir string
-	// DisableXADTIndexes keeps the planner off the XADT fragment indexes
-	// (path + keyword) even when they exist — the scan baseline for the
-	// index-off differential cells.
-	DisableXADTIndexes bool
 	// MVCC attaches a transaction manager and per-table version sidecars
 	// at open, enabling Begin/Commit/Rollback sessions with snapshot
 	// isolation. Off, the database behaves exactly as the single-user
 	// engine of PRs 1–8.
 	MVCC bool
-}
-
-// xadtRuntime is the per-database XADT evaluation state: the table
-// cache pool the UDFs borrow worker-private caches from, and the
-// fast-path switch (on by default; the differential harness turns it
-// off to compare against the scan-every-call baseline).
-type xadtRuntime struct {
-	caches  *xadt.CachePool
-	enabled atomic.Bool
-}
-
-func newXadtRuntime() *xadtRuntime {
-	rt := &xadtRuntime{caches: xadt.NewCachePool(xadt.DefaultCacheEntries)}
-	rt.enabled.Store(true)
-	return rt
-}
-
-// evaluator returns the evaluator for one UDF invocation; pair it with
-// release. With the fast path on, the evaluator carries a pooled cache
-// (sync.Pool keeps it effectively worker-private, so the hot path takes
-// no locks); off, it scans every call and ignores headers.
-func (rt *xadtRuntime) evaluator() xadt.Evaluator {
-	if !rt.enabled.Load() {
-		return xadt.Evaluator{NoFilter: true}
-	}
-	return xadt.Evaluator{Cache: rt.caches.Get()}
-}
-
-// release returns the evaluator's cache to the pool.
-func (rt *xadtRuntime) release(e xadt.Evaluator) {
-	if e.Cache != nil {
-		rt.caches.Put(e.Cache)
-	}
 }
 
 // Database is an embedded database instance.
@@ -118,7 +80,7 @@ type Database struct {
 	// envelope (see core's direct-op wrappers).
 	TxnMgr  *mvcc.TxnManager
 	planner *plan.Planner
-	xadtRT  *xadtRuntime
+	caches  *xadt.CachePool // XADT table caches the UDFs borrow
 	spill   *exec.SpillSink
 }
 
@@ -142,14 +104,9 @@ func (db *Database) SpillStats() exec.SpillStats { return db.spill.Stats() }
 // spill activity to one measured query.
 func (db *Database) ResetSpillStats() { db.spill.Reset() }
 
-// SetXADTFastPath switches XADT header fast-reject and table caching on
-// or off at runtime. Off scans every fragment on every call, so results
-// must be byte-identical either way.
-func (db *Database) SetXADTFastPath(on bool) { db.xadtRT.enabled.Store(on) }
-
 // XADTCacheStats returns the table-cache hit/miss totals accumulated
 // so far, the XADT counterpart of Pool.Stats.
-func (db *Database) XADTCacheStats() xadt.CacheStats { return db.xadtRT.caches.Stats() }
+func (db *Database) XADTCacheStats() xadt.CacheStats { return db.caches.Stats() }
 
 // Result is a fully materialized query result.
 type Result struct {
@@ -170,10 +127,10 @@ func Open(cfg Config) *Database {
 		Registry: reg,
 		Pool:     pool,
 		planner:  &plan.Planner{Cat: cat, Reg: reg, Opts: resolveOptions(cfg), Spill: spill},
-		xadtRT:   newXadtRuntime(),
 		spill:    spill,
+		caches:   xadt.NewCachePool(xadt.DefaultCacheEntries),
 	}
-	registerStandardFunctions(reg, db.xadtRT)
+	registerStandardFunctions(reg, db.caches)
 	if cfg.MVCC {
 		db.EnableMVCC()
 	}
@@ -202,9 +159,6 @@ func resolveOptions(cfg Config) plan.Options {
 	}
 	if opts.SpillDir == "" {
 		opts.SpillDir = cfg.SpillDir
-	}
-	if cfg.DisableXADTIndexes {
-		opts.DisableXADTIndexes = true
 	}
 	return opts
 }
@@ -326,10 +280,10 @@ func OpenSnapshot(r io.Reader, cfg Config) (*Database, error) {
 		Registry: reg,
 		Pool:     pool,
 		planner:  &plan.Planner{Cat: cat, Reg: reg, Opts: resolveOptions(cfg), Spill: spill},
-		xadtRT:   newXadtRuntime(),
 		spill:    spill,
+		caches:   xadt.NewCachePool(xadt.DefaultCacheEntries),
 	}
-	registerStandardFunctions(reg, db.xadtRT)
+	registerStandardFunctions(reg, db.caches)
 	if cfg.MVCC {
 		db.EnableMVCC()
 	}
@@ -338,11 +292,11 @@ func OpenSnapshot(r io.Reader, cfg Config) (*Database, error) {
 
 // registerStandardFunctions installs the XADT methods (§3.4.2), the
 // unnest table function (§3.5), and the built-in/UDF string function
-// pairs of the Figure 14 experiment. The XADT UDFs evaluate through rt:
-// each invocation borrows a worker-private table cache and honors the
-// fast-path switch. They are ReadOnly — they never mutate the fragment
+// pairs of the Figure 14 experiment. Each XADT UDF invocation borrows a
+// table cache from caches (sync.Pool keeps it effectively worker-private,
+// so the hot path takes no locks). They are ReadOnly — they never mutate the fragment
 // bytes — so the call convention skips the defensive argument copy.
-func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
+func registerStandardFunctions(reg *expr.Registry, caches *xadt.CachePool) {
 	must := func(err error) {
 		if err != nil {
 			panic(err)
@@ -368,8 +322,8 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if len(args) == 5 && !args[4].IsNull() {
 				level = int(args[4].Int())
 			}
-			eval := rt.evaluator()
-			defer rt.release(eval)
+			eval := xadt.Evaluator{Cache: caches.Get()}
+			defer caches.Put(eval.Cache)
 			out, err := eval.GetElm(in, rootElm, searchElm, searchKey, level)
 			if err != nil {
 				return types.Null, err
@@ -393,8 +347,8 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if err != nil {
 				return types.Null, err
 			}
-			eval := rt.evaluator()
-			defer rt.release(eval)
+			eval := xadt.Evaluator{Cache: caches.Get()}
+			defer caches.Put(eval.Cache)
 			found, err := eval.FindKeyInElm(in, searchElm, searchKey)
 			if err != nil {
 				return types.Null, err
@@ -424,8 +378,8 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if args[3].IsNull() || args[4].IsNull() {
 				return types.Null, nil
 			}
-			eval := rt.evaluator()
-			defer rt.release(eval)
+			eval := xadt.Evaluator{Cache: caches.Get()}
+			defer caches.Put(eval.Cache)
 			out, err := eval.GetElmIndex(in, parentElm, childElm, int(args[3].Int()), int(args[4].Int()))
 			if err != nil {
 				return types.Null, err
@@ -467,8 +421,8 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if err != nil {
 				return types.Null, err
 			}
-			eval := rt.evaluator()
-			defer rt.release(eval)
+			eval := xadt.Evaluator{Cache: caches.Get()}
+			defer caches.Put(eval.Cache)
 			s, err := eval.InnerText(in)
 			if err != nil {
 				return types.Null, err
@@ -493,8 +447,8 @@ func registerStandardFunctions(reg *expr.Registry, rt *xadtRuntime) {
 			if args[1].IsNull() || args[1].Kind() != types.KindString {
 				return nil, fmt.Errorf("engine: unnest tag must be a string")
 			}
-			eval := rt.evaluator()
-			defer rt.release(eval)
+			eval := xadt.Evaluator{Cache: caches.Get()}
+			defer caches.Put(eval.Cache)
 			vals, err := eval.Unnest(in, args[1].Str())
 			if err != nil {
 				return nil, err

@@ -39,7 +39,7 @@ func fragFixture(t *testing.T, withIndexes bool) *Planner {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return types.NewXADT(xadt.EncodeStored(nodes, xadt.Raw).Bytes())
+		return types.NewXADT(xadt.Encode(nodes, xadt.Raw).Bytes())
 	}
 	id := func(i int) types.Value { return types.NewInt(int64(i)) }
 	titles := []string{"Romeo and Juliet", "Hamlet"}

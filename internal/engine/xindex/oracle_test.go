@@ -68,8 +68,8 @@ func refAddRow(fi *FragmentIndex, rid storage.RID, v types.Value) {
 
 // TestIndexMatchesNodeOracle builds each fragment index twice over the
 // same rows, once through AddRow and once through the node-walking
-// reference, for every storage format with and without the fragment
-// header, and requires identical contents: path dictionary and
+// reference, for every storage format with and without a v1 header,
+// and requires identical contents: path dictionary and
 // per-path postings, keyword terms and postings, Rows and Valid.
 func TestIndexMatchesNodeOracle(t *testing.T) {
 	frags := testutil.Fragments()
@@ -78,11 +78,11 @@ func TestIndexMatchesNodeOracle(t *testing.T) {
 			got := NewFragmentIndex("t", "c", 0)
 			want := NewFragmentIndex("t", "c", 0)
 			for i, nodes := range frags {
-				enc := xadt.Encode(nodes, f)
+				enc := xadt.Encode(nodes, f).Bytes()
 				if headered {
-					enc = xadt.EncodeStored(nodes, f)
+					enc = testutil.WithV1Header(enc)
 				}
-				v := types.NewXADT(enc.Bytes())
+				v := types.NewXADT(enc)
 				if i%17 == 0 {
 					v = types.Null
 				}

@@ -185,7 +185,7 @@ func fragValue(t *testing.T, xml string) types.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return types.NewXADT(xadt.EncodeStored(nodes, xadt.Raw).Bytes())
+	return types.NewXADT(xadt.Encode(nodes, xadt.Raw).Bytes())
 }
 
 // TestDuplicatePathsOneDocument: a document repeating the same path many

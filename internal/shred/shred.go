@@ -227,9 +227,7 @@ func (l *Loader) emit(rel *mapping.Relation, n *xmltree.Node, parentID int64, pa
 			if len(frags) == 0 {
 				row[i] = types.Null
 			} else {
-				// Stored values carry the fragment header so the XADT
-				// methods can fast-reject without decoding.
-				row[i] = types.NewXADT(xadt.EncodeStored(frags, l.Format).Bytes())
+				row[i] = types.NewXADT(xadt.Encode(frags, l.Format).Bytes())
 			}
 		default:
 			return 0, fmt.Errorf("shred: unknown column kind %v", col.Kind)

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/testutil"
 	"repro/internal/xmltree"
 )
 
-// FuzzHeaderDecode hammers the 0xF8 fragment-header decoder with
-// truncated and corrupt inputs. Decoding must never panic, corrupt
-// headers must fall back to the legacy (headerless) interpretation
-// without altering the payload, and every XADT method must degrade to an
-// error — never a crash — on garbage bytes.
+// FuzzHeaderDecode hammers the v1 fragment-header decoder with truncated
+// and corrupt inputs. Decoding must never panic, corrupt headers must
+// fall back to the headerless interpretation without altering the
+// payload, and every XADT method must degrade to an error — never a
+// crash — on garbage bytes.
 func FuzzHeaderDecode(f *testing.F) {
 	frag := []*xmltree.Node{
 		xmltree.NewElement("LINE").AppendText("rising and falling"),
@@ -19,14 +20,15 @@ func FuzzHeaderDecode(f *testing.F) {
 	}
 	frag[0].Append(xmltree.NewElement("EMPH").AppendText("rising"))
 	for _, format := range []Format{Raw, Compressed} {
-		stored := EncodeStored(frag, format)
-		f.Add(stored.Bytes())
-		f.Add(Encode(frag, format).Bytes())
+		plain := Encode(frag, format).Bytes()
+		stored := testutil.WithV1Header(plain)
+		f.Add(stored)
+		f.Add(plain)
 		// Truncations of a valid headered value hit every partial-read
-		// branch of parseHeader.
+		// branch of payloadOffset.
 		for _, n := range []int{1, 2, 3, 5, 8} {
-			if n < stored.Len() {
-				f.Add(stored.Bytes()[:n])
+			if n < len(stored) {
+				f.Add(stored[:n])
 			}
 		}
 	}
@@ -37,20 +39,18 @@ func FuzzHeaderDecode(f *testing.F) {
 	f.Add(append([]byte{0xF8, 0x01, 0x40}, make([]byte, 16)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v := FromBytes(data)
-		h, ok := v.Header()
-		if ok {
-			h.MayContain("LINE")
-			h.MayContain("")
+		off := payloadOffset(data)
+		if off < 0 || off > len(data) || off > 0 && data[0] != headerMarker {
+			t.Fatalf("payload offset %d of %q", off, data)
 		}
-		payload := v.payloadBytes()
-		if !ok && !bytes.Equal(payload, data) {
-			t.Fatalf("legacy fallback altered a headerless value: %q -> %q", data, payload)
+		if payload := v.payloadBytes(); off == 0 && !bytes.Equal(payload, data) {
+			t.Fatalf("headerless fallback altered a value: %q -> %q", data, payload)
 		}
 		v.Format()
 		v.IsEmpty()
 		v.Text()
 		if nodes, err := v.Nodes(); err == nil {
-			EncodeStored(nodes, v.Format())
+			Encode(nodes, v.Format())
 		}
 		FindKeyInElm(v, "LINE", "rising")
 		GetElm(v, "", "LINE", "", -1)

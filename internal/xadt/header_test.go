@@ -1,238 +1,164 @@
 package xadt
 
 import (
+	"bufio"
 	"bytes"
-	"hash/fnv"
-	"reflect"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/xmltree"
 )
 
-// The format round-trip guarantee: a headered value decodes identically
-// to its headerless twin across every format, including empty and
-// single-node fragments.
+// testdata/headered_v1.golden holds stored values as the loader wrote
+// them before values were stored headerless: each of v1Fragments in each
+// format behind a v1 header. It was written by that encoder and is never
+// regenerated.
+const v1FixturePath = "testdata/headered_v1.golden"
+
+// v1Fragments are the fragments of the fixture, by the name it lists
+// them under.
+var v1Fragments = []struct{ name, src string }{
+	{"empty", ""},
+	{"line", "<LINE>lone element</LINE>"},
+	{"speech", speechFrag},
+	{"authors", `<author AuthorPosition="1">Gray</author><author AuthorPosition="2">Codd</author>`},
+	{"text", "plain text only"},
+}
+
+var allFormats = []Format{Raw, Compressed, Directory}
+
+// v1Value is one stored value of the fixture.
+type v1Value struct {
+	name, src string
+	format    Format
+	data      []byte
+}
+
+// readV1Fixture parses the fixture: one value a line,
+// "<fragment> <format> <hex bytes>", after '#' comment lines.
+func readV1Fixture(t *testing.T) []v1Value {
+	t.Helper()
+	raw, err := os.ReadFile(v1FixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := map[string]string{}
+	for _, fr := range v1Fragments {
+		srcs[fr.name] = fr.src
+	}
+	var out []v1Value
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 3 {
+			t.Fatalf("fixture line %q: want 3 fields", line)
+		}
+		src, ok := srcs[fields[0]]
+		if !ok {
+			t.Fatalf("fixture line %q: unknown fragment", line)
+		}
+		format := Format(255)
+		for _, f := range allFormats {
+			if f.String() == fields[1] {
+				format = f
+			}
+		}
+		data, err := hex.DecodeString(fields[2])
+		if err != nil || format == 255 {
+			t.Fatalf("fixture line %q: bad format or bytes (%v)", line, err)
+		}
+		out = append(out, v1Value{fields[0], src, format, data})
+	}
+	if len(out) != len(v1Fragments)*len(allFormats) {
+		t.Fatalf("fixture holds %d values, want %d", len(out), len(v1Fragments)*len(allFormats))
+	}
+	return out
+}
+
+// TestHeaderedDecodesLikeHeaderless holds every value of the v1 fixture
+// to the headerless encoding of the same nodes: payload, format,
+// emptiness, text, nodes, every method's output, the inner text and the
+// element walk are identical, with and without a cache.
 func TestHeaderedDecodesLikeHeaderless(t *testing.T) {
-	fragments := []string{
-		"",
-		"<LINE>lone element</LINE>",
-		speechFrag,
-		`<author AuthorPosition="1">Gray</author><author AuthorPosition="2">Codd</author>`,
-		"plain text only",
-	}
-	for _, src := range fragments {
-		for _, f := range []Format{Raw, Compressed, Directory} {
-			nodes := fragment(t, src)
-			plain := Encode(nodes, f)
-			stored := EncodeStored(nodes, f)
-
-			if _, ok := stored.Header(); !ok {
-				t.Fatalf("%v %q: EncodeStored value has no header", f, src)
-			}
-			if _, ok := plain.Header(); ok {
-				t.Fatalf("%v %q: Encode value unexpectedly has a header", f, src)
-			}
-			if stored.Format() != plain.Format() {
-				t.Errorf("%v %q: headered format %v != %v", f, src, stored.Format(), plain.Format())
-			}
-			if stored.IsEmpty() != plain.IsEmpty() {
-				t.Errorf("%v %q: IsEmpty %v != %v", f, src, stored.IsEmpty(), plain.IsEmpty())
-			}
-			if got, want := mustText(t, stored), mustText(t, plain); got != want {
-				t.Errorf("%v %q: headered text %q != headerless %q", f, src, got, want)
-			}
-			hn, err := stored.Nodes()
-			if err != nil {
-				t.Fatalf("%v %q: headered Nodes: %v", f, src, err)
-			}
-			pn, err := plain.Nodes()
-			if err != nil {
-				t.Fatalf("%v %q: headerless Nodes: %v", f, src, err)
-			}
-			if xmltree.SerializeAll(hn) != xmltree.SerializeAll(pn) {
-				t.Errorf("%v %q: node trees differ", f, src)
-			}
-			if !bytes.Equal(stored.payloadBytes(), plain.Bytes()) {
-				t.Errorf("%v %q: headered payload != headerless encoding", f, src)
-			}
+	for _, fx := range readV1Fixture(t) {
+		name := fx.name + " " + fx.format.String()
+		stored, plain := FromBytes(fx.data), Encode(fragment(t, fx.src), fx.format)
+		if payloadOffset(fx.data) == 0 || !bytes.Equal(stored.payloadBytes(), plain.Bytes()) {
+			t.Errorf("%s: payload %x, want %x behind a header", name, stored.payloadBytes(), plain.Bytes())
 		}
-	}
-}
-
-func TestHeaderFilterAndDepth(t *testing.T) {
-	v := EncodeStored(fragment(t, speechFrag), Raw)
-	h, ok := v.Header()
-	if !ok {
-		t.Fatal("no header")
-	}
-	for _, name := range []string{"SPEECH", "SPEAKER", "LINE"} {
-		if !h.MayContain(name) {
-			t.Errorf("MayContain(%q) = false for a present element", name)
+		if stored.Format() != plain.Format() || stored.IsEmpty() != plain.IsEmpty() {
+			t.Errorf("%s: format %v empty %v, headerless %v %v", name, stored.Format(), stored.IsEmpty(), plain.Format(), plain.IsEmpty())
 		}
-	}
-	// STAGEDIR is absent; with a ~5%-fp filter it is overwhelmingly
-	// likely rejected, and deterministic for this fixed fragment.
-	if h.MayContain("STAGEDIR") {
-		t.Error("MayContain(STAGEDIR) = true; filter not rejecting")
-	}
-	if h.Depth != 2 {
-		t.Errorf("Depth = %d, want 2", h.Depth)
-	}
-
-	empty := EncodeStored(nil, Raw)
-	eh, ok := empty.Header()
-	if !ok {
-		t.Fatal("empty fragment: no header")
-	}
-	if eh.Depth != 0 {
-		t.Errorf("empty Depth = %d, want 0", eh.Depth)
-	}
-	if eh.MayContain("LINE") {
-		t.Error("empty fragment claims it may contain LINE")
-	}
-}
-
-// Fast-reject must be invisible: method results on headered values are
-// byte-identical to results on their headerless twins, match or not.
-func TestMethodParityHeaderedVsHeaderless(t *testing.T) {
-	srcs := []string{
-		speechFrag,
-		`<SPEECH><SPEAKER>GHOST</SPEAKER><LINE>swear <STAGEDIR>Beneath</STAGEDIR></LINE></SPEECH>`,
-		"",
-	}
-	for _, src := range srcs {
-		for _, f := range []Format{Raw, Compressed, Directory} {
-			nodes := fragment(t, src)
-			plain := Encode(nodes, f)
-			stored := EncodeStored(nodes, f)
-			eval := &Evaluator{Cache: NewCache(0)}
-
-			for _, args := range [][2]string{
-				{"SPEECH", "STAGEDIR"}, {"SPEECH", "LINE"}, {"NOPE", "LINE"}, {"LINE", ""},
-			} {
-				want, err1 := GetElm(plain, args[0], args[1], "", 0)
-				got, err2 := eval.GetElm(stored, args[0], args[1], "", 0)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("GetElm errs: %v / %v", err1, err2)
-				}
-				if !bytes.Equal(want.Bytes(), got.Bytes()) {
-					t.Errorf("%v %q: GetElm(%q,%q) differs on headered value", f, src, args[0], args[1])
-				}
-			}
-			for _, elm := range []string{"STAGEDIR", "LINE", "ABSENT"} {
-				want, err1 := FindKeyInElm(plain, elm, "")
-				got, err2 := eval.FindKeyInElm(stored, elm, "")
-				if err1 != nil || err2 != nil {
-					t.Fatalf("FindKeyInElm errs: %v / %v", err1, err2)
-				}
-				if want != got {
-					t.Errorf("%v %q: FindKeyInElm(%q) = %v on headered, want %v", f, src, elm, got, want)
-				}
-			}
-			want, err1 := GetElmIndex(plain, "SPEECH", "LINE", 1, 2)
-			got, err2 := eval.GetElmIndex(stored, "SPEECH", "LINE", 1, 2)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("GetElmIndex errs: %v / %v", err1, err2)
-			}
-			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Errorf("%v %q: GetElmIndex differs on headered value", f, src)
-			}
-			wantU, err1 := Unnest(plain, "LINE")
-			gotU, err2 := eval.Unnest(stored, "LINE")
-			if err1 != nil || err2 != nil {
-				t.Fatalf("Unnest errs: %v / %v", err1, err2)
-			}
-			if len(wantU) != len(gotU) {
-				t.Fatalf("%v %q: Unnest count %d != %d", f, src, len(gotU), len(wantU))
-			}
-			for i := range wantU {
-				if !bytes.Equal(wantU[i].Bytes(), gotU[i].Bytes()) {
-					t.Errorf("%v %q: Unnest[%d] differs", f, src, i)
-				}
+		if got, want := mustText(t, stored), mustText(t, plain); got != want {
+			t.Errorf("%s: text %q, headerless %q", name, got, want)
+		}
+		hn, err := stored.Nodes()
+		if err != nil {
+			t.Fatalf("%s: Nodes: %v", name, err)
+		}
+		if got, want := xmltree.SerializeAll(hn), fx.src; got != want {
+			t.Errorf("%s: nodes serialize to %q, want %q", name, got, want)
+		}
+		want := results(nil, plain)
+		for _, e := range []*Evaluator{nil, {Cache: NewCache(0)}} {
+			if got := results(e, stored); got != want {
+				t.Errorf("%s: results differ\nheadered:\n%s\nheaderless:\n%s", name, got, want)
 			}
 		}
 	}
 }
 
 func TestCorruptHeaderFallsBackToPayloadError(t *testing.T) {
-	// A truncated header must not panic; parseHeader rejects it and the
-	// payload decoder reports the corruption.
-	v := FromBytes([]byte{headerMarker, headerVersion, 0x20, 1})
-	if _, ok := v.Header(); ok {
-		t.Error("corrupt header parsed as valid")
+	// A truncated header must not panic; payloadOffset rejects it and the
+	// payload decoder sees the whole value.
+	if off := payloadOffset([]byte{headerMarker, 1, 0x20, 1}); off != 0 {
+		t.Errorf("corrupt header parsed as valid: payload at %d", off)
 	}
 }
 
-func TestCacheLRUAndStats(t *testing.T) {
-	c := NewCache(2)
-	a := Encode(fragment(t, "<A>x</A>"), Raw)
-	b := Encode(fragment(t, "<B>y</B>"), Raw)
-	d := Encode(fragment(t, "<D>z</D>"), Raw)
+// resultNames and resultKeys are the arguments results calls the methods
+// with: names of the paper's datasets and the empty name, and keys that
+// match often, never, or always.
+var (
+	resultNames = []string{"", "LINE", "SPEECH", "SPEAKER", "STAGEDIR", "author", "sListTuple"}
+	resultKeys  = []string{"", "e", "night"}
+)
 
-	for _, v := range []Value{a, b, a} {
-		if _, err := c.table(v); err != nil {
-			t.Fatal(err)
+// results renders the output of every method on v, over resultNames and
+// resultKeys, and the element walk, as one string.
+func results(e *Evaluator, v Value) string {
+	var b strings.Builder
+	for _, x := range resultNames {
+		for _, y := range resultNames {
+			for _, key := range resultKeys {
+				out, err := e.GetElm(v, x, y, key, len(key)%2)
+				fmt.Fprintf(&b, "GetElm(%s,%s,%s) %x %v\n", x, y, key, out.Bytes(), err)
+			}
+			out, err := e.GetElmIndex(v, x, y, 1, 2)
+			fmt.Fprintf(&b, "GetElmIndex(%s,%s) %x %v\n", x, y, out.Bytes(), err)
 		}
-	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 2 {
-		t.Errorf("stats = %+v, want 1 hit / 2 misses", s)
-	}
-	// Insert d: b is LRU and must be evicted, a stays.
-	if _, err := c.table(d); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
-	}
-	if _, err := c.table(a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.table(b); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	if s.Hits != 2 || s.Misses != 4 {
-		t.Errorf("stats = %+v, want 2 hits / 4 misses (b evicted)", s)
-	}
-
-	// Cached tables must agree with direct scans.
-	cached, _ := c.table(a)
-	var w scratch
-	if err := w.scan(a.Bytes(), &w.t); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*cached, w.t) {
-		t.Errorf("cached table %+v differs from direct scan %+v", *cached, w.t)
-	}
-}
-
-// The inline FNV-1a behind the Bloom probes must equal hash/fnv, or
-// stored fragment headers stop matching the names they were built from.
-func TestFilterHashesMatchFNV(t *testing.T) {
-	for _, name := range []string{"", "LINE", "SPEECH", "sListTuple", "a", "\xff\x00", "AuthorPosition"} {
-		f := fnv.New64a()
-		f.Write([]byte(name))
-		h := f.Sum64()
-		if h1, h2 := filterHashes(name); h1 != uint32(h) || h2 != uint32(h>>32) {
-			t.Errorf("filterHashes(%q) = %#x, %#x; want %#x, %#x", name, h1, h2, uint32(h), uint32(h>>32))
+		for _, key := range resultKeys {
+			found, err := e.FindKeyInElm(v, x, key)
+			fmt.Fprintf(&b, "FindKeyInElm(%s,%s) %v %v\n", x, key, found, err)
 		}
-	}
-}
-
-func TestCachePoolFlushesStats(t *testing.T) {
-	p := NewCachePool(4)
-	c := p.Get()
-	v := Encode(fragment(t, "<A>x</A>"), Compressed)
-	for i := 0; i < 3; i++ {
-		if _, err := c.table(v); err != nil {
-			t.Fatal(err)
+		outs, err := e.Unnest(v, x)
+		fmt.Fprintf(&b, "Unnest(%s) %v", x, err)
+		for _, out := range outs {
+			fmt.Fprintf(&b, " %x", out.Bytes())
 		}
+		b.WriteByte('\n')
 	}
-	if s := p.Stats(); s.Hits != 0 && s.Misses != 0 {
-		t.Errorf("pool stats flushed early: %+v", s)
-	}
-	p.Put(c)
-	if s := p.Stats(); s.Hits != 2 || s.Misses != 1 {
-		t.Errorf("pool stats = %+v, want 2 hits / 1 miss", s)
-	}
+	text, err := e.InnerText(v)
+	fmt.Fprintf(&b, "InnerText %q %v\nWalk", text, err)
+	var k Walker
+	walked, err := k.Walk(v.Bytes(), nil, func(name []byte, depth int) { fmt.Fprintf(&b, " %d:%s", depth, name) })
+	fmt.Fprintf(&b, " %q %v\n", walked, err)
+	return b.String()
 }

@@ -2,21 +2,16 @@ package xadt
 
 import "errors"
 
-// Evaluator runs the XADT methods with the fast-path machinery: header
-// fast-reject (skip fragments whose element-name filter proves the
-// searched element absent, without scanning) and an optional table
-// cache (skip re-scanning fragments seen earlier in the execution). A
-// nil *Evaluator is valid and evaluates with both disabled; the
-// package-level functions use it.
+// Evaluator runs the XADT methods with an optional table cache, which
+// skips re-scanning fragments seen earlier in the execution. A nil
+// *Evaluator is valid and scans every call; the package-level functions
+// use it.
 //
 // Evaluators are cheap value-like structs; each execution worker should
 // use its own Cache (see CachePool) since caches are not thread-safe.
 type Evaluator struct {
 	// Cache, when non-nil, memoizes fragment element tables across calls.
 	Cache *Cache
-	// NoFilter disables header fast-reject, forcing a scan even on
-	// headered values — the scan-every-call baseline.
-	NoFilter bool
 }
 
 // table scans in, through the cache when one is attached, and returns
@@ -28,30 +23,6 @@ func (e *Evaluator) table(in Value) (*table, *scratch, error) {
 	}
 	w := &scratch{}
 	return &w.t, w, w.scan(in.data, &w.t)
-}
-
-// mayContain reports whether in may contain an element called name.
-// Only a headered value with name absent from its filter yields false;
-// legacy values and disabled filters always pass.
-func (e *Evaluator) mayContain(in Value, name string) bool {
-	if name == "" || (e != nil && e.NoFilter) {
-		return true
-	}
-	h, ok := in.Header()
-	if !ok {
-		return true
-	}
-	return h.MayContain(name)
-}
-
-// depthBelow reports whether a headered value's fragment is provably
-// shallower than min levels of element nesting.
-func (e *Evaluator) depthBelow(in Value, min int) bool {
-	if e != nil && e.NoFilter {
-		return false
-	}
-	h, ok := in.Header()
-	return ok && h.Depth < min
 }
 
 // GetElm implements the getElm method of §3.4.2: it returns all rootElm
@@ -66,16 +37,8 @@ func (e *Evaluator) depthBelow(in Value, min int) bool {
 //
 // The result is a new Value in the same storage format as the input, so
 // calls compose: the output of one GetElm can be the input of the next.
-// Results are always headerless, matching what the seed produced.
+// Results are always headerless.
 func (e *Evaluator) GetElm(in Value, rootElm, searchElm, searchKey string, level int) (Value, error) {
-	// Fast reject: no rootElm element, or no searchElm anywhere, means an
-	// empty result — which Encode produces identically without a scan.
-	// A searchElm distinct from the root must sit strictly inside it, so
-	// a fragment only one level deep cannot match either.
-	if !e.mayContain(in, rootElm) || !e.mayContain(in, searchElm) ||
-		(searchElm != "" && searchElm != rootElm && e.depthBelow(in, 2)) {
-		return Encode(nil, in.Format()), nil
-	}
 	t, w, err := e.table(in)
 	if err != nil {
 		return Value{}, err
@@ -127,9 +90,6 @@ func (e *Evaluator) FindKeyInElm(in Value, searchElm, searchKey string) (bool, e
 	if searchElm == "" && searchKey == "" {
 		return false, errors.New("xadt: findKeyInElm requires searchElm or searchKey")
 	}
-	if !e.mayContain(in, searchElm) {
-		return false, nil
-	}
 	t, _, err := e.table(in)
 	if err != nil {
 		return false, err
@@ -158,9 +118,6 @@ func FindKeyInElm(in Value, searchElm, searchKey string) (bool, error) {
 func (e *Evaluator) GetElmIndex(in Value, parentElm, childElm string, startPos, endPos int) (Value, error) {
 	if childElm == "" {
 		return Value{}, errors.New("xadt: getElmIndex requires a childElm")
-	}
-	if !e.mayContain(in, childElm) || !e.mayContain(in, parentElm) {
-		return Encode(nil, in.Format()), nil
 	}
 	t, w, err := e.table(in)
 	if err != nil {
@@ -208,9 +165,6 @@ func (t *table) pickChildren(picks []int32, parent int, child int32, startPos, e
 // fragment into one Value per element with the given tag name, in document
 // order. Each returned Value keeps the input's storage format.
 func (e *Evaluator) Unnest(in Value, tag string) ([]Value, error) {
-	if tag != "" && !e.mayContain(in, tag) {
-		return nil, nil
-	}
 	t, w, err := e.table(in)
 	if err != nil {
 		return nil, err

@@ -27,11 +27,11 @@ import (
 // processing instructions, self-closing tags or other references. A
 // Compressed value must also use its dictionary in first-appearance
 // order, as encodeCompressed writes it. Anything else is an error. Every
-// stored value comes from Encode or EncodeStored and every VARCHAR
-// argument goes through Parse, so only corrupt bytes are rejected, and
-// on what it accepts the scanner agrees with Nodes byte for byte: output
-// ranges copied from accepted markup are exactly what serializing the
-// parsed nodes would write.
+// stored value comes from Encode (behind a v1 header if it is old) and
+// every VARCHAR argument goes through Parse, so only corrupt bytes are
+// rejected, and on what it accepts the scanner agrees with Nodes byte for
+// byte: output ranges copied from accepted markup are exactly what
+// serializing the parsed nodes would write.
 
 // element is one element of a fragment. Tables list elements in document
 // order, so an element's descendants are the entries after it with a
@@ -424,8 +424,7 @@ func appendText(dst, data []byte, lo, hi int) []byte {
 // to use; a Walker must not be used by two goroutines at once.
 type Walker struct{ w scratch }
 
-// Walk scans the stored value data, without a Cache and without
-// consulting its header filter, and calls elem with the name and depth
+// Walk scans the stored value data, without a Cache, and calls elem with the name and depth
 // (1 for a top-level element) of each element in document order. Names
 // alias data; a Compressed value's come from its dictionary. Walk then
 // returns text with the value's character data appended: the bytes

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/testutil"
 	"repro/internal/xmltree"
 )
 
@@ -193,7 +194,8 @@ func TestScannerRejectsWhatEncodersNeverWrite(t *testing.T) {
 // returns values in its input's storage format.
 func TestMethodsKeepInputFormat(t *testing.T) {
 	for _, f := range []Format{Raw, Compressed, Directory} {
-		for _, v := range []Value{Encode(fragment(t, speechFrag), f), EncodeStored(fragment(t, speechFrag), f)} {
+		plain := Encode(fragment(t, speechFrag), f)
+		for _, v := range []Value{plain, FromBytes(testutil.WithV1Header(plain.Bytes()))} {
 			var outs []Value
 			for _, call := range []func() (Value, error){
 				func() (Value, error) { return GetElm(v, "LINE", "", "", 0) },
@@ -226,7 +228,7 @@ func TestMethodsKeepInputFormat(t *testing.T) {
 // result. A warm Walk allocates nothing either.
 func TestWarmCallAllocations(t *testing.T) {
 	for _, f := range []Format{Raw, Compressed, Directory} {
-		v := EncodeStored(fragment(t, speechFrag), f)
+		v := Encode(fragment(t, speechFrag), f)
 		e := &Evaluator{Cache: NewCache(0)}
 		check := func(name string, max float64, call func()) {
 			call() // warm the cache
@@ -307,7 +309,8 @@ func FuzzScanVsTree(f *testing.F) {
 		}
 		if nodes, err := xmltree.ParseFragment(markup); err == nil {
 			for _, fm := range []Format{Raw, Compressed, Directory} {
-				for _, v := range []Value{Encode(nodes, fm), EncodeStored(nodes, fm)} {
+				plain := Encode(nodes, fm)
+				for _, v := range []Value{plain, FromBytes(testutil.WithV1Header(plain.Bytes()))} {
 					var w scratch
 					if err := w.scan(v.Bytes(), &w.t); err != nil {
 						t.Fatalf("scanner rejects the %v encoding of %q: %v", fm, markup, err)
@@ -368,7 +371,7 @@ func agreeWithTree(t *testing.T, v Value, a, b, key string, lo, hi, level int) {
 			t.Fatalf("Walk of %q = %q, %q, %v; want %q, %q", v.Bytes(), got, text, err, want, wtext)
 		}
 	}
-	for _, e := range []*Evaluator{nil, {Cache: NewCache(0)}, {Cache: NewCache(0), NoFilter: true}} {
+	for _, e := range []*Evaluator{nil, {Cache: NewCache(0)}} {
 		for pass := 0; pass < 2; pass++ { // the second pass hits the cache
 			got, gerr := e.GetElm(v, a, b, key, level)
 			want, werr := treeGetElm(v, a, b, key, level)

@@ -64,7 +64,7 @@ func (v Value) Len() int { return len(v.data) }
 func (v Value) IsEmpty() bool { return len(v.payloadBytes()) <= 1 }
 
 // Format returns the storage representation of the value, looking
-// through a fragment header if present.
+// through a v1 header if present.
 func (v Value) Format() Format {
 	p := v.payloadBytes()
 	if len(p) == 0 {
