@@ -2,10 +2,15 @@
 # repo is expected to keep green.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: ci vet build test race benchsmoke crashmatrix fuzz bench repro clean
+.PHONY: ci fmt vet build test race benchsmoke crashmatrix fuzz bench repro clean
 
-ci: vet build test race benchsmoke crashmatrix fuzz
+ci: fmt vet build test race benchsmoke crashmatrix fuzz
+
+# Fails listing the files when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

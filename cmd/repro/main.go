@@ -20,8 +20,8 @@
 // to concurrent snapshot-transaction schedules checked against a serial
 // oracle, -membudget N adds the memory-budget axis (every query rerun
 // under an N-byte budget, forcing spills), -costmodel adds the
-// cost-model axis (every query rerun under the greedy planner, with no
-// statistics, and with stale statistics), and -sabotage deliberately
+// cost-model axis (every query rerun with no statistics and with stale
+// statistics), and -sabotage deliberately
 // corrupts the Gather reorder to prove the harness detects a broken
 // configuration.
 //
@@ -72,7 +72,7 @@ func realMain(args []string, stderr io.Writer) int {
 		mutate    = fs.Bool("mutate", false, "run -exp difftest as randomized mutation histories (DML + document ops)")
 		conc      = fs.Bool("concurrent", false, "run -exp difftest as concurrent snapshot-transaction schedules")
 		membudget = fs.Int64("membudget", 0, "per-query memory budget in bytes for the -exp difftest budget axis (0 = off)")
-		costmodel = fs.Bool("costmodel", false, "add the cost-model axis to -exp difftest (greedy / no-stats / stale-stats cells)")
+		costmodel = fs.Bool("costmodel", false, "add the cost-model axis to -exp difftest (no-stats / stale-stats cells)")
 		sabotage  = fs.Bool("sabotage", false, "corrupt the Gather reorder so -exp difftest must fail")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -308,7 +308,7 @@ func (r *runner) difftest() error {
 		fmt.Printf("memory-budget axis enabled: every query also reruns under a %d-byte budget\n", r.membudget)
 	}
 	if r.costmodel {
-		fmt.Println("cost-model axis enabled: every query also reruns under the greedy planner, with no statistics, and with stale statistics")
+		fmt.Println("cost-model axis enabled: every query also reruns with no statistics and with stale statistics")
 	}
 	var sum *difftest.Summary
 	var err error

@@ -33,11 +33,8 @@ type paperStore struct {
 // TestPaperQueryOracle runs QS1-6 and QG1-6 under both mappings through
 // every execution-path switch the engine keeps and requires rows
 // identical, in identical order, to the default serial plan. Each cell
-// is one alternative path: the order-preserving parallel exchange, the
-// scan-every-call XADT evaluator, scans instead of fragment indexes, the
-// greedy planner, and spilling blocking operators. The greedy planner may
-// join in another order and none of the queries has an ORDER BY, so its
-// cell compares row multisets.
+// is one alternative path: the order-preserving parallel exchange, scans
+// instead of fragment indexes, and spilling blocking operators.
 func TestPaperQueryOracle(t *testing.T) {
 	baseBatches := vec.Outstanding()
 	serial := plan.Options{DOP: 1}
@@ -74,13 +71,11 @@ func TestPaperQueryOracle(t *testing.T) {
 	}
 
 	cells := []struct {
-		name      string
-		opts      plan.Options
-		unordered bool // compare row multisets
+		name string
+		opts plan.Options
 	}{
 		{name: "dop4", opts: plan.Options{DOP: 4, MorselPages: 1, CPUs: 4}},
 		{name: "noxadtindex", opts: plan.Options{DOP: 1, DisableXADTIndexes: true}},
-		{name: "nocostmodel", opts: plan.Options{DOP: 1, DisableCostModel: true}, unordered: true},
 		{name: "membudget4k", opts: plan.Options{DOP: 1, MemBudgetBytes: 4 << 10, SpillVFS: storage.NewMemVFS()}},
 	}
 	for _, c := range cells {
@@ -96,9 +91,6 @@ func TestPaperQueryOracle(t *testing.T) {
 						t.Fatalf("%s/%s: %v", ps.name, id, err)
 					}
 					got, want := res.Rows, ps.want[id]
-					if c.unordered {
-						got, want = sortRows(got), sortRows(want)
-					}
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s/%s: %d rows differ from the default serial plan's %d",
 							ps.name, id, len(got), len(want))
@@ -319,14 +311,5 @@ func renderRows(t *testing.T, rows [][]types.Value) []string {
 		}
 		out[i] = strings.Join(cells, "\t")
 	}
-	return out
-}
-
-// sortRows returns rows in a canonical order.
-func sortRows(rows [][]types.Value) [][]types.Value {
-	out := slices.Clone(rows)
-	slices.SortFunc(out, func(a, b []types.Value) int {
-		return slices.CompareFunc(a, b, types.Compare)
-	})
 	return out
 }

@@ -48,9 +48,8 @@ type Options struct {
 	// run's rows on both mappings. Pick it small (a few KiB) so sorts,
 	// join builds, and aggregates actually spill.
 	MemBudget int64
-	// CostModel adds the cost-model axis: every query reruns with the
-	// cost-based optimizer disabled (the greedy pre-statistics planner),
-	// with statistics invalidated, and with statistics forced stale under
+	// CostModel adds the cost-model axis: every query reruns with
+	// statistics invalidated and with statistics forced stale under
 	// DisableAutoStats. Plans may legitimately differ across these cells
 	// — that is the point — so rows compare as multisets, except for
 	// cases whose ORDER BY covers every projected column (Case.Ordered),
@@ -292,23 +291,23 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 		axis string
 		o    plan.Options
 	}
-	// Parallel cells disable the small-input gate (MinParallelPages: -1)
-	// so the tiny generated tables still produce genuinely parallel plans.
+	// Parallel cells bypass the parallelism cost gate (ForceParallel) so
+	// the tiny generated tables still produce genuinely parallel plans.
 	serial := plan.Options{DOP: 1}
-	par := plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1}
+	par := plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true}
 	// Index cells: the reference runs with the XADT fragment indexes on
 	// (stores build them by default), so the noindex cells are the
 	// index-on vs index-off differential axis — an indexed plan must
 	// return byte-identical rows to the scan it replaced.
 	noIdx := plan.Options{DOP: 1, DisableXADTIndexes: true}
-	noIdxPar := plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1, DisableXADTIndexes: true}
+	noIdxPar := plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true, DisableXADTIndexes: true}
 	// Budget cells spill through one shared in-memory VFS; spill file
 	// names are globally unique, so cells never collide.
 	var budget, budgetPar plan.Options
 	if opts.MemBudget > 0 {
 		spillFS := storage.NewMemVFS()
 		budget = plan.Options{DOP: 1, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS}
-		budgetPar = plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS}
+		budgetPar = plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS}
 	}
 	run := func(s *core.Store, o plan.Options, sql string) (*engine.Result, error) {
 		s.DB.SetPlannerOptions(o)
@@ -408,12 +407,12 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 	return divs, cells, nil
 }
 
-// checkCostModelCells runs the cost-model axis of one case: the greedy
-// pre-statistics planner, the estimator with no statistics at all, and
-// the estimator with statistics forced stale under DisableAutoStats.
-// These cells may legitimately plan different join orders, so rows
-// compare as multisets — except Ordered cases, whose ORDER BY covers
-// every projected column and therefore must match exactly. Statistics
+// checkCostModelCells runs the cost-model axis of one case: the
+// estimator with no statistics at all, and with statistics forced stale
+// under DisableAutoStats. These cells may legitimately plan different
+// join orders, so rows compare as multisets — except Ordered cases,
+// whose ORDER BY covers every projected column and therefore must match
+// exactly. Statistics
 // are restored with a fresh RunStats after each perturbation, which is
 // deterministic over the unchanged heap.
 func checkCostModelCells(opts Options, st *iterState, c Case, hyRef, xoRef *engine.Result,
@@ -446,21 +445,13 @@ func checkCostModelCells(opts Options, st *iterState, c Case, hyRef, xoRef *engi
 		targets = append(targets, target{"xorator", st.xo, c.XORator, xoRef})
 	}
 	serial := plan.Options{DOP: 1}
-	greedy := plan.Options{DOP: 1, DisableCostModel: true}
 	stale := plan.Options{DOP: 1, DisableAutoStats: true}
 	for _, tg := range targets {
-		got, err := run(tg.s, greedy, tg.sql)
-		if err != nil {
-			return cells, fmt.Errorf("%s greedy %w", tg.label, err)
-		}
-		cells++
-		compare(tg.label+":greedy", tg.ref, got)
-
 		// No statistics: the planner must fall back to defaults (it never
 		// auto-analyzes a table without stats) and still return the same
 		// rows.
 		tg.s.DB.Catalog.InvalidateStats()
-		got, err = run(tg.s, serial, tg.sql)
+		got, err := run(tg.s, serial, tg.sql)
 		if rerr := tg.s.RunStats(); rerr != nil {
 			return cells, fmt.Errorf("%s restoring stats: %w", tg.label, rerr)
 		}

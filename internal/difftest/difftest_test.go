@@ -58,9 +58,9 @@ func TestDifferentialCrashAxis(t *testing.T) {
 }
 
 // TestDifferentialCostModelAxis reruns the matrix with the cost-model
-// axis on: every query also executes under the greedy pre-statistics
-// planner, with statistics invalidated, and with statistics forced
-// stale under DisableAutoStats. Join orders may differ across those
+// axis on: every query also executes with statistics invalidated and
+// with statistics forced stale under DisableAutoStats. Join orders may
+// differ across those
 // cells, but the rows must not: multiset-identical in general, byte-
 // identical for the fully-ordered three-way-join cases.
 func TestDifferentialCostModelAxis(t *testing.T) {

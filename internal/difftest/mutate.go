@@ -657,9 +657,9 @@ func (ms *mutState) checkMutCase(opts Options, c Case) ([]Divergence, int, error
 		divs = append(divs, Divergence{Case: c, Axis: axis, Detail: detail})
 	}
 	serial := plan.Options{DOP: 1}
-	par := plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1}
+	par := plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true}
 	noIdx := plan.Options{DOP: 1, DisableXADTIndexes: true, DisableIndexScan: true}
-	noIdxPar := plan.Options{DOP: opts.DOP, MorselPages: 1, MinParallelPages: -1,
+	noIdxPar := plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true,
 		DisableXADTIndexes: true, DisableIndexScan: true}
 	type cellSpec struct {
 		axis string

@@ -330,9 +330,9 @@ func (g *qgen) tJoin() (Case, bool) {
 // child linked by their parentID foreign keys — ordered by every
 // projected column so the output order is data-determined. It is the
 // join-order workload of the cost-model axis: with three relations of
-// different sizes the greedy and DP planners can legitimately pick
-// different orders, and the full ORDER BY makes those plans exactly
-// comparable.
+// different sizes the planner can legitimately pick different orders
+// with and without statistics, and the full ORDER BY makes those plans
+// exactly comparable.
 func (g *qgen) tJoin3() (Case, bool) {
 	shared := g.sharedRelations()
 	byElem := map[string]relPair{}
@@ -383,8 +383,8 @@ func (g *qgen) tJoin3() (Case, bool) {
 		strings.Join(proj, ", "), c.gp.hy.Name, c.par.hy.Name, c.ch.hy.Name,
 		strings.Join(conds, " AND "), strings.Join(proj, ", "))
 	return Case{
-		Name:    "join3:" + c.gp.hy.Name + "/" + c.par.hy.Name + "/" + c.ch.hy.Name,
-		Hybrid:  sql, XORator: sql, Cross: true, Ordered: true,
+		Name:   "join3:" + c.gp.hy.Name + "/" + c.par.hy.Name + "/" + c.ch.hy.Name,
+		Hybrid: sql, XORator: sql, Cross: true, Ordered: true,
 	}, true
 }
 

@@ -28,14 +28,8 @@ type Config struct {
 	// BufferPoolPages bounds the tracked page residency; 0 disables
 	// buffer accounting.
 	BufferPoolPages int
-	// Planner options (join algorithm, index usage, parallelism).
-	Planner plan.Options
-	// FencedUDFs runs UDFs in a separate goroutine (DB2's FENCED mode).
-	// The paper measures NOT FENCED.
-	FencedUDFs bool
 	// DOP is the degree of intra-query parallelism. 0 defaults to
-	// runtime.GOMAXPROCS(0); 1 forces serial execution. A non-zero
-	// Planner.DOP takes precedence.
+	// runtime.GOMAXPROCS(0); 1 forces serial execution.
 	DOP int
 	// WALDir, when non-empty, enables the record-level write-ahead log:
 	// every document load becomes one committed batch under this
@@ -56,7 +50,6 @@ type Config struct {
 	// operators (sort, hash-join build, aggregate groups); when a query
 	// exceeds it, those operators spill to run files and merge back with
 	// byte-identical output. 0 means unlimited (the in-memory paths).
-	// A non-zero Planner.MemBudgetBytes takes precedence.
 	MemBudgetBytes int64
 	// SpillDir is the base directory for per-query spill files; empty
 	// uses a subdirectory of os.TempDir(). Spill I/O goes through VFS
@@ -118,15 +111,19 @@ type Result struct {
 // registered.
 func Open(cfg Config) *Database {
 	pool := storage.NewBufferPool(cfg.BufferPoolPages)
-	cat := catalog.New(pool)
+	return newDatabase(catalog.New(pool), pool, cfg)
+}
+
+// newDatabase wires a catalog into a Database: the standard function
+// library, the planner, and (with Config.MVCC) the transaction manager.
+func newDatabase(cat *catalog.Catalog, pool *storage.BufferPool, cfg Config) *Database {
 	reg := expr.NewRegistry()
-	reg.Fenced = cfg.FencedUDFs
 	spill := &exec.SpillSink{}
 	db := &Database{
 		Catalog:  cat,
 		Registry: reg,
 		Pool:     pool,
-		planner:  &plan.Planner{Cat: cat, Reg: reg, Opts: resolveOptions(cfg), Spill: spill},
+		planner:  &plan.Planner{Cat: cat, Reg: reg, Opts: plannerOptions(cfg), Spill: spill},
 		spill:    spill,
 		caches:   xadt.NewCachePool(xadt.DefaultCacheEntries),
 	}
@@ -137,34 +134,26 @@ func Open(cfg Config) *Database {
 	return db
 }
 
-// resolveOptions folds the top-level Config knobs into the planner
-// options: an explicit Planner.DOP wins, then Config.DOP, then the
-// machine's GOMAXPROCS (a bare plan.Planner constructed without
-// engine.Open keeps DOP 0 and plans serially). The memory budget and
-// spill location fold the same way, and spill I/O defaults to the
-// database's VFS so tests exercising spills stay in memory.
-func resolveOptions(cfg Config) plan.Options {
-	opts := cfg.Planner
-	if opts.DOP == 0 {
-		opts.DOP = cfg.DOP
+// plannerOptions maps the Config knobs onto the planner options. DOP 0
+// becomes the machine's GOMAXPROCS (a bare plan.Planner constructed
+// without engine.Open keeps DOP 0 and plans serially), and spill I/O
+// goes through the database's VFS so tests exercising spills stay in
+// memory.
+func plannerOptions(cfg Config) plan.Options {
+	dop := cfg.DOP
+	if dop == 0 {
+		dop = runtime.GOMAXPROCS(0)
 	}
-	if opts.DOP == 0 {
-		opts.DOP = runtime.GOMAXPROCS(0)
+	return plan.Options{
+		DOP:            dop,
+		MemBudgetBytes: cfg.MemBudgetBytes,
+		SpillVFS:       cfg.VFS,
+		SpillDir:       cfg.SpillDir,
 	}
-	if opts.MemBudgetBytes == 0 {
-		opts.MemBudgetBytes = cfg.MemBudgetBytes
-	}
-	if opts.SpillVFS == nil {
-		opts.SpillVFS = cfg.VFS
-	}
-	if opts.SpillDir == "" {
-		opts.SpillDir = cfg.SpillDir
-	}
-	return opts
 }
 
-// SetPlannerOptions replaces the optimizer options (used by ablation
-// benchmarks to switch join algorithms).
+// SetPlannerOptions replaces the optimizer options; ablations and the
+// test oracles switch join algorithms, parallelism and index use here.
 func (db *Database) SetPlannerOptions(opts plan.Options) {
 	db.planner.Opts = opts
 }
@@ -272,22 +261,7 @@ func OpenSnapshot(r io.Reader, cfg Config) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := expr.NewRegistry()
-	reg.Fenced = cfg.FencedUDFs
-	spill := &exec.SpillSink{}
-	db := &Database{
-		Catalog:  cat,
-		Registry: reg,
-		Pool:     pool,
-		planner:  &plan.Planner{Cat: cat, Reg: reg, Opts: resolveOptions(cfg), Spill: spill},
-		spill:    spill,
-		caches:   xadt.NewCachePool(xadt.DefaultCacheEntries),
-	}
-	registerStandardFunctions(reg, db.caches)
-	if cfg.MVCC {
-		db.EnableMVCC()
-	}
-	return db, nil
+	return newDatabase(cat, pool, cfg), nil
 }
 
 // registerStandardFunctions installs the XADT methods (§3.4.2), the

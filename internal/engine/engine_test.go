@@ -159,13 +159,8 @@ func TestBuiltinVsUDFStringFunctions(t *testing.T) {
 
 func TestFencedModeMatchesUnfenced(t *testing.T) {
 	plain := fixtureDB(t)
-	fenced := Open(Config{FencedUDFs: true})
-	// Rebuild the same fixture in the fenced database.
-	fenced.CreateTable("act", []catalog.Column{
-		{Name: "actID", Type: types.KindInt},
-		{Name: "act_title", Type: types.KindString},
-	})
-	fenced.Catalog.Table("act").Insert([]types.Value{types.NewInt(1), types.NewString("ACT I")})
+	fenced := fixtureDB(t)
+	fenced.Registry.Fenced = true
 	a := queryStrings(t, plain, `SELECT udf_length(act_title) FROM act WHERE actID = 1`)
 	b := queryStrings(t, fenced, `SELECT udf_length(act_title) FROM act WHERE actID = 1`)
 	if len(a) != 1 || len(b) != 1 || a[0] != b[0] {

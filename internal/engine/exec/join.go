@@ -15,11 +15,11 @@ type NestedLoopJoin struct {
 	Left, Right Operator
 	Pred        expr.Expr // may be nil (cross product)
 	// Est is the planner's estimated output cardinality; advisory only.
-	Est    float64
-	schema *expr.RowSchema
-	rightRows   [][]types.Value
-	leftRow     []types.Value
-	rpos        int
+	Est       float64
+	schema    *expr.RowSchema
+	rightRows [][]types.Value
+	leftRow   []types.Value
+	rpos      int
 }
 
 // NewNestedLoopJoin joins left and right on pred.

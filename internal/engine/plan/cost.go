@@ -14,8 +14,7 @@ import (
 
 // Cost model constants. The units are abstract "row touches"; only the
 // ratios matter. They are calibrated so a plain sequential scan becomes
-// worth parallelizing near the old fixed thresholds
-// (DefaultMinParallelPages / DefaultMinParallelRows), while scans whose
+// worth parallelizing near 32 pages or 2048 rows, while scans whose
 // predicates call into the XADT UDFs cross over much earlier — per-row
 // UDF work is what the paper's §4.4 analysis identifies as the term
 // that dominates its query shapes.
@@ -57,7 +56,7 @@ const (
 )
 
 // defaultNDV is the distinct-count guess when statistics are missing or
-// stale — the same default the pre-cost-model planner used.
+// stale.
 const defaultNDV = 10
 
 // tableEst carries the statistics-derived properties of one base-table
@@ -67,7 +66,7 @@ type tableEst struct {
 	stats catalog.Stats
 	// fresh reports whether the snapshot is trusted: valid and not
 	// drifted past catalog.DefaultStaleRatio. When false the estimator
-	// falls back to the same defaults the pre-statistics planner used.
+	// falls back to live row counts and default selectivities.
 	fresh  bool
 	rows   float64 // base cardinality (statistics when fresh, live count otherwise)
 	pages  float64 // heap data pages
@@ -88,54 +87,20 @@ func (te *tableEst) ndv(col string) float64 {
 	return defaultNDV
 }
 
-// estimate fills per-table cardinality estimates. With the cost model
-// on it uses histograms, distinct counts, and fragment-index document
-// frequencies from fresh statistics; with DisableCostModel (or for the
-// greedy fallback) b.est reproduces the pre-cost-model arithmetic
-// exactly. The returned map is keyed by FROM alias.
+// estimate fills per-table cardinality estimates from histograms,
+// distinct counts, and fragment-index document frequencies of fresh
+// statistics, falling back to live row counts and default
+// selectivities without them. The returned map is keyed by FROM alias.
 func (p *Planner) estimate(bases []*baseItem) map[string]*tableEst {
 	ests := make(map[string]*tableEst, len(bases))
 	for _, b := range bases {
 		// Snapshot once so concurrent planners never race a RunStats.
 		stats := b.table.StatsSnapshot()
-		live := float64(b.table.Rows())
 		te := &tableEst{
 			stats: stats,
 			fresh: stats.Fresh(),
+			rows:  float64(b.table.Rows()),
 			pages: float64(b.table.Heap.DataPages()),
-		}
-		te.rows = live
-		if p.Opts.DisableCostModel {
-			// Seed arithmetic: trust any valid snapshot, equality divides
-			// by the distinct count, everything else multiplies by 0.1.
-			if stats.Valid {
-				te.rows = float64(stats.Rows)
-			}
-			if te.rows < 1 {
-				te.rows = 1
-			}
-			rows := te.rows
-			for _, conj := range b.push {
-				if ref, _, ok := constEquality(conj); ok {
-					d := stats.DistinctOr(ref.Name, defaultNDV)
-					if d < 1 {
-						d = 1
-					}
-					rows /= float64(d)
-				} else {
-					rows *= 0.1
-				}
-			}
-			if rows < 1 {
-				rows = 1
-			}
-			te.sel = rows / te.rows
-			te.out = rows
-			b.est = rows
-			te.width = rowWidthScale(b.table, te.rows)
-			te.access = p.accessCost(b, te)
-			ests[b.alias] = te
-			continue
 		}
 		if te.fresh {
 			te.rows = float64(stats.Rows)
@@ -413,7 +378,7 @@ func (p *Planner) accessCost(b *baseItem, te *tableEst) float64 {
 type CostSummary struct {
 	// Strategy is "dp" when the join order came from the
 	// dynamic-programming enumeration, "greedy" for the heuristic order
-	// (cost model off, a single table, or more than dpMaxRelations).
+	// (a single table, or more than dpMaxRelations).
 	Strategy string
 	// JoinOrder lists the FROM aliases in chosen join order.
 	JoinOrder []string

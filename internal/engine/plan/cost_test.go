@@ -2,6 +2,7 @@ package plan
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,10 +18,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// chainFixture builds the a–b–c chain the greedy order loses on: a is
-// the smallest table but joins b over a 4-value key (a⋈b explodes),
-// while b⋈c is 1:1 over a unique key. Greedy starts at a and pays the
-// explosion; the DP enumeration joins b⋈c first.
+// chainFixture builds the a–b–c chain that planning without statistics
+// loses on: a is the smallest table but joins b over a 4-value key
+// (a⋈b explodes), while b⋈c is 1:1 over a unique key. With default
+// distinct counts the planner starts at a and pays the explosion; with
+// statistics it joins b⋈c first.
 func chainFixture(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New(nil)
@@ -58,51 +60,104 @@ func chainFixture(t *testing.T) *catalog.Catalog {
 const chainQuery = `SELECT COUNT(*) FROM a, b, c WHERE a_ab = b_ab AND b_bc = c_bc`
 
 // TestDPJoinOrderAvoidsExplodingIntermediate is the join-ordering
-// regression test: the greedy order starts at the smallest table (a)
-// and materializes the a⋈b explosion; the DP enumeration must instead
-// join the selective b⋈c edge first, and both orders must return the
-// same rows.
+// regression test. Without statistics every join key gets the default
+// distinct count, so the planner starts at the smallest table (a) and
+// materializes the a⋈b explosion; once statistics exist it must join
+// the selective b⋈c edge first, and both orders must return the same
+// rows.
 func TestDPJoinOrderAvoidsExplodingIntermediate(t *testing.T) {
 	cat := chainFixture(t)
 	stmt, err := sql.Parse(chainQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := &Planner{Cat: cat, Reg: expr.NewRegistry()}
 
-	greedyP := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{DisableCostModel: true}}
-	gOp, gSum, err := greedyP.PlanSummary(stmt)
+	cat.InvalidateStats()
+	blindOp, blindSum, err := p.PlanSummary(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gSum.Strategy != "greedy" {
-		t.Errorf("DisableCostModel strategy = %q, want greedy", gSum.Strategy)
-	}
-	if len(gSum.JoinOrder) != 3 || gSum.JoinOrder[0] != "a" {
-		t.Errorf("greedy order = %v, want to start at the smallest table a", gSum.JoinOrder)
+	if got := strings.Join(blindSum.JoinOrder, " "); blindSum.Strategy != "dp" || got != "a b c" {
+		t.Errorf("no-stats plan = %s [%s], want dp [a b c]", blindSum.Strategy, got)
 	}
 
-	costP := &Planner{Cat: cat, Reg: expr.NewRegistry()}
-	cOp, cSum, err := costP.PlanSummary(stmt)
+	if err := cat.RunStatsAll(); err != nil {
+		t.Fatal(err)
+	}
+	statsOp, statsSum, err := p.PlanSummary(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cSum.Strategy != "dp" {
-		t.Errorf("cost-model strategy = %q, want dp", cSum.Strategy)
-	}
-	if len(cSum.JoinOrder) != 3 || cSum.JoinOrder[0] == "a" {
-		t.Errorf("dp order = %v, want the selective b/c edge first", cSum.JoinOrder)
+	if got := strings.Join(statsSum.JoinOrder, " "); statsSum.Strategy != "dp" || got != "c b a" {
+		t.Errorf("analyzed plan = %s [%s], want dp [c b a]: the selective b/c edge first", statsSum.Strategy, got)
 	}
 
-	want, err := exec.Drain(gOp)
+	want, err := exec.Drain(blindOp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Drain(cOp)
+	got, err := exec.Drain(statsOp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("dp rows differ from greedy rows: %v vs %v", got, want)
+		t.Errorf("analyzed rows differ from no-stats rows: %v vs %v", got, want)
+	}
+}
+
+// TestGreedyOrderBeyondDPLimit covers the one path to greedyOrder: a
+// FROM list longer than dpMaxRelations. In the 9-table chain t0–t1–…–t8
+// table ti holds rows r = 0..9+i, keyed r%10 on both join columns, so
+// key k appears twice in ti when k < i and once otherwise.
+func TestGreedyOrderBeyondDPLimit(t *testing.T) {
+	const n = dpMaxRelations + 1
+	cat := catalog.New(nil)
+	var from, where []string
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("t%d", i)
+		tbl, err := cat.CreateTable(name, []catalog.Column{
+			{Name: name + "_l", Type: types.KindInt},
+			{Name: name + "_r", Type: types.KindInt},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 10+i; r++ {
+			k := types.NewInt(int64(r % 10))
+			if err := tbl.Insert([]types.Value{k, k}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		from = append(from, name)
+		if i > 0 {
+			where = append(where, fmt.Sprintf("t%d_r = t%d_l", i-1, i))
+		}
+	}
+	if err := cat.RunStatsAll(); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := sql.Parse("SELECT COUNT(*) FROM " + strings.Join(from, ", ") +
+		" WHERE " + strings.Join(where, " AND "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, sum, err := (&Planner{Cat: cat, Reg: expr.NewRegistry()}).PlanSummary(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Strategy != "greedy" || len(sum.JoinOrder) != n {
+		t.Fatalf("%d-table chain planned %s over %v, want greedy over all %d", n, sum.Strategy, sum.JoinOrder, n)
+	}
+	rows, err := exec.Drain(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Key k contributes the product of its per-table multiplicities:
+	// 2^(8-k) for k = 0..7 (twice in t(k+1)..t8) and 1 for k = 8, 9, so
+	// 256+128+…+2 + 1+1 = 512 rows.
+	if len(rows) != 1 || rows[0][0].Int() != 512 {
+		t.Errorf("COUNT(*) = %v, want 512", rows)
 	}
 }
 

@@ -12,20 +12,18 @@ import (
 const dpMaxRelations = 8
 
 // chooseJoinOrder returns the indexes of bases in join order plus the
-// strategy label ("dp" or "greedy"). With the cost model on and a
-// joinable FROM list of 2..dpMaxRelations entries it runs the
-// left-deep dynamic program over subsets; otherwise it replays the
-// greedy heuristic exactly as the pre-cost-model planner did, so
-// DisableCostModel reproduces historical plans operator for operator.
+// strategy label ("dp" or "greedy"). A FROM list of 2..dpMaxRelations
+// entries runs the left-deep dynamic program over subsets; a single
+// table or a longer list takes the greedy heuristic order.
 func (p *Planner) chooseJoinOrder(bases []*baseItem, preds []joinPred, ests map[string]*tableEst) ([]int, string) {
-	if !p.Opts.DisableCostModel && len(bases) >= 2 && len(bases) <= dpMaxRelations {
+	if len(bases) >= 2 && len(bases) <= dpMaxRelations {
 		return p.dpOrder(bases, preds, ests), "dp"
 	}
 	return greedyOrder(bases, preds), "greedy"
 }
 
-// greedyOrder replays the heuristic the join-tree builder historically
-// used: start at the smallest estimated table, then repeatedly take the
+// greedyOrder is the heuristic order past dpMaxRelations: start at the
+// smallest estimated table, then repeatedly take the
 // smallest table connected to the joined set by an unused equi
 // predicate, falling back to the smallest overall when the FROM list is
 // disconnected. Predicate consumption mirrors the tree builder so the
@@ -229,7 +227,7 @@ const (
 // access cost), choosing the cheapest eligible algorithm.
 // inlOK is the structural index-nested-loop eligibility; Views-gated
 // callers pass false. The returned choice is what the cost model would
-// pick absent explicit Join/IndexJoin options.
+// pick absent an explicit Join option.
 //
 // Hash: build the accumulated side, stream b as probe. INL: one B+tree
 // descent per accumulated row, no scan of b at all. Merge: scan b, then

@@ -17,26 +17,11 @@ import (
 // lifted into a HashBuild shared by all probe workers (built once, with
 // the key hashing itself parallelized), and the build input is
 // recursively parallelized too.
-// Small-input parallelism gate defaults: a table below both thresholds
-// is scanned serially even at DOP > 1, because spinning up workers and
-// reassembling morsel output costs more than the scan itself (the
-// regression the gate removes showed on sub-page lookup queries).
-const (
-	// DefaultMinParallelPages is the data-page floor of the gate when
-	// Options.MinParallelPages is 0.
-	DefaultMinParallelPages = 32
-	// DefaultMinParallelRows is the cardinality floor: a small-paged
-	// table still parallelizes when statistics (or the live row count)
-	// say it holds at least this many rows.
-	DefaultMinParallelRows = 2048
-)
-
 func (p *Planner) parallelize(op exec.Operator, sum *CostSummary) exec.Operator {
 	b := &parallelBuilder{
 		planner:     p,
 		dop:         p.Opts.DOP,
 		morselPages: p.Opts.MorselPages,
-		minPages:    p.Opts.MinParallelPages,
 		memBudget:   p.Opts.MemBudgetBytes > 0,
 		sum:         sum,
 	}
@@ -48,9 +33,6 @@ type parallelBuilder struct {
 	planner     *Planner
 	dop         int
 	morselPages int
-	// minPages is the small-input gate (see DefaultMinParallelPages);
-	// negative disables it.
-	minPages int
 	// memBudget disables the shared HashBuild/HashProbe fragment form:
 	// those operators have no spill path, so under a memory budget the
 	// spilling serial HashJoin stays above the exchange and only its
@@ -58,37 +40,6 @@ type parallelBuilder struct {
 	memBudget bool
 	// sum, when non-nil, records whether the rewrite installed a Gather.
 	sum *CostSummary
-}
-
-// tooSmall reports whether a scan falls under the small-input gate.
-// Three regimes, selected by Options.MinParallelPages: negative
-// disables the gate entirely; positive is an explicit fixed page floor
-// (with the historical row-count escape hatch); zero — the default —
-// runs the cost gate, which weighs the scan's estimated work (pages,
-// rows, row width, per-row predicate cost) against worker startup and
-// exchange overhead. With DisableCostModel the zero value falls back to
-// the historical fixed thresholds. Because Gather preserves morsel
-// order, the gate affects only speed, never results.
-func (b *parallelBuilder) tooSmall(n *exec.SeqScan) bool {
-	minPages := b.minPages
-	if minPages < 0 {
-		return false
-	}
-	if minPages == 0 && !b.planner.Opts.DisableCostModel {
-		return !b.worthParallel(n)
-	}
-	if minPages == 0 {
-		minPages = DefaultMinParallelPages
-	}
-	t := n.Table
-	if t.Heap.DataPages() >= minPages {
-		return false
-	}
-	rows := t.Rows()
-	if stats := t.StatsSnapshot(); stats.Valid {
-		rows = stats.Rows
-	}
-	return rows < DefaultMinParallelRows
 }
 
 // worthParallel is the cost gate: parallelize when the projected
@@ -100,7 +51,9 @@ func (b *parallelBuilder) tooSmall(n *exec.SeqScan) bool {
 // stays fixed. The divisor is capped at Options.CPUs (default
 // GOMAXPROCS): DOP workers beyond the processor count still pay
 // startup and exchange but time-slice one core, so on a starved host
-// the gate refuses and the plan stays serial.
+// the gate refuses and the plan stays serial. Options.ForceParallel
+// skips the gate. Because Gather preserves morsel order, the gate
+// affects only speed, never results.
 func (b *parallelBuilder) worthParallel(n *exec.SeqScan) bool {
 	cpus := b.planner.Opts.CPUs
 	if cpus <= 0 {
@@ -199,7 +152,7 @@ func (b *parallelBuilder) fragment(op exec.Operator) ([]exec.Pipeline, []exec.Re
 		if pages <= morselPages {
 			return nil, nil, false // a single morsel gains nothing
 		}
-		if b.tooSmall(n) {
+		if !b.planner.Opts.ForceParallel && !b.worthParallel(n) {
 			return nil, nil, false // exchange overhead would dominate
 		}
 		workers := b.dop

@@ -335,7 +335,7 @@ func TestIndexLoopJoin(t *testing.T) {
 	if _, err := cat.CreateIndex("emp", "emp_deptID"); err != nil {
 		t.Fatal(err)
 	}
-	p.Opts.IndexJoin = true
+	// One eng department probing emp's index undercuts scanning emp.
 	stmt, _ := sql.Parse(`SELECT emp_name FROM emp, dept WHERE emp_deptID = deptID AND dept_name = 'eng'`)
 	op, err := p.Plan(stmt)
 	if err != nil {
@@ -350,7 +350,7 @@ func TestIndexLoopJoin(t *testing.T) {
 		t.Fatalf("rows = %d, %v", len(rows), err)
 	}
 	// Results agree with the hash-join plan.
-	p.Opts.IndexJoin = false
+	p.Opts.Join = JoinHash
 	hashRows := runQuery(t, p, `SELECT emp_name FROM emp, dept WHERE emp_deptID = deptID AND dept_name = 'eng'`)
 	if len(hashRows) != len(rows) {
 		t.Errorf("hash join rows = %d, index join rows = %d", len(hashRows), len(rows))
@@ -359,7 +359,6 @@ func TestIndexLoopJoin(t *testing.T) {
 
 func TestIndexLoopJoinSkippedWithoutIndex(t *testing.T) {
 	_, p := fixture(t)
-	p.Opts.IndexJoin = true
 	stmt, _ := sql.Parse(`SELECT emp_name FROM emp, dept WHERE emp_deptID = deptID`)
 	op, err := p.Plan(stmt)
 	if err != nil {
@@ -375,7 +374,6 @@ func TestIndexLoopJoinSkippedWithPushdown(t *testing.T) {
 	if _, err := cat.CreateIndex("emp", "emp_deptID"); err != nil {
 		t.Fatal(err)
 	}
-	p.Opts.IndexJoin = true
 	// emp has a pushed predicate, so it keeps its own access path.
 	stmt, _ := sql.Parse(`SELECT emp_name FROM emp, dept WHERE emp_deptID = deptID AND emp_name = 'ann'`)
 	op, err := p.Plan(stmt)

@@ -29,9 +29,6 @@ type Options struct {
 	Join JoinAlgorithm
 	// DisableIndexScan forces sequential scans.
 	DisableIndexScan bool
-	// IndexJoin enables index-nested-loop joins when the inner table has
-	// an index on the join column.
-	IndexJoin bool
 	// DOP is the degree of intra-query parallelism: scan-rooted plan
 	// fragments are cloned across up to DOP workers behind a Gather
 	// exchange. 0 or 1 plans exactly the serial operator tree
@@ -67,25 +64,15 @@ type Options struct {
 	// SpillDir is the base directory for per-query spill directories;
 	// empty uses a subdirectory of os.TempDir().
 	SpillDir string
-	// MinParallelPages gates intra-query parallelism on input size: a
-	// scan fragment stays serial when its table has both fewer data pages
-	// than this and fewer rows than DefaultMinParallelRows, because the
-	// exchange setup then costs more than the scan. 0 uses
-	// DefaultMinParallelPages; negative disables the gate (tests and the
+	// ForceParallel bypasses the parallelism cost gate: every scan that
+	// spans more than one morsel fans out, however small (tests and the
 	// differential harness force parallel plans on tiny tables).
-	MinParallelPages int
+	ForceParallel bool
 	// DisableXADTIndexes turns the XADT fragment-index rewrite off: even
 	// when a valid path/keyword index covers a findKeyInElm conjunct, the
 	// planner keeps the sequential scan. Used by the differential harness
 	// (index-on vs index-off cells) and the paper-query oracle.
 	DisableXADTIndexes bool
-	// DisableCostModel turns the statistics-driven cost model off: the
-	// greedy join order, rule-based access paths, hash joins, and the
-	// fixed page/row parallelism thresholds — exactly the
-	// pre-statistics planner, kept for ablations and as the
-	// differential harness's greedy cell. The zero value plans with the
-	// cost model.
-	DisableCostModel bool
 	// DisableAutoStats stops the planner from refreshing statistics
 	// that drifted past catalog.DefaultStaleRatio before planning; the
 	// estimator then falls back to defaults until an explicit RunStats.
@@ -163,10 +150,10 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 
 	// Auto-refresh: statistics that drifted past the staleness ratio are
 	// recomputed before estimation, so sustained DML cannot starve the
-	// cost model indefinitely. Skipped under MVCC views (RunStats needs
-	// the exclusive path there) and when stats were never collected —
-	// analyzing is an explicit choice.
-	if !p.Opts.DisableCostModel && !p.Opts.DisableAutoStats && p.Opts.Views == nil {
+	// cost model indefinitely. MaybeRefreshStats skips MVCC catalogs
+	// (RunStats needs the exclusive path there) and tables whose stats
+	// were never collected — analyzing is an explicit choice.
+	if !p.Opts.DisableAutoStats {
 		for _, b := range bases {
 			if err := p.Cat.MaybeRefreshStats(b.table.Schema.Table); err != nil {
 				return nil, nil, err
@@ -215,11 +202,9 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 	ests := p.estimate(bases)
 	order, strategy := p.chooseJoinOrder(bases, joinPreds, ests)
 	sum.Strategy = strategy
-	if !p.Opts.DisableCostModel {
-		for _, b := range bases {
-			if te := ests[b.alias]; te != nil && !te.fresh {
-				sum.StaleStats = append(sum.StaleStats, b.alias)
-			}
+	for _, b := range bases {
+		if !ests[b.alias].fresh {
+			sum.StaleStats = append(sum.StaleStats, b.alias)
 		}
 	}
 
@@ -361,9 +346,9 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 // topNOverBudget reports whether a bounded TopN heap of k rows would
 // itself blow the memory budget: the heap cannot spill, while the Sort
 // it replaces can. Estimated from the plan's output schema width; with
-// no budget (or the cost model off) TopN always wins.
+// no budget TopN always wins.
 func (p *Planner) topNOverBudget(k int64, root exec.Operator) bool {
-	if p.Opts.MemBudgetBytes <= 0 || p.Opts.DisableCostModel {
+	if p.Opts.MemBudgetBytes <= 0 {
 		return false
 	}
 	rowBytes := 64 + 32*len(root.Schema().Cols)
@@ -537,13 +522,12 @@ func (jp joinPred) expr() sql.Expr {
 // buildJoinTree assembles a left-deep join tree following the chosen
 // join order, consuming every equi predicate at the first step where
 // both its sides are bound. Per join it picks the physical algorithm:
-// explicit Join/IndexJoin options force one (the historical
-// precedence), otherwise the cost model compares hash, merge, and
-// index nested loops — a comparison that reads only statistics, the
-// query, and durable store state, so every differential-harness cell
-// picks the same algorithm and row order stays cell-invariant.
+// an explicit Join option forces one (the §4.4 ablation), otherwise
+// the cost model compares hash, merge, and index nested loops — a
+// comparison that reads only statistics, the query, and durable store
+// state, so every differential-harness cell picks the same algorithm
+// and row order stays cell-invariant.
 func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order []int, ests map[string]*tableEst, qctx *exec.QueryCtx, sum *CostSummary) (exec.Operator, error) {
-	costOn := !p.Opts.DisableCostModel
 	used := make([]bool, len(joinPreds))
 	joined := map[string]bool{}
 
@@ -609,28 +593,19 @@ func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order [
 		if outCard < 1 {
 			outCard = 1
 		}
-		te := ests[b.alias]
 
 		// Index nested loops: structurally eligible when the inner table
 		// has an index on the join column and no pushed predicate wants
-		// its own access path. Opts.IndexJoin forces it (the historical
-		// behaviour); otherwise the cost model may still pick it.
-		inlOK := keyL != nil && len(b.push) == 0 && p.Opts.Views == nil &&
-			b.table.IndexOn(innerCol) != nil
-		useINL := inlOK && p.Opts.IndexJoin
+		// its own access path. An explicit Join option overrides the
+		// cost model's pick.
 		alg := p.Opts.Join
-		if !useINL && costOn && alg == "" && keyL != nil && te != nil {
-			step, phys := p.joinStepCost(te, curEst, b.est, outCard, inlOK)
-			curCost += step
-			switch phys {
-			case physINL:
-				useINL = true
-			case physMerge:
-				alg = JoinMerge
-			}
-		} else if te != nil {
-			step, _ := p.joinStepCost(te, curEst, b.est, outCard, false)
-			curCost += step
+		inlOK := alg == "" && keyL != nil && len(b.push) == 0 && p.Opts.Views == nil &&
+			b.table.IndexOn(innerCol) != nil
+		step, phys := p.joinStepCost(ests[b.alias], curEst, b.est, outCard, inlOK)
+		curCost += step
+		useINL := phys == physINL
+		if alg == "" && phys == physMerge {
+			alg = JoinMerge
 		}
 
 		if useINL {
@@ -902,8 +877,7 @@ func vecSuffix(vec bool) string {
 
 // estSuffix renders an operator's estimated cardinality. Appended after
 // the operator's own rendering so substring assertions on the operator
-// text keep matching; zero (no estimate — e.g. DisableCostModel never
-// annotates joins) renders nothing.
+// text keep matching; zero (no estimate) renders nothing.
 func estSuffix(est float64) string {
 	if est <= 0 {
 		return ""

@@ -11,9 +11,9 @@ import (
 	"repro/internal/engine/types"
 )
 
-// midFixture builds a table that morselizes (several pages) but falls
-// below both small-input gate thresholds: pages < DefaultMinParallelPages
-// and rows < DefaultMinParallelRows.
+// midFixture builds a table that morselizes (several pages) but is too
+// small for the parallelism cost gate: 1000 rows with a cheap
+// predicate, where four workers' startup outweighs the scan.
 func midFixture(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New(nil)
@@ -33,12 +33,8 @@ func midFixture(t *testing.T) *catalog.Catalog {
 	if err := cat.RunStatsAll(); err != nil {
 		t.Fatal(err)
 	}
-	pages := tbl.Heap.DataPages()
-	if pages < 2 || pages >= DefaultMinParallelPages {
-		t.Fatalf("fixture must sit between morselizable and the gate: %d pages", pages)
-	}
-	if tbl.Rows() >= DefaultMinParallelRows {
-		t.Fatalf("fixture must stay under the row floor: %d rows", tbl.Rows())
+	if pages := tbl.Heap.DataPages(); pages < 2 {
+		t.Fatalf("fixture must span more than one morsel: %d pages", pages)
 	}
 	return cat
 }
@@ -55,16 +51,16 @@ func TestSmallInputGateSkipsParallelism(t *testing.T) {
 func TestSmallInputGateDisabled(t *testing.T) {
 	cat := midFixture(t)
 	p := &Planner{Cat: cat, Reg: expr.NewRegistry(),
-		Opts: Options{DOP: 4, MorselPages: 1, MinParallelPages: -1}}
+		Opts: Options{DOP: 4, MorselPages: 1, ForceParallel: true}}
 	text := Explain(planFor(t, p, `SELECT id FROM mid WHERE id > 10`))
 	if !strings.Contains(text, "Gather(dop=4)") {
-		t.Fatalf("MinParallelPages=-1 should force the parallel plan:\n%s", text)
+		t.Fatalf("ForceParallel should force the parallel plan:\n%s", text)
 	}
 }
 
 func TestSmallInputGatePassesRowFloor(t *testing.T) {
-	// bigFixture's fact table has few pages but 4000 rows: the row floor
-	// alone should admit it.
+	// bigFixture's fact table has few pages but 4000 rows: the gate's
+	// per-row term alone should admit it.
 	cat := bigFixture(t)
 	p := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{DOP: 4, MorselPages: 1, CPUs: 4}}
 	text := Explain(planFor(t, p, `SELECT id FROM fact WHERE val > 500`))

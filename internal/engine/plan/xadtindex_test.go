@@ -102,7 +102,7 @@ AND findKeyInElm(speech_line, 'LINE', 'love') = 1`
 // TestPlanProbesEachFragmentIndexOnce guards against planning work that
 // grows with the join search: the estimate, every dynamic-programming
 // step that adds speech, and the access path must share one
-// LookupFindKey per indexable conjunct, with or without the cost model.
+// LookupFindKey per indexable conjunct.
 func TestPlanProbesEachFragmentIndexOnce(t *testing.T) {
 	p := fragFixture(t, true)
 	speech := p.Cat.Table("speech")
@@ -117,21 +117,16 @@ func TestPlanProbesEachFragmentIndexOnce(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("fixture query returns no rows")
 	}
-	for _, opts := range []Options{{}, {DisableCostModel: true}} {
-		p.Opts = opts
-		before := lookups()
-		op := planFor(t, p, qs5Shape)
-		if got := lookups() - before; got != 2 {
-			t.Errorf("DisableCostModel=%v: %d LookupFindKey calls per Plan, want 2 (one per indexable conjunct)",
-				opts.DisableCostModel, got)
-		}
-		if ex := Explain(op); !strings.Contains(ex, "IndexedFragScan") {
-			t.Errorf("DisableCostModel=%v: no IndexedFragScan in plan:\n%s", opts.DisableCostModel, ex)
-		}
-		if got := runQuery(t, p, qs5Shape); len(got) != len(want) {
-			t.Errorf("DisableCostModel=%v: %d rows through the index, %d through scans",
-				opts.DisableCostModel, len(got), len(want))
-		}
+	before := lookups()
+	op := planFor(t, p, qs5Shape)
+	if got := lookups() - before; got != 2 {
+		t.Errorf("%d LookupFindKey calls per Plan, want 2 (one per indexable conjunct)", got)
+	}
+	if ex := Explain(op); !strings.Contains(ex, "IndexedFragScan") {
+		t.Errorf("no IndexedFragScan in plan:\n%s", ex)
+	}
+	if got := runQuery(t, p, qs5Shape); len(got) != len(want) {
+		t.Errorf("%d rows through the index, %d through scans", len(got), len(want))
 	}
 }
 

@@ -47,8 +47,9 @@ const (
 // Config tunes a Store; see core.Config for field semantics.
 type Config = core.Config
 
-// EngineConfig tunes the underlying database (buffer pool size, planner
-// options, degree of parallelism); assign it to Config.Engine. Setting
+// EngineConfig tunes the underlying database (buffer pool size, degree
+// of parallelism, memory budget, WAL, MVCC); assign it to Config.Engine.
+// Planner ablations go through Store.DB.SetPlannerOptions. Setting
 // DOP > 1 — or leaving it 0 to default to runtime.GOMAXPROCS — makes
 // scans, hash joins, and XADT UDF evaluation run across that many
 // workers, with results identical to serial execution. Setting
