@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/engine/catalog"
+	"repro/internal/engine/exec"
+	"repro/internal/engine/mvcc"
 	"repro/internal/engine/sql"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
@@ -188,68 +190,74 @@ func (st *Store) removeDocumentDirect(docID int64) error {
 	return b.Commit()
 }
 
-// applyRemoveDocument executes a document removal against the current
-// state. It is deterministic given the store state — victims are
-// collected in heap order before any delete — so WAL replay of the
-// logical record reproduces the exact same heap mutations.
+// applyRemoveDocument removes a document from the live store without
+// logging its row deletes: the caller logs the one logical docremove
+// frame, and WAL replay of that frame runs this same procedure. It is
+// deterministic given the store state, so replay reproduces the exact
+// same heap mutations.
 func (st *Store) applyRemoveDocument(docID int64) error {
+	ops, err := st.removeDocumentOps(exec.Live, docID)
+	if err != nil {
+		return err
+	}
+	return st.DB.ApplyOps(ops, nil)
+}
+
+// removeDocumentOps computes the row deletes that remove document docID
+// as seen through rows (the live store or a session view): every row
+// the registry says it produced, then its registry rows. All victims are
+// fixed before any op is returned — per span in RID order, then the
+// registry rows — so the store and a session delete the same rows in
+// the same order, and an error leaves both unchanged.
+func (st *Store) removeDocumentOps(rows exec.RowSource, docID int64) ([]mvcc.Op, error) {
 	reg := st.DB.Catalog.Table(docRegistryTable)
 	if reg == nil {
-		return fmt.Errorf("core: store tracks no documents (use AddDocuments)")
+		return nil, fmt.Errorf("core: store tracks no documents (use AddDocuments)")
 	}
 	type span struct {
-		rid    storage.RID
 		rel    string
 		lo, hi int64
 	}
 	var spans []span
-	err := reg.Heap.Scan(func(rid storage.RID, row []types.Value) error {
+	var regOps []mvcc.Op
+	err := rows.Scan(reg, nil, types.Null, func(rid storage.RID, row []types.Value) error {
 		if !row[0].IsNull() && row[0].Kind() == types.KindInt && row[0].Int() == docID {
 			if row[1].Kind() != types.KindString || row[2].Kind() != types.KindInt || row[3].Kind() != types.KindInt {
 				return fmt.Errorf("core: malformed registry row for document %d", docID)
 			}
-			spans = append(spans, span{rid, row[1].Str(), row[2].Int(), row[3].Int()})
+			spans = append(spans, span{row[1].Str(), row[2].Int(), row[3].Int()})
+			regOps = append(regOps, mvcc.Op{Kind: mvcc.OpRowDelete, Table: docRegistryTable, RID: rid})
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(spans) == 0 {
-		return fmt.Errorf("core: unknown document %d", docID)
+		return nil, fmt.Errorf("core: unknown document %d", docID)
 	}
+	var ops []mvcc.Op
 	for _, sp := range spans {
 		tbl := st.DB.Catalog.Table(sp.rel)
 		rel := st.Schema.Relation(sp.rel)
 		if tbl == nil || rel == nil {
-			return fmt.Errorf("core: registry references unknown relation %s", sp.rel)
+			return nil, fmt.Errorf("core: registry references unknown relation %s", sp.rel)
 		}
 		idCol := idColumn(rel)
 		if idCol < 0 {
-			return fmt.Errorf("core: relation %s has no ID column", sp.rel)
+			return nil, fmt.Errorf("core: relation %s has no ID column", sp.rel)
 		}
-		var victims []storage.RID
-		err := tbl.Heap.Scan(func(rid storage.RID, row []types.Value) error {
+		err := rows.Scan(tbl, nil, types.Null, func(rid storage.RID, row []types.Value) error {
 			if v := row[idCol]; !v.IsNull() && v.Kind() == types.KindInt && v.Int() > sp.lo && v.Int() <= sp.hi {
-				victims = append(victims, rid)
+				ops = append(ops, mvcc.Op{Kind: mvcc.OpRowDelete, Table: sp.rel, RID: rid})
 			}
 			return nil
 		})
 		if err != nil {
-			return err
-		}
-		for _, rid := range victims {
-			if _, err := tbl.DeleteRID(rid); err != nil {
-				return err
-			}
+			return nil, err
 		}
 	}
-	for _, sp := range spans {
-		if _, err := reg.DeleteRID(sp.rid); err != nil {
-			return err
-		}
-	}
-	return nil
+	return append(ops, regOps...), nil
 }
 
 // ReplaceDocument swaps a registered document for a new one under the
@@ -304,13 +312,23 @@ func idColumn(rel *mapping.Relation) int {
 // the column keeps its structural assumptions. On a WAL store the splice
 // is one committed batch holding the row's update record.
 func (st *Store) SpliceFragment(table, column string, id int64, fragTexts []string) error {
-	return st.mvccDirect(func() error { return st.spliceFragmentDirect(table, column, id, fragTexts) })
+	return st.mvccDirect(func() error {
+		op, err := st.spliceOp(exec.Live, table, column, id, fragTexts)
+		if err != nil {
+			return err
+		}
+		return st.logged(func(log exec.MutationLog) error { return st.DB.ApplyOps([]mvcc.Op{op}, log) })
+	})
 }
 
-func (st *Store) spliceFragmentDirect(table, column string, id int64, fragTexts []string) error {
+// spliceOp computes the row update of a fragment splice (see
+// SpliceFragment) against rows, the live store or a session view. The
+// new value is encoded now; if several rows carry the ID, the last in
+// RID order is the target.
+func (st *Store) spliceOp(rows exec.RowSource, table, column string, id int64, fragTexts []string) (mvcc.Op, error) {
 	rel := st.Schema.Relation(table)
 	if rel == nil {
-		return fmt.Errorf("core: unknown relation %s", table)
+		return mvcc.Op{}, fmt.Errorf("core: unknown relation %s", table)
 	}
 	var col *mapping.Column
 	ci := -1
@@ -321,20 +339,20 @@ func (st *Store) spliceFragmentDirect(table, column string, id int64, fragTexts 
 		}
 	}
 	if col == nil {
-		return fmt.Errorf("core: relation %s has no column %s", table, column)
+		return mvcc.Op{}, fmt.Errorf("core: relation %s has no column %s", table, column)
 	}
 	if col.Kind != mapping.KindXADT {
-		return fmt.Errorf("core: column %s.%s is not an XADT column", table, column)
+		return mvcc.Op{}, fmt.Errorf("core: column %s.%s is not an XADT column", table, column)
 	}
 	want := col.Path[0]
 	var frags []*xmltree.Node
 	for _, text := range fragTexts {
 		doc, err := xmltree.Parse(text)
 		if err != nil {
-			return fmt.Errorf("core: parsing fragment: %w", err)
+			return mvcc.Op{}, fmt.Errorf("core: parsing fragment: %w", err)
 		}
 		if doc.Root == nil || doc.Root.Name != want {
-			return fmt.Errorf("core: fragment root must be <%s> for column %s.%s", want, table, column)
+			return mvcc.Op{}, fmt.Errorf("core: fragment root must be <%s> for column %s.%s", want, table, column)
 		}
 		frags = append(frags, doc.Root)
 	}
@@ -342,43 +360,43 @@ func (st *Store) spliceFragmentDirect(table, column string, id int64, fragTexts 
 	if len(frags) > 0 {
 		val = types.NewXADT(xadt.Encode(frags, st.Format).Bytes())
 	}
-
 	tbl := st.DB.Catalog.Table(table)
 	if tbl == nil {
-		return fmt.Errorf("core: table %s does not exist yet", table)
+		return mvcc.Op{}, fmt.Errorf("core: table %s does not exist yet", table)
 	}
 	idCol := idColumn(rel)
 	if idCol < 0 {
-		return fmt.Errorf("core: relation %s has no ID column", table)
+		return mvcc.Op{}, fmt.Errorf("core: relation %s has no ID column", table)
 	}
-	var target *storage.RID
-	var oldRow []types.Value
-	err := tbl.Heap.Scan(func(rid storage.RID, row []types.Value) error {
+	op := mvcc.Op{Kind: mvcc.OpRowUpdate, Table: table}
+	err := rows.Scan(tbl, nil, types.Null, func(rid storage.RID, row []types.Value) error {
 		if v := row[idCol]; !v.IsNull() && v.Kind() == types.KindInt && v.Int() == id {
-			r := rid
-			target, oldRow = &r, row
+			op.RID, op.Row = rid, row
 		}
 		return nil
 	})
 	if err != nil {
+		return mvcc.Op{}, err
+	}
+	if op.Row == nil {
+		return mvcc.Op{}, fmt.Errorf("core: no row with %s = %d in %s", rel.Columns[idCol].Name, id, table)
+	}
+	op.Row = append([]types.Value(nil), op.Row...)
+	op.Row[ci] = val
+	return op, nil
+}
+
+// logged runs fn with a redo log: on a WAL store a fresh batch, committed
+// once fn succeeds; otherwise nil.
+func (st *Store) logged(fn func(exec.MutationLog) error) error {
+	if st.wal == nil {
+		return fn(nil)
+	}
+	b := st.wal.Begin()
+	if err := fn(b); err != nil {
 		return err
 	}
-	if target == nil {
-		return fmt.Errorf("core: no row with %s = %d in %s", rel.Columns[idCol].Name, id, table)
-	}
-	newRow := append([]types.Value(nil), oldRow...)
-	newRow[ci] = val
-	if _, err := tbl.UpdateRID(*target, newRow); err != nil {
-		return err
-	}
-	if st.wal != nil {
-		b := st.wal.Begin()
-		if err := b.Update(table, *target, newRow); err != nil {
-			return err
-		}
-		return b.Commit()
-	}
-	return nil
+	return b.Commit()
 }
 
 // Exec parses and runs one SQL statement. SELECTs execute like Query and
@@ -405,18 +423,11 @@ func (st *Store) Exec(query string) (int64, error) {
 	}
 	var n int64
 	err = st.mvccDirect(func() error {
-		if st.wal == nil {
-			var e error
-			n, e = st.DB.ExecStatement(stmt, nil)
-			return e
-		}
-		b := st.wal.Begin()
-		var e error
-		n, e = st.DB.ExecStatement(stmt, b)
-		if e != nil {
-			return e
-		}
-		return b.Commit()
+		return st.logged(func(log exec.MutationLog) error {
+			var err error
+			n, err = st.DB.ExecStatement(stmt, log)
+			return err
+		})
 	})
 	return n, err
 }

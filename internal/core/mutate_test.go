@@ -92,17 +92,22 @@ func TestExecInsertUpdateDelete(t *testing.T) {
 	}
 }
 
+// failingDML are statements that must fail as a whole against a store
+// of three plays.
+var failingDML = []string{
+	`INSERT INTO nosuch (a) VALUES (1)`,
+	`INSERT INTO play (nosuch) VALUES (1)`,
+	`INSERT INTO play (play_title) VALUES (42)`,                         // type mismatch
+	`INSERT INTO play (playID, play_title) VALUES (-1, 'ok'), (-2, 42)`, // second row mismatches
+	`UPDATE play SET playID = 'word' WHERE playID = 1`,                  // type mismatch
+	`UPDATE nosuch SET a = 1`,
+	`DELETE FROM nosuch`,
+	`UPDATE play SET play_fm = 'raw' WHERE playID = 1`, // XADT column: splice only
+}
+
 func TestExecErrors(t *testing.T) {
 	st, _ := addPlayStore(t, XORator, nil)
-	for _, src := range []string{
-		`INSERT INTO nosuch (a) VALUES (1)`,
-		`INSERT INTO play (nosuch) VALUES (1)`,
-		`INSERT INTO play (play_title) VALUES (42)`,        // type mismatch
-		`UPDATE play SET playID = 'word' WHERE playID = 1`, // type mismatch
-		`UPDATE nosuch SET a = 1`,
-		`DELETE FROM nosuch`,
-		`UPDATE play SET play_fm = 'raw' WHERE playID = 1`, // XADT column: splice only
-	} {
+	for _, src := range failingDML {
 		if _, err := st.Exec(src); err == nil {
 			t.Errorf("Exec(%q) succeeded, want error", src)
 		}
@@ -110,6 +115,27 @@ func TestExecErrors(t *testing.T) {
 	// A failed statement must not leave partial effects behind.
 	if got := countRows(t, st, "play"); got != 3 {
 		t.Fatalf("plays = %d after failed statements, want 3", got)
+	}
+}
+
+// TestExecErrorsRecoverLikeLive runs the failing statements on a WAL
+// store: a statement that fails logs nothing and changes nothing, so
+// the live store and the store recovered from its log agree.
+func TestExecErrorsRecoverLikeLive(t *testing.T) {
+	vfs := storage.NewMemVFS()
+	st, _ := addPlayStore(t, XORator, vfs)
+	for _, src := range failingDML {
+		if _, err := st.Exec(src); err == nil {
+			t.Errorf("Exec(%q) succeeded, want error", src)
+		}
+	}
+	live := countRows(t, st, "play")
+	rec, err := OpenRecovered(Config{Engine: engine.Config{WALDir: "wal", WALSync: wal.SyncAlways, VFS: vfs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countRows(t, rec, "play"); got != live || live != 3 {
+		t.Fatalf("plays: live %d, recovered %d, want 3 both", live, got)
 	}
 }
 

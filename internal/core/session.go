@@ -6,11 +6,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/mvcc"
-	"repro/internal/engine/storage"
-	"repro/internal/engine/types"
 	"repro/internal/engine/wal"
-	"repro/internal/mapping"
-	"repro/internal/xadt"
 	"repro/internal/xmltree"
 )
 
@@ -101,7 +97,7 @@ func (s *Session) AddDocuments(docs []*xmltree.Document) error {
 	if len(docs) == 0 {
 		return nil
 	}
-	s.es.Append(mvcc.Op{Kind: mvcc.OpDocAdd, Docs: docs})
+	s.es.Record(mvcc.Op{Kind: mvcc.OpDocAdd, Docs: docs})
 	return nil
 }
 
@@ -125,74 +121,11 @@ func (s *Session) AddXML(texts []string) error {
 // aborts this commit if any pinned victim — or the document key itself —
 // was touched meanwhile).
 func (s *Session) RemoveDocument(docID int64) error {
-	if s.st.DB.Catalog.Table(docRegistryTable) == nil {
-		return fmt.Errorf("core: store tracks no documents (use AddDocuments)")
-	}
-	regView, err := s.es.TableView(docRegistryTable)
+	ops, err := s.st.removeDocumentOps(s.es, docID)
 	if err != nil {
 		return err
 	}
-	type span struct {
-		rid    storage.RID
-		rel    string
-		lo, hi int64
-	}
-	var spans []span
-	for _, vr := range regView.Rows {
-		row := vr.Row
-		if !row[0].IsNull() && row[0].Kind() == types.KindInt && row[0].Int() == docID {
-			if row[1].Kind() != types.KindString || row[2].Kind() != types.KindInt || row[3].Kind() != types.KindInt {
-				return fmt.Errorf("core: malformed registry row for document %d", docID)
-			}
-			spans = append(spans, span{vr.RID, row[1].Str(), row[2].Int(), row[3].Int()})
-		}
-	}
-	if len(spans) == 0 {
-		return fmt.Errorf("core: unknown document %d", docID)
-	}
-	// Phase one: pin every victim against the session view before
-	// recording anything, so an error leaves the session unchanged.
-	type victimSet struct {
-		rel  string
-		rids []storage.RID
-	}
-	victims := make([]victimSet, 0, len(spans))
-	for _, sp := range spans {
-		rel := s.st.Schema.Relation(sp.rel)
-		if s.st.DB.Catalog.Table(sp.rel) == nil || rel == nil {
-			return fmt.Errorf("core: registry references unknown relation %s", sp.rel)
-		}
-		idCol := idColumn(rel)
-		if idCol < 0 {
-			return fmt.Errorf("core: relation %s has no ID column", sp.rel)
-		}
-		view, err := s.es.TableView(sp.rel)
-		if err != nil {
-			return err
-		}
-		vs := victimSet{rel: sp.rel}
-		for _, vr := range view.Rows {
-			if v := vr.Row[idCol]; !v.IsNull() && v.Kind() == types.KindInt && v.Int() > sp.lo && v.Int() <= sp.hi {
-				vs.rids = append(vs.rids, vr.RID)
-			}
-		}
-		victims = append(victims, vs)
-	}
-	// Phase two: record the deletes in the same order the direct path
-	// applies them — per-span victims in view (heap) order, then the
-	// registry rows.
-	for _, vs := range victims {
-		for _, rid := range vs.rids {
-			s.es.Append(mvcc.Op{Kind: mvcc.OpRowDelete, Table: vs.rel, RID: rid})
-			s.es.OverlayDelete(vs.rel, rid)
-			s.es.TouchRow(vs.rel, rid)
-		}
-	}
-	for _, sp := range spans {
-		s.es.Append(mvcc.Op{Kind: mvcc.OpRowDelete, Table: docRegistryTable, RID: sp.rid})
-		s.es.OverlayDelete(docRegistryTable, sp.rid)
-		s.es.TouchRow(docRegistryTable, sp.rid)
-	}
+	s.es.Record(ops...)
 	s.es.Touch(mvcc.DocKey(docID))
 	return nil
 }
@@ -202,67 +135,11 @@ func (s *Session) RemoveDocument(docID int64) error {
 // value is encoded now, the target row resolved from the session view,
 // and the update applied at Commit.
 func (s *Session) SpliceFragment(table, column string, id int64, fragTexts []string) error {
-	st := s.st
-	rel := st.Schema.Relation(table)
-	if rel == nil {
-		return fmt.Errorf("core: unknown relation %s", table)
-	}
-	var col *mapping.Column
-	ci := -1
-	for i := range rel.Columns {
-		if rel.Columns[i].Name == column {
-			col, ci = &rel.Columns[i], i
-			break
-		}
-	}
-	if col == nil {
-		return fmt.Errorf("core: relation %s has no column %s", table, column)
-	}
-	if col.Kind != mapping.KindXADT {
-		return fmt.Errorf("core: column %s.%s is not an XADT column", table, column)
-	}
-	want := col.Path[0]
-	var frags []*xmltree.Node
-	for _, text := range fragTexts {
-		doc, err := xmltree.Parse(text)
-		if err != nil {
-			return fmt.Errorf("core: parsing fragment: %w", err)
-		}
-		if doc.Root == nil || doc.Root.Name != want {
-			return fmt.Errorf("core: fragment root must be <%s> for column %s.%s", want, table, column)
-		}
-		frags = append(frags, doc.Root)
-	}
-	val := types.Null
-	if len(frags) > 0 {
-		val = types.NewXADT(xadt.Encode(frags, st.Format).Bytes())
-	}
-	if st.DB.Catalog.Table(table) == nil {
-		return fmt.Errorf("core: table %s does not exist yet", table)
-	}
-	idCol := idColumn(rel)
-	if idCol < 0 {
-		return fmt.Errorf("core: relation %s has no ID column", table)
-	}
-	view, err := s.es.TableView(table)
+	op, err := s.st.spliceOp(s.es, table, column, id, fragTexts)
 	if err != nil {
 		return err
 	}
-	// Last match wins, like the direct path's heap scan.
-	var target *mvcc.VRow
-	for i := range view.Rows {
-		if v := view.Rows[i].Row[idCol]; !v.IsNull() && v.Kind() == types.KindInt && v.Int() == id {
-			target = &view.Rows[i]
-		}
-	}
-	if target == nil {
-		return fmt.Errorf("core: no row with %s = %d in %s", rel.Columns[idCol].Name, id, table)
-	}
-	newRow := append([]types.Value(nil), target.Row...)
-	newRow[ci] = val
-	s.es.Append(mvcc.Op{Kind: mvcc.OpRowUpdate, Table: table, RID: target.RID, Row: newRow})
-	s.es.OverlayUpdate(table, target.RID, newRow)
-	s.es.TouchRow(table, target.RID)
+	s.es.Record(op)
 	return nil
 }
 

@@ -8,11 +8,12 @@ import (
 	"repro/internal/engine/storage"
 )
 
-// Applier replays a transaction's recorded row ops against the live
-// catalog at commit time. Ops reference rows by the RID they had in the
-// transaction's snapshot view (or a pseudo-RID for the txn's own
-// inserts); the applier tracks where each such row lives now, because an
-// update can move a row to a new slot mid-replay. First-committer-wins
+// Applier applies row ops against the live catalog: a statement's ops
+// on the store, a transaction's recorded ops at commit time. Ops
+// reference rows by the RID they had when the ops were computed (or a
+// pseudo-RID for a transaction's own inserts); the applier tracks where
+// each such row lives now, because an update can move a row to a new
+// slot mid-replay. First-committer-wins
 // conflict detection guarantees no other transaction has touched these
 // rows since the snapshot, so the only moves to track are our own.
 type Applier struct {
@@ -80,7 +81,9 @@ func (a *Applier) Apply(op mvcc.Op) error {
 		if err != nil {
 			return err
 		}
-		a.setCurrent(op.Table, op.RID, rid)
+		if mvcc.IsPseudo(op.RID) {
+			a.pseudo[op.RID.Slot] = rid
+		}
 		if a.log != nil {
 			return a.log.Insert(op.Table, op.Row)
 		}
@@ -99,7 +102,7 @@ func (a *Applier) Apply(op mvcc.Op) error {
 		}
 		if a.log != nil {
 			// Redo convention: log the pre-move RID plus the full new
-			// image, matching UpdateOp and replay.
+			// image; replay re-executes the move.
 			return a.log.Update(op.Table, cur, op.Row)
 		}
 		return nil

@@ -207,24 +207,33 @@ func (db *Database) Exec(query string, log exec.MutationLog) (int64, error) {
 	return db.ExecStatement(stmt, log)
 }
 
-// ExecStatement runs an already-parsed statement; see Exec.
+// ExecStatement runs an already-parsed statement; see Exec. A mutation
+// computes its row ops against the live heap, then applies them all; a
+// statement that fails validation changes nothing.
 func (db *Database) ExecStatement(stmt sql.Statement, log exec.MutationLog) (int64, error) {
-	op, err := db.planner.PlanStatement(stmt, log)
+	if sel, ok := stmt.(*sql.SelectStmt); ok {
+		op, err := db.planner.Plan(sel)
+		if err != nil {
+			return 0, err
+		}
+		rows, err := exec.Drain(op)
+		if err != nil {
+			return 0, fmt.Errorf("engine: executing statement: %w", err)
+		}
+		return int64(len(rows)), nil
+	}
+	m, err := db.planner.PlanMutation(stmt)
 	if err != nil {
 		return 0, err
 	}
-	rows, err := exec.Drain(op)
+	ops, err := m.Ops(exec.Live)
 	if err != nil {
-		return 0, fmt.Errorf("engine: executing statement: %w", err)
+		return 0, err
 	}
-	if _, ok := stmt.(*sql.SelectStmt); ok {
-		return int64(len(rows)), nil
+	if err := db.ApplyOps(ops, log); err != nil {
+		return 0, err
 	}
-	// Mutation operators emit exactly one row: the affected-row count.
-	if len(rows) != 1 || len(rows[0]) != 1 {
-		return 0, fmt.Errorf("engine: mutation returned malformed count")
-	}
-	return rows[0][0].Int(), nil
+	return int64(len(ops)), nil
 }
 
 // Explain returns the physical plan of a query as text.
@@ -294,7 +303,9 @@ func registerStandardFunctions(reg *expr.Registry, caches *xadt.CachePool) {
 			}
 			level := 0
 			if len(args) == 5 && !args[4].IsNull() {
-				level = int(args[4].Int())
+				if level, err = intArg("getElm", args[4]); err != nil {
+					return types.Null, err
+				}
 			}
 			eval := xadt.Evaluator{Cache: caches.Get()}
 			defer caches.Put(eval.Cache)
@@ -352,9 +363,17 @@ func registerStandardFunctions(reg *expr.Registry, caches *xadt.CachePool) {
 			if args[3].IsNull() || args[4].IsNull() {
 				return types.Null, nil
 			}
+			start, err := intArg("getElmIndex", args[3])
+			if err != nil {
+				return types.Null, err
+			}
+			end, err := intArg("getElmIndex", args[4])
+			if err != nil {
+				return types.Null, err
+			}
 			eval := xadt.Evaluator{Cache: caches.Get()}
 			defer caches.Put(eval.Cache)
-			out, err := eval.GetElmIndex(in, parentElm, childElm, int(args[3].Int()), int(args[4].Int()))
+			out, err := eval.GetElmIndex(in, parentElm, childElm, start, end)
 			if err != nil {
 				return types.Null, err
 			}
@@ -446,14 +465,17 @@ func registerStandardFunctions(reg *expr.Registry, caches *xadt.CachePool) {
 		return types.NewInt(int64(len(args[0].Str()))), nil
 	}
 	substrImpl := func(args []types.Value) (types.Value, error) {
-		if args[0].IsNull() {
+		if args[0].IsNull() || args[1].IsNull() {
 			return types.Null, nil
 		}
 		if args[0].Kind() != types.KindString {
 			return types.Null, fmt.Errorf("engine: substr expects a string")
 		}
 		s := args[0].Str()
-		start := int(args[1].Int()) // 1-based
+		start, err := intArg("substr", args[1]) // 1-based
+		if err != nil {
+			return types.Null, err
+		}
 		if start < 1 {
 			start = 1
 		}
@@ -462,7 +484,10 @@ func registerStandardFunctions(reg *expr.Registry, caches *xadt.CachePool) {
 		}
 		out := s[start-1:]
 		if len(args) == 3 && !args[2].IsNull() {
-			n := int(args[2].Int())
+			n, err := intArg("substr", args[2])
+			if err != nil {
+				return types.Null, err
+			}
 			if n < 0 {
 				n = 0
 			}
@@ -498,6 +523,15 @@ func xadtArg(v types.Value) (xadt.Value, error) {
 	default:
 		return xadt.Value{}, fmt.Errorf("engine: expected XADT argument, got %v", v.Kind())
 	}
+}
+
+// intArg reads an integer argument of fn, returning an error for any
+// other kind where Value.Int would panic.
+func intArg(fn string, v types.Value) (int, error) {
+	if v.Kind() != types.KindInt {
+		return 0, fmt.Errorf("engine: %s expects an integer argument, got %v", fn, v.Kind())
+	}
+	return int(v.Int()), nil
 }
 
 // stringArgs extracts up to three string arguments, treating NULL as "".

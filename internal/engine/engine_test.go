@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/plan"
+	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
 	"repro/internal/xadt"
 )
@@ -205,6 +206,44 @@ func TestQueryErrors(t *testing.T) {
 	for _, q := range cases {
 		if _, err := db.Query(q); err == nil {
 			t.Errorf("Query(%q) succeeded, want error", q)
+		}
+	}
+}
+
+// TestBuiltinIntegerArgumentsReturnErrors holds the built-ins' integer
+// arguments to an error, not a panic, for any other kind: serially and
+// in a parallel plan, where a panic in a Gather worker would kill the
+// process.
+func TestBuiltinIntegerArgumentsReturnErrors(t *testing.T) {
+	for _, dop := range []int{1, 4} {
+		db := fixtureDB(t)
+		db.SetPlannerOptions(plan.Options{DOP: dop, MorselPages: 1, ForceParallel: dop > 1})
+		// Enough rows for several morsels in each table.
+		speech, err := db.Catalog.Table("speech").Heap.Get(storage.RID{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			db.Catalog.Table("act").Insert([]types.Value{types.NewInt(int64(10 + i)), types.NewString("ACT X")})
+			db.Catalog.Table("speech").Insert(speech)
+		}
+		for _, q := range []string{
+			`SELECT getElm(speech_line, 'LINE', 'LINE', '', 'x') FROM speech`,
+			`SELECT getElmIndex(speech_line, 'speech', 'LINE', 'x', 1) FROM speech`,
+			`SELECT getElmIndex(speech_line, 'speech', 'LINE', 1, 'x') FROM speech`,
+			`SELECT substr(act_title, 'x') FROM act`,
+			`SELECT substr(act_title, 1, 'x') FROM act`,
+			`SELECT udf_substr(act_title, 'x') FROM act`,
+			`SELECT udf_substr(act_title, 1, 'x') FROM act`,
+		} {
+			if dop > 1 {
+				if text, err := db.Explain(q); err != nil || !strings.Contains(text, "Gather") {
+					t.Fatalf("DOP %d: %q does not plan in parallel:\n%s (%v)", dop, q, text, err)
+				}
+			}
+			if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), "expects an integer argument") {
+				t.Errorf("DOP %d: Query(%q) error = %v, want an integer-argument error", dop, q, err)
+			}
 		}
 	}
 }

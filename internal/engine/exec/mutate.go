@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/expr"
+	"repro/internal/engine/mvcc"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
 )
@@ -18,101 +19,105 @@ type MutationLog interface {
 	Delete(table string, rid storage.RID) error
 }
 
-// mutationSchema is the one-row output of every mutation operator: the
-// number of rows affected.
-func mutationSchema() *expr.RowSchema {
-	return expr.NewRowSchema(expr.ColInfo{Name: "count", Type: types.KindInt})
+// RowSource is where a mutation fixes its victims: the live heap for
+// the store (Live), a session's snapshot view for a session.
+type RowSource interface {
+	// Scan calls fn for each row of t in RID order; with idx set, only
+	// for the rows whose idx column equals key.
+	Scan(t *catalog.Table, idx *catalog.Index, key types.Value, fn func(storage.RID, []types.Value) error) error
 }
 
-// countOp is the shared skeleton of the mutation operators: Open applies
-// the whole mutation, Next emits a single affected-row count.
-type countOp struct {
-	count int64
-	done  bool
-}
+// Live is the RowSource of the committed store: the heap, narrowed by a
+// B+tree probe (whose RIDs come out heap-ordered) when idx is set.
+var Live RowSource = liveRows{}
 
-func (c *countOp) Schema() *expr.RowSchema { return mutationSchema() }
+type liveRows struct{}
 
-func (c *countOp) Next() ([]types.Value, error) {
-	if c.done {
-		return nil, nil
+func (liveRows) Scan(t *catalog.Table, idx *catalog.Index, key types.Value, fn func(storage.RID, []types.Value) error) error {
+	if idx == nil {
+		return t.Heap.Scan(fn)
 	}
-	c.done = true
-	return []types.Value{types.NewInt(c.count)}, nil
-}
-
-// Close implements Operator.
-func (c *countOp) Close() error { return nil }
-
-// InsertOp appends pre-evaluated rows to a table. The planner has
-// already folded the VALUES expressions to constants and null-filled
-// missing columns, so Open only validates against the schema (via
-// Table.Insert) and logs each row.
-type InsertOp struct {
-	countOp
-	Table *catalog.Table
-	Rows  [][]types.Value
-	Log   MutationLog
-}
-
-// Open implements Operator: it applies the insert.
-func (op *InsertOp) Open() error {
-	op.count, op.done = 0, false
-	for _, row := range op.Rows {
-		if err := op.Table.Insert(row); err != nil {
+	for _, rid := range idx.Tree.Lookup(key) {
+		row, err := t.Heap.Get(rid)
+		if err != nil {
 			return err
 		}
-		if op.Log != nil {
-			if err := op.Log.Insert(op.Table.Schema.Table, row); err != nil {
-				return err
-			}
+		if err := fn(rid, row); err != nil {
+			return err
 		}
-		op.count++
 	}
 	return nil
 }
 
-// collectMatches gathers the RIDs (and rows) matching the operator's
-// predicate, in heap order — phase one of the two-phase mutation
-// discipline that avoids the Halloween problem: the row set is fixed
-// before any row changes. With an index access path the candidate RIDs
-// come from the B+tree (already heap-ordered) and the full predicate is
-// re-verified on every fetched row, so index use never changes results.
-func collectMatches(t *catalog.Table, idx *catalog.Index, key types.Value, pred expr.Expr) ([]storage.RID, [][]types.Value, error) {
-	var rids []storage.RID
-	var rows [][]types.Value
-	if idx != nil {
-		for _, rid := range idx.Tree.Lookup(key) {
-			row, err := t.Heap.Get(rid)
-			if err != nil {
-				return nil, nil, err
+// SetCol is one pre-evaluated column assignment of an UPDATE.
+type SetCol struct {
+	Idx int
+	Val types.Value
+}
+
+// Mutation is a bound INSERT, UPDATE or DELETE. Ops computes its row
+// ops once; the store applies them at once (engine.Database.ApplyOps),
+// a session records them for commit (engine.Session.Record).
+type Mutation struct {
+	Kind  mvcc.OpKind // OpRowInsert, OpRowUpdate or OpRowDelete
+	Table *catalog.Table
+	// Rows are the INSERT's complete rows in schema order: the planner
+	// has folded the VALUES expressions and null-filled missing columns.
+	Rows [][]types.Value
+	Set  []SetCol
+	// Pred is the complete WHERE predicate (nil matches every row).
+	// Index and Key optionally narrow the candidates to a B+tree
+	// equality; Pred is re-verified on each, so index use never changes
+	// results.
+	Pred  expr.Expr
+	Index *catalog.Index
+	Key   types.Value
+}
+
+// Ops validates the statement and fixes its victim set against src
+// before any row changes — the two-phase discipline that avoids the
+// Halloween problem — and returns one op per affected row: inserts in
+// VALUES order, updates and deletes in src's RID order. An update op
+// carries the row's full new image. A statement that fails returns no
+// ops, so applying or recording them is all-or-nothing.
+func (m *Mutation) Ops(src RowSource) ([]mvcc.Op, error) {
+	table := m.Table.Schema.Table
+	if m.Kind == mvcc.OpRowInsert {
+		ops := make([]mvcc.Op, len(m.Rows))
+		for i, row := range m.Rows {
+			if err := m.Table.ValidateRow(row); err != nil {
+				return nil, err
 			}
-			ok, err := matches(pred, row)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				rids = append(rids, rid)
-				rows = append(rows, row)
-			}
+			ops[i] = mvcc.Op{Kind: mvcc.OpRowInsert, Table: table, Row: row}
 		}
-		return rids, rows, nil
+		return ops, nil
 	}
-	err := t.Heap.Scan(func(rid storage.RID, row []types.Value) error {
-		ok, err := matches(pred, row)
-		if err != nil {
+	for _, s := range m.Set {
+		col := m.Table.Schema.Columns[s.Idx]
+		if !s.Val.IsNull() && s.Val.Kind() != col.Type {
+			return nil, fmt.Errorf("exec: SET %s expects %v, got %v", col.Name, col.Type, s.Val.Kind())
+		}
+	}
+	var ops []mvcc.Op
+	err := src.Scan(m.Table, m.Index, m.Key, func(rid storage.RID, row []types.Value) error {
+		ok, err := matches(m.Pred, row)
+		if err != nil || !ok {
 			return err
 		}
-		if ok {
-			rids = append(rids, rid)
-			rows = append(rows, row)
+		op := mvcc.Op{Kind: m.Kind, Table: table, RID: rid}
+		if m.Kind == mvcc.OpRowUpdate {
+			op.Row = append([]types.Value(nil), row...)
+			for _, s := range m.Set {
+				op.Row[s.Idx] = s.Val
+			}
 		}
+		ops = append(ops, op)
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return rids, rows, nil
+	return ops, nil
 }
 
 func matches(pred expr.Expr, row []types.Value) (bool, error) {
@@ -124,90 +129,4 @@ func matches(pred expr.Expr, row []types.Value) (bool, error) {
 		return false, err
 	}
 	return v.Truthy(), nil
-}
-
-// DeleteOp removes the rows matching Pred from a table. Index and Key
-// optionally narrow the collect phase to a B+tree equality's candidates;
-// Pred is always the complete WHERE predicate.
-type DeleteOp struct {
-	countOp
-	Table *catalog.Table
-	Pred  expr.Expr
-	Index *catalog.Index
-	Key   types.Value
-	Log   MutationLog
-}
-
-// Open implements Operator: it applies the delete.
-func (op *DeleteOp) Open() error {
-	op.count, op.done = 0, false
-	rids, _, err := collectMatches(op.Table, op.Index, op.Key, op.Pred)
-	if err != nil {
-		return err
-	}
-	for _, rid := range rids {
-		if _, err := op.Table.DeleteRID(rid); err != nil {
-			return err
-		}
-		if op.Log != nil {
-			if err := op.Log.Delete(op.Table.Schema.Table, rid); err != nil {
-				return err
-			}
-		}
-		op.count++
-	}
-	return nil
-}
-
-// SetCol is one pre-evaluated column assignment of an UPDATE.
-type SetCol struct {
-	Idx int
-	Val types.Value
-}
-
-// UpdateOp rewrites the matching rows with the assignments in Set. The
-// logged redo record carries the row's pre-update RID and its full new
-// image; replaying it through Table.UpdateRID reproduces any row
-// movement deterministically.
-type UpdateOp struct {
-	countOp
-	Table *catalog.Table
-	Pred  expr.Expr
-	Index *catalog.Index
-	Key   types.Value
-	Set   []SetCol
-	Log   MutationLog
-}
-
-// Open implements Operator: it applies the update.
-func (op *UpdateOp) Open() error {
-	op.count, op.done = 0, false
-	// Validate assignments up front so the apply phase cannot fail
-	// part-way on a type error.
-	for _, s := range op.Set {
-		col := op.Table.Schema.Columns[s.Idx]
-		if !s.Val.IsNull() && s.Val.Kind() != col.Type {
-			return fmt.Errorf("exec: SET %s expects %v, got %v", col.Name, col.Type, s.Val.Kind())
-		}
-	}
-	rids, rows, err := collectMatches(op.Table, op.Index, op.Key, op.Pred)
-	if err != nil {
-		return err
-	}
-	for i, rid := range rids {
-		row := append([]types.Value(nil), rows[i]...)
-		for _, s := range op.Set {
-			row[s.Idx] = s.Val
-		}
-		if _, err := op.Table.UpdateRID(rid, row); err != nil {
-			return err
-		}
-		if op.Log != nil {
-			if err := op.Log.Update(op.Table.Schema.Table, rid, row); err != nil {
-				return err
-			}
-		}
-		op.count++
-	}
-	return nil
 }

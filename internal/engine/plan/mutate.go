@@ -3,35 +3,32 @@ package plan
 import (
 	"fmt"
 
-	"repro/internal/engine/catalog"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/expr"
+	"repro/internal/engine/mvcc"
 	"repro/internal/engine/sql"
 	"repro/internal/engine/types"
 )
 
-// PlanStatement compiles any statement. SELECTs go through the query
-// planner; DML statements compile to mutation operators that log their
-// redo records to log (which may be nil for non-durable stores).
-func (p *Planner) PlanStatement(stmt sql.Statement, log exec.MutationLog) (exec.Operator, error) {
+// PlanMutation binds an INSERT, UPDATE or DELETE to an exec.Mutation,
+// whose Ops computes the statement's row ops for the store and for
+// sessions alike.
+func (p *Planner) PlanMutation(stmt sql.Statement) (*exec.Mutation, error) {
 	switch s := stmt.(type) {
-	case *sql.SelectStmt:
-		return p.Plan(s)
 	case *sql.InsertStmt:
-		return p.PlanInsert(s, log)
+		return p.planInsert(s)
 	case *sql.UpdateStmt:
-		return p.PlanUpdate(s, log)
+		return p.planUpdate(s)
 	case *sql.DeleteStmt:
-		return p.PlanDelete(s, log)
+		return p.planDelete(s)
 	default:
-		return nil, fmt.Errorf("plan: unknown statement %T", stmt)
+		return nil, fmt.Errorf("plan: %T is not a mutation", stmt)
 	}
 }
 
-// PlanInsert folds the VALUES expressions to constants, maps explicit
-// column lists onto schema order (missing columns become NULL), and
-// compiles to an InsertOp.
-func (p *Planner) PlanInsert(stmt *sql.InsertStmt, log exec.MutationLog) (exec.Operator, error) {
+// planInsert folds the VALUES expressions to constants and maps explicit
+// column lists onto schema order (missing columns become NULL).
+func (p *Planner) planInsert(stmt *sql.InsertStmt) (*exec.Mutation, error) {
 	tbl := p.Cat.Table(stmt.Table)
 	if tbl == nil {
 		return nil, fmt.Errorf("plan: unknown table %s", stmt.Table)
@@ -55,7 +52,7 @@ func (p *Planner) PlanInsert(stmt *sql.InsertStmt, log exec.MutationLog) (exec.O
 			cols = append(cols, ci)
 		}
 	}
-	op := &exec.InsertOp{Table: tbl, Log: log}
+	m := &exec.Mutation{Kind: mvcc.OpRowInsert, Table: tbl}
 	for _, tuple := range stmt.Rows {
 		if len(tuple) != len(cols) {
 			return nil, fmt.Errorf("plan: VALUES tuple has %d expressions for %d columns", len(tuple), len(cols))
@@ -71,19 +68,19 @@ func (p *Planner) PlanInsert(stmt *sql.InsertStmt, log exec.MutationLog) (exec.O
 			}
 			row[cols[j]] = v
 		}
-		op.Rows = append(op.Rows, row)
+		m.Rows = append(m.Rows, row)
 	}
-	return op, nil
+	return m, nil
 }
 
-// PlanUpdate binds the WHERE predicate and SET assignments against the
-// table schema and compiles to an UpdateOp.
-func (p *Planner) PlanUpdate(stmt *sql.UpdateStmt, log exec.MutationLog) (exec.Operator, error) {
-	tbl, schema, err := p.mutationTarget(stmt.Table)
+// planUpdate binds the WHERE predicate and SET assignments against the
+// table schema.
+func (p *Planner) planUpdate(stmt *sql.UpdateStmt) (*exec.Mutation, error) {
+	m, err := p.mutationWhere(mvcc.OpRowUpdate, stmt.Table, stmt.Where)
 	if err != nil {
 		return nil, err
 	}
-	op := &exec.UpdateOp{Table: tbl, Log: log}
+	tbl := m.Table
 	seen := map[int]bool{}
 	for _, sc := range stmt.Set {
 		ci := tbl.Schema.ColIndex(sc.Column)
@@ -98,73 +95,55 @@ func (p *Planner) PlanUpdate(stmt *sql.UpdateStmt, log exec.MutationLog) (exec.O
 		if err != nil {
 			return nil, err
 		}
-		op.Set = append(op.Set, exec.SetCol{Idx: ci, Val: v})
+		m.Set = append(m.Set, exec.SetCol{Idx: ci, Val: v})
 	}
-	op.Pred, op.Index, op.Key, err = p.bindMutationWhere(stmt.Where, tbl, schema)
-	if err != nil {
-		return nil, err
-	}
-	return op, nil
+	return m, nil
 }
 
-// PlanDelete binds the WHERE predicate against the table schema and
-// compiles to a DeleteOp.
-func (p *Planner) PlanDelete(stmt *sql.DeleteStmt, log exec.MutationLog) (exec.Operator, error) {
-	tbl, schema, err := p.mutationTarget(stmt.Table)
-	if err != nil {
-		return nil, err
-	}
-	op := &exec.DeleteOp{Table: tbl, Log: log}
-	op.Pred, op.Index, op.Key, err = p.bindMutationWhere(stmt.Where, tbl, schema)
-	if err != nil {
-		return nil, err
-	}
-	return op, nil
+// planDelete binds the WHERE predicate against the table schema.
+func (p *Planner) planDelete(stmt *sql.DeleteStmt) (*exec.Mutation, error) {
+	return p.mutationWhere(mvcc.OpRowDelete, stmt.Table, stmt.Where)
 }
 
-// mutationTarget resolves a DML target table and its row schema (the
-// table name doubles as the qualifier, matching SELECT's default alias).
-func (p *Planner) mutationTarget(name string) (*catalog.Table, *expr.RowSchema, error) {
+// mutationWhere resolves an UPDATE or DELETE target table and binds its
+// WHERE clause against the table's row schema (the table name doubles
+// as the qualifier, matching SELECT's default alias). It reuses the
+// query planner's access-path selection in miniature: when an
+// indexed-equality conjunct exists (and index scans are enabled), the
+// B+tree supplies the candidate RIDs while the complete predicate is
+// still re-verified per row — exactly the superset-plus-reverify
+// contract of SELECT's index paths.
+func (p *Planner) mutationWhere(kind mvcc.OpKind, name string, where sql.Expr) (*exec.Mutation, error) {
 	tbl := p.Cat.Table(name)
 	if tbl == nil {
-		return nil, nil, fmt.Errorf("plan: unknown table %s", name)
+		return nil, fmt.Errorf("plan: unknown table %s", name)
+	}
+	m := &exec.Mutation{Kind: kind, Table: tbl}
+	if where == nil {
+		return m, nil
 	}
 	cols := make([]expr.ColInfo, len(tbl.Schema.Columns))
 	for i, c := range tbl.Schema.Columns {
 		cols[i] = expr.ColInfo{Qualifier: name, Name: c.Name, Type: c.Type}
 	}
-	return tbl, expr.NewRowSchema(cols...), nil
-}
-
-// bindMutationWhere binds a DML WHERE clause, reusing the query
-// planner's access-path selection in miniature: when an indexed-equality
-// conjunct exists (and index scans are enabled), the B+tree supplies the
-// candidate RIDs while the complete predicate is still re-verified per
-// row — exactly the superset-plus-reverify contract of SELECT's index
-// paths.
-func (p *Planner) bindMutationWhere(where sql.Expr, tbl *catalog.Table, schema *expr.RowSchema) (expr.Expr, *catalog.Index, types.Value, error) {
-	if where == nil {
-		return nil, nil, types.Null, nil
+	var err error
+	if m.Pred, err = p.bind(where, expr.NewRowSchema(cols...)); err != nil {
+		return nil, err
 	}
-	pred, err := p.bind(where, schema)
-	if err != nil {
-		return nil, nil, types.Null, err
+	if p.Opts.DisableIndexScan {
+		return m, nil
 	}
-	if !p.Opts.DisableIndexScan {
-		for _, conj := range splitConjuncts(where) {
-			ref, val, ok := constEquality(conj)
-			if !ok {
-				continue
-			}
-			if ref.Qualifier != "" && ref.Qualifier != tbl.Schema.Table {
-				continue
-			}
-			if idx := tbl.IndexOn(ref.Name); idx != nil {
-				return pred, idx, val, nil
-			}
+	for _, conj := range splitConjuncts(where) {
+		ref, val, ok := constEquality(conj)
+		if !ok || (ref.Qualifier != "" && ref.Qualifier != tbl.Schema.Table) {
+			continue
+		}
+		if idx := tbl.IndexOn(ref.Name); idx != nil {
+			m.Index, m.Key = idx, val
+			return m, nil
 		}
 	}
-	return pred, nil, types.Null, nil
+	return m, nil
 }
 
 // foldValue evaluates a DML value expression to a constant. Column

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/exec"
-	"repro/internal/engine/expr"
 	"repro/internal/engine/mvcc"
 	"repro/internal/engine/plan"
 	"repro/internal/engine/sql"
@@ -68,45 +67,36 @@ func (s *Session) Snapshot() uint64 { return s.txn.Snapshot() }
 // Ops returns the mutation ops recorded so far, in execution order.
 func (s *Session) Ops() []mvcc.Op { return s.ops }
 
-// Append records an op without overlay bookkeeping; core's document ops
-// use it together with OverlayDelete/OverlayUpdate and Touch.
-func (s *Session) Append(op mvcc.Op) { s.ops = append(s.ops, op) }
-
 // Touch registers a write-write conflict key for commit-time detection.
 func (s *Session) Touch(key string) { s.txn.Touch(key) }
 
-// TouchRow registers the conflict key of a view row; pseudo RIDs (the
-// session's own inserts) carry no key — nothing committed can conflict
-// with a row nobody else has seen.
-func (s *Session) TouchRow(table string, rid storage.RID) {
-	if !mvcc.IsPseudo(rid) {
-		s.txn.Touch(mvcc.RowKey(table, rid))
+// Record appends ops to the transaction, in order, for Commit to apply.
+// Each row op also updates the session's overlay, so the session's later
+// reads see it: an insert gets the next pseudo RID, and an update or
+// delete registers its row's conflict key. Pseudo RIDs (the session's
+// own inserts) carry no key — nothing committed can conflict with a row
+// nobody else has seen. Document adds are recorded as they are.
+func (s *Session) Record(ops ...mvcc.Op) {
+	for _, op := range ops {
+		switch op.Kind {
+		case mvcc.OpRowInsert:
+			op.RID = mvcc.PseudoRID(s.nins)
+			s.nins++
+			ov := s.tableOverlay(op.Table)
+			ov.inserted = append(ov.inserted, mvcc.VRow{RID: op.RID, Row: op.Row})
+		case mvcc.OpRowUpdate, mvcc.OpRowDelete:
+			ov := s.tableOverlay(op.Table)
+			if op.Kind == mvcc.OpRowUpdate {
+				ov.updated[op.RID] = op.Row
+			} else {
+				ov.deleted[op.RID] = true
+			}
+			if !mvcc.IsPseudo(op.RID) {
+				s.txn.Touch(mvcc.RowKey(op.Table, op.RID))
+			}
+		}
+		s.ops = append(s.ops, op)
 	}
-}
-
-// NextPseudoRID hands out the next pseudo RID for a session-local
-// insert.
-func (s *Session) NextPseudoRID() storage.RID {
-	rid := mvcc.PseudoRID(s.nins)
-	s.nins++
-	return rid
-}
-
-// OverlayInsert layers an uncommitted insert over the snapshot view.
-func (s *Session) OverlayInsert(table string, rid storage.RID, row []types.Value) {
-	ov := s.tableOverlay(table)
-	ov.inserted = append(ov.inserted, mvcc.VRow{RID: rid, Row: row})
-}
-
-// OverlayDelete hides a view row from the session's later reads.
-func (s *Session) OverlayDelete(table string, rid storage.RID) {
-	s.tableOverlay(table).deleted[rid] = true
-}
-
-// OverlayUpdate replaces a view row's image in the session's later
-// reads.
-func (s *Session) OverlayUpdate(table string, rid storage.RID, row []types.Value) {
-	s.tableOverlay(table).updated[rid] = row
 }
 
 func (s *Session) tableOverlay(table string) *tableOverlay {
@@ -160,6 +150,26 @@ func (s *Session) TableView(table string) (*mvcc.View, error) {
 	return &mvcc.View{Rows: out}, nil
 }
 
+// Scan implements exec.RowSource over the session view, so a mutation
+// fixes its victims against what the session sees. An index access path
+// filters the view on the indexed column: the live B+tree may hold rows
+// this snapshot must not see.
+func (s *Session) Scan(t *catalog.Table, idx *catalog.Index, key types.Value, fn func(storage.RID, []types.Value) error) error {
+	view, err := s.TableView(t.Schema.Table)
+	if err != nil {
+		return err
+	}
+	for _, vr := range view.Rows {
+		if idx != nil && !types.Equal(vr.Row[idx.ColIdx], key) {
+			continue
+		}
+		if err := fn(vr.RID, vr.Row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Query compiles and runs a SELECT under the session snapshot.
 func (s *Session) Query(query string) (*Result, error) {
 	if s.closed {
@@ -200,110 +210,16 @@ func (s *Session) Exec(query string) (int64, error) {
 		}
 		return int64(len(res.Rows)), nil
 	}
-	op, err := s.planner.PlanStatement(stmt, nil)
+	m, err := s.planner.PlanMutation(stmt)
 	if err != nil {
 		return 0, err
 	}
-	switch m := op.(type) {
-	case *exec.InsertOp:
-		return s.execInsert(m)
-	case *exec.DeleteOp:
-		return s.execDelete(m)
-	case *exec.UpdateOp:
-		return s.execUpdate(m)
-	default:
-		return 0, fmt.Errorf("engine: unsupported statement in session")
-	}
-}
-
-func (s *Session) execInsert(m *exec.InsertOp) (int64, error) {
-	table := m.Table.Schema.Table
-	for _, row := range m.Rows {
-		if err := m.Table.ValidateRow(row); err != nil {
-			return 0, err
-		}
-	}
-	for _, row := range m.Rows {
-		rid := s.NextPseudoRID()
-		s.Append(mvcc.Op{Kind: mvcc.OpRowInsert, Table: table, RID: rid, Row: row})
-		s.OverlayInsert(table, rid, row)
-	}
-	return int64(len(m.Rows)), nil
-}
-
-func (s *Session) execDelete(m *exec.DeleteOp) (int64, error) {
-	table := m.Table.Schema.Table
-	victims, err := s.matchView(table, m.Index, m.Key, m.Pred)
+	ops, err := m.Ops(s)
 	if err != nil {
 		return 0, err
 	}
-	for _, vr := range victims {
-		s.Append(mvcc.Op{Kind: mvcc.OpRowDelete, Table: table, RID: vr.RID})
-		s.OverlayDelete(table, vr.RID)
-		s.TouchRow(table, vr.RID)
-	}
-	return int64(len(victims)), nil
-}
-
-func (s *Session) execUpdate(m *exec.UpdateOp) (int64, error) {
-	table := m.Table.Schema.Table
-	for _, set := range m.Set {
-		col := m.Table.Schema.Columns[set.Idx]
-		if !set.Val.IsNull() && set.Val.Kind() != col.Type {
-			return 0, fmt.Errorf("exec: SET %s expects %v, got %v", col.Name, col.Type, set.Val.Kind())
-		}
-	}
-	victims, err := s.matchView(table, m.Index, m.Key, m.Pred)
-	if err != nil {
-		return 0, err
-	}
-	for _, vr := range victims {
-		row := append([]types.Value(nil), vr.Row...)
-		for _, set := range m.Set {
-			row[set.Idx] = set.Val
-		}
-		s.Append(mvcc.Op{Kind: mvcc.OpRowUpdate, Table: table, RID: vr.RID, Row: row})
-		s.OverlayUpdate(table, vr.RID, row)
-		s.TouchRow(table, vr.RID)
-	}
-	return int64(len(victims)), nil
-}
-
-// matchView fixes a DML statement's victim set against the session view
-// before any op is recorded — the same two-phase discipline as the
-// direct operators. A B+tree access path narrows by filtering the view
-// on the indexed column (snapshot-safe index visibility); the full
-// predicate is always re-verified.
-func (s *Session) matchView(table string, idx *catalog.Index, key types.Value, pred expr.Expr) ([]mvcc.VRow, error) {
-	view, err := s.TableView(table)
-	if err != nil {
-		return nil, err
-	}
-	var out []mvcc.VRow
-	for _, vr := range view.Rows {
-		if idx != nil && !types.Equal(vr.Row[idx.ColIdx], key) {
-			continue
-		}
-		ok, err := truthy(pred, vr.Row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, vr)
-		}
-	}
-	return out, nil
-}
-
-func truthy(pred expr.Expr, row []types.Value) (bool, error) {
-	if pred == nil {
-		return true, nil
-	}
-	v, err := pred.Eval(row)
-	if err != nil {
-		return false, err
-	}
-	return v.Truthy(), nil
+	s.Record(ops...)
+	return int64(len(ops)), nil
 }
 
 // ApplyOps replays recorded row ops against the live catalog, writing
