@@ -237,54 +237,69 @@ func TestPaperQueryOracle(t *testing.T) {
 		}
 	})
 
-	// golden pins the XORator rows as text, so a change to how XADT
-	// methods evaluate cannot move a query answer unnoticed; rerun with
-	// -update after reviewing an intentional change. QS1 projects the
-	// stored fragments and calls no XADT method, so it is pinned by the
-	// SHA-256 of its rendered rows rather than by 600 KB of them.
+	// golden pins each mapping's rows as text, so neither a change to how
+	// XADT methods evaluate nor one to how joins and scans build rows can
+	// move a query answer unnoticed; rerun with -update after reviewing an
+	// intentional change. QS1 returns whole stored fragments (XORator)
+	// or over 10k flattened rows (Hybrid), so it is pinned by the SHA-256
+	// of its rendered rows rather than by the rows themselves.
 	t.Run("golden", func(t *testing.T) {
-		var sb strings.Builder
-		for _, ps := range stores {
-			if ps.alg != core.XORator {
-				continue
-			}
-			ids := make([]string, 0, len(ps.want))
-			for id := range ps.want {
-				ids = append(ids, id)
-			}
-			slices.Sort(ids)
-			for _, id := range ids {
-				fmt.Fprintf(&sb, "== %s %s: %d rows\n", ps.name, id, len(ps.want[id]))
-				lines := renderRows(t, ps.want[id])
-				if id == "QS1" {
-					fmt.Fprintf(&sb, "sha256 %x\n", sha256.Sum256([]byte(strings.Join(lines, "\n"))))
-					continue
-				}
-				for _, line := range lines {
-					sb.WriteString(line)
-					sb.WriteByte('\n')
-				}
-			}
-		}
-		got := sb.String()
-		path := filepath.Join("testdata", "paperquery_xorator.golden")
-		if *update {
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read golden file: %v (run with -update to create it)", err)
-		}
-		if got != string(want) {
-			t.Errorf("XORator rows differ from %s; rerun with -update if the change is intentional", path)
+		for _, g := range []struct {
+			alg  core.Algorithm
+			file string
+		}{
+			{core.XORator, "paperquery_xorator.golden"},
+			{core.Hybrid, "paperquery_hybrid.golden"},
+		} {
+			checkRowsGolden(t, stores, g.alg, filepath.Join("testdata", g.file))
 		}
 	})
 
 	if got := vec.Outstanding(); got != baseBatches {
 		t.Errorf("%d pooled batches leaked across the oracle run", got-baseBatches)
+	}
+}
+
+// checkRowsGolden compares the default serial rows of every query under
+// one mapping with a golden file.
+func checkRowsGolden(t *testing.T, stores []*paperStore, alg core.Algorithm, path string) {
+	t.Helper()
+	var sb strings.Builder
+	for _, ps := range stores {
+		if ps.alg != alg {
+			continue
+		}
+		ids := make([]string, 0, len(ps.want))
+		for id := range ps.want {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			fmt.Fprintf(&sb, "== %s %s: %d rows\n", ps.name, id, len(ps.want[id]))
+			lines := renderRows(t, ps.want[id])
+			if id == "QS1" {
+				fmt.Fprintf(&sb, "sha256 %x\n", sha256.Sum256([]byte(strings.Join(lines, "\n"))))
+				continue
+			}
+			for _, line := range lines {
+				sb.WriteString(line)
+				sb.WriteByte('\n')
+			}
+		}
+	}
+	got := sb.String()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden file: %v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s rows differ from %s; rerun with -update if the change is intentional", alg, path)
 	}
 }
 
