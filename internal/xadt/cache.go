@@ -70,12 +70,15 @@ func (c *Cache) table(v Value) (*table, error) {
 	if c.missStreak > 2*c.cap && c.missStreak%8 != 0 {
 		return &c.w.t, nil
 	}
-	// The evicted entry's table slices are reused for the new one.
-	e := &cacheEntry{}
+	// A full cache reuses the evicted entry and its table slices; only a
+	// cache with room allocates an entry.
+	var e *cacheEntry
 	if len(c.entries) >= c.cap {
 		e = c.head.prev
 		c.unlink(e)
 		delete(c.entries, e.key)
+	} else {
+		e = &cacheEntry{}
 	}
 	e.key = string(v.data)
 	e.t = table{

@@ -109,3 +109,40 @@ func TestSharedCacheMatchesUncached(t *testing.T) {
 		t.Errorf("only %d values", len(vals))
 	}
 }
+
+// TestFullCacheMissAllocatesOnlyKey admits misses into a full cache: the
+// evicted entry and its table slices are reused, so the only allocation
+// is the copy of the new key.
+func TestFullCacheMissAllocatesOnlyKey(t *testing.T) {
+	const capacity = 4
+	c := NewCache(capacity)
+	hot := Encode(fragment(t, "<H>hot</H>"), Raw)
+	var cold []Value
+	for _, s := range []string{"<A>1</A>", "<B>2</B>", "<C>3</C>", "<D>4</D>"} {
+		cold = append(cold, Encode(fragment(t, s), Raw))
+	}
+	i := 0
+	access := func() {
+		// The hit keeps the miss streak short, so every miss is admitted;
+		// cycling four cold values through three free slots makes every
+		// cold access a miss that evicts.
+		if _, err := c.table(hot); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.table(cold[i%len(cold)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for j := 0; j < 2*len(cold); j++ {
+		access()
+	}
+	before := c.Stats()
+	if allocs := testing.AllocsPerRun(100, access); allocs > 1 {
+		t.Errorf("%.1f allocations per admitted miss into a full cache, want at most 1 (the key)", allocs)
+	}
+	s := c.Stats()
+	if runs := s.Misses - before.Misses; runs < 100 || s.Hits-before.Hits != runs || c.Len() != capacity {
+		t.Errorf("stats %+v after %+v, len %d: not one hit and one admitted miss per run", s, before, c.Len())
+	}
+}
