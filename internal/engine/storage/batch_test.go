@@ -8,6 +8,8 @@ import (
 	"repro/internal/engine/types"
 )
 
+// TestDecodeRecordCols decodes records into column lists: every column,
+// a subset that skips strings and XADT payloads, and malformed lists.
 func TestDecodeRecordCols(t *testing.T) {
 	row := []types.Value{
 		types.NewInt(42),
@@ -16,21 +18,59 @@ func TestDecodeRecordCols(t *testing.T) {
 		types.NewXADT([]byte("<a>frag</a>")),
 		types.NewBool(true),
 	}
-	cols := make([][]types.Value, len(row))
-	for j := range cols {
-		cols[j] = make([]types.Value, 4)
-	}
-	if err := DecodeRecordCols(EncodeRecord(row), cols, 2); err != nil {
-		t.Fatal(err)
-	}
-	for j := range row {
-		if !types.Equal(cols[j][2], row[j]) {
-			t.Errorf("column %d = %v, want %v", j, cols[j][2], row[j])
+	rec := EncodeRecord(row)
+	for _, cols := range [][]int{nil, {}, {0}, {4}, {0, 2, 4}, {1, 3}, {0, 1, 2, 3, 4}} {
+		n := len(cols)
+		if cols == nil {
+			n = len(row)
+		}
+		out := make([]types.Value, n)
+		if err := DecodeRecordInto(rec, cols, out); err != nil {
+			t.Fatalf("%v: %v", cols, err)
+		}
+		for k := range out {
+			j := k
+			if cols != nil {
+				j = cols[k]
+			}
+			if !types.Equal(out[k], row[j]) || out[k].Kind() != row[j].Kind() {
+				t.Errorf("%v: out[%d] = %v, want column %d = %v", cols, k, out[k], j, row[j])
+			}
 		}
 	}
-	// Arity mismatch must fail loudly, not silently truncate.
-	if err := DecodeRecordCols(EncodeRecord(row), cols[:3], 0); err == nil {
-		t.Fatal("arity mismatch not detected")
+	// Arity mismatches and unusable lists fail loudly, never truncate.
+	for _, c := range []struct {
+		cols []int
+		n    int
+	}{
+		{nil, 3}, {[]int{0, 1}, 1}, {[]int{5}, 1}, {[]int{2, 1}, 2}, {[]int{1, 1}, 2},
+	} {
+		if err := DecodeRecordInto(rec, c.cols, make([]types.Value, c.n)); err == nil {
+			t.Errorf("cols %v into %d values: no error", c.cols, c.n)
+		}
+	}
+}
+
+// TestCursorDecodesNamedColumns checks that a cursor opened with a column
+// list yields exactly those columns of every row, overflow rows included.
+func TestCursorDecodesNamedColumns(t *testing.T) {
+	h := NewHeapFile(nil)
+	big := strings.Repeat("x", 3*PageSize)
+	for i := 0; i < 500; i++ {
+		s := fmt.Sprintf("row %d", i)
+		if i%97 == 0 {
+			s = big
+		}
+		h.Insert([]types.Value{types.NewInt(int64(i)), types.NewString(s), types.NewXADT([]byte(s)), types.NewInt(int64(-i))})
+	}
+	rows := drainCursor(t, h.NewRangeCursor(0, h.DataPages(), []int{0, 3}), 2, 64)
+	if len(rows) != 500 {
+		t.Fatalf("%d rows, want 500", len(rows))
+	}
+	for i, r := range rows {
+		if r[0].Int() != int64(i) || r[1].Int() != int64(-i) {
+			t.Fatalf("row %d = %v", i, r)
+		}
 	}
 }
 

@@ -125,7 +125,7 @@ func TestRangeCursor(t *testing.T) {
 	var got []int64
 	mid := pages / 2
 	for _, r := range [][2]int{{0, mid}, {mid, pages}} {
-		for _, row := range drainCursor(t, h.NewRangeCursor(r[0], r[1]), 1, 256) {
+		for _, row := range drainCursor(t, h.NewRangeCursor(r[0], r[1], nil), 1, 256) {
 			got = append(got, row[0].Int())
 		}
 	}
@@ -138,7 +138,7 @@ func TestRangeCursor(t *testing.T) {
 		}
 	}
 	// Out-of-bounds ranges clamp rather than panic.
-	if n := len(drainCursor(t, h.NewRangeCursor(-5, pages+100), 1, 256)); n != 3000 {
+	if n := len(drainCursor(t, h.NewRangeCursor(-5, pages+100, nil), 1, 256)); n != 3000 {
 		t.Errorf("clamped cursor yielded %d rows, want 3000", n)
 	}
 }
