@@ -46,7 +46,7 @@ func col(schema *expr.RowSchema, q, n string, t *testing.T) *expr.Col {
 func TestSeqScan(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 100)
-	rows, err := Drain(NewSeqScan(tbl, "t"))
+	rows, err := Drain(NewSeqScan(tbl, "t", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSeqScan(t *testing.T) {
 func TestSeqScanReopen(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 10)
-	scan := NewSeqScan(tbl, "t")
+	scan := NewSeqScan(tbl, "t", nil)
 	for round := 0; round < 2; round++ {
 		rows, err := Drain(scan)
 		if err != nil || len(rows) != 10 {
@@ -77,7 +77,7 @@ func TestIndexScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := tbl.IndexOn("grp")
-	rows, err := Drain(NewIndexScan(tbl, "t", idx, types.NewString("g1")))
+	rows, err := Drain(NewIndexScan(tbl, "t", nil, idx, types.NewString("g1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestIndexScan(t *testing.T) {
 func TestFilter(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 50)
-	scan := NewSeqScan(tbl, "t")
+	scan := NewSeqScan(tbl, "t", nil)
 	pred := &expr.Cmp{Op: expr.LT, L: col(scan.Schema(), "t", "id", t), R: &expr.Const{Val: types.NewInt(5)}}
 	rows, err := Drain(NewFilter(scan, pred))
 	if err != nil || len(rows) != 5 {
@@ -105,7 +105,7 @@ func TestFilter(t *testing.T) {
 func TestProject(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 3)
-	scan := NewSeqScan(tbl, "t")
+	scan := NewSeqScan(tbl, "t", nil)
 	p := NewProject(scan, []expr.Expr{col(scan.Schema(), "t", "val", t)}, []string{"v"})
 	rows, err := Drain(p)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestProject(t *testing.T) {
 func TestSortAscDesc(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 20)
-	scan := NewSeqScan(tbl, "t")
+	scan := NewSeqScan(tbl, "t", nil)
 	key := col(scan.Schema(), "t", "id", t)
 	rows, err := Drain(NewSort(scan, []expr.Expr{key}, []bool{true}))
 	if err != nil {
@@ -177,8 +177,8 @@ func TestJoinsAgree(t *testing.T) {
 
 	// Equi-join l.id = r.id: expect 45 matches.
 	build := func(kind string) Operator {
-		ls := NewSeqScan(left, "l")
-		rs := NewSeqScan(right, "r")
+		ls := NewSeqScan(left, "l", nil)
+		rs := NewSeqScan(right, "r", nil)
 		joined := expr.Concat(ls.Schema(), rs.Schema())
 		lk := col(joined, "l", "id", t)
 		rk := col(joined, "r", "id", t)
@@ -306,7 +306,7 @@ func TestTableFuncApply(t *testing.T) {
 func TestHashAggregateGroups(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 30)
-	scan := NewSeqScan(tbl, "t")
+	scan := NewSeqScan(tbl, "t", nil)
 	g := col(scan.Schema(), "t", "grp", t)
 	v := col(scan.Schema(), "t", "val", t)
 	agg := NewHashAggregate(scan,

@@ -21,6 +21,9 @@ import (
 type IndexedFragScan struct {
 	Table *catalog.Table
 	Alias string
+	// Cols are the stored columns fetched and emitted, ascending; nil
+	// means every column.
+	Cols []int
 	// RIDs are the candidate rows, sorted in heap order. The slice may be
 	// shared with the planner's per-statement probe results: read-only.
 	RIDs []storage.RID
@@ -33,13 +36,15 @@ type IndexedFragScan struct {
 	Est    float64
 	schema *expr.RowSchema
 	pos    int
+	row    []types.Value // a fetched row the predicate rejected, reused
 }
 
-// NewIndexedFragScan returns an indexed fragment scan.
-func NewIndexedFragScan(t *catalog.Table, alias string, rids []storage.RID, pred expr.Expr, desc string) *IndexedFragScan {
+// NewIndexedFragScan returns an indexed fragment scan emitting the
+// stored columns cols (nil: all).
+func NewIndexedFragScan(t *catalog.Table, alias string, cols []int, rids []storage.RID, pred expr.Expr, desc string) *IndexedFragScan {
 	return &IndexedFragScan{
-		Table: t, Alias: alias, RIDs: rids, Pred: pred, IndexDesc: desc,
-		schema: tableSchema(t, alias),
+		Table: t, Alias: alias, Cols: cols, RIDs: rids, Pred: pred, IndexDesc: desc,
+		schema: TableSchema(t, alias, cols),
 	}
 }
 
@@ -55,8 +60,11 @@ func (s *IndexedFragScan) Open() error {
 // Next implements Operator.
 func (s *IndexedFragScan) Next() ([]types.Value, error) {
 	for s.pos < len(s.RIDs) {
-		row, err := s.Table.Heap.Get(s.RIDs[s.pos])
-		if err != nil {
+		if s.row == nil {
+			s.row = make([]types.Value, len(s.schema.Cols))
+		}
+		row := s.row
+		if err := s.Table.Heap.GetInto(s.RIDs[s.pos], s.Cols, row); err != nil {
 			return nil, err
 		}
 		s.pos++
@@ -69,6 +77,7 @@ func (s *IndexedFragScan) Next() ([]types.Value, error) {
 				continue
 			}
 		}
+		s.row = nil
 		return row, nil
 	}
 	return nil, nil

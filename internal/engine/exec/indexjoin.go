@@ -18,6 +18,10 @@ type IndexLoopJoin struct {
 	Right *catalog.Table
 	// Alias binds the inner table's columns in the output schema.
 	Alias string
+	// Cols are the inner table's stored columns appended to each outer
+	// row, ascending; nil means every column. They are decoded straight
+	// into the output row.
+	Cols []int
 	// Index is the inner index; its column is the join key's inner side.
 	Index *catalog.Index
 	// LeftKey computes the probe key; it is resolved against the left
@@ -33,11 +37,12 @@ type IndexLoopJoin struct {
 	pos     int
 }
 
-// NewIndexLoopJoin builds the operator.
-func NewIndexLoopJoin(left Operator, right *catalog.Table, alias string, idx *catalog.Index, leftKey expr.Expr) *IndexLoopJoin {
+// NewIndexLoopJoin builds the operator; cols (nil: all) are the inner
+// columns it emits.
+func NewIndexLoopJoin(left Operator, right *catalog.Table, alias string, cols []int, idx *catalog.Index, leftKey expr.Expr) *IndexLoopJoin {
 	return &IndexLoopJoin{
-		Left: left, Right: right, Alias: alias, Index: idx, LeftKey: leftKey,
-		schema: expr.Concat(left.Schema(), tableSchema(right, alias)),
+		Left: left, Right: right, Alias: alias, Cols: cols, Index: idx, LeftKey: leftKey,
+		schema: expr.Concat(left.Schema(), TableSchema(right, alias, cols)),
 	}
 }
 
@@ -56,12 +61,13 @@ func (j *IndexLoopJoin) Open() error {
 func (j *IndexLoopJoin) Next() ([]types.Value, error) {
 	for {
 		for j.pos < len(j.rids) {
-			inner, err := j.Right.Heap.Get(j.rids[j.pos])
-			if err != nil {
+			out := make([]types.Value, len(j.schema.Cols))
+			lw := copy(out, j.leftRow)
+			if err := j.Right.Heap.GetInto(j.rids[j.pos], j.Cols, out[lw:]); err != nil {
 				return nil, err
 			}
 			j.pos++
-			return concatRows(j.leftRow, inner), nil
+			return out, nil
 		}
 		row, err := j.Left.Next()
 		if err != nil || row == nil {

@@ -32,7 +32,9 @@ import (
 type MorselScan struct {
 	Table *catalog.Table
 	Alias string
-	Pred  expr.Expr // optional, resolved against the scan schema
+	// Cols are the stored columns decoded, as in SeqScan.Cols.
+	Cols []int
+	Pred expr.Expr // optional, resolved against the scan schema
 	// Est is the planner's estimated output cardinality for the whole
 	// scan (copied from the SeqScan it replaces); advisory only.
 	Est    float64
@@ -45,10 +47,11 @@ type MorselScan struct {
 	shim    rowShim
 }
 
-// NewMorselScan returns a morsel-ranged scan of the table under the
-// alias. The range is empty until SetRange.
-func NewMorselScan(t *catalog.Table, alias string) *MorselScan {
-	return &MorselScan{Table: t, Alias: alias, schema: tableSchema(t, alias)}
+// NewMorselScan returns a morsel-ranged scan of the stored columns cols
+// (nil: all) of the table under the alias. The range is empty until
+// SetRange.
+func NewMorselScan(t *catalog.Table, alias string, cols []int) *MorselScan {
+	return &MorselScan{Table: t, Alias: alias, Cols: cols, schema: TableSchema(t, alias, cols)}
 }
 
 // SetRange targets the scan at pages [lo, hi) for the next Open.
@@ -59,7 +62,7 @@ func (s *MorselScan) Schema() *expr.RowSchema { return s.schema }
 
 // Open implements Operator.
 func (s *MorselScan) Open() error {
-	s.cursor = s.Table.Heap.NewRangeCursor(s.lo, s.hi)
+	s.cursor = s.Table.Heap.NewRangeCursor(s.lo, s.hi, s.Cols)
 	s.shim.reset()
 	if s.batch == nil {
 		s.batch = vec.Get(len(s.schema.Cols))
@@ -578,6 +581,7 @@ type HashProbe struct {
 	schema   *expr.RowSchema
 	table    map[uint64][][]types.Value
 	probeRow []types.Value
+	padded   []types.Value // probe-key scratch, see padRow
 	matches  [][]types.Value
 	mpos     int
 }
@@ -633,8 +637,7 @@ func (j *HashProbe) Next() ([]types.Value, error) {
 			return nil, err
 		}
 		j.probeRow = row
-		padded := concatRows(make([]types.Value, j.LeftWidth), row)
-		k, err := j.RightKey.Eval(padded)
+		k, err := j.RightKey.Eval(padRow(&j.padded, j.LeftWidth, row))
 		if err != nil {
 			return nil, err
 		}

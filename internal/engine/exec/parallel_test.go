@@ -15,7 +15,7 @@ import (
 func scanPipes(tbl *catalog.Table, alias string, dop int, wrap func(Operator) Operator) []Pipeline {
 	pipes := make([]Pipeline, dop)
 	for i := range pipes {
-		leaf := NewMorselScan(tbl, alias)
+		leaf := NewMorselScan(tbl, alias, nil)
 		root := Operator(leaf)
 		if wrap != nil {
 			root = wrap(root)
@@ -31,7 +31,7 @@ func TestGatherMatchesSerialOrder(t *testing.T) {
 	if tbl.Heap.DataPages() < 4 {
 		t.Fatalf("table too small to morselize: %d pages", tbl.Heap.DataPages())
 	}
-	want, err := Drain(NewSeqScan(tbl, "t"))
+	want, err := Drain(NewSeqScan(tbl, "t", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestGatherMatchesSerialOrder(t *testing.T) {
 func TestGatherWithFilterMatchesSerial(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 2500)
-	scan := NewSeqScan(tbl, "t")
+	scan := NewSeqScan(tbl, "t", nil)
 	pred := func(sch *expr.RowSchema) expr.Expr {
 		return &expr.Cmp{Op: expr.GT, L: col(sch, "t", "val", t), R: &expr.Const{Val: types.NewInt(5000)}}
 	}
@@ -174,7 +174,7 @@ func TestHashBuildBuildsOnceAcrossProbes(t *testing.T) {
 		t.Fatalf("probe table too small: %d pages", right.Heap.DataPages())
 	}
 
-	lscan := NewSeqScan(left, "l")
+	lscan := NewSeqScan(left, "l", nil)
 	counted := &opens{Child: lscan}
 	key := col(lscan.Schema(), "l", "id", t)
 	build := &HashBuild{Input: counted, Key: key, BuildDOP: 4}
@@ -190,8 +190,8 @@ func TestHashBuildBuildsOnceAcrossProbes(t *testing.T) {
 	g := NewGather(pipes, 1, []Resettable{build})
 
 	// Serial reference: HashJoin over the same inputs.
-	ls2 := NewSeqScan(left, "l")
-	rs2 := NewSeqScan(right, "r")
+	ls2 := NewSeqScan(left, "l", nil)
+	rs2 := NewSeqScan(right, "r", nil)
 	joint := expr.Concat(ls2.Schema(), rs2.Schema())
 	serial := NewHashJoin(ls2, rs2, col(joint, "l", "id", t), col(joint, "r", "id", t))
 	want, err := Drain(serial)
@@ -224,8 +224,8 @@ func TestNestedLoopJoinMaterializesInnerOnce(t *testing.T) {
 	c := catalog.New(nil)
 	outer := buildTable(t, c, "o", 50)
 	inner := buildTable(t, c, "i", 50)
-	oscan := NewSeqScan(outer, "o")
-	iscan := NewSeqScan(inner, "i")
+	oscan := NewSeqScan(outer, "o", nil)
+	iscan := NewSeqScan(inner, "i", nil)
 	counted := &opens{Child: iscan}
 	joint := expr.Concat(oscan.Schema(), iscan.Schema())
 	pred := &expr.Cmp{Op: expr.EQ, L: col(joint, "o", "id", t), R: col(joint, "i", "id", t)}

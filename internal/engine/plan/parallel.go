@@ -161,7 +161,7 @@ func (b *parallelBuilder) fragment(op exec.Operator) ([]exec.Pipeline, []exec.Re
 		}
 		pipes := make([]exec.Pipeline, workers)
 		for i := range pipes {
-			leaf := exec.NewMorselScan(n.Table, n.Alias)
+			leaf := exec.NewMorselScan(n.Table, n.Alias, n.Cols)
 			leaf.Est = n.Est
 			if n.Pred != nil {
 				// The fused scan predicate runs inside each worker.
@@ -241,7 +241,7 @@ func (b *parallelBuilder) fragment(op exec.Operator) ([]exec.Pipeline, []exec.Re
 		}
 		for i := range pipes {
 			pipes[i].Root = exec.NewIndexLoopJoin(pipes[i].Root, n.Right, n.Alias,
-				n.Index, expr.Clone(n.LeftKey))
+				n.Cols, n.Index, expr.Clone(n.LeftKey))
 		}
 		return pipes, shared, true
 	}

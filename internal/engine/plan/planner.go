@@ -110,8 +110,12 @@ func New(cat *catalog.Catalog, reg *expr.Registry) *Planner {
 
 // baseItem is one base-table FROM entry.
 type baseItem struct {
-	alias  string
-	table  *catalog.Table
+	alias string
+	table *catalog.Table
+	// cols are the stored columns the statement names, ascending; schema
+	// holds exactly these, and the table's access operator decodes only
+	// them (see narrowColumns).
+	cols   []int
 	schema *expr.RowSchema
 	push   []sql.Expr // single-alias conjuncts pushed to this table
 	est    float64    // estimated output cardinality after pushdown
@@ -388,20 +392,90 @@ func (p *Planner) analyzeFrom(stmt *sql.SelectStmt) ([]*baseItem, []*funcItem, m
 		if tbl == nil {
 			return nil, nil, nil, fmt.Errorf("plan: unknown table %s", f.Table)
 		}
-		cols := make([]expr.ColInfo, len(tbl.Schema.Columns))
-		for i, c := range tbl.Schema.Columns {
-			cols[i] = expr.ColInfo{Qualifier: f.Alias, Name: c.Name, Type: c.Type}
-		}
-		bases = append(bases, &baseItem{
-			alias: f.Alias, table: tbl,
-			schema: expr.NewRowSchema(cols...),
-		})
-		schemas[f.Alias] = bases[len(bases)-1].schema
+		bases = append(bases, &baseItem{alias: f.Alias, table: tbl})
+		schemas[f.Alias] = exec.TableSchema(tbl, f.Alias, nil)
 	}
 	if len(bases) == 0 {
 		return nil, nil, nil, fmt.Errorf("plan: FROM needs at least one base table")
 	}
+	narrowColumns(stmt, bases, schemas)
 	return bases, funcs, schemas, nil
+}
+
+// narrowColumns gives every base table the stored columns the statement
+// names anywhere — select list, WHERE, GROUP BY, HAVING, ORDER BY and
+// table-function arguments — and replaces its entry in schemas with the
+// narrowed schema. A name counts for every table in whose full schema it
+// resolves, so a name that is ambiguous, or is an output alias that also
+// names a stored column, keeps its columns: binding against the narrowed
+// schemas then succeeds or fails exactly as against full rows. A table
+// with no named column keeps its first, so its rows still flow and count.
+func narrowColumns(stmt *sql.SelectStmt, bases []*baseItem, schemas map[string]*expr.RowSchema) {
+	named := make([][]bool, len(bases))
+	for i, b := range bases {
+		named[i] = make([]bool, len(b.table.Schema.Columns))
+	}
+	var visit func(sql.Expr)
+	visit = func(e sql.Expr) {
+		switch n := e.(type) {
+		case *sql.ColRef:
+			for i, b := range bases {
+				if n.Qualifier != "" && n.Qualifier != b.alias {
+					continue
+				}
+				if j := b.table.Schema.ColIndex(n.Name); j >= 0 {
+					named[i][j] = true
+				}
+			}
+		case *sql.BinOp:
+			visit(n.L)
+			visit(n.R)
+		case *sql.NotExpr:
+			visit(n.E)
+		case *sql.LikeExpr:
+			visit(n.E)
+		case *sql.FuncExpr:
+			for _, a := range n.Args {
+				visit(a)
+			}
+		}
+	}
+	for _, item := range stmt.Items {
+		if item.Expr != nil {
+			visit(item.Expr)
+		}
+	}
+	if stmt.Where != nil {
+		visit(stmt.Where)
+	}
+	for _, g := range stmt.GroupBy {
+		visit(g)
+	}
+	if stmt.Having != nil {
+		visit(stmt.Having)
+	}
+	for _, o := range stmt.OrderBy {
+		visit(o.Expr)
+	}
+	for _, f := range stmt.From {
+		if f.Func != nil {
+			for _, a := range f.Func.Args {
+				visit(a)
+			}
+		}
+	}
+	for i, b := range bases {
+		for j, ok := range named[i] {
+			if ok {
+				b.cols = append(b.cols, j)
+			}
+		}
+		if len(b.cols) == 0 {
+			b.cols = []int{0}
+		}
+		b.schema = exec.TableSchema(b.table, b.alias, b.cols)
+		schemas[b.alias] = b.schema
+	}
 }
 
 // access builds the access path for one base table: an index scan when an
@@ -449,7 +523,7 @@ func (p *Planner) access(b *baseItem) (exec.Operator, error) {
 			if idx == nil {
 				continue
 			}
-			iscan := exec.NewIndexScan(b.table, b.alias, idx, val)
+			iscan := exec.NewIndexScan(b.table, b.alias, b.cols, idx, val)
 			iscan.View = view
 			iscan.Est = b.est
 			op = iscan
@@ -458,7 +532,7 @@ func (p *Planner) access(b *baseItem) (exec.Operator, error) {
 		}
 	}
 	if op == nil {
-		scan := exec.NewSeqScan(b.table, b.alias)
+		scan := exec.NewSeqScan(b.table, b.alias, b.cols)
 		scan.View = view
 		scan.Est = b.est
 		if len(remaining) > 0 {
@@ -610,7 +684,7 @@ func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order [
 
 		if useINL {
 			idx := b.table.IndexOn(innerCol)
-			ilj := exec.NewIndexLoopJoin(cur, b.table, b.alias, idx, keyL)
+			ilj := exec.NewIndexLoopJoin(cur, b.table, b.alias, b.cols, idx, keyL)
 			ilj.Est = outCard
 			cur = ilj
 			for _, e := range extra {

@@ -123,7 +123,7 @@ func (p *Planner) xadtIndexAccess(b *baseItem) (exec.Operator, error) {
 	if !have {
 		return nil, nil
 	}
-	scan := exec.NewIndexedFragScan(b.table, b.alias, rids, nil, strings.Join(matched, " AND "))
+	scan := exec.NewIndexedFragScan(b.table, b.alias, b.cols, rids, nil, strings.Join(matched, " AND "))
 	if len(b.push) > 0 {
 		pred, err := p.bindConjuncts(b.push, scan.Schema())
 		if err != nil {
