@@ -57,6 +57,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTokenizeSuperset -fuzztime=$(FUZZTIME) ./internal/engine/xindex/
 	$(GO) test -run=NONE -fuzz=FuzzStatsCodec -fuzztime=$(FUZZTIME) ./internal/engine/catalog/
 	$(GO) test -run=NONE -fuzz=FuzzParseStatement -fuzztime=$(FUZZTIME) ./internal/engine/sql/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/engine/storage/
+	$(GO) test -run=NONE -fuzz=FuzzParseDocument -fuzztime=$(FUZZTIME) ./internal/xmltree/
 
 bench:
 	$(GO) test -run=NONE -bench=. ./...
