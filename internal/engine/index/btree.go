@@ -6,6 +6,7 @@
 package index
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/engine/storage"
@@ -96,16 +97,19 @@ func (t *BTree) insert(n *node, key types.Value, rid storage.RID) (*node, types.
 	return t.splitInternal(n)
 }
 
+// Both split halves are copied into right-sized slices: reslicing the
+// left half would keep the whole array it grew into, and a node that
+// never grows again would hold twice the slots it uses.
 func (t *BTree) splitLeaf(n *node) (*node, types.Value) {
 	mid := len(n.keys) / 2
 	right := &node{
 		leaf: true,
-		keys: append([]types.Value(nil), n.keys[mid:]...),
-		rids: append([]storage.RID(nil), n.rids[mid:]...),
+		keys: slices.Clone(n.keys[mid:]),
+		rids: slices.Clone(n.rids[mid:]),
 		next: n.next,
 	}
-	n.keys = n.keys[:mid]
-	n.rids = n.rids[:mid]
+	n.keys = slices.Clone(n.keys[:mid])
+	n.rids = slices.Clone(n.rids[:mid])
 	n.next = right
 	t.nodes++
 	return right, right.keys[0]
@@ -115,11 +119,11 @@ func (t *BTree) splitInternal(n *node) (*node, types.Value) {
 	mid := len(n.keys) / 2
 	splitKey := n.keys[mid]
 	right := &node{
-		keys:     append([]types.Value(nil), n.keys[mid+1:]...),
-		children: append([]*node(nil), n.children[mid+1:]...),
+		keys:     slices.Clone(n.keys[mid+1:]),
+		children: slices.Clone(n.children[mid+1:]),
 	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
+	n.keys = slices.Clone(n.keys[:mid])
+	n.children = slices.Clone(n.children[:mid+1])
 	t.nodes++
 	return right, splitKey
 }
@@ -161,8 +165,10 @@ func (t *BTree) Delete(key types.Value, rid storage.RID) bool {
 				return false
 			}
 			if n.rids[i] == rid {
-				n.keys = append(n.keys[:i], n.keys[i+1:]...)
-				n.rids = append(n.rids[:i], n.rids[i+1:]...)
+				// slices.Delete zeroes the vacated tail slot, so the
+				// array keeps no reference to the deleted key's payload.
+				n.keys = slices.Delete(n.keys, i, i+1)
+				n.rids = slices.Delete(n.rids, i, i+1)
 				t.size--
 				return true
 			}

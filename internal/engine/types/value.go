@@ -6,6 +6,8 @@ package types
 import (
 	"fmt"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime types of a Value.
@@ -42,12 +44,13 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single SQL value. The zero Value is NULL.
+// Value is a single SQL value. The zero Value is NULL. It is 32 bytes:
+// VARCHAR and XADT payloads share the string field, since a value holds
+// at most one of them.
 type Value struct {
-	kind Kind
-	i    int64
 	s    string
-	x    []byte
+	i    int64
+	kind Kind
 }
 
 // Null is the SQL NULL value.
@@ -59,8 +62,12 @@ func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
 // NewString returns a string value.
 func NewString(s string) Value { return Value{kind: KindString, s: s} }
 
-// NewXADT returns an XADT value holding the stored fragment encoding.
-func NewXADT(b []byte) Value { return Value{kind: KindXADT, x: b} }
+// NewXADT returns an XADT value holding the stored fragment encoding. The
+// value aliases b without copying, so the caller must never write to b
+// again.
+func NewXADT(b []byte) Value {
+	return Value{kind: KindXADT, s: unsafe.String(unsafe.SliceData(b), len(b))}
+}
 
 // NewBool returns a boolean value.
 func NewBool(b bool) Value {
@@ -93,12 +100,14 @@ func (v Value) Str() string {
 	return v.s
 }
 
-// XADT returns the fragment encoding; it panics on other kinds.
+// XADT returns the fragment encoding; it panics on other kinds. The slice
+// aliases the value's payload and must not be modified; its capacity
+// equals its length, so appending to it copies.
 func (v Value) XADT() []byte {
 	if v.kind != KindXADT {
 		panic("types: XADT() on " + v.kind.String())
 	}
-	return v.x
+	return unsafe.Slice(unsafe.StringData(v.s), len(v.s))
 }
 
 // Bool returns the boolean payload; it panics on other kinds.
@@ -130,7 +139,7 @@ func (v Value) String() string {
 	case KindString:
 		return v.s
 	case KindXADT:
-		return fmt.Sprintf("XADT(%d bytes)", len(v.x))
+		return fmt.Sprintf("XADT(%d bytes)", len(v.s))
 	case KindBool:
 		if v.i != 0 {
 			return "true"
@@ -142,9 +151,9 @@ func (v Value) String() string {
 }
 
 // Compare orders two values: NULL sorts first; integers and booleans
-// compare numerically; strings lexicographically; XADT values by their
-// encodings. Comparing values of different non-null kinds orders by kind,
-// which gives sorting a total order without implicit casts.
+// compare numerically; strings and XADT values bytewise. Comparing values
+// of different non-null kinds orders by kind (strings before XADT), which
+// gives sorting a total order without implicit casts.
 func Compare(a, b Value) int {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
@@ -163,8 +172,7 @@ func Compare(a, b Value) int {
 		}
 		return 1
 	}
-	switch ka {
-	case classNumeric:
+	if ka == classNumeric {
 		switch {
 		case a.i < b.i:
 			return -1
@@ -173,18 +181,8 @@ func Compare(a, b Value) int {
 		default:
 			return 0
 		}
-	case classString:
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		default:
-			return 0
-		}
-	default: // classBytes
-		return compareBytes(a.x, b.x)
 	}
+	return strings.Compare(a.s, b.s)
 }
 
 const (
@@ -201,29 +199,6 @@ func comparisonClass(k Kind) int {
 		return classString
 	default:
 		return classBytes
-	}
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
 	}
 }
 
@@ -252,15 +227,11 @@ func Hash(v Value) uint64 {
 		for i := 0; i < 8; i++ {
 			h = (h ^ (p >> (8 * i) & 0xff)) * fnvPrime
 		}
-	case KindString:
-		h = (h ^ 2) * fnvPrime
+	case KindString, KindXADT:
+		// The tag is the kind: 2 for strings, 3 for XADT.
+		h = (h ^ uint64(v.kind)) * fnvPrime
 		for i := 0; i < len(v.s); i++ {
 			h = (h ^ uint64(v.s[i])) * fnvPrime
-		}
-	case KindXADT:
-		h = (h ^ 3) * fnvPrime
-		for _, b := range v.x {
-			h = (h ^ uint64(b)) * fnvPrime
 		}
 	}
 	return h
@@ -274,10 +245,8 @@ func (v Value) Size() int {
 		return 1
 	case KindInt, KindBool:
 		return 9
-	case KindString:
+	case KindString, KindXADT:
 		return 5 + len(v.s)
-	case KindXADT:
-		return 5 + len(v.x)
 	default:
 		return 1
 	}

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindsAndAccessors(t *testing.T) {
@@ -166,7 +167,7 @@ func fnvReference(v Value) uint64 {
 		h.Write([]byte(v.s))
 	case KindXADT:
 		h.Write([]byte{3})
-		h.Write(v.x)
+		h.Write(v.XADT())
 	}
 	return h.Sum64()
 }
@@ -219,5 +220,36 @@ func TestStringRendering(t *testing.T) {
 		if got := tc.v.String(); got != tc.want {
 			t.Errorf("String(%#v) = %q, want %q", tc.v, got, tc.want)
 		}
+	}
+}
+
+// TestValueLayout pins the 32-byte layout: VARCHAR and XADT payloads
+// share one string field, and building or reading either copies nothing.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("sizeof(Value) = %d, want 32", got)
+	}
+	b := []byte("<a>frag</a>")
+	v, w := NewString("speaker"), NewXADT(b)
+	var sinkV Value
+	var sinkS string
+	var sinkB []byte
+	for name, fn := range map[string]func(){
+		"NewString": func() { sinkV = NewString("speaker") },
+		"NewXADT":   func() { sinkV = NewXADT(b) },
+		"Str":       func() { sinkS = v.Str() },
+		"XADT":      func() { sinkB = w.XADT() },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s allocates %.0f times", name, n)
+		}
+	}
+	_, _, _ = sinkV, sinkS, sinkB
+	x := NewXADT(b).XADT()
+	if &x[0] != &b[0] {
+		t.Error("XADT() does not share the bytes passed to NewXADT")
+	}
+	if cap(x) != len(x) {
+		t.Errorf("XADT() cap %d, len %d: appending would write past the payload", cap(x), len(x))
 	}
 }
