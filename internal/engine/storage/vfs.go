@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -86,6 +87,16 @@ type MemVFS struct {
 
 type memData struct {
 	b []byte
+}
+
+// extend lengthens the file to size bytes, growing its array with
+// amortised cost, and zeroes the new bytes before zeroTo. Spare capacity
+// can still hold bytes an earlier Truncate cut off, so every new byte
+// that the caller does not overwrite must be cleared.
+func (d *memData) extend(size, zeroTo int) {
+	old := len(d.b)
+	d.b = slices.Grow(d.b, size-old)[:size]
+	clear(d.b[old:max(old, zeroTo)])
 }
 
 // NewMemVFS returns an empty in-memory filesystem.
@@ -191,9 +202,7 @@ func (f *memFile) Write(p []byte) (int, error) {
 	defer f.vfs.mu.Unlock()
 	end := f.pos + int64(len(p))
 	if end > int64(len(f.data.b)) {
-		grown := make([]byte, end)
-		copy(grown, f.data.b)
-		f.data.b = grown
+		f.data.extend(int(end), int(f.pos))
 	}
 	copy(f.data.b[f.pos:end], p)
 	f.pos = end
@@ -232,9 +241,7 @@ func (f *memFile) Truncate(size int64) error {
 	if size <= int64(len(f.data.b)) {
 		f.data.b = f.data.b[:size]
 	} else {
-		grown := make([]byte, size)
-		copy(grown, f.data.b)
-		f.data.b = grown
+		f.data.extend(int(size), int(size))
 	}
 	return nil
 }
