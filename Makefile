@@ -14,6 +14,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzStatsCodec -fuzztime=$(FUZZTIME) ./internal/engine/catalog/
 	$(GO) test -run=NONE -fuzz=FuzzParseStatement -fuzztime=$(FUZZTIME) ./internal/engine/sql/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/engine/storage/
+	$(GO) test -run=NONE -fuzz=FuzzDeserializeHeapFile -fuzztime=$(FUZZTIME) ./internal/engine/storage/
 	$(GO) test -run=NONE -fuzz=FuzzParseDocument -fuzztime=$(FUZZTIME) ./internal/xmltree/
 
 bench:

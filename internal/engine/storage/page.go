@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 )
 
 // PageSize is the fixed page size; the paper's DB2 configuration used 8 KiB
@@ -104,6 +105,30 @@ func (p *page) liveSlots() int {
 		}
 	}
 	return n
+}
+
+// validate checks a page image read from outside the process: the slot
+// directory fits in the page, the free-space start lies between the
+// header and the directory, and every live slot lies in the record area
+// before it. Every page this package writes passes; reading a page that
+// fails would index outside its image.
+func (p *page) validate() error {
+	n := p.nslots()
+	dir := PageSize - n*slotSize
+	if dir < pageHeaderSize {
+		return fmt.Errorf("slot count %d does not fit in the page", n)
+	}
+	free := p.freeStart()
+	if free < pageHeaderSize || free > dir {
+		return fmt.Errorf("free-space start %d outside [%d, %d]", free, pageHeaderSize, dir)
+	}
+	for i := 0; i < n; i++ {
+		off, ln := p.slot(i)
+		if ln > 0 && (off < pageHeaderSize || off+ln > free) {
+			return fmt.Errorf("slot %d at [%d, %d) outside the record area [%d, %d)", i, off, off+ln, pageHeaderSize, free)
+		}
+	}
+	return nil
 }
 
 // shrinkSlot rewrites slot i in place with a shorter record. The caller

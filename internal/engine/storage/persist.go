@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Serialize writes the heap file's pages and overflow blobs to w in a
@@ -59,6 +60,9 @@ func DeserializeHeapFile(r io.Reader, pool *BufferPool) (*HeapFile, error) {
 		if _, err := io.ReadFull(br, p.data[:]); err != nil {
 			return nil, fmt.Errorf("storage: reading page %d: %w", i, err)
 		}
+		if err := p.validate(); err != nil {
+			return nil, fmt.Errorf("storage: page %d: %w", i, err)
+		}
 		h.pages = append(h.pages, p)
 		h.rows += p.liveSlots()
 	}
@@ -69,14 +73,14 @@ func DeserializeHeapFile(r io.Reader, pool *BufferPool) (*HeapFile, error) {
 	for i := uint64(0); i < nover; i++ {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("storage: reading overflow blob %d length: %w", i, err)
 		}
 		if n > 1<<31 {
-			return nil, errors.New("storage: implausible overflow blob size")
+			return nil, fmt.Errorf("storage: overflow blob %d: implausible size %d", i, n)
 		}
-		blob := make([]byte, n)
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return nil, err
+		blob, err := readBlob(br, int(n))
+		if err != nil {
+			return nil, fmt.Errorf("storage: reading overflow blob %d: %w", i, err)
 		}
 		h.overflow = append(h.overflow, blob)
 		// Freed overflow entries serialize as zero-length blobs; live
@@ -103,6 +107,26 @@ func DeserializeHeapFile(r io.Reader, pool *BufferPool) (*HeapFile, error) {
 		h.open = append(h.open, int32(pg))
 	}
 	return h, nil
+}
+
+// blobChunk bounds how far a blob's buffer runs ahead of the bytes read
+// into it.
+const blobChunk = 1 << 20
+
+// readBlob reads an n-byte blob a chunk at a time, so a corrupt length
+// costs memory only as far as bytes actually arrive. Blobs up to one
+// chunk, which is all of them in practice, get an exactly sized buffer.
+func readBlob(r io.Reader, n int) ([]byte, error) {
+	blob := make([]byte, 0, min(n, blobChunk))
+	for len(blob) < n {
+		k := min(n-len(blob), blobChunk)
+		blob = slices.Grow(blob, k)
+		if _, err := io.ReadFull(r, blob[len(blob):len(blob)+k]); err != nil {
+			return nil, err
+		}
+		blob = blob[:len(blob)+k]
+	}
+	return blob, nil
 }
 
 func writeUvarint(w io.Writer, v uint64) error {
