@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseStatement -fuzztime=$(FUZZTIME) ./internal/engine/sql/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/engine/storage/
 	$(GO) test -run=NONE -fuzz=FuzzDeserializeHeapFile -fuzztime=$(FUZZTIME) ./internal/engine/storage/
+	$(GO) test -run=NONE -fuzz=FuzzBTreeLookup -fuzztime=$(FUZZTIME) ./internal/engine/index/
 	$(GO) test -run=NONE -fuzz=FuzzParseDocument -fuzztime=$(FUZZTIME) ./internal/xmltree/
 
 bench:

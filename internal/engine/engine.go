@@ -25,8 +25,8 @@ import (
 
 // Config tunes a database instance.
 type Config struct {
-	// BufferPoolPages bounds the tracked page residency; 0 disables
-	// buffer accounting.
+	// BufferPoolPages bounds the tracked page residency; 0 means no
+	// buffer pool (Database.Pool is nil) and no page accounting.
 	BufferPoolPages int
 	// DOP is the degree of intra-query parallelism. 0 defaults to
 	// runtime.GOMAXPROCS(0); 1 forces serial execution.
@@ -66,7 +66,9 @@ type Config struct {
 type Database struct {
 	Catalog  *catalog.Catalog
 	Registry *expr.Registry
-	Pool     *storage.BufferPool
+	// Pool accounts page reads against Config.BufferPoolPages; it is nil
+	// when that is 0.
+	Pool *storage.BufferPool
 	// TxnMgr is the MVCC transaction manager, nil unless Config.MVCC was
 	// set (or EnableMVCC called). When present, Begin opens snapshot
 	// sessions and every direct mutation must run inside a transaction
@@ -110,8 +112,18 @@ type Result struct {
 // Open creates an empty database with the standard function library
 // registered.
 func Open(cfg Config) *Database {
-	pool := storage.NewBufferPool(cfg.BufferPoolPages)
+	pool := newPool(cfg)
 	return newDatabase(catalog.New(pool), pool, cfg)
+}
+
+// newPool returns the buffer pool cfg asks for, or nil for none: heap
+// files skip the accounting of a nil pool, so reads write no shared
+// counter.
+func newPool(cfg Config) *storage.BufferPool {
+	if cfg.BufferPoolPages <= 0 {
+		return nil
+	}
+	return storage.NewBufferPool(cfg.BufferPoolPages)
 }
 
 // newDatabase wires a catalog into a Database: the standard function
@@ -265,7 +277,7 @@ func (db *Database) Save(w io.Writer) error {
 // rebuilding indexes and statistics. The function registry is the
 // standard library plus whatever the caller registers afterwards.
 func OpenSnapshot(r io.Reader, cfg Config) (*Database, error) {
-	pool := storage.NewBufferPool(cfg.BufferPoolPages)
+	pool := newPool(cfg)
 	cat, err := catalog.Load(r, pool)
 	if err != nil {
 		return nil, err

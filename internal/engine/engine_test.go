@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -278,6 +279,38 @@ func TestBufferPoolAccounting(t *testing.T) {
 	}
 	if db.Pool.Stats().Total() == 0 {
 		t.Error("query did not touch the buffer pool")
+	}
+}
+
+// TestOpenWithoutPool checks that a zero BufferPoolPages opens no pool,
+// live or from a snapshot, and that queries run without one.
+func TestOpenWithoutPool(t *testing.T) {
+	db := Open(Config{})
+	if db.Pool != nil {
+		t.Fatal("Open(Config{}) created a buffer pool")
+	}
+	if _, err := db.CreateTable("act", []catalog.Column{{Name: "actID", Type: types.KindInt}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		db.Catalog.Table("act").Insert([]types.Value{types.NewInt(int64(i))})
+	}
+	var snap bytes.Buffer
+	if err := db.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenSnapshot(&snap, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.Pool != nil {
+		t.Fatal("OpenSnapshot(Config{}) created a buffer pool")
+	}
+	for _, d := range []*Database{db, reopened} {
+		res, err := d.Query(`SELECT actID FROM act WHERE actID >= 2`)
+		if err != nil || len(res.Rows) != 2 {
+			t.Fatalf("query without a pool: %v, %v", res, err)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func (j *IndexLoopJoin) Schema() *expr.RowSchema { return j.schema }
 // Open implements Operator.
 func (j *IndexLoopJoin) Open() error {
 	j.leftRow = nil
-	j.rids = nil
+	j.rids = j.rids[:0]
 	j.pos = 0
 	return j.Left.Open()
 }
@@ -78,10 +78,9 @@ func (j *IndexLoopJoin) Next() ([]types.Value, error) {
 			return nil, err
 		}
 		j.leftRow = row
-		if key.IsNull() {
-			j.rids = nil
-		} else {
-			j.rids = j.Index.Tree.Lookup(key)
+		j.rids = j.rids[:0]
+		if !key.IsNull() {
+			j.rids = j.Index.Tree.Lookup(key, j.rids...)
 		}
 		j.pos = 0
 	}
@@ -89,7 +88,7 @@ func (j *IndexLoopJoin) Next() ([]types.Value, error) {
 
 // Close implements Operator.
 func (j *IndexLoopJoin) Close() error {
-	j.rids = nil
+	j.rids = j.rids[:0]
 	return j.Left.Close()
 }
 

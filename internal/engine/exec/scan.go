@@ -210,7 +210,7 @@ func (s *IndexScan) Open() error {
 		}
 		return nil
 	}
-	s.rids = s.Index.Tree.Lookup(s.Key)
+	s.rids = s.Index.Tree.Lookup(s.Key, s.rids[:0]...)
 	return nil
 }
 
@@ -237,7 +237,7 @@ func (s *IndexScan) Next() ([]types.Value, error) {
 
 // Close implements Operator.
 func (s *IndexScan) Close() error {
-	s.rids = nil
+	s.rids = s.rids[:0]
 	s.rows = nil
 	return nil
 }

@@ -6,8 +6,8 @@
 package index
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
@@ -128,23 +128,44 @@ func (t *BTree) splitInternal(n *node) (*node, types.Value) {
 	return right, splitKey
 }
 
-// Lookup returns the RIDs of all entries equal to key, in heap order
-// (sorted by page then slot). Under page reuse, insertion order can
-// diverge from heap order, and every access path promises heap-order
-// output — so the sort happens here rather than at insert time.
-func (t *BTree) Lookup(key types.Value) []storage.RID {
-	var out []storage.RID
-	t.AscendRange(key, key, func(_ types.Value, rid storage.RID) bool {
-		out = append(out, rid)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Page != out[j].Page {
-			return out[i].Page < out[j].Page
+// Lookup appends the RIDs of all entries equal to key to dst and returns
+// the extended slice; with no dst it allocates one. The appended RIDs are
+// in heap order (sorted by page then slot). Under page reuse, insertion
+// order can diverge from heap order, and every access path promises
+// heap-order output — so the sort happens here rather than at insert
+// time. A caller that probes repeatedly passes its buffer back,
+// buf = t.Lookup(key, buf[:0]...), and allocates nothing once the buffer
+// has grown. A Null key matches only the entries stored under Null.
+func (t *BTree) Lookup(key types.Value, dst ...storage.RID) []storage.RID {
+	n := t.root
+	for !n.leaf {
+		// Leftmost child that can contain key; duplicates equal to a
+		// separator live to its left.
+		n = n.children[lowerBound(n.keys, key)]
+	}
+	start := len(dst)
+	for i := lowerBound(n.keys, key); n != nil; n, i = n.next, 0 {
+		j := i
+		for j < len(n.keys) && types.Compare(n.keys[j], key) == 0 {
+			j++
 		}
-		return out[i].Slot < out[j].Slot
-	})
-	return out
+		dst = append(dst, n.rids[i:j]...)
+		if j < len(n.keys) {
+			break
+		}
+	}
+	if got := dst[start:]; !slices.IsSortedFunc(got, compareRID) {
+		slices.SortFunc(got, compareRID)
+	}
+	return dst
+}
+
+// compareRID orders RIDs as a heap scan visits them: page, then slot.
+func compareRID(a, b storage.RID) int {
+	if c := cmp.Compare(a.Page, b.Page); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Slot, b.Slot)
 }
 
 // Delete removes one entry matching key→rid; it reports whether a match

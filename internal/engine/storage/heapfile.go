@@ -34,16 +34,20 @@ var heapFileIDs atomic.Uint64
 //
 // Concurrency: any number of readers (Get, Scan, cursors) may run in
 // parallel — the parallel executor scans one heap from many goroutines.
-// The mutex guards the page directory and overflow directory so readers
-// always observe a consistent prefix; cursors snapshot the directory once
-// at creation. Mutations take the write lock; the engine serializes
-// mutation statements against queries, keeping its load-then-query
-// discipline within a statement.
+// Readers take no lock: they load the directory a writer last published,
+// so they always observe a consistent prefix and write no shared memory;
+// cursors snapshot it once at creation. Mutations take the write lock;
+// the engine serializes mutation statements against queries, keeping its
+// load-then-query discipline within a statement.
 type HeapFile struct {
-	mu       sync.RWMutex
-	id       uint64
+	mu sync.RWMutex
+	id uint64
+	// pages and overflow are the writers' directory, guarded by mu; dir
+	// publishes them to readers after every append to either. Appends
+	// never disturb the elements a published prefix covers.
 	pages    []*page
 	overflow [][]byte
+	dir      atomic.Pointer[directory]
 	rows     int
 	pool     *BufferPool
 	// open lists pages that were emptied by deletes and reset, sorted
@@ -55,10 +59,24 @@ type HeapFile struct {
 	ovFree []int
 }
 
+// directory is the page and overflow directory readers load.
+type directory struct {
+	pages    []*page
+	overflow [][]byte
+}
+
 // NewHeapFile returns an empty heap file. The buffer pool is optional; if
 // present, page reads are accounted against it.
 func NewHeapFile(pool *BufferPool) *HeapFile {
-	return &HeapFile{pool: pool, id: heapFileIDs.Add(1)}
+	h := &HeapFile{pool: pool, id: heapFileIDs.Add(1)}
+	h.publish()
+	return h
+}
+
+// publish makes the writers' directory the one readers load. Callers hold
+// h.mu or own h exclusively.
+func (h *HeapFile) publish() {
+	h.dir.Store(&directory{pages: h.pages, overflow: h.overflow})
 }
 
 // Insert stores a row and returns its RID.
@@ -89,6 +107,7 @@ func (h *HeapFile) insertLocked(rec []byte) RID {
 	}
 	if len(h.pages) == 0 || !h.fitsLast(rec) {
 		h.pages = append(h.pages, newPage())
+		h.publish()
 	}
 	pageNo := len(h.pages) - 1
 	slot, ok := h.pages[pageNo].insert(rec)
@@ -115,6 +134,7 @@ func (h *HeapFile) allocOverflow(rec []byte) int {
 		return idx
 	}
 	h.overflow = append(h.overflow, rec)
+	h.publish()
 	return len(h.overflow) - 1
 }
 
@@ -272,16 +292,11 @@ func (h *HeapFile) FreePages() int {
 	return len(h.open)
 }
 
-// pageSnapshot returns the current page directory. The slice itself is
+// pageSnapshot returns the published page directory. The slice itself is
 // never mutated in place (Insert only appends); page contents can change
 // under mutation statements, but the engine serializes those against
 // queries, so snapshot holders read stable pages.
-func (h *HeapFile) pageSnapshot() []*page {
-	h.mu.RLock()
-	ps := h.pages
-	h.mu.RUnlock()
-	return ps
-}
+func (h *HeapFile) pageSnapshot() []*page { return h.dir.Load().pages }
 
 // Get fetches the row at rid.
 func (h *HeapFile) Get(rid RID) ([]types.Value, error) {
@@ -327,9 +342,7 @@ func (h *HeapFile) resolve(rec []byte) ([]byte, error) {
 		return rec, nil
 	}
 	idx, n := binary.Uvarint(rec[1:])
-	h.mu.RLock()
-	overflow := h.overflow
-	h.mu.RUnlock()
+	overflow := h.dir.Load().overflow
 	if n <= 0 || idx >= uint64(len(overflow)) {
 		return nil, errors.New("storage: corrupt overflow stub")
 	}

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -162,4 +164,73 @@ func TestHeapFileConcurrentScans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestHeapFileReadersWhileAppending runs lock-free readers against a
+// writer that opens new pages and overflow entries. Get on rows of the
+// pages that were full before the appends, and a cursor opened before
+// them, must see exactly those rows. Run it under -race.
+func TestHeapFileReadersWhileAppending(t *testing.T) {
+	h := NewHeapFile(nil)
+	row := func(i int) []types.Value {
+		pad := 100
+		if i%10 == 0 {
+			pad = MaxInlineRecord + 64 // stored in an overflow entry
+		}
+		return []types.Value{types.NewInt(int64(i)), types.NewString(strings.Repeat("x", pad))}
+	}
+	const before, after = 2000, 6000
+	var rids []RID
+	for i := 0; i < before; i++ {
+		rids = append(rids, h.Insert(row(i)))
+	}
+	// Inserts only ever go to the last page or a new one.
+	full := h.DataPages() - 1
+	var stable [][]types.Value
+	for i, r := range rids {
+		if int(r.Page) < full {
+			stable = append(stable, row(i))
+		}
+	}
+	cur := h.NewRangeCursor(0, full, nil)
+	overflowBefore := len(h.overflow)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := before; i < after; i++ {
+			h.Insert(row(i))
+		}
+	}()
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				for i := w; i < len(stable); i += 3 {
+					got, err := h.Get(rids[i])
+					if err != nil || !slices.EqualFunc(got, stable[i], types.Equal) {
+						t.Errorf("Get(%v) = %v, %v; want row %d", rids[i], got, err, i)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	got := drainCursor(t, cur, 2, 64)
+	wg.Wait()
+
+	if len(got) != len(stable) {
+		t.Fatalf("cursor yielded %d rows, want %d", len(got), len(stable))
+	}
+	for i := range got {
+		if !slices.EqualFunc(got[i], stable[i], types.Equal) {
+			t.Fatalf("cursor row %d = %v, want %v", i, got[i], stable[i])
+		}
+	}
+	if h.DataPages() <= full+1 || len(h.overflow) <= overflowBefore {
+		t.Fatalf("writer opened no page or overflow entry: %d pages, %d overflow entries",
+			h.DataPages(), len(h.overflow))
+	}
 }

@@ -106,6 +106,7 @@ func DeserializeHeapFile(r io.Reader, pool *BufferPool) (*HeapFile, error) {
 		}
 		h.open = append(h.open, int32(pg))
 	}
+	h.publish()
 	return h, nil
 }
 

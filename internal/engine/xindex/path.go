@@ -59,11 +59,13 @@ func (p *PathIndex) Add(rid storage.RID, path []byte) {
 // by unioning the postings of every dictionary path with that segment.
 func (p *PathIndex) LookupName(name string) []uint64 {
 	var all []uint64
+	var rids []storage.RID
 	for _, e := range p.paths {
 		if !containsSeg(e.segs, name) {
 			continue
 		}
-		for _, rid := range p.tree.Lookup(e.key) {
+		rids = p.tree.Lookup(e.key, rids[:0]...)
+		for _, rid := range rids {
 			all = append(all, ridKey(rid))
 		}
 	}
