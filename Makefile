@@ -25,12 +25,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One-iteration benchmark pass: proves the engine micro-benchmark still
-# compiles and runs, smoke-runs every workload of the committed
-# benchmark module (its own go.mod, so `test` does not reach it), and
-# runs the cost-model differential axis under the race detector.
+# One-iteration benchmark pass: proves the engine and B+tree probe
+# micro-benchmarks still compile and run, smoke-runs every workload of
+# the committed benchmark module (its own go.mod, so `test` does not
+# reach it), and runs the cost-model differential axis under the race
+# detector.
 benchsmoke:
 	$(GO) test -run=NONE -bench=BenchmarkScan -benchtime=1x ./internal/engine/
+	$(GO) test -run=NONE -bench=BenchmarkBTreeLookup -benchtime=1x ./internal/engine/index/
 	cd benchmark && $(GO) test ./...
 	$(GO) test -race -run TestDifferentialCostModelAxis ./internal/difftest/
 

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -202,63 +203,124 @@ func TestLookupMatchesLinearScanProperty(t *testing.T) {
 	}
 }
 
-// keySlack returns the total key-slice capacity over all nodes divided by
-// the keys they hold.
-func keySlack(tr *BTree) float64 {
-	slots, keys := 0, 0
+// slack returns the total key-slice capacity over all nodes divided by
+// the keys they hold, and the total data capacity divided by the payload
+// bytes those keys refer to.
+func slack(tr *BTree) (keySlack, dataSlack float64) {
+	slots, keys, capacity, payload := 0, 0, 0, 0
 	var walk func(n *node)
 	walk = func(n *node) {
 		slots += cap(n.keys)
 		keys += len(n.keys)
+		capacity += cap(n.data)
+		for _, k := range n.keys {
+			if k.hasPayload() {
+				_, l := k.span()
+				payload += l
+			}
+		}
 		for _, c := range n.children {
 			walk(c)
 		}
 	}
 	walk(tr.root)
-	return float64(slots) / float64(keys)
+	return float64(slots) / float64(keys), float64(capacity) / float64(max(payload, 1))
 }
 
-// TestSplitHalvesRightSized holds split nodes to the slots they use.
-// Reslicing the left half instead keeps the array it grew into: after
-// ascending inserts, 2.3 slots per key.
+// TestSplitHalvesRightSized holds split nodes to the key slots and the
+// payload bytes they use. Reslicing the left half instead keeps the
+// arrays it grew into: after ascending inserts, 2.2 slots per key, and
+// after the two-letter strings, 2.5 data bytes per payload byte.
 func TestSplitHalvesRightSized(t *testing.T) {
 	seqs := shapeSequences()
 	for _, tc := range []struct {
-		seq   shapeSequence
-		bound float64
+		seq                 shapeSequence
+		keyBound, dataBound float64
 	}{
-		{seqs[0], 1.25},
-		{seqs[1], 1.52},
+		{seqs[0], 1.25, 0},
+		{seqs[1], 1.52, 0},
+		{seqs[2], 1.52, 1.6},
 	} {
-		if got := keySlack(buildTree(tc.seq.keys)); got > tc.bound {
-			t.Errorf("%s: %.2f key slots per key, want at most %.2f", tc.seq.name, got, tc.bound)
+		keys, data := slack(buildTree(tc.seq.keys))
+		if keys > tc.keyBound {
+			t.Errorf("%s: %.2f key slots per key, want at most %.2f", tc.seq.name, keys, tc.keyBound)
+		}
+		if tc.dataBound > 0 && data > tc.dataBound {
+			t.Errorf("%s: %.2f data bytes per payload byte, want at most %.2f", tc.seq.name, data, tc.dataBound)
 		}
 	}
 }
 
-// TestDeleteClearsVacatedSlot checks that Delete zeroes the slot it
-// vacates: a stale copy past a leaf's length would pin the key's payload.
-func TestDeleteClearsVacatedSlot(t *testing.T) {
+// TestDeleteChurnBoundsLeafData deletes and reinserts distinct string
+// keys in one leaf and holds the leaf's payload bytes to at most twice
+// the live payload plus 64: Delete leaves a removed key's bytes in data,
+// so without compaction a churned leaf would grow without bound.
+func TestDeleteChurnBoundsLeafData(t *testing.T) {
 	tr := New()
-	keys := make([]types.Value, 1000)
-	for i := range keys {
-		keys[i] = types.NewString(fmt.Sprintf("key%04d", i))
-		tr.Insert(keys[i], rid(i))
+	const live = 50
+	keyOf := func(i int) types.Value { return types.NewString(fmt.Sprintf("churn-key-%06d", i)) }
+	for i := 0; i < live; i++ {
+		tr.Insert(keyOf(i), rid(i))
 	}
-	first := tr.root
-	for !first.leaf {
-		first = first.children[0]
+	if !tr.root.leaf {
+		t.Fatal("setup: keys do not fit one leaf")
 	}
-	for i := 0; i < len(keys); i += 3 {
-		if !tr.Delete(keys[i], rid(i)) {
-			t.Fatalf("Delete(%v) found nothing", keys[i])
+	for i := live; i < live+10000; i++ {
+		if !tr.Delete(keyOf(i-live), rid(i-live)) {
+			t.Fatalf("Delete(%v) found nothing", keyOf(i-live))
 		}
-		for n := first; n != nil; n = n.next {
-			for _, k := range n.keys[len(n.keys):cap(n.keys)] {
-				if k != types.Null {
-					t.Fatalf("after deleting %v, a leaf holds %v past its length", keys[i], k)
-				}
+		tr.Insert(keyOf(i), rid(i))
+		n, payload := tr.root, 0
+		for j := range n.keys {
+			payload += len(n.value(j).Str())
+		}
+		if len(n.data) > 2*payload+64 {
+			t.Fatalf("cycle %d: leaf data %d bytes for %d live payload bytes", i-live, len(n.data), payload)
+		}
+	}
+	for i := 10000; i < live+10000; i++ {
+		if got := tr.Lookup(keyOf(i)); len(got) != 1 || got[0] != rid(i) {
+			t.Fatalf("Lookup(%v) = %v after churn", keyOf(i), got)
+		}
+	}
+}
+
+// TestNodeKeysHoldNoPointers checks that the arrays holding keys and
+// their payloads contain no pointers, so the garbage collector never
+// traces index keys.
+func TestNodeKeysHoldNoPointers(t *testing.T) {
+	nt := reflect.TypeOf(node{})
+	for _, name := range []string{"keys", "data"} {
+		f, ok := nt.FieldByName(name)
+		if !ok {
+			t.Fatalf("node has no field %s", name)
+		}
+		if f.Type.Kind() != reflect.Slice || hasPointers(f.Type.Elem()) {
+			t.Errorf("node.%s is %v; want a slice of pointer-free elements", name, f.Type)
+		}
+	}
+	if !hasPointers(reflect.TypeOf(types.Value{})) {
+		t.Error("hasPointers misses the string in types.Value")
+	}
+}
+
+// hasPointers reports whether a value of type typ holds any pointer the
+// garbage collector must trace.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
 			}
 		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return true
+	default:
+		return false
 	}
 }

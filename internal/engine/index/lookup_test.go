@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/engine/storage"
@@ -131,40 +132,92 @@ func TestLookupKeepsPrefix(t *testing.T) {
 }
 
 // TestLookupAllocatesNothing checks that a probe into a buffer with room
-// allocates nothing, on keys stored in and out of heap order.
+// allocates nothing, on INTEGER and VARCHAR keys stored in and out of
+// heap order and on absent keys.
 func TestLookupAllocatesNothing(t *testing.T) {
-	tr := New()
+	ints, strs := New(), New()
 	for i := 0; i < 5000; i++ {
-		tr.Insert(types.NewInt(int64(i%50)), rid(i+100))
+		ints.Insert(types.NewInt(int64(i%50)), rid(i+100))
+		strs.Insert(types.NewString(fmt.Sprintf("speaker-%02d", i%50)), rid(i+100))
 	}
-	tr.Insert(types.NewInt(7), rid(1)) // below its siblings: sorted on probe
+	// Below their siblings: sorted on probe.
+	ints.Insert(types.NewInt(7), rid(1))
+	strs.Insert(types.NewString("speaker-07"), rid(1))
 	buf := make([]storage.RID, 0, 256)
-	for _, k := range []int64{3, 7, 99} {
-		key := types.NewInt(k)
+	for _, tc := range []struct {
+		tr  *BTree
+		key types.Value
+	}{
+		{ints, types.NewInt(3)},
+		{ints, types.NewInt(7)},
+		{ints, types.NewInt(99)},
+		{strs, types.NewString("speaker-03")},
+		{strs, types.NewString("speaker-07")},
+		{strs, types.NewString("speaker-99")},
+		{strs, types.NewInt(3)},
+	} {
 		allocs := testing.AllocsPerRun(100, func() {
-			buf = tr.Lookup(key, buf[:0]...)
+			buf = tc.tr.Lookup(tc.key, buf[:0]...)
 		})
 		if allocs != 0 {
-			t.Errorf("Lookup(%d) into a buffer with room: %.1f allocs, want 0", k, allocs)
+			t.Errorf("Lookup(%v) into a buffer with room: %.1f allocs, want 0", tc.key, allocs)
 		}
 	}
 }
 
+// BenchmarkBTreeLookup probes a 50k-entry tree of INTEGER keys and one of
+// VARCHAR keys into a reused buffer.
+func BenchmarkBTreeLookup(b *testing.B) {
+	const n, distinct = 50000, 5000
+	for _, bc := range []struct {
+		name  string
+		keyOf func(int) types.Value
+	}{
+		{"int", func(i int) types.Value { return types.NewInt(int64(i)) }},
+		{"varchar", func(i int) types.Value { return types.NewString(fmt.Sprintf("PERSONA-%05d", i)) }},
+	} {
+		tr := New()
+		for i := 0; i < n; i++ {
+			tr.Insert(bc.keyOf(i%distinct), rid(i))
+		}
+		probes := make([]types.Value, distinct)
+		for i := range probes {
+			probes[i] = bc.keyOf(i * 7919 % distinct)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []storage.RID
+			for i := 0; i < b.N; i++ {
+				buf = tr.Lookup(probes[i%len(probes)], buf[:0]...)
+			}
+		})
+	}
+}
+
 // FuzzBTreeLookup drives random insert and delete sequences over int,
-// string and Null keys and holds Lookup of every key to a model of
-// sorted RID multisets after each step. Each op is three bytes: the op
-// (low bit: insert or delete; the rest: run length), the key, and a RID
-// page.
+// string, long string, XADT and Null keys (the empty string among the
+// strings, distinct from Null) and after each step holds Lookup of every
+// key to a model of sorted RID multisets, and Ascend to exactly the
+// model's entries in key order. Each op is three bytes: the op (low bit:
+// insert or delete; the rest: run length), the key, and a RID page. Only
+// the first 256 ops run: every step checks the whole tree, so longer
+// inputs cost quadratic time.
 func FuzzBTreeLookup(f *testing.F) {
 	f.Add([]byte{0xfe, 1, 9, 0xfe, 1, 3, 0x3e, 9, 1, 1, 1, 0, 0x20, 16, 4})
 	f.Add([]byte{0xfe, 0, 200, 0xfe, 0, 100, 0xfe, 0, 50, 0xfe, 0, 1, 0xfe, 0, 0, 3, 0, 7, 0x40, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		keys := make([]types.Value, 17)
+		keys := make([]types.Value, 0, 22)
 		for k := 0; k < 8; k++ {
-			keys[k] = types.NewInt(int64(k))
-			keys[8+k] = types.NewString(fmt.Sprintf("k%d", k))
+			keys = append(keys, types.NewInt(int64(k)))
 		}
-		keys[16] = types.Null
+		for k := 0; k < 8; k++ {
+			keys = append(keys, types.NewString(fmt.Sprintf("k%d", k)))
+		}
+		keys = append(keys, types.Null, types.NewString(""), types.NewXADT([]byte("k1")))
+		for k := 0; k < 3; k++ {
+			keys = append(keys, types.NewString(strings.Repeat("long", 20)+fmt.Sprint(k)))
+		}
+		data = data[:min(len(data), 3*256)]
 		tr := New()
 		model := map[types.Value][]storage.RID{}
 		size := 0
@@ -195,6 +248,33 @@ func FuzzBTreeLookup(f *testing.F) {
 					t.Fatalf("Lookup(%v) = %v, want %v", k, got, want)
 				}
 			}
+			checkAscend(t, tr, model)
 		}
 	})
+}
+
+// checkAscend holds a full Ascend to the model: keys in types.Compare
+// order, and under each key exactly the model's RIDs.
+func checkAscend(t *testing.T, tr *BTree, model map[types.Value][]storage.RID) {
+	t.Helper()
+	seen := map[types.Value][]storage.RID{}
+	var prev types.Value
+	first := true
+	tr.Ascend(func(k types.Value, r storage.RID) bool {
+		if !first && types.Compare(prev, k) > 0 {
+			t.Fatalf("Ascend visited %v after %v", k, prev)
+		}
+		prev, first = k, false
+		seen[k] = append(seen[k], r)
+		return true
+	})
+	for k, rids := range model {
+		if got, want := sortedRIDs(seen[k]), sortedRIDs(rids); !slices.Equal(got, want) {
+			t.Fatalf("Ascend visited %v under %v, want %v", got, k, want)
+		}
+		delete(seen, k)
+	}
+	for k, rids := range seen {
+		t.Fatalf("Ascend visited %v under %v, which the model lacks", rids, k)
+	}
 }

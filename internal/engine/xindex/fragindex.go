@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -253,7 +252,7 @@ func (fi *FragmentIndex) LookupFindKey(elm, key string) (rids []storage.RID, ok 
 				acc = append(acc, k)
 			}
 		}
-		sort.Slice(acc, func(i, j int) bool { return acc[i] < acc[j] })
+		slices.Sort(acc)
 	}
 	out := make([]storage.RID, len(acc))
 	for i, k := range acc {

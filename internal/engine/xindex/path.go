@@ -1,7 +1,7 @@
 package xindex
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/engine/index"
@@ -69,8 +69,8 @@ func (p *PathIndex) LookupName(name string) []uint64 {
 			all = append(all, ridKey(rid))
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return dedupSorted(all)
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 func containsSeg(segs []string, name string) bool {

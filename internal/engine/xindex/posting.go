@@ -3,6 +3,7 @@ package xindex
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/engine/storage"
@@ -201,18 +202,8 @@ func Union(lists []*PostingList) []uint64 {
 	for _, l := range lists {
 		all = append(all, l.Values()...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return dedupSorted(all)
-}
-
-func dedupSorted(vals []uint64) []uint64 {
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || v != vals[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 // IntersectSorted intersects two sorted deduplicated slices.
