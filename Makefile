@@ -25,13 +25,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One-iteration benchmark pass: proves the engine and B+tree probe
-# micro-benchmarks still compile and run, smoke-runs every workload of
+# One-iteration benchmark pass: proves the engine, session point-read
+# and B+tree probe micro-benchmarks still compile and run, smoke-runs every workload of
 # the committed benchmark module (its own go.mod, so `test` does not
 # reach it), and runs the cost-model differential axis under the race
 # detector.
 benchsmoke:
 	$(GO) test -run=NONE -bench=BenchmarkScan -benchtime=1x ./internal/engine/
+	$(GO) test -run=NONE -bench=BenchmarkSessionPointRead -benchtime=1x ./internal/engine/
 	$(GO) test -run=NONE -bench=BenchmarkBTreeLookup -benchtime=1x ./internal/engine/index/
 	cd benchmark && $(GO) test ./...
 	$(GO) test -race -run TestDifferentialCostModelAxis ./internal/difftest/
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseStatement -fuzztime=$(FUZZTIME) ./internal/engine/sql/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/engine/storage/
 	$(GO) test -run=NONE -fuzz=FuzzDeserializeHeapFile -fuzztime=$(FUZZTIME) ./internal/engine/storage/
+	$(GO) test -run=NONE -fuzz=FuzzHeapOps -fuzztime=$(FUZZTIME) ./internal/engine/storage/
 	$(GO) test -run=NONE -fuzz=FuzzBTreeLookup -fuzztime=$(FUZZTIME) ./internal/engine/index/
 	$(GO) test -run=NONE -fuzz=FuzzParseDocument -fuzztime=$(FUZZTIME) ./internal/xmltree/
 

@@ -204,7 +204,7 @@ func (st *Store) applyRemoveDocument(docID int64) error {
 }
 
 // removeDocumentOps computes the row deletes that remove document docID
-// as seen through rows (the live store or a session view): every row
+// as seen through rows (the live store or a session snapshot): every row
 // the registry says it produced, then its registry rows. All victims are
 // fixed before any op is returned — per span in RID order, then the
 // registry rows — so the store and a session delete the same rows in
@@ -322,9 +322,10 @@ func (st *Store) SpliceFragment(table, column string, id int64, fragTexts []stri
 }
 
 // spliceOp computes the row update of a fragment splice (see
-// SpliceFragment) against rows, the live store or a session view. The
-// new value is encoded now; if several rows carry the ID, the last in
-// RID order is the target.
+// SpliceFragment) against rows, the live store or a session snapshot.
+// The new value is encoded now; if several rows carry the ID, the last
+// in RID order is the target. An indexed ID column is probed rather than
+// scanned; probes yield in RID order too, so the target is the same.
 func (st *Store) spliceOp(rows exec.RowSource, table, column string, id int64, fragTexts []string) (mvcc.Op, error) {
 	rel := st.Schema.Relation(table)
 	if rel == nil {
@@ -369,7 +370,7 @@ func (st *Store) spliceOp(rows exec.RowSource, table, column string, id int64, f
 		return mvcc.Op{}, fmt.Errorf("core: relation %s has no ID column", table)
 	}
 	op := mvcc.Op{Kind: mvcc.OpRowUpdate, Table: table}
-	err := rows.Scan(tbl, nil, types.Null, func(rid storage.RID, row []types.Value) error {
+	err := rows.Scan(tbl, tbl.IndexOn(rel.Columns[idCol].Name), types.NewInt(id), func(rid storage.RID, row []types.Value) error {
 		if v := row[idCol]; !v.IsNull() && v.Kind() == types.KindInt && v.Int() == id {
 			op.RID, op.Row = rid, row
 		}

@@ -132,7 +132,7 @@ func (s *Session) RemoveDocument(docID int64) error {
 
 // SpliceFragment replaces the XADT fragment of the row whose ID is id,
 // like Store.SpliceFragment but against the session snapshot: the new
-// value is encoded now, the target row resolved from the session view,
+// value is encoded now, the target row resolved in the session snapshot,
 // and the update applied at Commit.
 func (s *Session) SpliceFragment(table, column string, id int64, fragTexts []string) error {
 	op, err := s.st.spliceOp(s.es, table, column, id, fragTexts)

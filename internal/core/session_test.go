@@ -3,12 +3,18 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/engine"
+	"repro/internal/engine/catalog"
+	"repro/internal/engine/mvcc"
+	"repro/internal/engine/storage"
+	"repro/internal/engine/types"
 )
 
 // mvccPlayStore builds an MVCC-enabled store with registered documents.
@@ -432,5 +438,114 @@ func TestBeginRequiresMVCC(t *testing.T) {
 	st := newPlayStore(t, XORator)
 	if _, err := st.NewSession(); err == nil {
 		t.Fatal("NewSession on a non-MVCC store succeeded")
+	}
+}
+
+// TestSessionProbeSnapshot holds a session's B+tree probe of the live
+// index to the snapshot it must see: versions another session committed
+// since are replaced by their undo images, the session's own writes
+// apply by their new keys, and a probe yields exactly the rows, in the
+// order, a full snapshot scan filtered on the key yields.
+func TestSessionProbeSnapshot(t *testing.T) {
+	st, _ := mvccPlayStore(t, Hybrid, 1)
+	if err := st.CreateDefaultIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	tbl := st.DB.Catalog.Table("speech")
+	idx := tbl.IndexOn("speech_parentID")
+	if idx == nil {
+		t.Fatal("speech_parentID is not indexed")
+	}
+	ci := idx.ColIdx
+	collect := func(s *Session, ix *catalog.Index, key int64) []mvcc.VRow {
+		t.Helper()
+		var out []mvcc.VRow
+		err := s.es.Scan(tbl, ix, types.NewInt(key), func(rid storage.RID, row []types.Value) error {
+			if ix != nil || types.Equal(row[ci], types.NewInt(key)) {
+				out = append(out, mvcc.VRow{RID: rid, Row: row})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	probe := func(s *Session, key int64) []mvcc.VRow { return collect(s, idx, key) }
+	ids := func(rows []mvcc.VRow) []int64 {
+		var out []int64
+		for _, vr := range rows {
+			out = append(out, vr.Row[0].Int())
+		}
+		return out
+	}
+	firstChild := func(s *Session, parent int64) int64 {
+		t.Helper()
+		rows := probe(s, parent)
+		if len(rows) < 2 {
+			t.Fatalf("parent %d has %d speeches, want several", parent, len(rows))
+		}
+		return rows[0].Row[0].Int()
+	}
+
+	s, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Rollback()
+	movedByOther := firstChild(s, 1)
+	movedByOwn := firstChild(s, 2)
+	deleted := firstChild(s, 3)
+
+	other, err := st.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessionExec(t, other, fmt.Sprintf(`UPDATE speech SET speech_parentID = 9001 WHERE speechID = %d`, movedByOther))
+	if err := other.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The older snapshot finds the row under its old key, as the undo
+	// image: the live heap at that RID holds the committed new key.
+	var old *mvcc.VRow
+	for _, vr := range probe(s, 1) {
+		if vr.Row[0].Int() == movedByOther {
+			old = &vr
+		}
+	}
+	if old == nil || old.Row[ci].Int() != 1 {
+		t.Fatalf("old snapshot's probe by the old key lost speech %d: %v", movedByOther, old)
+	}
+	if live, err := tbl.Heap.Get(old.RID); err != nil || live[ci].Int() != 9001 {
+		t.Fatalf("live row at %v is %v (%v), want the committed key 9001", old.RID, live, err)
+	}
+	if got := probe(s, 9001); len(got) != 0 {
+		t.Fatalf("old snapshot's probe by the committed new key found %v", ids(got))
+	}
+
+	// The session's own writes: an UPDATE of the key column, a DELETE
+	// and an INSERT.
+	sessionExec(t, s, fmt.Sprintf(`UPDATE speech SET speech_parentID = 9002 WHERE speechID = %d`, movedByOwn))
+	sessionExec(t, s, fmt.Sprintf(`DELETE FROM speech WHERE speechID = %d`, deleted))
+	sessionExec(t, s, `INSERT INTO speech (speechID, speech_parentID) VALUES (99999, 9002)`)
+	if got := ids(probe(s, 9002)); !reflect.DeepEqual(got, []int64{movedByOwn, 99999}) {
+		t.Fatalf("probe by the session's new key found %v, want [%d 99999]", got, movedByOwn)
+	}
+	if got := ids(probe(s, 2)); slices.Contains(got, movedByOwn) {
+		t.Fatalf("probe by the old key still finds the session's updated speech %d", movedByOwn)
+	}
+	if got := ids(probe(s, 3)); slices.Contains(got, deleted) {
+		t.Fatalf("probe finds the session's deleted speech %d", deleted)
+	}
+
+	keys := []int64{9001, 9002, 99999}
+	for k := int64(0); k <= 40; k++ {
+		keys = append(keys, k)
+	}
+	for _, k := range keys {
+		if got, want := probe(s, k), collect(s, nil, k); !reflect.DeepEqual(got, want) {
+			t.Errorf("key %d: probe yields %v, filtered scan %v", k, ids(got), ids(want))
+		}
 	}
 }

@@ -20,7 +20,7 @@ type MutationLog interface {
 }
 
 // RowSource is where a mutation fixes its victims: the live heap for
-// the store (Live), a session's snapshot view for a session.
+// the store (Live), the session itself (its snapshot) for a session.
 type RowSource interface {
 	// Scan calls fn for each row of t in RID order; with idx set, only
 	// for the rows whose idx column equals key.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/expr"
-	"repro/internal/engine/mvcc"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
 	"repro/internal/engine/vec"
@@ -31,7 +30,7 @@ func TableSchema(t *catalog.Table, alias string, cols []int) *expr.RowSchema {
 
 // projectRow narrows a full table row to the stored columns cols, into
 // dst when it is non-nil (nil cols: the row itself) — the shape access
-// operators emit under a session view, whose rows are materialized whole.
+// operators emit over a RowSource, whose rows come whole.
 func projectRow(dst, row []types.Value, cols []int) []types.Value {
 	if cols == nil {
 		return row
@@ -43,6 +42,42 @@ func projectRow(dst, row []types.Value, cols []int) []types.Value {
 		dst[k] = row[j]
 	}
 	return dst
+}
+
+// sourceRows holds the rows an access operator reading a RowSource (a
+// session snapshot) emits. They are gathered at Open, so the source's
+// latch is held only while they are collected, never across execution.
+type sourceRows struct {
+	rows [][]types.Value
+	pos  int
+}
+
+// gather collects the rows src yields for t (narrowed to the idx
+// equality on key when idx is set), projected to cols and filtered by
+// pred when it is set.
+func (r *sourceRows) gather(src RowSource, t *catalog.Table, idx *catalog.Index, key types.Value, cols []int, pred expr.Expr) error {
+	r.rows, r.pos = r.rows[:0], 0
+	var spare []types.Value // a projection pred rejected, reused
+	return src.Scan(t, idx, key, func(_ storage.RID, row []types.Value) error {
+		row = projectRow(spare, row, cols)
+		spare = nil
+		if ok, err := matches(pred, row); err != nil || !ok {
+			if cols != nil {
+				spare = row
+			}
+			return err
+		}
+		r.rows = append(r.rows, row)
+		return nil
+	})
+}
+
+func (r *sourceRows) next() []types.Value {
+	if r.pos >= len(r.rows) {
+		return nil
+	}
+	r.pos++
+	return r.rows[r.pos-1]
 }
 
 // SeqScan reads a table front to back. A fused predicate, when set,
@@ -60,17 +95,16 @@ type SeqScan struct {
 	// every column. The schema holds exactly these.
 	Cols []int
 	Pred expr.Expr // optional, resolved against the scan schema
-	// View, when set, is a materialized MVCC snapshot: the scan iterates
-	// its rows, one at a time, instead of the live heap.
-	View *mvcc.View
+	// Source, when set, is an MVCC snapshot: the scan emits the rows it
+	// yields, one at a time, instead of decoding the live heap.
+	Source RowSource
 	// Est is the planner's estimated output cardinality (rows surviving
 	// the fused predicate); zero when no estimate was made. Advisory
 	// only — execution never reads it.
 	Est    float64
 	schema *expr.RowSchema
 	cursor *storage.Cursor
-	vpos   int
-	vrow   []types.Value // a projected view row the predicate rejected, reused
+	src    sourceRows
 
 	batch   *vec.Batch
 	scratch expr.VecScratch
@@ -88,9 +122,8 @@ func (s *SeqScan) Schema() *expr.RowSchema { return s.schema }
 
 // Open implements Operator.
 func (s *SeqScan) Open() error {
-	if s.View != nil {
-		s.vpos = 0
-		return nil
+	if s.Source != nil {
+		return s.src.gather(s.Source, s.Table, nil, types.Null, s.Cols, s.Pred)
 	}
 	s.cursor = s.Table.Heap.NewRangeCursor(0, s.Table.Heap.DataPages(), s.Cols)
 	s.shim.reset()
@@ -123,26 +156,8 @@ func (s *SeqScan) NextBatch() (*vec.Batch, error) {
 
 // Next implements Operator.
 func (s *SeqScan) Next() ([]types.Value, error) {
-	if s.View != nil {
-		for s.vpos < len(s.View.Rows) {
-			row := projectRow(s.vrow, s.View.Rows[s.vpos].Row, s.Cols)
-			s.vpos++
-			if s.Pred != nil {
-				v, err := s.Pred.Eval(row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Truthy() {
-					if s.Cols != nil {
-						s.vrow = row // reuse the rejected projection
-					}
-					continue
-				}
-			}
-			s.vrow = nil
-			return row, nil
-		}
-		return nil, nil
+	if s.Source != nil {
+		return s.src.next(), nil
 	}
 	return s.shim.next(s.NextBatch)
 }
@@ -150,6 +165,7 @@ func (s *SeqScan) Next() ([]types.Value, error) {
 // Close implements Operator.
 func (s *SeqScan) Close() error {
 	s.cursor = nil
+	s.src = sourceRows{}
 	vec.Release(s.batch)
 	s.batch = nil
 	s.shim.reset()
@@ -176,16 +192,15 @@ type IndexScan struct {
 	Cols  []int
 	Index *catalog.Index
 	Key   types.Value
-	// View, when set, is a materialized MVCC snapshot: the equality
-	// access filters the view on the indexed column instead of probing
-	// the shared B+tree, so only snapshot-visible rows surface.
-	View *mvcc.View
+	// Source, when set, is an MVCC snapshot: the equality access asks
+	// it for the key's rows, so only snapshot-visible rows surface.
+	Source RowSource
 	// Est is the planner's estimated output cardinality; advisory only.
 	Est    float64
 	schema *expr.RowSchema
 	rids   []storage.RID
-	rows   [][]types.Value
 	pos    int
+	src    sourceRows
 }
 
 // NewIndexScan returns an equality index scan emitting the stored
@@ -200,15 +215,8 @@ func (s *IndexScan) Schema() *expr.RowSchema { return s.schema }
 // Open implements Operator.
 func (s *IndexScan) Open() error {
 	s.pos = 0
-	if s.View != nil {
-		s.rows = s.rows[:0]
-		ci := s.Index.ColIdx
-		for _, vr := range s.View.Rows {
-			if types.Equal(vr.Row[ci], s.Key) {
-				s.rows = append(s.rows, projectRow(nil, vr.Row, s.Cols))
-			}
-		}
-		return nil
+	if s.Source != nil {
+		return s.src.gather(s.Source, s.Table, s.Index, s.Key, s.Cols, nil)
 	}
 	s.rids = s.Index.Tree.Lookup(s.Key, s.rids[:0]...)
 	return nil
@@ -216,13 +224,8 @@ func (s *IndexScan) Open() error {
 
 // Next implements Operator.
 func (s *IndexScan) Next() ([]types.Value, error) {
-	if s.View != nil {
-		if s.pos >= len(s.rows) {
-			return nil, nil
-		}
-		row := s.rows[s.pos]
-		s.pos++
-		return row, nil
+	if s.Source != nil {
+		return s.src.next(), nil
 	}
 	if s.pos >= len(s.rids) {
 		return nil, nil
@@ -238,7 +241,7 @@ func (s *IndexScan) Next() ([]types.Value, error) {
 // Close implements Operator.
 func (s *IndexScan) Close() error {
 	s.rids = s.rids[:0]
-	s.rows = nil
+	s.src = sourceRows{}
 	return nil
 }
 

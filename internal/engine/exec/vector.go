@@ -81,7 +81,7 @@ func hashKeyCols(keyCols [][]types.Value, b *vec.Batch, hashes []uint64) {
 }
 
 // Batched reports whether op produces batches, from the operator tree
-// alone: heap scans (SeqScan without a snapshot View, MorselScan) and
+// alone: heap scans (SeqScan without a snapshot Source, MorselScan) and
 // ValuesScan always do; Filter, Project and Limit do iff their child
 // does; Gather does iff every worker pipeline does. Everything else
 // produces rows. HashAggregate produces rows but consumes batches when
@@ -89,7 +89,7 @@ func hashKeyCols(keyCols [][]types.Value, b *vec.Batch, hashes []uint64) {
 func Batched(op Operator) bool {
 	switch n := op.(type) {
 	case *SeqScan:
-		return n.View == nil
+		return n.Source == nil
 	case *MorselScan, *ValuesScan:
 		return true
 	case *Filter:

@@ -269,18 +269,10 @@ func (t *BTree) Lookup(key types.Value, dst ...storage.RID) []storage.RID {
 			break
 		}
 	}
-	if got := dst[start:]; !slices.IsSortedFunc(got, compareRID) {
-		slices.SortFunc(got, compareRID)
+	if got := dst[start:]; !slices.IsSortedFunc(got, storage.CompareRID) {
+		slices.SortFunc(got, storage.CompareRID)
 	}
 	return dst
-}
-
-// compareRID orders RIDs as a heap scan visits them: page, then slot.
-func compareRID(a, b storage.RID) int {
-	if c := cmp.Compare(a.Page, b.Page); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Slot, b.Slot)
 }
 
 // Delete removes one entry matching key→rid; it reports whether a match

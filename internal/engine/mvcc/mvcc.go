@@ -1,8 +1,8 @@
 // Package mvcc implements snapshot isolation for the engine: a
 // transaction manager that hands out snapshot timestamps and detects
-// first-committer-wins write-write conflicts, per-table version stamps
-// layered over the existing heap files, and materialized per-snapshot
-// table views the executor scans instead of the raw heaps.
+// first-committer-wins write-write conflicts, and per-table version
+// stamps layered over the existing heap files, which readers consult
+// per RID while they probe or scan the live heap and B+trees.
 //
 // The design keeps the heap as the single physical home of the *latest
 // committed* state — exactly what PRs 1–8 store, log, checkpoint, and
@@ -20,15 +20,16 @@
 // of a RID is visible to any snapshot — including across RID reuse.
 //
 // Readers never block writers and vice versa in the long-running sense:
-// a view is materialized under a brief shared latch and queries then run
-// latch-free over the materialized rows, while commits serialize only
-// against each other and against view materialization.
+// a reader collects the rows it touches (a B+tree probe's matches, or a
+// whole heap for a scan) under a brief shared latch and then runs
+// latch-free over the collected rows, while commits serialize only
+// against each other and against those reads.
 package mvcc
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/engine/storage"
@@ -103,10 +104,10 @@ type Op struct {
 // collection for one database.
 type TxnManager struct {
 	// latch is the database-wide structure latch: held shared while a
-	// view is materialized or a checkpoint scans the heaps, held
+	// reader collects its rows or a checkpoint scans the heaps, held
 	// exclusively while a commit (or direct operation) applies its
 	// mutations and stamps versions. It is never held across query
-	// execution, only across the materialize/apply step itself.
+	// execution, only across the collect/apply step itself.
 	latch sync.RWMutex
 	// commitMu serializes commit protocols and direct operations, which
 	// also makes it the lock under which all WAL writing happens (the
@@ -210,7 +211,7 @@ func (m *TxnManager) gc(min uint64) {
 // (Load, AddDocuments, Exec, ...) on an MVCC store — as its own
 // committed transaction: exclusive latch, fresh commit timestamp, hooks
 // stamping versions and journaling keys. fn runs with every concurrent
-// view materialization blocked, so its heap mutations are atomic with
+// snapshot read blocked, so its heap mutations are atomic with
 // respect to snapshots.
 func (m *TxnManager) RunDirect(fn func(commitTS uint64) error) error {
 	m.commitMu.Lock()
@@ -244,7 +245,7 @@ func (m *TxnManager) Quiesce(fn func() error) error {
 	return fn()
 }
 
-// Exclusive runs fn with both commits and view materialization blocked —
+// Exclusive runs fn with both commits and snapshot reads blocked —
 // DDL such as index builds on a live store.
 func (m *TxnManager) Exclusive(fn func() error) error {
 	m.commitMu.Lock()
@@ -256,7 +257,7 @@ func (m *TxnManager) Exclusive(fn func() error) error {
 
 // finishCommit publishes a commit: journal keys, the new timestamp, and
 // a garbage-collection pass. extra carries op-time keys of the
-// committing transaction (view RIDs and document keys) on top of the
+// committing transaction (snapshot RIDs and document keys) on top of the
 // hook-recorded ones.
 func (m *TxnManager) finishCommit(commitTS uint64, keys []string, extra map[string]struct{}) {
 	m.mu.Lock()
@@ -474,73 +475,58 @@ func (m *TxnManager) Versions() (created, undo int) {
 	return
 }
 
-// VRow is one visible row of a materialized view: the RID names the
-// version (committed heap/undo RID, or a pseudo-RID for the session's
-// own inserts) and Row is its image. Rows are aliased, never copied —
-// heap mutation always installs fresh row slices, so a materialized
-// image stays immutable after the latch is released.
+// VRow is one visible row version: the RID names the version
+// (committed heap/undo RID, or a pseudo-RID for a session's own inserts)
+// and Row is its image. Rows are aliased, never copied — heap mutation
+// always installs fresh row slices, so a collected image stays immutable
+// after the latch is released.
 type VRow struct {
 	RID storage.RID
 	Row []types.Value
 }
 
-// View is a materialized per-snapshot table state, ordered by RID like a
-// heap scan, so view execution visits rows in the same stable order a
-// raw scan of the same version set would.
-type View struct {
-	Rows []VRow
-}
-
-// ridLess orders RIDs like a heap scan: page-major, slot-minor.
-func ridLess(a, b storage.RID) bool {
-	if a.Page != b.Page {
-		return a.Page < b.Page
-	}
-	return a.Slot < b.Slot
-}
-
-// Materialize builds the view of one table at snapshot snap: heap rows
-// whose create stamp is ≤ snap, merged in RID order with the undo images
-// whose (born, died) interval contains snap. scan must iterate the
-// table's heap in RID order (storage.HeapFile.Scan does). The shared
-// latch is held only for the duration of the materialization.
+// Materialize collects the versions of one table visible at snapshot
+// snap, in RID order: the heap rows scan yields whose create stamp is
+// ≤ snap, merged with the undo images whose (born, died) interval
+// contains snap and that match accepts (nil accepts all). scan must
+// iterate in RID order: a whole heap (storage.HeapFile.Scan) with a nil
+// match, or the heap rows of a B+tree probe with match testing the same
+// key, so the undo images stand in for exactly the probed versions the
+// snapshot cannot see. The shared latch is held only while collecting.
 //
 // A nil sidecar means the table is unversioned (a store that predates
 // EnableMVCC, or the non-MVCC configuration); every row is visible.
-func (m *TxnManager) Materialize(tv *TableVersions, snap uint64, scan func(func(storage.RID, []types.Value) error) error) (*View, error) {
+func (m *TxnManager) Materialize(tv *TableVersions, snap uint64, scan func(func(storage.RID, []types.Value) error) error, match func([]types.Value) bool) ([]VRow, error) {
 	m.latch.RLock()
 	defer m.latch.RUnlock()
-	v := &View{}
+	var out []VRow
 	if tv == nil {
 		err := scan(func(rid storage.RID, row []types.Value) error {
-			v.Rows = append(v.Rows, VRow{rid, row})
+			out = append(out, VRow{rid, row})
 			return nil
 		})
-		return v, err
+		return out, err
 	}
 	var old []VRow
 	for _, u := range tv.undo {
-		if u.born <= snap && snap < u.died {
+		if u.born <= snap && snap < u.died && (match == nil || match(u.row)) {
 			old = append(old, VRow{u.rid, u.row})
 		}
 	}
-	sort.Slice(old, func(i, j int) bool { return ridLess(old[i].RID, old[j].RID) })
+	slices.SortFunc(old, func(a, b VRow) int { return storage.CompareRID(a.RID, b.RID) })
 	i := 0
 	err := scan(func(rid storage.RID, row []types.Value) error {
-		for i < len(old) && !ridLess(rid, old[i].RID) {
-			v.Rows = append(v.Rows, old[i])
+		for i < len(old) && storage.CompareRID(rid, old[i].RID) >= 0 {
+			out = append(out, old[i])
 			i++
 		}
 		if born, ok := tv.created[rid]; !ok || born <= snap {
-			v.Rows = append(v.Rows, VRow{rid, row})
+			out = append(out, VRow{rid, row})
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ; i < len(old); i++ {
-		v.Rows = append(v.Rows, old[i])
-	}
-	return v, nil
+	return append(out, old[i:]...), nil
 }

@@ -23,7 +23,7 @@ func (h *fakeHeap) scan(fn func(storage.RID, []types.Value) error) error {
 	}
 	for i := 0; i < len(rids); i++ {
 		for j := i + 1; j < len(rids); j++ {
-			if ridLess(rids[j], rids[i]) {
+			if storage.CompareRID(rids[j], rids[i]) < 0 {
 				rids[i], rids[j] = rids[j], rids[i]
 			}
 		}
@@ -61,12 +61,12 @@ func (h *fakeHeap) update(tv *TableVersions, r, newRID storage.RID, vals []types
 
 func viewInts(t *testing.T, m *TxnManager, tv *TableVersions, h *fakeHeap, snap uint64) []int64 {
 	t.Helper()
-	v, err := m.Materialize(tv, snap, h.scan)
+	rows, err := m.Materialize(tv, snap, h.scan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []int64
-	for _, vr := range v.Rows {
+	for _, vr := range rows {
 		out = append(out, vr.Row[0].Int())
 	}
 	return out

@@ -188,7 +188,7 @@ func (p *Planner) dpOrder(bases []*baseItem, preds []joinPred, ests map[string]*
 // against the subset prev, is structurally eligible for an index
 // nested-loop join: some connecting predicate's t-side column carries a
 // B+tree index, t has no pushed predicates (those want their own access
-// path), and the plan is not running against session views.
+// path), and the plan is not running against a session snapshot.
 func dpInnerIndexed(t, prev int, edges []dpEdge, bases []*baseItem) bool {
 	b := bases[t]
 	if len(b.push) != 0 {

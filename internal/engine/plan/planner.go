@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/expr"
-	"repro/internal/engine/mvcc"
 	"repro/internal/engine/sql"
 	"repro/internal/engine/storage"
 )
@@ -77,19 +76,14 @@ type Options struct {
 	// that drifted past catalog.DefaultStaleRatio before planning; the
 	// estimator then falls back to defaults until an explicit RunStats.
 	DisableAutoStats bool
-	// Views, when set, plans every table access against the provider's
-	// materialized snapshot view instead of the raw heap — the MVCC
-	// session path. Access paths that walk shared physical structures at
-	// execution time (fragment-index probes, index nested loops, morsel
-	// parallelism, vectorized page decoding) are disabled; scans iterate
-	// the view, and B+tree equality accesses filter it per snapshot.
-	Views ViewProvider
-}
-
-// ViewProvider supplies per-snapshot table views; implemented by the
-// engine's Session.
-type ViewProvider interface {
-	TableView(table string) (*mvcc.View, error)
+	// Views, when set, plans every table access against a snapshot row
+	// source instead of the raw heap — the MVCC session path, where the
+	// engine's Session is the source. Access paths that walk shared
+	// physical structures outside the source (fragment-index probes,
+	// index nested loops, morsel parallelism, vectorized page decoding)
+	// are disabled; scans read the source whole, and B+tree equality
+	// accesses ask it for the key's rows.
+	Views exec.RowSource
 }
 
 // Planner compiles SELECT statements against a catalog and function
@@ -484,18 +478,11 @@ func narrowColumns(stmt *sql.SelectStmt, bases []*baseItem, schemas map[string]*
 func (p *Planner) access(b *baseItem) (exec.Operator, error) {
 	var op exec.Operator
 	remaining := b.push
-	// Under a session snapshot, materialize the table's view once; both
-	// scan shapes below iterate it instead of the heap. Fragment-index
-	// probes are skipped entirely — their RID sets are computed against
-	// the live index at plan time, which a snapshot cannot trust.
-	var view *mvcc.View
-	if p.Opts.Views != nil {
-		v, err := p.Opts.Views.TableView(b.table.Schema.Table)
-		if err != nil {
-			return nil, err
-		}
-		view = v
-	}
+	// Under a session snapshot both scan shapes below read the snapshot
+	// source instead of the heap. Fragment-index probes are skipped
+	// entirely — their RID sets are computed against the live index at
+	// plan time, which a snapshot cannot trust.
+	//
 	// A covering fragment index on a findKeyInElm conjunct wins over a
 	// B+tree equality: the workload's equality columns (parentCODE and the
 	// like) select large fractions of the table, while a keyword/path probe
@@ -524,7 +511,7 @@ func (p *Planner) access(b *baseItem) (exec.Operator, error) {
 				continue
 			}
 			iscan := exec.NewIndexScan(b.table, b.alias, b.cols, idx, val)
-			iscan.View = view
+			iscan.Source = p.Opts.Views
 			iscan.Est = b.est
 			op = iscan
 			remaining = append(append([]sql.Expr(nil), b.push[:i]...), b.push[i+1:]...)
@@ -533,7 +520,7 @@ func (p *Planner) access(b *baseItem) (exec.Operator, error) {
 	}
 	if op == nil {
 		scan := exec.NewSeqScan(b.table, b.alias, b.cols)
-		scan.View = view
+		scan.Source = p.Opts.Views
 		scan.Est = b.est
 		if len(remaining) > 0 {
 			// Fuse pushed predicates into the scan itself: rows are

@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/expr"
-	"repro/internal/engine/mvcc"
 	"repro/internal/engine/types"
 )
 
@@ -86,12 +85,12 @@ func TestVectorizePassMarksPlan(t *testing.T) {
 		t.Fatalf("want Project and SeqScan marked:\n%s", text)
 	}
 
-	// A snapshot View turns the scan, and everything batched only
+	// A snapshot Source turns the scan, and everything batched only
 	// through it, back into rows.
 	scan := op.(*exec.Project).Child.(*exec.SeqScan)
-	scan.View = &mvcc.View{}
+	scan.Source = exec.Live
 	if exec.Batched(op) || strings.Contains(Explain(op), "[vec]") {
-		t.Fatalf("view scan still marked as batched:\n%s", Explain(op))
+		t.Fatalf("source scan still marked as batched:\n%s", Explain(op))
 	}
 
 	// Parallel plans produce batches inside the worker pipelines and

@@ -141,9 +141,9 @@ func intersectRIDs(a, b []storage.RID) []storage.RID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
-		case ridLess(a[i], b[j]):
+		case storage.CompareRID(a[i], b[j]) < 0:
 			i++
-		case ridLess(b[j], a[i]):
+		case storage.CompareRID(b[j], a[i]) < 0:
 			j++
 		default:
 			out = append(out, a[i])
@@ -152,11 +152,4 @@ func intersectRIDs(a, b []storage.RID) []storage.RID {
 		}
 	}
 	return out
-}
-
-func ridLess(a, b storage.RID) bool {
-	if a.Page != b.Page {
-		return a.Page < b.Page
-	}
-	return a.Slot < b.Slot
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/exec"
@@ -31,7 +32,7 @@ type Session struct {
 }
 
 // tableOverlay is one table's uncommitted session writes, layered over
-// the materialized snapshot view. Keys are view RIDs (pseudo RIDs for
+// the rows the snapshot sees. Keys are snapshot RIDs (pseudo RIDs for
 // the session's own inserts).
 type tableOverlay struct {
 	deleted  map[storage.RID]bool
@@ -50,10 +51,13 @@ func (db *Database) Begin() (*Session, error) {
 		txn:     db.TxnMgr.Begin(),
 		overlay: make(map[string]*tableOverlay),
 	}
-	// Sessions plan serial row-at-a-time trees over materialized views:
-	// morsel parallelism, heap page decoding, fragment-index probes, and
-	// index nested loops all walk shared physical structures that a
-	// snapshot cannot trust, so the Views provider gates them off.
+	// Sessions plan serial row-at-a-time trees whose scans read the
+	// session itself (Scan): a B+tree equality probes the live index and
+	// heap and keeps the versions the snapshot may see, and any other
+	// access reads the whole table that way. Morsel parallelism, heap
+	// page decoding, fragment-index probes and index nested loops walk
+	// shared physical structures outside Scan, so setting the session as
+	// the planner's Views source gates them off.
 	opts := db.planner.Opts
 	opts.DOP = 1
 	opts.Views = s
@@ -111,63 +115,78 @@ func (s *Session) tableOverlay(table string) *tableOverlay {
 	return ov
 }
 
-// TableView implements plan.ViewProvider: the table's rows as of the
-// session's snapshot, with the session's own uncommitted writes applied.
-// Base rows come out in RID order (heap-scan order), the session's own
-// inserts after them in execution order.
-func (s *Session) TableView(table string) (*mvcc.View, error) {
+// Scan implements exec.RowSource over the session snapshot, and is the
+// one way a session reads a table: its queries' scans and its DML
+// victims alike. It yields the rows of t the snapshot sees, with the
+// session's own uncommitted writes applied, in RID order and the
+// session's own inserts last. With idx set it probes the live B+tree for
+// key instead of reading the whole heap, and keeps what the snapshot may
+// see under key: the probed heap rows born by the snapshot, the undo
+// images of older versions, and the rows the session itself updated.
+func (s *Session) Scan(t *catalog.Table, idx *catalog.Index, key types.Value, fn func(storage.RID, []types.Value) error) error {
 	if s.closed {
-		return nil, fmt.Errorf("engine: session is closed")
+		return fmt.Errorf("engine: session is closed")
 	}
-	t := s.db.Catalog.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", table)
+	scan := t.Heap.Scan
+	var match func([]types.Value) bool
+	if idx != nil {
+		scan = func(fn func(storage.RID, []types.Value) error) error { return exec.Live.Scan(t, idx, key, fn) }
+		match = func(row []types.Value) bool { return types.Equal(row[idx.ColIdx], key) }
 	}
-	base, err := s.db.TxnMgr.Materialize(t.V, s.txn.Snapshot(), t.Heap.Scan)
+	rows, err := s.db.TxnMgr.Materialize(t.V, s.txn.Snapshot(), scan, match)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ov := s.overlay[table]
-	if ov == nil {
-		return base, nil
+	if ov := s.overlay[t.Schema.Table]; ov != nil {
+		rows = ov.apply(rows, match)
 	}
-	out := make([]mvcc.VRow, 0, len(base.Rows)+len(ov.inserted))
-	apply := func(vr mvcc.VRow) {
+	for _, vr := range rows {
+		if err := fn(vr.RID, vr.Row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// apply layers the overlay over base, the snapshot's rows in RID order
+// (those match accepts, when it is set). Deletes drop out and updates
+// swap in their new image; under match, a row whose new image left the
+// key drops out and one whose new image moved onto it joins at its RID.
+// The session's own inserts come last.
+func (ov *tableOverlay) apply(base []mvcc.VRow, match func([]types.Value) bool) []mvcc.VRow {
+	out := make([]mvcc.VRow, 0, len(base)+len(ov.inserted))
+	keep := func(vr mvcc.VRow) {
 		if ov.deleted[vr.RID] {
 			return
 		}
 		if row, ok := ov.updated[vr.RID]; ok {
 			vr.Row = row
 		}
-		out = append(out, vr)
+		if match == nil || match(vr.Row) {
+			out = append(out, vr)
+		}
 	}
-	for _, vr := range base.Rows {
-		apply(vr)
+	for _, vr := range base {
+		keep(vr)
+	}
+	if match != nil {
+		moved := false
+		for rid, row := range ov.updated {
+			if mvcc.IsPseudo(rid) || ov.deleted[rid] || !match(row) ||
+				slices.ContainsFunc(base, func(vr mvcc.VRow) bool { return vr.RID == rid }) {
+				continue
+			}
+			out = append(out, mvcc.VRow{RID: rid, Row: row})
+			moved = true
+		}
+		if moved {
+			slices.SortFunc(out, func(a, b mvcc.VRow) int { return storage.CompareRID(a.RID, b.RID) })
+		}
 	}
 	for _, vr := range ov.inserted {
-		apply(vr)
+		keep(vr)
 	}
-	return &mvcc.View{Rows: out}, nil
-}
-
-// Scan implements exec.RowSource over the session view, so a mutation
-// fixes its victims against what the session sees. An index access path
-// filters the view on the indexed column: the live B+tree may hold rows
-// this snapshot must not see.
-func (s *Session) Scan(t *catalog.Table, idx *catalog.Index, key types.Value, fn func(storage.RID, []types.Value) error) error {
-	view, err := s.TableView(t.Schema.Table)
-	if err != nil {
-		return err
-	}
-	for _, vr := range view.Rows {
-		if idx != nil && !types.Equal(vr.Row[idx.ColIdx], key) {
-			continue
-		}
-		if err := fn(vr.RID, vr.Row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out
 }
 
 // Query compiles and runs a SELECT under the session snapshot.
@@ -191,7 +210,7 @@ func (s *Session) Query(query string) (*Result, error) {
 }
 
 // Exec runs any statement under the session. SELECTs return their row
-// count; DML is validated and recorded against the session's view —
+// count; DML is validated and recorded against the session's snapshot —
 // visible to this session immediately, applied to shared state only at
 // Commit — and returns the affected-row count. A statement that errors
 // records nothing.

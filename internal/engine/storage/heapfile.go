@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,6 +20,14 @@ type RID struct {
 // String renders the RID for diagnostics.
 func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
+// CompareRID orders RIDs as a heap scan visits them: page, then slot.
+func CompareRID(a, b RID) int {
+	if c := cmp.Compare(a.Page, b.Page); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Slot, b.Slot)
+}
+
 // heapFileIDs hands out unique identities for buffer-pool shard hashing.
 var heapFileIDs atomic.Uint64
 
@@ -29,8 +38,15 @@ var heapFileIDs atomic.Uint64
 // and joins the open list, where inserts reuse it lowest-page-first
 // before the file grows. Updates rewrite in place when the new record
 // fits the old slot and otherwise move the row (delete + reinsert).
-// Every placement decision is a pure function of the operation sequence,
-// so WAL replay reproduces the exact same layout.
+// Churn that leaves pages partly dead is reclaimed by compaction: when a
+// record fits neither an open page nor the last page, the lowest page
+// whose live records leave it room is compacted (every slot keeps its
+// number, so no RID moves) and joins the open list, before the file
+// grows. A heap that never deleted or shrank a record never compacts, so
+// insert-only loads fill front to back. Every placement decision is a
+// pure function of the operation sequence and the page images, so WAL
+// replay, and replay after a snapshot round-trip, reproduce the exact
+// same layout.
 //
 // Concurrency: any number of readers (Get, Scan, cursors) may run in
 // parallel — the parallel executor scans one heap from many goroutines.
@@ -50,9 +66,15 @@ type HeapFile struct {
 	dir      atomic.Pointer[directory]
 	rows     int
 	pool     *BufferPool
-	// open lists pages that were emptied by deletes and reset, sorted
-	// ascending; inserts fill them lowest-first before appending. A page
-	// leaves the list when its free space can no longer hold a record.
+	// dead tallies each page's dead bytes (page.deadBytes, kept current
+	// by the mutators instead of recounted); deadSum totals them, and
+	// while it is zero placement skips the compaction search.
+	dead    []int
+	deadSum int
+	// open lists pages that were emptied by deletes and reset, or
+	// compacted, sorted ascending; inserts fill them lowest-first before
+	// appending. A page leaves the list when its free space can no longer
+	// hold a record.
 	open []int32
 	// ovFree lists freed overflow directory entries, sorted ascending;
 	// oversized inserts reuse the lowest before appending.
@@ -89,8 +111,9 @@ func (h *HeapFile) Insert(row []types.Value) RID {
 
 // insertLocked places an encoded record: oversized records go to overflow
 // (reusing the lowest freed entry first), the in-page record or stub goes
-// to the lowest open page that fits it, then the last page, then a fresh
-// page. Callers hold h.mu.
+// to the lowest open page that fits it, then the last page, then the
+// lowest page compaction makes fit it, then a fresh page. Callers hold
+// h.mu.
 func (h *HeapFile) insertLocked(rec []byte) RID {
 	if len(rec) > MaxInlineRecord {
 		idx := h.allocOverflow(rec)
@@ -99,7 +122,11 @@ func (h *HeapFile) insertLocked(rec []byte) RID {
 		stub = binary.AppendUvarint(stub, uint64(idx))
 		rec = stub
 	}
-	if pageNo, ok := h.openFit(len(rec)); ok {
+	pageNo, ok := h.openFit(len(rec))
+	if !ok && len(h.pages) > 0 && !h.fitsLast(rec) {
+		pageNo, ok = h.compactFit(len(rec))
+	}
+	if ok {
 		slot, _ := h.pages[pageNo].insert(rec)
 		h.pruneOpen(pageNo)
 		h.rows++
@@ -107,9 +134,10 @@ func (h *HeapFile) insertLocked(rec []byte) RID {
 	}
 	if len(h.pages) == 0 || !h.fitsLast(rec) {
 		h.pages = append(h.pages, newPage())
+		h.dead = append(h.dead, 0)
 		h.publish()
 	}
-	pageNo := len(h.pages) - 1
+	pageNo = len(h.pages) - 1
 	slot, ok := h.pages[pageNo].insert(rec)
 	if !ok {
 		// A fresh page always fits a stub or inline record by
@@ -151,6 +179,29 @@ func (h *HeapFile) openFit(n int) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// compactFit compacts the lowest page whose live records leave room for
+// an n-byte record, adds it to the open list and returns it.
+func (h *HeapFile) compactFit(n int) (int, bool) {
+	if h.deadSum <= 0 {
+		return 0, false
+	}
+	for pg, p := range h.pages {
+		if d := h.dead[pg]; d > 0 && p.freeSpace()+d >= n {
+			p.compact()
+			h.addDead(pg, -d)
+			h.addOpen(pg)
+			return pg, true
+		}
+	}
+	return 0, false
+}
+
+// addDead adds n to page pg's dead-byte tally.
+func (h *HeapFile) addDead(pg, n int) {
+	h.dead[pg] += n
+	h.deadSum += n
 }
 
 // pruneOpen drops pageNo from the open list once it is effectively full.
@@ -224,16 +275,26 @@ func (h *HeapFile) deleteLocked(rid RID) error {
 		}
 		h.freeOverflowLocked(int(idx))
 	}
-	p.kill(int(rid.Slot))
+	h.killLocked(rid)
+	return nil
+}
+
+// killLocked tombstones the live slot at rid. A page whose last live
+// record it was resets to factory state and becomes reusable by inserts;
+// its buffer-pool residency is dropped.
+func (h *HeapFile) killLocked(rid RID) {
+	pg := int(rid.Page)
+	p := h.pages[pg]
+	h.addDead(pg, p.kill(int(rid.Slot)))
 	h.rows--
 	if p.liveSlots() == 0 {
+		h.addDead(pg, -h.dead[pg])
 		p.reset()
 		h.addOpen(int(rid.Page))
 		if h.pool != nil {
 			h.pool.Forget(PageID{File: h, Page: int(rid.Page)})
 		}
 	}
-	return nil
 }
 
 // Update replaces the row at rid and returns the row's RID afterwards:
@@ -265,27 +326,20 @@ func (h *HeapFile) Update(rid RID, row []types.Value) (RID, error) {
 		}
 		h.freeOverflowLocked(int(idx))
 		if len(rec) <= len(cur) {
-			p.shrinkSlot(int(rid.Slot), rec)
+			h.addDead(int(rid.Page), p.shrinkSlot(int(rid.Slot), rec))
 			return rid, nil
 		}
 	} else if len(rec) <= MaxInlineRecord && len(rec) <= len(cur) {
-		p.shrinkSlot(int(rid.Slot), rec)
+		h.addDead(int(rid.Page), p.shrinkSlot(int(rid.Slot), rec))
 		return rid, nil
 	}
 	// The new record does not fit the old slot: move the row.
-	p.kill(int(rid.Slot))
-	h.rows--
-	if p.liveSlots() == 0 {
-		p.reset()
-		h.addOpen(int(rid.Page))
-		if h.pool != nil {
-			h.pool.Forget(PageID{File: h, Page: int(rid.Page)})
-		}
-	}
+	h.killLocked(rid)
 	return h.insertLocked(rec), nil
 }
 
-// FreePages returns the number of reset pages currently awaiting reuse.
+// FreePages returns the number of open pages (reset or compacted)
+// currently awaiting reuse.
 func (h *HeapFile) FreePages() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()

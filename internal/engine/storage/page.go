@@ -16,7 +16,8 @@ const (
 )
 
 // page is a slotted heap page. Records grow from the header forward; the
-// slot directory grows from the end backward.
+// slot directory grows from the end backward. It holds nothing but its
+// image, so it fills exactly one allocation size class.
 type page struct {
 	data [PageSize]byte
 }
@@ -89,11 +90,45 @@ func (p *page) slotLive(i int) bool {
 	return ln > 0
 }
 
-// kill tombstones slot i. The record bytes stay in place and are
-// reclaimed only when the whole page empties and resets.
-func (p *page) kill(i int) {
-	off, _ := p.slot(i)
+// kill tombstones slot i and returns the record bytes it turned dead.
+// The bytes stay in place until compact moves the live records over them
+// or the whole page empties and resets.
+func (p *page) kill(i int) int {
+	off, ln := p.slot(i)
 	p.setSlot(i, off, 0)
+	return ln
+}
+
+// deadBytes counts the bytes of the record area [header, freeStart) no
+// live slot covers: what compact would free.
+func (p *page) deadBytes() int {
+	n := p.freeStart() - pageHeaderSize
+	for i := 0; i < p.nslots(); i++ {
+		_, ln := p.slot(i)
+		n -= ln
+	}
+	return n
+}
+
+// compact moves the live records, in slot order, to the front of the
+// record area and zeroes the bytes that frees. Every slot keeps its
+// number, so no RID changes. The caller guarantees deadBytes() > 0,
+// which bounds the live records by the record area even on a hostile
+// image whose slots overlap.
+func (p *page) compact() {
+	src := p.data
+	pos := pageHeaderSize
+	for i := 0; i < p.nslots(); i++ {
+		off, ln := p.slot(i)
+		if ln == 0 {
+			continue
+		}
+		copy(p.data[pos:], src[off:off+ln])
+		p.setSlot(i, pos, ln)
+		pos += ln
+	}
+	clear(p.data[pos:p.freeStart()])
+	p.setFreeStart(pos)
 }
 
 // liveSlots counts the live records on the page.
@@ -131,12 +166,14 @@ func (p *page) validate() error {
 	return nil
 }
 
-// shrinkSlot rewrites slot i in place with a shorter record. The caller
-// guarantees len(rec) fits the slot's current extent.
-func (p *page) shrinkSlot(i int, rec []byte) {
-	off, _ := p.slot(i)
+// shrinkSlot rewrites slot i in place with a shorter record and returns
+// the bytes that turned dead. The caller guarantees len(rec) fits the
+// slot's current extent.
+func (p *page) shrinkSlot(i int, rec []byte) int {
+	off, ln := p.slot(i)
 	copy(p.data[off:], rec)
 	p.setSlot(i, off, len(rec))
+	return ln - len(rec)
 }
 
 // reset returns a fully-dead page to factory-fresh state so inserts can

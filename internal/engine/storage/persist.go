@@ -47,7 +47,7 @@ func (h *HeapFile) Serialize(w io.Writer) error {
 }
 
 // DeserializeHeapFile reads a heap file written by Serialize. Row counts
-// are recomputed from the page slot directories.
+// and dead bytes are recomputed from the page images.
 func DeserializeHeapFile(r io.Reader, pool *BufferPool) (*HeapFile, error) {
 	br := asByteReader(r)
 	npages, err := binary.ReadUvarint(br)
@@ -64,6 +64,8 @@ func DeserializeHeapFile(r io.Reader, pool *BufferPool) (*HeapFile, error) {
 			return nil, fmt.Errorf("storage: page %d: %w", i, err)
 		}
 		h.pages = append(h.pages, p)
+		h.dead = append(h.dead, 0)
+		h.addDead(len(h.pages)-1, p.deadBytes())
 		h.rows += p.liveSlots()
 	}
 	nover, err := binary.ReadUvarint(br)
