@@ -25,8 +25,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One-iteration benchmark pass: proves the engine, session point-read
-# and B+tree probe micro-benchmarks still compile and run, smoke-runs every workload of
+# One-iteration benchmark pass: proves the engine, session point-read,
+# B+tree probe and hash-join micro-benchmarks still compile and run, smoke-runs every workload of
 # the committed benchmark module (its own go.mod, so `test` does not
 # reach it), and runs the cost-model differential axis under the race
 # detector.
@@ -34,6 +34,7 @@ benchsmoke:
 	$(GO) test -run=NONE -bench=BenchmarkScan -benchtime=1x ./internal/engine/
 	$(GO) test -run=NONE -bench=BenchmarkSessionPointRead -benchtime=1x ./internal/engine/
 	$(GO) test -run=NONE -bench=BenchmarkBTreeLookup -benchtime=1x ./internal/engine/index/
+	$(GO) test -run=NONE -bench=BenchmarkHashJoin -benchtime=1x ./internal/engine/exec/
 	cd benchmark && $(GO) test ./...
 	$(GO) test -race -run TestDifferentialCostModelAxis ./internal/difftest/
 

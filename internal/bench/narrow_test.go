@@ -20,8 +20,6 @@ func accessColumns(t *testing.T, op exec.Operator, out map[string][][]string) {
 	switch n := op.(type) {
 	case *exec.SeqScan:
 		out[n.Alias] = append(out[n.Alias], n.Schema().Names())
-	case *exec.MorselScan:
-		out[n.Alias] = append(out[n.Alias], n.Schema().Names())
 	case *exec.IndexScan:
 		out[n.Alias] = append(out[n.Alias], n.Schema().Names())
 	case *exec.IndexedFragScan:
@@ -40,8 +38,6 @@ func accessColumns(t *testing.T, op exec.Operator, out map[string][][]string) {
 		accessColumns(t, n.Child, out)
 	case *exec.TopN:
 		accessColumns(t, n.Child, out)
-	case *exec.Distinct:
-		accessColumns(t, n.Child, out)
 	case *exec.Limit:
 		accessColumns(t, n.Child, out)
 	case *exec.TableFuncApply:
@@ -54,9 +50,6 @@ func accessColumns(t *testing.T, op exec.Operator, out map[string][][]string) {
 		accessColumns(t, n.Right, out)
 	case *exec.NestedLoopJoin:
 		accessColumns(t, n.Left, out)
-		accessColumns(t, n.Right, out)
-	case *exec.HashProbe:
-		accessColumns(t, n.Build.Input, out)
 		accessColumns(t, n.Right, out)
 	case *exec.Gather:
 		accessColumns(t, n.Pipes[0].Root, out)

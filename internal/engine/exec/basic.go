@@ -253,55 +253,6 @@ func (l *Limit) Close() error {
 	return l.Child.Close()
 }
 
-// Distinct drops duplicate rows (hash-based).
-type Distinct struct {
-	Child Operator
-	seen  map[uint64][][]types.Value
-}
-
-// NewDistinct wraps child with duplicate elimination.
-func NewDistinct(child Operator) *Distinct {
-	return &Distinct{Child: child}
-}
-
-// Schema implements Operator.
-func (d *Distinct) Schema() *expr.RowSchema { return d.Child.Schema() }
-
-// Open implements Operator.
-func (d *Distinct) Open() error {
-	d.seen = map[uint64][][]types.Value{}
-	return d.Child.Open()
-}
-
-// Next implements Operator.
-func (d *Distinct) Next() ([]types.Value, error) {
-	for {
-		row, err := d.Child.Next()
-		if err != nil || row == nil {
-			return nil, err
-		}
-		h := hashRow(row)
-		dup := false
-		for _, prev := range d.seen[h] {
-			if rowsEqual(prev, row) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		d.seen[h] = append(d.seen[h], row)
-		return row, nil
-	}
-}
-
-// Close implements Operator.
-func (d *Distinct) Close() error {
-	d.seen = nil
-	return d.Child.Close()
-}
-
 func hashRow(row []types.Value) uint64 {
 	var h uint64 = 1469598103934665603
 	for _, v := range row {

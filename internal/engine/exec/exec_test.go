@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -152,15 +153,27 @@ func TestSortMultiKey(t *testing.T) {
 	}
 }
 
+// TestDistinct holds DISTINCT's plan shape, a HashAggregate grouping on
+// every column with no aggregates, to duplicate elimination in
+// first-appearance order over both its batch and row input paths.
 func TestDistinct(t *testing.T) {
-	schema := expr.NewRowSchema(expr.ColInfo{Name: "s"})
-	rows := [][]types.Value{
-		{types.NewString("a")}, {types.NewString("b")},
-		{types.NewString("a")}, {types.NewString("a")},
+	schema := expr.NewRowSchema(expr.ColInfo{Name: "s"}, expr.ColInfo{Name: "n"})
+	row := func(s string, n int64) []types.Value {
+		return []types.Value{types.NewString(s), types.NewInt(n)}
 	}
-	got, err := Drain(NewDistinct(NewValuesScan(schema, rows)))
-	if err != nil || len(got) != 2 {
-		t.Fatalf("distinct = %v, %v", got, err)
+	rows := [][]types.Value{
+		row("b", 2), row("a", 1), row("b", 2), row("a", 2), row("a", 1), row("c", 3), row("b", 2),
+	}
+	want := [][]types.Value{row("b", 2), row("a", 1), row("a", 2), row("c", 3)}
+	keys := []expr.Expr{&expr.Col{Idx: 0, Name: "s"}, &expr.Col{Idx: 1, Name: "n"}}
+	for name, child := range map[string]Operator{
+		"batch": NewValuesScan(schema, rows),
+		"row":   rowsOnly{NewValuesScan(schema, rows)},
+	} {
+		got, err := Drain(NewHashAggregate(child, keys, schema.Names(), nil))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: distinct = %v, %v; want %v", name, got, err, want)
+		}
 	}
 }
 
@@ -208,6 +221,27 @@ func TestJoinsAgree(t *testing.T) {
 			if !rowsEqual(results[0][i], other[i]) {
 				t.Fatalf("join algorithms disagree at row %d: %v vs %v", i, results[0][i], other[i])
 			}
+		}
+	}
+}
+
+// BenchmarkHashJoin joins 20k rows to 20k rows on a unique int key
+// through the serial in-memory build. Its B/op and allocs/op guard the
+// single-pass build: a serial build needs no per-row side arrays.
+func BenchmarkHashJoin(b *testing.B) {
+	const n = 20000
+	rows := make([][]types.Value, n)
+	for i := range rows {
+		rows[i] = []types.Value{types.NewInt(int64(i))}
+	}
+	ls := expr.NewRowSchema(expr.ColInfo{Qualifier: "l", Name: "k", Type: types.KindInt})
+	rs := expr.NewRowSchema(expr.ColInfo{Qualifier: "r", Name: "k", Type: types.KindInt})
+	lk, rk := &expr.Col{Idx: 0, Name: "k"}, &expr.Col{Idx: 1, Name: "k"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out, err := Drain(NewHashJoin(NewValuesScan(ls, rows), NewValuesScan(rs, rows), lk, rk))
+		if err != nil || len(out) != n {
+			b.Fatalf("joined %d rows, %v; want %d", len(out), err, n)
 		}
 	}
 }

@@ -95,6 +95,10 @@ type HashJoin struct {
 	// Ctx enables Grace spilling under its memory budget; nil keeps the
 	// unbounded in-memory build.
 	Ctx *QueryCtx
+	// Shared, when set, is a build shared by the workers of a Gather:
+	// Open takes its table instead of draining Left, which must be the
+	// build's Input. A shared build never spills, so Ctx stays nil.
+	Shared *HashBuild
 	// Est is the planner's estimated output cardinality; advisory only.
 	Est float64
 
@@ -124,6 +128,14 @@ func (j *HashJoin) Schema() *expr.RowSchema { return j.schema }
 // partitioned join when the build side overflows the budget.
 func (j *HashJoin) Open() error {
 	j.discard()
+	if j.Shared != nil {
+		table, err := j.Shared.Table()
+		if err != nil {
+			return err
+		}
+		j.table = table
+		return j.openRight()
+	}
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
@@ -154,22 +166,17 @@ func (j *HashJoin) Open() error {
 	}
 	j.Left.Close()
 	j.tracked = tracked
-	j.table = make(map[uint64][][]types.Value, len(rows))
-	for _, row := range rows {
-		k, err := j.LeftKey.Eval(row)
-		if err != nil {
-			j.discard()
-			return err
-		}
-		if k.IsNull() {
-			continue // NULL keys never join
-		}
-		h := types.Hash(k)
-		j.table[h] = append(j.table[h], row)
+	table, err := hashTable(j.LeftKey, rows, 1)
+	if err != nil {
+		j.discard()
+		return err
 	}
-	j.probeRow = nil
-	j.matches = nil
-	j.mpos = 0
+	j.table = table
+	return j.openRight()
+}
+
+// openRight opens the probe input over a ready table.
+func (j *HashJoin) openRight() error {
 	if err := j.Right.Open(); err != nil {
 		j.discard()
 		return err

@@ -1,10 +1,10 @@
-// Parallel (intra-query) execution: a morsel-driven scan, the
-// Gather exchange operator that fans a pipeline out across workers, and
-// a shared hash-join build.
+// Parallel (intra-query) execution: the Gather exchange operator that
+// fans a pipeline out across workers, and a shared hash-join build.
 //
 // Design: the planner clones a scan-rooted pipeline once per worker
 // (expressions are cloned with expr.Clone so per-instance state is never
-// shared) and roots every clone at a MorselScan. At runtime the Gather's
+// shared) out of the serial operators, rooted at a SeqScan that reads
+// one morsel at a time. At runtime the Gather's
 // workers pull page-range morsels from one atomic MorselSource, run
 // their pipeline over each morsel, and post the resulting row batch
 // tagged with the morsel's sequence number. Gather reassembles batches
@@ -16,106 +16,17 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/engine/catalog"
 	"repro/internal/engine/expr"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
 	"repro/internal/engine/vec"
 )
 
-// MorselScan reads one page range of a table at a time. It is the leaf
-// of a parallel pipeline: the owning Gather re-targets it with SetRange
-// for every morsel its worker claims. A fused predicate (the parallel
-// twin of SeqScan.Pred) runs inside the worker, so pushed-down filters
-// parallelize across morsels. It decodes page runs column-major into a
-// pooled batch, exactly like SeqScan.
-type MorselScan struct {
-	Table *catalog.Table
-	Alias string
-	// Cols are the stored columns decoded, as in SeqScan.Cols.
-	Cols []int
-	Pred expr.Expr // optional, resolved against the scan schema
-	// Est is the planner's estimated output cardinality for the whole
-	// scan (copied from the SeqScan it replaces); advisory only.
-	Est    float64
-	schema *expr.RowSchema
-	lo, hi int
-	cursor *storage.Cursor
-
-	batch   *vec.Batch
-	scratch expr.VecScratch
-	shim    rowShim
-}
-
-// NewMorselScan returns a morsel-ranged scan of the stored columns cols
-// (nil: all) of the table under the alias. The range is empty until
-// SetRange.
-func NewMorselScan(t *catalog.Table, alias string, cols []int) *MorselScan {
-	return &MorselScan{Table: t, Alias: alias, Cols: cols, schema: TableSchema(t, alias, cols)}
-}
-
-// SetRange targets the scan at pages [lo, hi) for the next Open.
-func (s *MorselScan) SetRange(lo, hi int) { s.lo, s.hi = lo, hi }
-
-// Schema implements Operator.
-func (s *MorselScan) Schema() *expr.RowSchema { return s.schema }
-
-// Open implements Operator.
-func (s *MorselScan) Open() error {
-	s.cursor = s.Table.Heap.NewRangeCursor(s.lo, s.hi, s.Cols)
-	s.shim.reset()
-	if s.batch == nil {
-		s.batch = vec.Get(len(s.schema.Cols))
-	}
-	return nil
-}
-
-// NextBatch implements BatchOperator.
-func (s *MorselScan) NextBatch() (*vec.Batch, error) {
-	b := s.batch
-	n, err := s.cursor.NextBatch(b.Cols, b.Cap())
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b.NRows, b.Sel = n, nil
-	if s.Pred != nil {
-		if err := expr.FilterBatch(s.Pred, b, &s.scratch); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// Next implements Operator.
-func (s *MorselScan) Next() ([]types.Value, error) {
-	return s.shim.next(s.NextBatch)
-}
-
-// Close implements Operator.
-func (s *MorselScan) Close() error {
-	s.cursor = nil
-	vec.Release(s.batch)
-	s.batch = nil
-	s.shim.reset()
-	return nil
-}
-
-// String describes the scan for plan explanations.
-func (s *MorselScan) String() string {
-	if s.Pred != nil {
-		return fmt.Sprintf("MorselScan(%s as %s, filter: %s) [vec]", s.Table.Schema.Table, s.Alias, s.Pred)
-	}
-	return fmt.Sprintf("MorselScan(%s as %s) [vec]", s.Table.Schema.Table, s.Alias)
-}
-
 // Pipeline is one worker's copy of a parallelized plan fragment: the
-// cloned operator chain and the MorselScan at its leaf.
+// cloned operator chain and the heap scan at its leaf.
 type Pipeline struct {
 	Root Operator
-	Leaf *MorselScan
+	Leaf *SeqScan
 }
 
 // Resettable is per-execution shared state (e.g. a shared hash-join
@@ -222,10 +133,14 @@ type Gather struct {
 
 // NewGather builds the exchange over worker pipelines. All pipelines
 // must be clones of the same fragment (identical schemas, same scanned
-// table).
+// heap, no snapshot Source). Every leaf reads an empty range until its
+// worker claims a morsel.
 func NewGather(pipes []Pipeline, morselPages int, shared []Resettable) *Gather {
 	if len(pipes) == 0 {
 		panic("exec: Gather needs at least one pipeline")
+	}
+	for _, p := range pipes {
+		p.Leaf.SetRange(0, 0)
 	}
 	return &Gather{
 		Pipes:       pipes,
@@ -452,10 +367,10 @@ func (g *Gather) String() string {
 }
 
 // HashBuild is the once-per-execution build side of a parallelized hash
-// join, shared by every worker's HashProbe. The first Table() call
-// drains the build input and assembles the hash table — hashing the
-// build keys across BuildDOP goroutines — and later calls return the
-// same table, so N probe workers pay for one build.
+// join, shared by every worker's HashJoin clone (see HashJoin.Shared).
+// The first Table() call drains the build input and assembles the hash
+// table — hashing the build keys across BuildDOP goroutines — and later
+// calls return the same table, so N probe workers pay for one build.
 type HashBuild struct {
 	// Input produces the build rows; it may itself contain a Gather.
 	Input Operator
@@ -496,51 +411,57 @@ func (b *HashBuild) Table() (map[uint64][][]types.Value, error) {
 // fanning the key hashing out is worth the goroutine handoff.
 const parallelBuildThreshold = 1024
 
-// build drains the input and hashes the keys, in parallel when the
-// build side is large enough. Insertion order into the table matches the
-// serial HashJoin build exactly, so probe match order is identical.
+// build drains the input and hashes it into the table.
 func (b *HashBuild) build() (map[uint64][][]types.Value, error) {
 	rows, err := Drain(b.Input)
 	if err != nil {
 		return nil, err
 	}
+	return hashTable(b.Key, rows, b.BuildDOP)
+}
+
+// hashTable buckets rows by the hash of key, keeping row order within a
+// bucket; rows with a NULL key never join and are left out. With dop > 1
+// and a build side large enough, the keys are evaluated and hashed across
+// up to dop goroutines first; the table comes out the same either way, so
+// probe match order does not depend on dop.
+func hashTable(key expr.Expr, rows [][]types.Value, dop int) (map[uint64][][]types.Value, error) {
+	table := make(map[uint64][][]types.Value, len(rows))
+	dop = min(dop, len(rows)/parallelBuildThreshold)
+	if dop <= 1 {
+		for _, row := range rows {
+			k, err := key.Eval(row)
+			if err != nil {
+				return nil, err
+			}
+			if k.IsNull() {
+				continue
+			}
+			h := types.Hash(k)
+			table[h] = append(table[h], row)
+		}
+		return table, nil
+	}
 	hashes := make([]uint64, len(rows))
 	keep := make([]bool, len(rows))
-	dop := b.BuildDOP
-	if dop > len(rows)/parallelBuildThreshold {
-		dop = len(rows) / parallelBuildThreshold
+	errs := make([]error, dop)
+	var wg sync.WaitGroup
+	chunk := (len(rows) + dop - 1) / dop
+	for w := 0; w < dop; w++ {
+		lo := w * chunk
+		hi := min(lo+chunk, len(rows))
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			errs[w] = hashKeys(expr.Clone(key), rows[lo:hi], hashes[lo:hi], keep[lo:hi])
+		}(w, lo, hi)
 	}
-	if dop < 1 {
-		dop = 1
-	}
-	if dop == 1 {
-		if err := hashKeys(b.Key, rows, hashes, keep); err != nil {
-			return nil, err
-		}
-	} else {
-		errs := make([]error, dop)
-		var wg sync.WaitGroup
-		chunk := (len(rows) + dop - 1) / dop
-		for w := 0; w < dop; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				errs[w] = hashKeys(expr.Clone(b.Key), rows[lo:hi], hashes[lo:hi], keep[lo:hi])
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
+	wg.Wait()
+	for _, e := range errs {
+		if e != nil {
+			return nil, e
 		}
 	}
-	table := make(map[uint64][][]types.Value, len(rows))
 	for i, row := range rows {
 		if keep[i] {
 			table[hashes[i]] = append(table[hashes[i]], row)
@@ -564,101 +485,4 @@ func hashKeys(key expr.Expr, rows [][]types.Value, hashes []uint64, keep []bool)
 		keep[i] = true
 	}
 	return nil
-}
-
-// HashProbe is the per-worker probe side of a parallelized hash join:
-// it streams its (cloned) probe input against the shared HashBuild. Its
-// semantics mirror HashJoin exactly — including the collision re-check
-// of the key equality on the joined row.
-type HashProbe struct {
-	Build             *HashBuild
-	Right             Operator
-	LeftKey, RightKey expr.Expr
-	// LeftWidth is the column count of the build schema; probe keys are
-	// resolved against the concatenated (build ++ probe) schema.
-	LeftWidth int
-
-	schema   *expr.RowSchema
-	table    map[uint64][][]types.Value
-	probeRow []types.Value
-	padded   []types.Value // probe-key scratch, see padRow
-	matches  [][]types.Value
-	mpos     int
-}
-
-// NewHashProbe builds the probe operator over a shared build.
-func NewHashProbe(build *HashBuild, right Operator, leftKey, rightKey expr.Expr) *HashProbe {
-	return &HashProbe{
-		Build: build, Right: right, LeftKey: leftKey, RightKey: rightKey,
-		LeftWidth: len(build.Input.Schema().Cols),
-		schema:    expr.Concat(build.Input.Schema(), right.Schema()),
-	}
-}
-
-// Schema implements Operator.
-func (j *HashProbe) Schema() *expr.RowSchema { return j.schema }
-
-// Open fetches the shared table (building it if this worker is first)
-// and opens the probe input.
-func (j *HashProbe) Open() error {
-	table, err := j.Build.Table()
-	if err != nil {
-		return err
-	}
-	j.table = table
-	j.probeRow = nil
-	j.matches = nil
-	j.mpos = 0
-	return j.Right.Open()
-}
-
-// Next implements Operator.
-func (j *HashProbe) Next() ([]types.Value, error) {
-	for {
-		for j.mpos < len(j.matches) {
-			left := j.matches[j.mpos]
-			j.mpos++
-			out := concatRows(left, j.probeRow)
-			// Re-check key equality to guard against hash collisions.
-			lk, err := j.LeftKey.Eval(out)
-			if err != nil {
-				return nil, err
-			}
-			rk, err := j.RightKey.Eval(out)
-			if err != nil {
-				return nil, err
-			}
-			if types.Equal(lk, rk) {
-				return out, nil
-			}
-		}
-		row, err := j.Right.Next()
-		if err != nil || row == nil {
-			return nil, err
-		}
-		j.probeRow = row
-		k, err := j.RightKey.Eval(padRow(&j.padded, j.LeftWidth, row))
-		if err != nil {
-			return nil, err
-		}
-		if k.IsNull() {
-			j.matches = nil
-			j.mpos = 0
-			continue
-		}
-		j.matches = j.table[types.Hash(k)]
-		j.mpos = 0
-	}
-}
-
-// Close implements Operator.
-func (j *HashProbe) Close() error {
-	j.table = nil
-	j.matches = nil
-	return j.Right.Close()
-}
-
-// String describes the probe for plan explanations.
-func (j *HashProbe) String() string {
-	return fmt.Sprintf("HashProbe(%s = %s)", j.LeftKey, j.RightKey)
 }

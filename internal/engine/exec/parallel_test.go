@@ -10,12 +10,12 @@ import (
 	"repro/internal/engine/types"
 )
 
-// scanPipes builds dop identical MorselScan-rooted pipelines over tbl,
+// scanPipes builds dop identical SeqScan-rooted pipelines over tbl,
 // optionally wrapping each scan with wrap.
 func scanPipes(tbl *catalog.Table, alias string, dop int, wrap func(Operator) Operator) []Pipeline {
 	pipes := make([]Pipeline, dop)
 	for i := range pipes {
-		leaf := NewMorselScan(tbl, alias, nil)
+		leaf := NewSeqScan(tbl, alias, nil)
 		root := Operator(leaf)
 		if wrap != nil {
 			root = wrap(root)
@@ -185,7 +185,9 @@ func TestHashBuildBuildsOnceAcrossProbes(t *testing.T) {
 		joint := expr.Concat(lscan.Schema(), probe.Schema())
 		lk := col(joint, "l", "id", t)
 		rk := col(joint, "r", "id", t)
-		pipes[i].Root = NewHashProbe(build, probe, lk, rk)
+		clone := NewHashJoin(counted, probe, lk, rk)
+		clone.Shared = build
+		pipes[i].Root = clone
 	}
 	g := NewGather(pipes, 1, []Resettable{build})
 

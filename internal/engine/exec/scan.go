@@ -88,6 +88,10 @@ func (r *sourceRows) next() []types.Value {
 // and runs the predicate as a columnar kernel; Next works through the
 // batch→row shim. Only the stored columns Cols are decoded; the others
 // are stepped over in the record.
+//
+// As the leaf of a parallel pipeline the scan reads one morsel at a
+// time: the owning Gather re-targets it with SetRange for every page
+// range its worker claims.
 type SeqScan struct {
 	Table *catalog.Table
 	Alias string
@@ -105,6 +109,10 @@ type SeqScan struct {
 	schema *expr.RowSchema
 	cursor *storage.Cursor
 	src    sourceRows
+	// morsel is set by SetRange: Open then reads pages [lo, hi) instead
+	// of the whole heap.
+	morsel bool
+	lo, hi int
 
 	batch   *vec.Batch
 	scratch expr.VecScratch
@@ -117,6 +125,10 @@ func NewSeqScan(t *catalog.Table, alias string, cols []int) *SeqScan {
 	return &SeqScan{Table: t, Alias: alias, Cols: cols, schema: TableSchema(t, alias, cols)}
 }
 
+// SetRange targets the scan at pages [lo, hi) for the next Open and
+// every later one.
+func (s *SeqScan) SetRange(lo, hi int) { s.morsel, s.lo, s.hi = true, lo, hi }
+
 // Schema implements Operator.
 func (s *SeqScan) Schema() *expr.RowSchema { return s.schema }
 
@@ -125,7 +137,11 @@ func (s *SeqScan) Open() error {
 	if s.Source != nil {
 		return s.src.gather(s.Source, s.Table, nil, types.Null, s.Cols, s.Pred)
 	}
-	s.cursor = s.Table.Heap.NewRangeCursor(0, s.Table.Heap.DataPages(), s.Cols)
+	lo, hi := s.lo, s.hi
+	if !s.morsel {
+		lo, hi = 0, s.Table.Heap.DataPages()
+	}
+	s.cursor = s.Table.Heap.NewRangeCursor(lo, hi, s.Cols)
 	s.shim.reset()
 	if s.batch == nil {
 		s.batch = vec.Get(len(s.schema.Cols))
@@ -172,16 +188,20 @@ func (s *SeqScan) Close() error {
 	return nil
 }
 
-// String describes the scan for plan explanations.
+// String describes the scan for plan explanations; a morsel leaf is
+// labelled MorselScan.
 func (s *SeqScan) String() string {
-	suffix := ""
+	name, suffix := "SeqScan", ""
+	if s.morsel {
+		name = "MorselScan"
+	}
 	if Batched(s) {
 		suffix = " [vec]"
 	}
 	if s.Pred != nil {
-		return fmt.Sprintf("SeqScan(%s as %s, filter: %s)%s", s.Table.Schema.Table, s.Alias, s.Pred, suffix)
+		return fmt.Sprintf("%s(%s as %s, filter: %s)%s", name, s.Table.Schema.Table, s.Alias, s.Pred, suffix)
 	}
-	return fmt.Sprintf("SeqScan(%s as %s)%s", s.Table.Schema.Table, s.Alias, suffix)
+	return fmt.Sprintf("%s(%s as %s)%s", name, s.Table.Schema.Table, s.Alias, suffix)
 }
 
 // IndexScan fetches the rows whose indexed column equals a key, decoding

@@ -81,16 +81,17 @@ func hashKeyCols(keyCols [][]types.Value, b *vec.Batch, hashes []uint64) {
 }
 
 // Batched reports whether op produces batches, from the operator tree
-// alone: heap scans (SeqScan without a snapshot Source, MorselScan) and
-// ValuesScan always do; Filter, Project and Limit do iff their child
-// does; Gather does iff every worker pipeline does. Everything else
-// produces rows. HashAggregate produces rows but consumes batches when
-// it has no spill context and Batched(child) holds.
+// alone: heap scans (a SeqScan without a snapshot Source, the morsel
+// leaves of a Gather included) and ValuesScan always do; Filter, Project
+// and Limit do iff their child does; Gather does iff every worker
+// pipeline does. Everything else produces rows. HashAggregate produces
+// rows but consumes batches when it has no spill context and
+// Batched(child) holds.
 func Batched(op Operator) bool {
 	switch n := op.(type) {
 	case *SeqScan:
 		return n.Source == nil
-	case *MorselScan, *ValuesScan:
+	case *ValuesScan:
 		return true
 	case *Filter:
 		return Batched(n.Child)

@@ -33,10 +33,9 @@ type parallelBuilder struct {
 	planner     *Planner
 	dop         int
 	morselPages int
-	// memBudget disables the shared HashBuild/HashProbe fragment form:
-	// those operators have no spill path, so under a memory budget the
-	// spilling serial HashJoin stays above the exchange and only its
-	// inputs parallelize.
+	// memBudget disables the shared-build fragment form: a HashBuild
+	// has no spill path, so under a memory budget the spilling serial
+	// HashJoin stays above the exchange and only its inputs parallelize.
 	memBudget bool
 	// sum, when non-nil, records whether the rewrite installed a Gather.
 	sum *CostSummary
@@ -115,8 +114,6 @@ func (b *parallelBuilder) rewrite(op exec.Operator) exec.Operator {
 					expr.CloneAll(n.Keys), append([]bool(nil), n.Desc...), n.N)
 			}
 		}
-	case *exec.Distinct:
-		n.Child = b.rewrite(n.Child)
 	case *exec.Limit:
 		n.Child = b.rewrite(n.Child)
 	case *exec.HashAggregate:
@@ -138,12 +135,15 @@ func (b *parallelBuilder) rewrite(op exec.Operator) exec.Operator {
 }
 
 // fragment attempts to clone the subtree rooted at op into per-worker
-// pipelines. It succeeds only when the fragment bottoms out in a
+// pipelines. It succeeds only when the fragment bottoms out in a heap
 // SeqScan large enough to split into more than one morsel; expressions
 // are cloned per worker so no evaluation state is shared.
 func (b *parallelBuilder) fragment(op exec.Operator) ([]exec.Pipeline, []exec.Resettable, bool) {
 	switch n := op.(type) {
 	case *exec.SeqScan:
+		if n.Source != nil {
+			return nil, nil, false // a snapshot has no pages to split
+		}
 		morselPages := b.morselPages
 		if morselPages <= 0 {
 			morselPages = storage.DefaultMorselPages
@@ -161,7 +161,7 @@ func (b *parallelBuilder) fragment(op exec.Operator) ([]exec.Pipeline, []exec.Re
 		}
 		pipes := make([]exec.Pipeline, workers)
 		for i := range pipes {
-			leaf := exec.NewMorselScan(n.Table, n.Alias, n.Cols)
+			leaf := exec.NewSeqScan(n.Table, n.Alias, n.Cols)
 			leaf.Est = n.Est
 			if n.Pred != nil {
 				// The fused scan predicate runs inside each worker.
@@ -208,13 +208,14 @@ func (b *parallelBuilder) fragment(op exec.Operator) ([]exec.Pipeline, []exec.Re
 
 	case *exec.HashJoin:
 		if b.memBudget {
-			// HashBuild/HashProbe cannot spill; keep the serial spilling
+			// A shared build cannot spill; keep the serial spilling
 			// HashJoin above the exchange (its inputs still parallelize
 			// via the rewrite switch).
 			return nil, nil, false
 		}
 		// Parallelize the probe (right) side; the build side becomes a
-		// shared HashBuild, itself recursively parallelized.
+		// HashBuild shared by every worker's clone, itself recursively
+		// parallelized.
 		pipes, shared, ok := b.fragment(n.Right)
 		if !ok {
 			return nil, nil, false
@@ -226,8 +227,10 @@ func (b *parallelBuilder) fragment(op exec.Operator) ([]exec.Pipeline, []exec.Re
 		}
 		shared = append(shared, build)
 		for i := range pipes {
-			pipes[i].Root = exec.NewHashProbe(build, pipes[i].Root,
+			probe := exec.NewHashJoin(build.Input, pipes[i].Root,
 				expr.Clone(n.LeftKey), expr.Clone(n.RightKey))
+			probe.Shared = build
+			pipes[i].Root = probe
 		}
 		return pipes, shared, true
 

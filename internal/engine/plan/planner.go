@@ -292,7 +292,17 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 	}
 
 	if stmt.Distinct {
-		root = exec.NewDistinct(root)
+		// DISTINCT is a grouping on every output column with no
+		// aggregates: groups come out in first-appearance order, and
+		// under a memory budget they spill.
+		names := root.Schema().Names()
+		keys := make([]expr.Expr, len(names))
+		for i, name := range names {
+			keys[i] = &expr.Col{Idx: i, Name: name}
+		}
+		agg := exec.NewHashAggregate(root, keys, names, nil)
+		agg.Ctx = qctx
+		root = agg
 	}
 
 	limitDone := false
@@ -335,7 +345,7 @@ func (p *Planner) PlanSummary(stmt *sql.SelectStmt) (exec.Operator, *CostSummary
 	// consume its order-preserving stream, so no plan shape needs a
 	// serial fallback for correctness; DOP <= 1 skips the rewrite and
 	// yields the exact serial tree.
-	if p.Opts.DOP > 1 && p.Opts.Views == nil {
+	if p.Opts.DOP > 1 {
 		root = p.parallelize(root, sum)
 	}
 	return root, sum, nil
@@ -525,7 +535,7 @@ func (p *Planner) access(b *baseItem) (exec.Operator, error) {
 		if len(remaining) > 0 {
 			// Fuse pushed predicates into the scan itself: rows are
 			// rejected at the cursor, and the parallel rewrite carries the
-			// predicate into every worker's MorselScan.
+			// predicate into every worker's morsel scan.
 			pred, err := p.bindConjuncts(remaining, scan.Schema())
 			if err != nil {
 				return nil, err
@@ -971,8 +981,15 @@ func explain(sb *strings.Builder, op exec.Operator, depth int) {
 		fmt.Fprintf(sb, "%sProject(%s)%s\n", indent, strings.Join(n.Schema().Names(), ", "), vecSuffix(exec.Batched(n)))
 		explain(sb, n.Child, depth+1)
 	case *exec.HashJoin:
-		fmt.Fprintf(sb, "%sHashJoin(%s = %s)%s\n", indent, n.LeftKey, n.RightKey, estSuffix(n.Est))
-		explain(sb, n.Left, depth+1)
+		if n.Shared != nil {
+			// One worker's probe; the build it shares runs once.
+			fmt.Fprintf(sb, "%sHashProbe(%s = %s)\n", indent, n.LeftKey, n.RightKey)
+			fmt.Fprintf(sb, "%s  HashBuild\n", indent)
+			explain(sb, n.Left, depth+2)
+		} else {
+			fmt.Fprintf(sb, "%sHashJoin(%s = %s)%s\n", indent, n.LeftKey, n.RightKey, estSuffix(n.Est))
+			explain(sb, n.Left, depth+1)
+		}
 		explain(sb, n.Right, depth+1)
 	case *exec.MergeJoin:
 		fmt.Fprintf(sb, "%sMergeJoin(%s = %s)%s\n", indent, n.LeftKey, n.RightKey, estSuffix(n.Est))
@@ -1005,9 +1022,6 @@ func explain(sb *strings.Builder, op exec.Operator, depth int) {
 	case *exec.TopN:
 		fmt.Fprintf(sb, "%s%s\n", indent, n)
 		explain(sb, n.Child, depth+1)
-	case *exec.Distinct:
-		fmt.Fprintf(sb, "%sDistinct\n", indent)
-		explain(sb, n.Child, depth+1)
 	case *exec.Limit:
 		fmt.Fprintf(sb, "%sLimit(%d)%s\n", indent, n.N, vecSuffix(exec.Batched(n)))
 		explain(sb, n.Child, depth+1)
@@ -1015,13 +1029,6 @@ func explain(sb *strings.Builder, op exec.Operator, depth int) {
 		// All pipelines are clones; show the first as representative.
 		fmt.Fprintf(sb, "%s%s\n", indent, n)
 		explain(sb, n.Pipes[0].Root, depth+1)
-	case *exec.MorselScan:
-		fmt.Fprintf(sb, "%s%s%s\n", indent, n, estSuffix(n.Est))
-	case *exec.HashProbe:
-		fmt.Fprintf(sb, "%s%s\n", indent, n)
-		fmt.Fprintf(sb, "%s  HashBuild\n", indent)
-		explain(sb, n.Build.Input, depth+2)
-		explain(sb, n.Right, depth+1)
 	default:
 		fmt.Fprintf(sb, "%s%T\n", indent, op)
 	}
@@ -1051,14 +1058,10 @@ func CountJoins(op exec.Operator) int {
 		return CountJoins(n.Child)
 	case *exec.TopN:
 		return CountJoins(n.Child)
-	case *exec.Distinct:
-		return CountJoins(n.Child)
 	case *exec.Limit:
 		return CountJoins(n.Child)
 	case *exec.Gather:
 		return CountJoins(n.Pipes[0].Root)
-	case *exec.HashProbe:
-		return 1 + CountJoins(n.Build.Input) + CountJoins(n.Right)
 	default:
 		return 0
 	}

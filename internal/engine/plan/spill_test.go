@@ -100,6 +100,7 @@ func TestBudgetedQueriesMatchUnbounded(t *testing.T) {
 		`SELECT grp, COUNT(*), SUM(val) FROM fact GROUP BY grp`,
 		`SELECT label, val FROM dim, fact WHERE grpID = grp`,
 		`SELECT id, val FROM fact ORDER BY val, id LIMIT 9`,
+		`SELECT DISTINCT val FROM fact`,
 	}
 	serial := &Planner{Cat: cat, Reg: expr.NewRegistry()}
 	for _, q := range queries {

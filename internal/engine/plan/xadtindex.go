@@ -99,11 +99,6 @@ func (b *baseItem) probe(conj sql.Expr) fragProbe {
 // rows, so the rewrite can only change how rows are found, never which
 // rows are returned. nil,nil means "no index applies, use a scan".
 func (p *Planner) xadtIndexAccess(b *baseItem) (exec.Operator, error) {
-	if p.Opts.Views != nil {
-		// Fragment-index probes resolve RIDs against the live index, which
-		// a session snapshot cannot trust; the caller also gates this.
-		return nil, nil
-	}
 	var rids []storage.RID
 	var matched []string
 	have := false
