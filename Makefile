@@ -26,7 +26,7 @@ race:
 	$(GO) test -race ./...
 
 # One-iteration benchmark pass: proves the engine, session point-read,
-# B+tree probe and hash-join micro-benchmarks still compile and run, smoke-runs every workload of
+# B+tree probe, B+tree build and hash-join micro-benchmarks still compile and run, smoke-runs every workload of
 # the committed benchmark module (its own go.mod, so `test` does not
 # reach it), and runs the cost-model differential axis under the race
 # detector.
@@ -34,6 +34,7 @@ benchsmoke:
 	$(GO) test -run=NONE -bench=BenchmarkScan -benchtime=1x ./internal/engine/
 	$(GO) test -run=NONE -bench=BenchmarkSessionPointRead -benchtime=1x ./internal/engine/
 	$(GO) test -run=NONE -bench=BenchmarkBTreeLookup -benchtime=1x ./internal/engine/index/
+	$(GO) test -run=NONE -bench=BenchmarkBTreeBuild -benchtime=1x ./internal/engine/index/
 	$(GO) test -run=NONE -bench=BenchmarkHashJoin -benchtime=1x ./internal/engine/exec/
 	cd benchmark && $(GO) test ./...
 	$(GO) test -race -run TestDifferentialCostModelAxis ./internal/difftest/
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDeserializeHeapFile -fuzztime=$(FUZZTIME) ./internal/engine/storage/
 	$(GO) test -run=NONE -fuzz=FuzzHeapOps -fuzztime=$(FUZZTIME) ./internal/engine/storage/
 	$(GO) test -run=NONE -fuzz=FuzzBTreeLookup -fuzztime=$(FUZZTIME) ./internal/engine/index/
+	$(GO) test -run=NONE -fuzz=FuzzBTreeBuild -fuzztime=$(FUZZTIME) ./internal/engine/index/
 	$(GO) test -run=NONE -fuzz=FuzzParseDocument -fuzztime=$(FUZZTIME) ./internal/xmltree/
 
 bench:

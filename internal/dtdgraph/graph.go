@@ -70,12 +70,6 @@ func (g *Graph) Items(name string) []dtd.Item {
 	return e.Items
 }
 
-// Parents returns the edges arriving at name, in declaration order of the
-// parents.
-func (g *Graph) Parents(name string) []Edge {
-	return g.parents[name]
-}
-
 // ParentNames returns the distinct parent element names of name, sorted.
 func (g *Graph) ParentNames(name string) []string {
 	seen := map[string]bool{}

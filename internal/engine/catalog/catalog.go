@@ -252,13 +252,45 @@ func indexRow(idxs []*Index, fis []*xindex.FragmentIndex, rid storage.RID, row [
 	}
 }
 
-// backfill fills new indexes with the rows already in the heap, in heap
-// order, in one scan however many indexes there are.
+// backfill fills new indexes with the rows already in the heap, in one
+// scan however many indexes there are. Fragment indexes absorb each row
+// as the scan reaches it. Each B+tree collects its entries, sorts them
+// unless they came out of the heap in key order (an ID column does), and
+// is built bottom-up from them.
 func (t *Table) backfill(idxs []*Index, fis []*xindex.FragmentIndex) error {
-	return t.Heap.Scan(func(rid storage.RID, row []types.Value) error {
-		indexRow(idxs, fis, rid, row)
+	entries := make([][]index.Entry, len(idxs))
+	rows := t.Heap.Rows()
+	for i := range entries {
+		entries[i] = make([]index.Entry, 0, rows)
+	}
+	err := t.Heap.Scan(func(rid storage.RID, row []types.Value) error {
+		for i, idx := range idxs {
+			entries[i] = append(entries[i], index.Entry{Key: row[idx.ColIdx], RID: rid})
+		}
+		for _, fi := range fis {
+			fi.AddRow(rid, row[fi.ColumnIndex()])
+		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	for i, idx := range idxs {
+		es := entries[i]
+		if !slices.IsSortedFunc(es, index.CompareEntries) {
+			slices.SortFunc(es, index.CompareEntries)
+		}
+		keys := make([]types.Value, len(es))
+		rids := make([]storage.RID, len(es))
+		for j, e := range es {
+			keys[j], rids[j] = e.Key, e.RID
+		}
+		entries[i] = nil
+		if idx.Tree, err = index.Build(keys, rids); err != nil {
+			return fmt.Errorf("catalog: build %s: %w", idx.Name, err)
+		}
+	}
+	return nil
 }
 
 // IndexOn returns the index over the named column, or nil.
@@ -429,7 +461,6 @@ func (c *Catalog) CreateIndexes(table string, columns []string) error {
 			Name:   fmt.Sprintf("idx_%s_%s", table, column),
 			Column: column,
 			ColIdx: ci,
-			Tree:   index.New(),
 		})
 	}
 	if err := t.backfill(idxs, fis); err != nil {

@@ -9,12 +9,15 @@ package catalog
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/engine/types"
 	"repro/internal/xadt"
@@ -190,9 +193,9 @@ func buildHistogram(kind types.Kind, sample []types.Value, totalNonNull int) *Hi
 		return nil
 	}
 	sorted := append([]types.Value(nil), sample...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return types.Compare(sorted[i], sorted[j]) < 0
-	})
+	// Values that compare equal are interchangeable here, so an unstable
+	// sort yields the same bounds and counts.
+	slices.SortFunc(sorted, types.Compare)
 	nb := statsHistBuckets
 	if nb > len(sorted) {
 		nb = len(sorted)
@@ -250,11 +253,11 @@ func capPathFreq(freq map[string]int) map[string]int {
 	for k, v := range freq {
 		all = append(all, kv{k, v})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
+	slices.SortFunc(all, func(a, b kv) int {
+		if c := cmp.Compare(b.count, a.count); c != 0 {
+			return c
 		}
-		return all[i].name < all[j].name
+		return strings.Compare(a.name, b.name)
 	})
 	out := make(map[string]int, statsMaxPaths)
 	for _, e := range all[:statsMaxPaths] {

@@ -11,10 +11,7 @@
 // subset is captured verbatim for the dtd package to parse.
 package xmltree
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Attr is a single attribute on an element.
 type Attr struct {
@@ -176,15 +173,6 @@ func (n *Node) Descendants(name string) []*Node {
 	return out
 }
 
-// Depth returns the number of ancestors of n.
-func (n *Node) Depth() int {
-	d := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
-}
-
 // Clone returns a deep copy of n with a nil parent.
 func (n *Node) Clone() *Node {
 	cp := &Node{Name: n.Name, Text: n.Text}
@@ -198,35 +186,4 @@ func (n *Node) Clone() *Node {
 		cp.Children = append(cp.Children, cc)
 	}
 	return cp
-}
-
-// ElementNames returns the sorted set of distinct element tag names in the
-// subtree rooted at n.
-func (n *Node) ElementNames() []string {
-	seen := map[string]bool{}
-	n.Walk(func(d *Node) bool {
-		if d.IsElement() {
-			seen[d.Name] = true
-		}
-		return true
-	})
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CountElements returns the number of element nodes in the subtree rooted
-// at n, including n itself if it is an element.
-func (n *Node) CountElements() int {
-	count := 0
-	n.Walk(func(d *Node) bool {
-		if d.IsElement() {
-			count++
-		}
-		return true
-	})
-	return count
 }

@@ -222,17 +222,6 @@ func TestNodeHelpers(t *testing.T) {
 	if got := len(doc.Root.Descendants("r")); got != 3 {
 		t.Errorf("Descendants(r) = %d, want 3", got)
 	}
-	rs := doc.Root.Descendants("r")
-	if rs[2].Depth() != 2 {
-		t.Errorf("depth = %d, want 2", rs[2].Depth())
-	}
-	if got := doc.Root.CountElements(); got != 6 {
-		t.Errorf("CountElements = %d, want 6", got)
-	}
-	names := doc.Root.ElementNames()
-	if len(names) != 3 || names[0] != "p" || names[1] != "q" || names[2] != "r" {
-		t.Errorf("ElementNames = %v", names)
-	}
 }
 
 func TestClone(t *testing.T) {
