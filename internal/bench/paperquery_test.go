@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/engine/plan"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
-	"repro/internal/engine/vec"
+	"repro/internal/testutil"
 	"repro/internal/xadt"
 )
 
@@ -36,7 +37,6 @@ type paperStore struct {
 // is one alternative path: the order-preserving parallel exchange, scans
 // instead of fragment indexes, and spilling blocking operators.
 func TestPaperQueryOracle(t *testing.T) {
-	baseBatches := vec.Outstanding()
 	serial := plan.Options{DOP: 1}
 	var stores []*paperStore
 	for _, w := range []struct {
@@ -80,6 +80,9 @@ func TestPaperQueryOracle(t *testing.T) {
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
+			// A parallel plan's exchange must have stopped every worker
+			// by the time its query returns.
+			base := runtime.NumGoroutine()
 			var spillRuns int64
 			for _, ps := range stores {
 				st := ps.st
@@ -102,6 +105,7 @@ func TestPaperQueryOracle(t *testing.T) {
 			if c.opts.MemBudgetBytes > 0 && spillRuns == 0 {
 				t.Errorf("no query spilled under a %d-byte budget", c.opts.MemBudgetBytes)
 			}
+			testutil.WaitGoroutines(t, base)
 		})
 	}
 
@@ -164,7 +168,7 @@ func TestPaperQueryOracle(t *testing.T) {
 
 	// plans pins the Explain text of every paper query under both
 	// mappings, serial and parallel, so an executor refactor that must not
-	// change plans — shapes, estimates or [vec] marks — is held to that;
+	// change plans — shapes or estimates — is held to that;
 	// rerun with -update after reviewing an intentional plan change.
 	t.Run("plans", func(t *testing.T) {
 		var sb strings.Builder
@@ -254,10 +258,6 @@ func TestPaperQueryOracle(t *testing.T) {
 			checkRowsGolden(t, stores, g.alg, filepath.Join("testdata", g.file))
 		}
 	})
-
-	if got := vec.Outstanding(); got != baseBatches {
-		t.Errorf("%d pooled batches leaked across the oracle run", got-baseBatches)
-	}
 }
 
 // checkRowsGolden compares the default serial rows of every query under

@@ -6,7 +6,6 @@ package catalog
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/engine/index"
@@ -657,18 +656,4 @@ func (c *Catalog) TotalIndexBytes() int64 {
 		n += t.IndexBytes()
 	}
 	return n
-}
-
-// Describe renders the catalog for diagnostics: tables, columns, indexes,
-// row counts, sorted by table name.
-func (c *Catalog) Describe() string {
-	names := c.TableNames()
-	sort.Strings(names)
-	out := ""
-	for _, name := range names {
-		t := c.Table(name)
-		out += fmt.Sprintf("%s: %d rows, %d cols, %d indexes, %d data bytes\n",
-			name, t.Rows(), len(t.Schema.Columns), len(t.Indexes), t.DataBytes())
-	}
-	return out
 }

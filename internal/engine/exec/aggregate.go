@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine/expr"
 	"repro/internal/engine/types"
-	"repro/internal/engine/vec"
 )
 
 // AggKind enumerates the aggregate functions of the executor.
@@ -50,8 +49,7 @@ type HashAggregate struct {
 	GroupNames []string
 	Aggs       []AggSpec
 	// Ctx enables spilling under its memory budget; nil keeps the
-	// unbounded in-memory path, which consumes a batch-producing child
-	// batch-at-a-time (see openVec).
+	// unbounded in-memory path.
 	Ctx *QueryCtx
 
 	schema *expr.RowSchema
@@ -94,9 +92,6 @@ func (h *HashAggregate) Schema() *expr.RowSchema { return h.schema }
 // spilling new-key rows to partitions when group state overflows the
 // budget.
 func (h *HashAggregate) Open() (err error) {
-	if h.batchInput() {
-		return h.openVec()
-	}
 	h.discard()
 	defer func() {
 		if err != nil {
@@ -209,127 +204,9 @@ func (h *HashAggregate) Open() (err error) {
 	return h.finishSpill(order, parts, groupTracked)
 }
 
-// batchInput reports whether Open consumes the child batch-at-a-time:
-// only the unbounded in-memory path does, and only over a child that
-// produces batches.
-func (h *HashAggregate) batchInput() bool { return h.Ctx == nil && Batched(h.Child) }
-
 // String describes the aggregate for plan explanations.
 func (h *HashAggregate) String() string {
-	s := fmt.Sprintf("HashAggregate(%d groups keys, %d aggs)", len(h.GroupBy), len(h.Aggs))
-	if h.batchInput() {
-		s += " [vec]"
-	}
-	return s
-}
-
-// openVec is the batch-at-a-time consume loop of the unbounded in-memory
-// path: per child batch, group keys and aggregate arguments are
-// evaluated column-wise, keys are hashed with the batch hash kernel
-// (bit-identical to hashRow, so bucket layout matches the row path), and
-// each active row folds into its group via the shared updateOne core.
-// Group emission order is first appearance, exactly as in Open.
-func (h *HashAggregate) openVec() (err error) {
-	h.discard()
-	defer func() {
-		if err != nil {
-			h.discard()
-		}
-	}()
-	if err := h.Child.Open(); err != nil {
-		return err
-	}
-	defer h.Child.Close()
-
-	bchild := h.Child.(BatchOperator)
-	groups := map[uint64][]*groupAgg{}
-	var order []*groupAgg
-	var scratch expr.VecScratch
-	nkeys := len(h.GroupBy)
-	keyCols := make([][]types.Value, nkeys)
-	for i := range keyCols {
-		keyCols[i] = make([]types.Value, vec.DefaultBatchRows)
-	}
-	argCols := make([][]types.Value, len(h.Aggs))
-	for i, spec := range h.Aggs {
-		if spec.Arg != nil {
-			argCols[i] = make([]types.Value, vec.DefaultBatchRows)
-		}
-	}
-	hashes := make([]uint64, vec.DefaultBatchRows)
-	var seq int64
-	for {
-		b, err := bchild.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if b.Active() == 0 {
-			continue
-		}
-		for i, g := range h.GroupBy {
-			if err := expr.EvalBatch(g, b, keyCols[i], &scratch); err != nil {
-				return err
-			}
-		}
-		hashKeyCols(keyCols, b, hashes)
-		for i, spec := range h.Aggs {
-			if spec.Arg != nil {
-				if err := expr.EvalBatch(spec.Arg, b, argCols[i], &scratch); err != nil {
-					return err
-				}
-			}
-		}
-		na := b.Active()
-		for o := 0; o < na; o++ {
-			r := b.RowIdx(o)
-			hk := hashes[r]
-			var ga *groupAgg
-			for _, cand := range groups[hk] {
-				if keyColsEqual(cand.key, keyCols, r) {
-					ga = cand
-					break
-				}
-			}
-			if ga == nil {
-				key := make([]types.Value, nkeys)
-				for i := range keyCols {
-					key[i] = keyCols[i][r]
-				}
-				ga = newGroupAgg(key, len(h.Aggs))
-				ga.firstSeen = seq
-				groups[hk] = append(groups[hk], ga)
-				order = append(order, ga)
-			}
-			seq++
-			if err := ga.updateCols(h.Aggs, argCols, r); err != nil {
-				return err
-			}
-		}
-	}
-	if len(h.GroupBy) == 0 && len(order) == 0 {
-		// Implicit single group over empty input.
-		order = append(order, newGroupAgg(nil, len(h.Aggs)))
-	}
-	h.out = make([][]types.Value, 0, len(order))
-	for _, ga := range order {
-		h.out = append(h.out, ga.result(h.Aggs))
-	}
-	h.pos = 0
-	return nil
-}
-
-// keyColsEqual reports whether the materialized group key equals the key
-// columns at physical row r, with rowsEqual semantics.
-func keyColsEqual(key []types.Value, keyCols [][]types.Value, r int) bool {
-	for i := range key {
-		if !types.Equal(key[i], keyCols[i][r]) {
-			return false
-		}
-	}
-	return true
+	return fmt.Sprintf("HashAggregate(%d groups keys, %d aggs)", len(h.GroupBy), len(h.Aggs))
 }
 
 type groupAgg struct {
@@ -376,27 +253,9 @@ func (ga *groupAgg) update(aggs []AggSpec, row []types.Value) (int64, error) {
 	return added, nil
 }
 
-// updateCols folds physical row r into the group, reading pre-evaluated
-// aggregate arguments from argCols — the batch twin of update. Memory is
-// not tracked; the vectorized path never runs under a budget.
-func (ga *groupAgg) updateCols(aggs []AggSpec, argCols [][]types.Value, r int) error {
-	for i, spec := range aggs {
-		var v types.Value
-		hasArg := spec.Arg != nil
-		if hasArg {
-			v = argCols[i][r]
-		}
-		if _, err := ga.states[i].updateOne(spec, v, hasArg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// updateOne folds one argument value into a single aggregate state — the
-// shared core of the row and batch paths. v is meaningful only when
-// hasArg is true (COUNT(*) has no argument). It returns the tracked
-// bytes the state grew by.
+// updateOne folds one argument value into a single aggregate state. v
+// is meaningful only when hasArg is true (COUNT(*) has no argument). It
+// returns the tracked bytes the state grew by.
 func (st *aggState) updateOne(spec AggSpec, v types.Value, hasArg bool) (int64, error) {
 	if hasArg && v.IsNull() {
 		return 0, nil // aggregates skip NULLs

@@ -103,6 +103,198 @@ func TestFilter(t *testing.T) {
 	}
 }
 
+// TestVecBoundaries runs scan → filter → limit, with the predicate above
+// the scan and fused into its column-major decode, at sizes and bounds
+// on either side of the decode unit (scanBatchRows): the output is every
+// row whose id passes, in heap order, cut at the bound.
+func TestVecBoundaries(t *testing.T) {
+	c := catalog.New(nil)
+	tbl := buildTable(t, c, "t", 4096)
+	unit := buildTable(t, c, "unit", scanBatchRows)
+	empty := buildTable(t, c, "empty", 0)
+	cases := []struct {
+		name  string
+		tbl   *catalog.Table
+		n     int64 // the predicate is id > n; n < 0 means none
+		limit int64 // < 0 means no Limit
+		want  []int64
+	}{
+		{"empty-input", empty, -1, -1, nil},
+		{"empty-input-limit", empty, -1, 10, nil},
+		{"all-filtered", tbl, 1 << 50, -1, nil},
+		{"limit-zero", tbl, -1, 0, nil},
+		{"limit-1023", tbl, -1, 1023, ids(0, 1023)},
+		{"limit-1024", tbl, -1, 1024, ids(0, 1024)},
+		{"limit-1025", tbl, -1, 1025, ids(0, 1025)},
+		{"limit-on-batch-exact", unit, -1, scanBatchRows, ids(0, scanBatchRows)},
+		{"limit-beyond-input", tbl, -1, 5000, ids(0, 4096)},
+		{"filtered-limit-crosses-batch", tbl, 1000, 1500, ids(1001, 2501)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want [][]types.Value
+			for _, id := range tc.want {
+				want = append(want, []types.Value{
+					types.NewInt(id), types.NewString(fmt.Sprintf("g%d", id%3)), types.NewInt(id * 10),
+				})
+			}
+			for _, fused := range []bool{false, true} {
+				scan := NewSeqScan(tc.tbl, "t", nil)
+				op := Operator(scan)
+				if tc.n >= 0 {
+					pred := &expr.Cmp{Op: expr.GT, L: col(scan.Schema(), "t", "id", t), R: &expr.Const{Val: types.NewInt(tc.n)}}
+					if fused {
+						scan.Pred = pred
+					} else {
+						op = NewFilter(op, pred)
+					}
+				}
+				if tc.limit >= 0 {
+					op = NewLimit(op, tc.limit)
+				}
+				rows, err := Drain(op)
+				if err != nil {
+					t.Fatalf("fused=%t: %v", fused, err)
+				}
+				if !reflect.DeepEqual(rows, want) {
+					t.Fatalf("fused=%t: %d rows, want %d", fused, len(rows), len(want))
+				}
+			}
+		})
+	}
+}
+
+// ids returns lo, lo+1, ..., hi-1.
+func ids(lo, hi int64) []int64 {
+	var out []int64
+	for id := lo; id < hi; id++ {
+		out = append(out, id)
+	}
+	return out
+}
+
+// valuesRows returns n rows (k, v) of ints with k = i and v = i % 5,
+// under the schema valuesSchema.
+func valuesRows(n int) [][]types.Value {
+	rows := make([][]types.Value, n)
+	for i := range rows {
+		rows[i] = []types.Value{types.NewInt(int64(i)), types.NewInt(int64(i % 5))}
+	}
+	return rows
+}
+
+func valuesSchema() *expr.RowSchema {
+	return expr.NewRowSchema(expr.ColInfo{Name: "k"}, expr.ColInfo{Name: "v"})
+}
+
+// TestVecProjectComputedAndAliased projects a renamed bare column and a
+// computed comparison over more rows than one decode unit.
+func TestVecProjectComputedAndAliased(t *testing.T) {
+	rows := valuesRows(2500)
+	k := &expr.Col{Idx: 0, Name: "k"}
+	v := &expr.Col{Idx: 1, Name: "v"}
+	p := NewProject(NewValuesScan(valuesSchema(), rows),
+		[]expr.Expr{v, &expr.Cmp{Op: expr.GT, L: k, R: v}}, []string{"w", "b"})
+	got, err := Drain(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]types.Value, len(rows))
+	for i, r := range rows {
+		want[i] = []types.Value{r[1], types.NewBool(r[0].Int() > r[1].Int())}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("projected output differs: %d vs %d rows", len(got), len(want))
+	}
+	if names := p.Schema().Names(); !reflect.DeepEqual(names, []string{"w", "b"}) {
+		t.Errorf("schema = %v", names)
+	}
+}
+
+// TestVecAggregateMatchesRow groups 5000 rows, one argument in seven
+// NULL, and holds every aggregate to a per-group tally: groups come out
+// in first-appearance order, COUNT(*) counts every row, and the
+// aggregates over the argument, COUNT(DISTINCT) included, skip NULLs.
+func TestVecAggregateMatchesRow(t *testing.T) {
+	const groups = 13
+	rows := make([][]types.Value, 5000)
+	type tally struct{ cnt, cntv, sum, min, max int64 }
+	want := make([]tally, groups)
+	for i := range want {
+		want[i].min = -1
+	}
+	for i := range rows {
+		g := int64(i % groups)
+		v := types.NewInt(int64(i))
+		w := &want[g]
+		w.cnt++
+		if i%7 == 0 {
+			v = types.Null
+		} else {
+			w.cntv++
+			w.sum += int64(i)
+			if w.min < 0 {
+				w.min = int64(i)
+			}
+			w.max = int64(i)
+		}
+		rows[i] = []types.Value{types.NewInt(g), v}
+	}
+	arg := &expr.Col{Idx: 1, Name: "v"}
+	agg := NewHashAggregate(NewValuesScan(valuesSchema(), rows),
+		[]expr.Expr{&expr.Col{Idx: 0, Name: "k"}}, []string{"k"},
+		[]AggSpec{
+			{Kind: AggCount, Name: "cnt"},
+			{Kind: AggCount, Arg: arg, Name: "cntv"},
+			{Kind: AggSum, Arg: arg, Name: "sum"},
+			{Kind: AggMin, Arg: arg, Name: "min"},
+			{Kind: AggMax, Arg: arg, Name: "max"},
+			{Kind: AggCount, Arg: arg, Distinct: true, Name: "dcnt"},
+		})
+	got, err := Drain(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRows [][]types.Value
+	for g, w := range want {
+		// The arguments are distinct, so COUNT(DISTINCT) equals COUNT.
+		wantRows = append(wantRows, []types.Value{
+			types.NewInt(int64(g)), types.NewInt(w.cnt), types.NewInt(w.cntv), types.NewInt(w.sum),
+			types.NewInt(w.min), types.NewInt(w.max), types.NewInt(w.cntv),
+		})
+	}
+	if !reflect.DeepEqual(got, wantRows) {
+		t.Fatalf("aggregate output differs:\n got %v\nwant %v", got, wantRows)
+	}
+}
+
+// TestVecEqualKeyOrderStability sorts 4000 rows on a key with three
+// values: Sort and TopN both keep rows with equal keys in input order.
+func TestVecEqualKeyOrderStability(t *testing.T) {
+	rows := make([][]types.Value, 4000)
+	for i := range rows {
+		rows[i] = []types.Value{types.NewInt(int64(i)), types.NewInt(int64(i % 3))}
+	}
+	want := append([][]types.Value(nil), rows...)
+	sort.SliceStable(want, func(a, b int) bool { return want[a][1].Int() < want[b][1].Int() })
+	key := []expr.Expr{&expr.Col{Idx: 1, Name: "v"}}
+	for _, topn := range []bool{true, false} {
+		var op Operator = NewSort(NewValuesScan(valuesSchema(), rows), key, []bool{false})
+		w := want
+		if topn {
+			op = NewTopN(NewValuesScan(valuesSchema(), rows), key, []bool{false}, 50)
+			w = want[:50]
+		}
+		got, err := Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("topn=%t: equal keys out of input order", topn)
+		}
+	}
+}
+
 func TestProject(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 3)
@@ -155,7 +347,7 @@ func TestSortMultiKey(t *testing.T) {
 
 // TestDistinct holds DISTINCT's plan shape, a HashAggregate grouping on
 // every column with no aggregates, to duplicate elimination in
-// first-appearance order over both its batch and row input paths.
+// first-appearance order.
 func TestDistinct(t *testing.T) {
 	schema := expr.NewRowSchema(expr.ColInfo{Name: "s"}, expr.ColInfo{Name: "n"})
 	row := func(s string, n int64) []types.Value {
@@ -166,14 +358,9 @@ func TestDistinct(t *testing.T) {
 	}
 	want := [][]types.Value{row("b", 2), row("a", 1), row("a", 2), row("c", 3)}
 	keys := []expr.Expr{&expr.Col{Idx: 0, Name: "s"}, &expr.Col{Idx: 1, Name: "n"}}
-	for name, child := range map[string]Operator{
-		"batch": NewValuesScan(schema, rows),
-		"row":   rowsOnly{NewValuesScan(schema, rows)},
-	} {
-		got, err := Drain(NewHashAggregate(child, keys, schema.Names(), nil))
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: distinct = %v, %v; want %v", name, got, err, want)
-		}
+	got, err := Drain(NewHashAggregate(NewValuesScan(schema, rows), keys, schema.Names(), nil))
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("distinct = %v, %v; want %v", got, err, want)
 	}
 }
 

@@ -69,14 +69,6 @@ func (m *MemTracker) Peak() int64 {
 	return m.peak.Load()
 }
 
-// Budget returns the configured budget (0 = unlimited).
-func (m *MemTracker) Budget() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.budget
-}
-
 // rowBytes is the tracked in-memory cost of one row: a fixed slice
 // overhead plus a per-value header and the value's record size. The
 // numbers approximate Go heap layout; what matters is that the same
@@ -207,10 +199,6 @@ func NewQueryCtx(budget int64, vfs storage.VFS, baseDir string, sink *SpillSink)
 		files: map[string]bool{},
 	}
 }
-
-// Dir returns the per-query spill directory (created lazily on first
-// spill).
-func (q *QueryCtx) Dir() string { return q.dir }
 
 // grow is the nil-safe Grow used by operators that may run without a
 // context.

@@ -19,7 +19,6 @@ import (
 	"repro/internal/engine/expr"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
-	"repro/internal/engine/vec"
 )
 
 // Pipeline is one worker's copy of a parallelized plan fragment: the
@@ -33,59 +32,11 @@ type Pipeline struct {
 // build) that a Gather resets when it is re-opened.
 type Resettable interface{ Reset() }
 
-// morselBatch is the fully evaluated output of one morsel: rows when the
-// pipeline ran row-at-a-time, pooled column batches when it ran
-// vectorized. The batches are owned by whoever holds the morselBatch and
-// must be released exactly once.
+// morselBatch is the fully evaluated output of one morsel.
 type morselBatch struct {
-	seq     int
-	rows    [][]types.Value
-	batches []*vec.Batch
-	err     error
-}
-
-// releaseBatches returns every batch of a morsel to the pool.
-func releaseBatches(bs []*vec.Batch) {
-	for _, b := range bs {
-		vec.Release(b)
-	}
-}
-
-// drainBatches runs a batch-capable pipeline to completion over its
-// current morsel, compacting each produced batch into a pooled copy that
-// can cross the worker→Gather channel. On error no batches are returned
-// (partial output is released).
-func drainBatches(op Operator) ([]*vec.Batch, error) {
-	bop := op.(BatchOperator)
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	var out []*vec.Batch
-	fail := func(err error) ([]*vec.Batch, error) {
-		op.Close()
-		releaseBatches(out)
-		return nil, err
-	}
-	for {
-		b, err := bop.NextBatch()
-		if err != nil {
-			return fail(err)
-		}
-		if b == nil {
-			break
-		}
-		if b.Active() == 0 {
-			continue
-		}
-		nb := vec.Get(len(b.Cols))
-		vec.CompactInto(nb, b)
-		out = append(out, nb)
-	}
-	if err := op.Close(); err != nil {
-		releaseBatches(out)
-		return nil, err
-	}
-	return out, nil
+	seq  int
+	rows [][]types.Value
+	err  error
 }
 
 // DisableGatherReorder, when true, makes every Gather serve batches in
@@ -111,10 +62,6 @@ type Gather struct {
 	Shared []Resettable
 
 	schema *expr.RowSchema
-	// batched makes the workers drain their pipelines batch-at-a-time and
-	// Gather forward whole batches; Open sets it when every pipeline root
-	// produces batches.
-	batched bool
 
 	src     *storage.MorselSource
 	ch      chan morselBatch
@@ -125,10 +72,6 @@ type Gather struct {
 	pos     int
 	err     error
 	drained bool
-
-	curBatches []*vec.Batch
-	bpos       int
-	shim       rowShim
 }
 
 // NewGather builds the exchange over worker pipelines. All pipelines
@@ -167,11 +110,8 @@ func (g *Gather) Open() error {
 	g.cancel = make(chan struct{})
 	g.pending = make(map[int]morselBatch)
 	g.nextSeq, g.cur, g.pos = 0, nil, 0
-	g.curBatches, g.bpos = nil, 0
-	g.shim.reset()
 	g.err = nil
 	g.drained = false
-	g.batched = Batched(g)
 
 	var wg sync.WaitGroup
 	for _, p := range g.Pipes {
@@ -196,25 +136,15 @@ func (g *Gather) worker(p Pipeline, wg *sync.WaitGroup) {
 			return
 		}
 		p.Leaf.SetRange(m.Lo, m.Hi)
-		var (
-			rows    [][]types.Value
-			batches []*vec.Batch
-			err     error
-		)
-		if g.batched {
-			batches, err = drainBatches(p.Root)
-		} else {
-			rows, err = Drain(p.Root)
-		}
+		rows, err := Drain(p.Root)
 		if err != nil {
 			// Stop handing out work; in-flight morsels on other workers
 			// finish so every claimed sequence number gets a batch.
 			g.src.Abort()
 		}
 		select {
-		case g.ch <- morselBatch{seq: m.Seq, rows: rows, batches: batches, err: err}:
+		case g.ch <- morselBatch{seq: m.Seq, rows: rows, err: err}:
 		case <-g.cancel:
-			releaseBatches(batches)
 			return
 		}
 		if err != nil {
@@ -224,12 +154,8 @@ func (g *Gather) worker(p Pipeline, wg *sync.WaitGroup) {
 }
 
 // Next implements Operator: it serves rows from the current batch and
-// otherwise advances to the next batch in morsel order. A vectorized
-// Gather serves rows through the batch→row shim instead.
+// otherwise advances to the next batch in morsel order.
 func (g *Gather) Next() ([]types.Value, error) {
-	if g.batched {
-		return g.shim.next(g.NextBatch)
-	}
 	for {
 		if g.err != nil {
 			return nil, g.err
@@ -270,52 +196,6 @@ func (g *Gather) Next() ([]types.Value, error) {
 	}
 }
 
-// NextBatch implements BatchOperator: it hands out the queued batches of
-// each morsel in sequence order. The batch returned by the previous call
-// is released here, honouring the valid-until-next-call contract.
-func (g *Gather) NextBatch() (*vec.Batch, error) {
-	if g.bpos > 0 {
-		vec.Release(g.curBatches[g.bpos-1])
-		g.curBatches[g.bpos-1] = nil
-	}
-	for {
-		if g.err != nil {
-			return nil, g.err
-		}
-		if g.bpos < len(g.curBatches) {
-			b := g.curBatches[g.bpos]
-			g.bpos++
-			return b, nil
-		}
-		g.curBatches, g.bpos = nil, 0
-		if b, ok := g.takePending(); ok {
-			if b.err != nil {
-				releaseBatches(b.batches)
-				g.err = b.err
-				return nil, g.err
-			}
-			g.curBatches = b.batches
-			g.nextSeq++
-			continue
-		}
-		if g.drained {
-			for _, b := range g.pending {
-				if b.err != nil {
-					g.err = b.err
-					return nil, g.err
-				}
-			}
-			return nil, nil
-		}
-		b, ok := <-g.ch
-		if !ok {
-			g.drained = true
-			continue
-		}
-		g.pending[b.seq] = b
-	}
-}
-
 // takePending removes and returns the next batch to serve: the batch for
 // nextSeq normally, or any pending batch when DisableGatherReorder is on.
 func (g *Gather) takePending() (morselBatch, bool) {
@@ -333,38 +213,24 @@ func (g *Gather) takePending() (morselBatch, bool) {
 	return b, ok
 }
 
-// Close stops the workers and releases batches. Workers finish their
-// in-flight morsel; subsequent sends land in the closed-over channel
-// drain below, and no new morsels are claimed. Every pooled batch still
-// queued — in the channel, the pending map, or the current morsel — goes
-// back to the pool here.
+// Close stops the workers. Workers finish their in-flight morsel;
+// subsequent sends land in the channel drain below, and no new morsels
+// are claimed.
 func (g *Gather) Close() error {
 	if g.cancel != nil {
 		g.src.Abort()
 		close(g.cancel)
-		for b := range g.ch { // unblock senders until the closer closes ch
-			releaseBatches(b.batches)
+		for range g.ch { // unblock senders until the closer closes ch
 		}
 		g.cancel = nil
 	}
-	for _, b := range g.pending {
-		releaseBatches(b.batches)
-	}
 	g.pending = nil
 	g.cur = nil
-	releaseBatches(g.curBatches) // already-released slots are nil
-	g.curBatches, g.bpos = nil, 0
-	g.shim.reset()
 	return nil
 }
 
 // String describes the exchange for plan explanations.
-func (g *Gather) String() string {
-	if Batched(g) {
-		return fmt.Sprintf("Gather(dop=%d) [vec]", len(g.Pipes))
-	}
-	return fmt.Sprintf("Gather(dop=%d)", len(g.Pipes))
-}
+func (g *Gather) String() string { return fmt.Sprintf("Gather(dop=%d)", len(g.Pipes)) }
 
 // HashBuild is the once-per-execution build side of a parallelized hash
 // join, shared by every worker's HashJoin clone (see HashJoin.Shared).

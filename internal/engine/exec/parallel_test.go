@@ -3,11 +3,13 @@ package exec
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/expr"
 	"repro/internal/engine/types"
+	"repro/internal/testutil"
 )
 
 // scanPipes builds dop identical SeqScan-rooted pipelines over tbl,
@@ -116,27 +118,33 @@ func (f *failAfter) Next() ([]types.Value, error) {
 	return row, nil
 }
 
+// TestGatherPropagatesWorkerError also requires every worker to have
+// exited once the failed Drain has closed the exchange.
 func TestGatherPropagatesWorkerError(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 2000)
 	g := NewGather(scanPipes(tbl, "t", 4, func(op Operator) Operator {
 		return &failAfter{Child: op, N: 100}
 	}), 1, nil)
+	base := runtime.NumGoroutine()
 	_, err := Drain(g)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want errBoom", err)
 	}
+	testutil.WaitGoroutines(t, base)
 	// The gather must still be reusable (and fail again) after an error.
 	_, err = Drain(g)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("second run err = %v, want errBoom", err)
 	}
+	testutil.WaitGoroutines(t, base)
 }
 
 func TestGatherEarlyClose(t *testing.T) {
 	c := catalog.New(nil)
 	tbl := buildTable(t, c, "t", 2000)
 	g := NewGather(scanPipes(tbl, "t", 4, nil), 1, nil)
+	base := runtime.NumGoroutine()
 	if err := g.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +156,65 @@ func TestGatherEarlyClose(t *testing.T) {
 	if err := g.Close(); err != nil { // must not deadlock or leak workers
 		t.Fatal(err)
 	}
+	testutil.WaitGoroutines(t, base)
 	// Reopen and drain fully.
 	rows, err := Drain(g)
 	if err != nil || len(rows) != 2000 {
 		t.Fatalf("after early close: %d rows, %v", len(rows), err)
 	}
+}
+
+// TestGatherBatchEarlyCloseReleasesAll abandons the exchange at three
+// depths, with morsel batches still in the channel, out of order in the
+// pending map and being served: each Close must stop every worker.
+func TestGatherBatchEarlyCloseReleasesAll(t *testing.T) {
+	c := catalog.New(nil)
+	tbl := buildTable(t, c, "t", 5000)
+	for round := 0; round < 3; round++ {
+		base := runtime.NumGoroutine()
+		g := NewGather(scanPipes(tbl, "t", 4, nil), 1, nil)
+		if err := g.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5*round+1; i++ {
+			if _, err := g.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		testutil.WaitGoroutines(t, base)
+	}
+}
+
+// TestGatherBatchForwardingMatchesRows fuses the predicate into each
+// worker's scan, so every morsel batch arrives already filtered, and
+// holds the reassembled output to a serial Filter over the same table.
+func TestGatherBatchForwardingMatchesRows(t *testing.T) {
+	c := catalog.New(nil)
+	tbl := buildTable(t, c, "t", 3000)
+	pred := func(sch *expr.RowSchema) expr.Expr {
+		return &expr.Cmp{Op: expr.GT, L: col(sch, "t", "val", t), R: &expr.Const{Val: types.NewInt(4000)}}
+	}
+	scan := NewSeqScan(tbl, "t", nil)
+	want, err := Drain(NewFilter(scan, pred(scan.Schema())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	g := NewGather(scanPipes(tbl, "t", 4, func(op Operator) Operator {
+		op.(*SeqScan).Pred = pred(op.Schema())
+		return op
+	}), 1, nil)
+	got, err := Drain(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fused parallel scan differs from serial filter: %d vs %d rows", len(got), len(want))
+	}
+	testutil.WaitGoroutines(t, base)
 }
 
 // opens counts Open calls on a child operator.

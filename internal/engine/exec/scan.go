@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine/expr"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
-	"repro/internal/engine/vec"
 )
 
 // TableSchema builds the row schema of a table bound under an alias,
@@ -80,14 +79,19 @@ func (r *sourceRows) next() []types.Value {
 	return r.rows[r.pos-1]
 }
 
+// scanBatchRows is how many rows a heap scan decodes per cursor call:
+// enough to amortize the call over a page run, few enough that the
+// decoded column arrays stay cache-sized.
+const scanBatchRows = 1024
+
 // SeqScan reads a table front to back. A fused predicate, when set,
 // drops rows at the cursor before anything above the scan sees them —
 // the destination of the planner's predicate pushdown.
 //
-// A heap scan decodes whole page runs column-major into a pooled batch
-// and runs the predicate as a columnar kernel; Next works through the
-// batch→row shim. Only the stored columns Cols are decoded; the others
-// are stepped over in the record.
+// A heap scan decodes whole page runs column-major into private column
+// arrays, then evaluates the predicate on one reused row and allocates
+// only the rows that pass. Only the stored columns Cols are decoded;
+// the others are stepped over in the record.
 //
 // As the leaf of a parallel pipeline the scan reads one morsel at a
 // time: the owning Gather re-targets it with SetRange for every page
@@ -114,9 +118,11 @@ type SeqScan struct {
 	morsel bool
 	lo, hi int
 
-	batch   *vec.Batch
-	scratch expr.VecScratch
-	shim    rowShim
+	// cols[j][0:n] hold the decoded rows of the current cursor call; pos
+	// is the next one to emit and row the buffer Pred is evaluated on.
+	cols   [][]types.Value
+	n, pos int
+	row    []types.Value
 }
 
 // NewSeqScan returns a sequential scan of the stored columns cols (nil:
@@ -142,32 +148,16 @@ func (s *SeqScan) Open() error {
 		lo, hi = 0, s.Table.Heap.DataPages()
 	}
 	s.cursor = s.Table.Heap.NewRangeCursor(lo, hi, s.Cols)
-	s.shim.reset()
-	if s.batch == nil {
-		s.batch = vec.Get(len(s.schema.Cols))
+	s.n, s.pos = 0, 0
+	if s.cols == nil {
+		// Kept across Close: a morsel leaf is re-opened per morsel.
+		s.cols = make([][]types.Value, len(s.schema.Cols))
+		for j := range s.cols {
+			s.cols[j] = make([]types.Value, scanBatchRows)
+		}
+		s.row = make([]types.Value, len(s.cols))
 	}
 	return nil
-}
-
-// NextBatch implements BatchOperator: it decodes up to one batch of rows
-// straight into column arrays and narrows the selection with the fused
-// predicate's columnar kernel.
-func (s *SeqScan) NextBatch() (*vec.Batch, error) {
-	b := s.batch
-	n, err := s.cursor.NextBatch(b.Cols, b.Cap())
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b.NRows, b.Sel = n, nil
-	if s.Pred != nil {
-		if err := expr.FilterBatch(s.Pred, b, &s.scratch); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
 }
 
 // Next implements Operator.
@@ -175,33 +165,51 @@ func (s *SeqScan) Next() ([]types.Value, error) {
 	if s.Source != nil {
 		return s.src.next(), nil
 	}
-	return s.shim.next(s.NextBatch)
+	for {
+		if s.pos == s.n {
+			n, err := s.cursor.NextBatch(s.cols, scanBatchRows)
+			if err != nil || n == 0 {
+				return nil, err
+			}
+			s.n, s.pos = n, 0
+		}
+		i := s.pos
+		s.pos++
+		for j, c := range s.cols {
+			s.row[j] = c[i]
+		}
+		if s.Pred != nil {
+			v, err := s.Pred.Eval(s.row)
+			if err != nil {
+				return nil, err
+			}
+			if !v.Truthy() {
+				continue
+			}
+		}
+		return append([]types.Value(nil), s.row...), nil
+	}
 }
 
 // Close implements Operator.
 func (s *SeqScan) Close() error {
 	s.cursor = nil
 	s.src = sourceRows{}
-	vec.Release(s.batch)
-	s.batch = nil
-	s.shim.reset()
+	s.n, s.pos = 0, 0
 	return nil
 }
 
 // String describes the scan for plan explanations; a morsel leaf is
 // labelled MorselScan.
 func (s *SeqScan) String() string {
-	name, suffix := "SeqScan", ""
+	name := "SeqScan"
 	if s.morsel {
 		name = "MorselScan"
 	}
-	if Batched(s) {
-		suffix = " [vec]"
-	}
 	if s.Pred != nil {
-		return fmt.Sprintf("%s(%s as %s, filter: %s)%s", name, s.Table.Schema.Table, s.Alias, s.Pred, suffix)
+		return fmt.Sprintf("%s(%s as %s, filter: %s)", name, s.Table.Schema.Table, s.Alias, s.Pred)
 	}
-	return fmt.Sprintf("%s(%s as %s)%s", name, s.Table.Schema.Table, s.Alias, suffix)
+	return fmt.Sprintf("%s(%s as %s)", name, s.Table.Schema.Table, s.Alias)
 }
 
 // IndexScan fetches the rows whose indexed column equals a key, decoding
@@ -271,16 +279,12 @@ func (s *IndexScan) String() string {
 		s.Table.Schema.Table, s.Alias, s.Index.Column, s.Key)
 }
 
-// ValuesScan produces a fixed in-memory row set, scattered into
-// column-major batches; tests use it as a stub source and a controllable
-// batch producer.
+// ValuesScan produces a fixed in-memory row set; tests use it as a stub
+// source.
 type ValuesScan struct {
 	Rows   [][]types.Value
 	schema *expr.RowSchema
 	pos    int
-
-	batch *vec.Batch
-	shim  rowShim
 }
 
 // NewValuesScan wraps rows under the given schema.
@@ -294,45 +298,21 @@ func (s *ValuesScan) Schema() *expr.RowSchema { return s.schema }
 // Open implements Operator.
 func (s *ValuesScan) Open() error {
 	s.pos = 0
-	s.shim.reset()
-	if s.batch == nil {
-		s.batch = vec.Get(len(s.schema.Cols))
-	}
 	return nil
 }
 
-// NextBatch implements BatchOperator.
-func (s *ValuesScan) NextBatch() (*vec.Batch, error) {
+// Next implements Operator. Each row is a copy the caller owns.
+func (s *ValuesScan) Next() ([]types.Value, error) {
 	if s.pos >= len(s.Rows) {
 		return nil, nil
 	}
-	b := s.batch
-	ncols := len(b.Cols)
-	n := 0
-	for n < b.Cap() && s.pos < len(s.Rows) {
-		row := s.Rows[s.pos]
-		if len(row) != ncols {
-			return nil, fmt.Errorf("exec: values row has %d columns, schema has %d", len(row), ncols)
-		}
-		for j := range b.Cols {
-			b.Cols[j][n] = row[j]
-		}
-		s.pos++
-		n++
+	row := s.Rows[s.pos]
+	if len(row) != len(s.schema.Cols) {
+		return nil, fmt.Errorf("exec: values row has %d columns, schema has %d", len(row), len(s.schema.Cols))
 	}
-	b.NRows, b.Sel = n, nil
-	return b, nil
-}
-
-// Next implements Operator.
-func (s *ValuesScan) Next() ([]types.Value, error) {
-	return s.shim.next(s.NextBatch)
+	s.pos++
+	return append([]types.Value(nil), row...), nil
 }
 
 // Close implements Operator.
-func (s *ValuesScan) Close() error {
-	vec.Release(s.batch)
-	s.batch = nil
-	s.shim.reset()
-	return nil
-}
+func (s *ValuesScan) Close() error { return nil }

@@ -86,13 +86,24 @@ func TestComparisons(t *testing.T) {
 	}
 }
 
+// TestNullComparisonsAreFalse covers a NULL on either side and on both,
+// from a column and from a constant, under every operator.
 func TestNullComparisonsAreFalse(t *testing.T) {
-	row := []types.Value{types.Null}
-	c := &Col{Idx: 0, Name: "x"}
-	for _, op := range []CmpOp{EQ, NE, LT, GT} {
-		e := &Cmp{Op: op, L: c, R: &Const{Val: types.NewInt(1)}}
-		if evalBool(t, e, row) {
-			t.Errorf("NULL %s 1 should be false", op)
+	row := []types.Value{types.Null, types.NewInt(1)}
+	null := &Col{Idx: 0, Name: "x"}
+	one := &Col{Idx: 1, Name: "y"}
+	nullConst := &Const{Val: types.Null}
+	for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
+		for _, e := range []*Cmp{
+			{Op: op, L: null, R: &Const{Val: types.NewInt(1)}},
+			{Op: op, L: one, R: nullConst},
+			{Op: op, L: one, R: null},
+			{Op: op, L: null, R: null},
+			{Op: op, L: null, R: nullConst},
+		} {
+			if evalBool(t, e, row) {
+				t.Errorf("%s should be false", e)
+			}
 		}
 	}
 }
@@ -131,6 +142,17 @@ func TestShortCircuit(t *testing.T) {
 	// Errors propagate when reached.
 	if _, err := (&And{tr, errExpr{}}).Eval(nil); err == nil {
 		t.Error("error should propagate")
+	}
+	// A left conjunct false on this row guards a right one that errors on
+	// it, here a column reference past the end of the row.
+	row := []types.Value{types.NewInt(7)}
+	c := &Col{Idx: 0, Name: "c"}
+	beyond := &Cmp{Op: EQ, L: &Col{Idx: 4, Name: "d"}, R: c}
+	if _, err := beyond.Eval(row); err == nil {
+		t.Error("out-of-range column should error")
+	}
+	if evalBool(t, &And{&Cmp{Op: NE, L: c, R: &Const{Val: types.NewInt(7)}}, beyond}, row) {
+		t.Error("7 <> 7 AND x should be false")
 	}
 }
 

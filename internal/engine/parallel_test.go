@@ -156,12 +156,29 @@ func TestParallelQueryStress(t *testing.T) {
 }
 
 // BenchmarkScan compares a predicate scan at DOP 1 and DOP GOMAXPROCS —
-// the parallel_speedup measurement at benchmark scale.
+// the parallel_speedup measurement at benchmark scale — and times a
+// serial scan whose fused predicate is a LIKE '%…%' over a string column.
 func BenchmarkScan(b *testing.B) {
 	db := parallelFixture(b, 100)
-	q := `SELECT speechID FROM speech WHERE findKeyInElm(speech_speaker, 'SPEAKER', 'HAMLET') = 1`
-	run := func(b *testing.B, opts plan.Options) {
+	text, err := db.CreateTable("speech_text", []catalog.Column{
+		{Name: "speechID", Type: types.KindInt},
+		{Name: "text", Type: types.KindString},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := 1; id <= 4000; id++ {
+		line := fmt.Sprintf("line %d of act %d", id, (id-1)/40+1)
+		if err := text.Insert([]types.Value{types.NewInt(int64(id)), types.NewString(line)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.RunStats(); err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, q string, opts plan.Options) {
 		db.SetPlannerOptions(opts)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := db.Query(q); err != nil {
@@ -169,6 +186,10 @@ func BenchmarkScan(b *testing.B) {
 			}
 		}
 	}
-	b.Run("dop1", func(b *testing.B) { run(b, plan.Options{DOP: 1}) })
-	b.Run("dopN", func(b *testing.B) { run(b, plan.Options{DOP: runtime.GOMAXPROCS(0), MorselPages: 4}) })
+	udf := `SELECT speechID FROM speech WHERE findKeyInElm(speech_speaker, 'SPEAKER', 'HAMLET') = 1`
+	b.Run("dop1", func(b *testing.B) { run(b, udf, plan.Options{DOP: 1}) })
+	b.Run("dopN", func(b *testing.B) { run(b, udf, plan.Options{DOP: runtime.GOMAXPROCS(0), MorselPages: 4}) })
+	b.Run("like", func(b *testing.B) {
+		run(b, `SELECT speechID FROM speech_text WHERE text LIKE '%of act 7%'`, plan.Options{DOP: 1})
+	})
 }

@@ -187,3 +187,61 @@ func mustPlan(t *testing.T, p *Planner, stmt *sql.SelectStmt) exec.Operator {
 	}
 	return op
 }
+
+// midFixture builds a table that morselizes (several pages) but is too
+// small for the parallelism cost gate: 1000 rows with a cheap
+// predicate, where four workers' startup outweighs the scan.
+func midFixture(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New(nil)
+	tbl, err := cat.CreateTable("mid", []catalog.Column{
+		{Name: "id", Type: types.KindInt},
+		{Name: "pad", Type: types.KindString},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		tbl.Insert([]types.Value{
+			types.NewInt(int64(i)),
+			types.NewString(strings.Repeat("p", 40)),
+		})
+	}
+	if err := cat.RunStatsAll(); err != nil {
+		t.Fatal(err)
+	}
+	if pages := tbl.Heap.DataPages(); pages < 2 {
+		t.Fatalf("fixture must span more than one morsel: %d pages", pages)
+	}
+	return cat
+}
+
+func TestSmallInputGateSkipsParallelism(t *testing.T) {
+	cat := midFixture(t)
+	p := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{DOP: 4, MorselPages: 1, CPUs: 4}}
+	text := Explain(planFor(t, p, `SELECT id FROM mid WHERE id > 10`))
+	if strings.Contains(text, "Gather") {
+		t.Fatalf("small input should stay serial at DOP 4:\n%s", text)
+	}
+}
+
+func TestSmallInputGateDisabled(t *testing.T) {
+	cat := midFixture(t)
+	p := &Planner{Cat: cat, Reg: expr.NewRegistry(),
+		Opts: Options{DOP: 4, MorselPages: 1, ForceParallel: true}}
+	text := Explain(planFor(t, p, `SELECT id FROM mid WHERE id > 10`))
+	if !strings.Contains(text, "Gather(dop=4)") {
+		t.Fatalf("ForceParallel should force the parallel plan:\n%s", text)
+	}
+}
+
+func TestSmallInputGatePassesRowFloor(t *testing.T) {
+	// bigFixture's fact table has few pages but 4000 rows: the gate's
+	// per-row term alone should admit it.
+	cat := bigFixture(t)
+	p := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{DOP: 4, MorselPages: 1, CPUs: 4}}
+	text := Explain(planFor(t, p, `SELECT id FROM fact WHERE val > 500`))
+	if !strings.Contains(text, "Gather(dop=4)") {
+		t.Fatalf("4000-row table should pass the row floor:\n%s", text)
+	}
+}

@@ -80,7 +80,7 @@ type Options struct {
 	// source instead of the raw heap — the MVCC session path, where the
 	// engine's Session is the source. Access paths that walk shared
 	// physical structures outside the source (fragment-index probes,
-	// index nested loops, morsel parallelism, vectorized page decoding)
+	// index nested loops, morsel parallelism, column-major page decoding)
 	// are disabled; scans read the source whole, and B+tree equality
 	// accesses ask it for the key's rows.
 	Views exec.RowSource
@@ -938,14 +938,6 @@ func connected(alias string, joined map[string]bool, preds []joinPred, used []bo
 	return false
 }
 
-// vecSuffix marks a batch-at-a-time operator in Explain output.
-func vecSuffix(vec bool) string {
-	if vec {
-		return " [vec]"
-	}
-	return ""
-}
-
 // estSuffix renders an operator's estimated cardinality. Appended after
 // the operator's own rendering so substring assertions on the operator
 // text keep matching; zero (no estimate) renders nothing.
@@ -975,10 +967,10 @@ func explain(sb *strings.Builder, op exec.Operator, depth int) {
 	case *exec.ValuesScan:
 		fmt.Fprintf(sb, "%sValuesScan(%d rows)\n", indent, len(n.Rows))
 	case *exec.Filter:
-		fmt.Fprintf(sb, "%sFilter(%s)%s\n", indent, n.Pred, vecSuffix(exec.Batched(n)))
+		fmt.Fprintf(sb, "%sFilter(%s)\n", indent, n.Pred)
 		explain(sb, n.Child, depth+1)
 	case *exec.Project:
-		fmt.Fprintf(sb, "%sProject(%s)%s\n", indent, strings.Join(n.Schema().Names(), ", "), vecSuffix(exec.Batched(n)))
+		fmt.Fprintf(sb, "%sProject(%s)\n", indent, strings.Join(n.Schema().Names(), ", "))
 		explain(sb, n.Child, depth+1)
 	case *exec.HashJoin:
 		if n.Shared != nil {
@@ -1023,7 +1015,7 @@ func explain(sb *strings.Builder, op exec.Operator, depth int) {
 		fmt.Fprintf(sb, "%s%s\n", indent, n)
 		explain(sb, n.Child, depth+1)
 	case *exec.Limit:
-		fmt.Fprintf(sb, "%sLimit(%d)%s\n", indent, n.N, vecSuffix(exec.Batched(n)))
+		fmt.Fprintf(sb, "%sLimit(%d)\n", indent, n.N)
 		explain(sb, n.Child, depth+1)
 	case *exec.Gather:
 		// All pipelines are clones; show the first as representative.

@@ -21,14 +21,6 @@ type PoolStats struct {
 // Total returns the number of accesses the snapshot covers.
 func (s PoolStats) Total() int64 { return s.Hits + s.Misses }
 
-// HitRatio returns Hits/Total, or 0 when the pool saw no accesses.
-func (s PoolStats) HitRatio() float64 {
-	if t := s.Total(); t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
-
 // poolShardCount is the number of independently locked LRU shards a
 // large pool is split into. Page IDs hash onto shards, so parallel scans
 // of different page ranges rarely contend on the same lock.

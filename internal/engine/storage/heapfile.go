@@ -490,7 +490,7 @@ func (h *HeapFile) NewRangeCursor(lo, hi int, cols []int) *Cursor {
 }
 
 // NextBatch decodes up to max rows into the column arrays cols — the
-// batch access path of vectorized scans. cols must hold one slice per
+// column-major access path of heap scans. cols must hold one slice per
 // decoded column (every table column unless the cursor was opened with a
 // column list), each at least max long; rows land in cols[j][0:n] in
 // cursor order. It returns the number of rows decoded; 0 means the page

@@ -215,7 +215,7 @@ const (
 // over a tag byte plus the payload bytes, written out directly rather
 // than through hash/fnv: the hasher interface forces a heap value and
 // accessor indirection per call, and hashing sits on the hot path of
-// joins, grouping, and the vectorized hash kernels.
+// joins and grouping.
 func Hash(v Value) uint64 {
 	h := fnvOffset
 	switch v.kind {

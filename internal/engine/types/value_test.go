@@ -148,8 +148,8 @@ func TestHashStringProperty(t *testing.T) {
 
 // fnvReference is what Hash computed before the direct-loop rewrite:
 // hash/fnv over the tag byte plus the payload bytes. Hash must stay
-// bit-identical to it so row-wise and vectorized hash tables built in
-// the same query agree on every bucket.
+// bit-identical to it: the distinct-value sketches that snapshots
+// persist with the table statistics are built from it.
 func fnvReference(v Value) uint64 {
 	h := fnv.New64a()
 	switch v.kind {
