@@ -25,14 +25,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One-iteration benchmark pass: proves the engine, session point-read,
-# B+tree probe, B+tree build and hash-join micro-benchmarks still compile and run, smoke-runs every workload of
+# One-iteration benchmark pass: proves the engine, session point-read
+# and keyless-scan, B+tree probe, B+tree build and hash-join micro-benchmarks still compile and run, smoke-runs every workload of
 # the committed benchmark module (its own go.mod, so `test` does not
 # reach it), and runs the cost-model differential axis under the race
 # detector.
 benchsmoke:
 	$(GO) test -run=NONE -bench=BenchmarkScan -benchtime=1x ./internal/engine/
 	$(GO) test -run=NONE -bench=BenchmarkSessionPointRead -benchtime=1x ./internal/engine/
+	$(GO) test -run=NONE -bench=BenchmarkSessionScan -benchtime=1x ./internal/engine/
 	$(GO) test -run=NONE -bench=BenchmarkBTreeLookup -benchtime=1x ./internal/engine/index/
 	$(GO) test -run=NONE -bench=BenchmarkBTreeBuild -benchtime=1x ./internal/engine/index/
 	$(GO) test -run=NONE -bench=BenchmarkHashJoin -benchtime=1x ./internal/engine/exec/

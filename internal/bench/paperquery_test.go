@@ -258,6 +258,42 @@ func TestPaperQueryOracle(t *testing.T) {
 			checkRowsGolden(t, stores, g.alg, filepath.Join("testdata", g.file))
 		}
 	})
+
+	// session turns MVCC on and runs every query through a snapshot
+	// session, whose access operators filter their RIDs through the
+	// snapshot: the plan must be the default serial plan, fragment-index
+	// scans and index nested loops included, and so must the rows. It
+	// runs last because an MVCC store reads through sessions from then on.
+	t.Run("session", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		for _, ps := range stores {
+			ps.st.DB.SetPlannerOptions(serial)
+			ps.st.DB.EnableMVCC()
+			s, err := ps.st.DB.Begin()
+			if err != nil {
+				t.Fatalf("%s: %v", ps.name, err)
+			}
+			for id, text := range ps.queries {
+				want, err := ps.st.DB.Explain(text)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", ps.name, id, err)
+				}
+				if got, err := s.Explain(text); err != nil || got != want {
+					t.Errorf("%s/%s: session plan differs from the serial plan (%v):\n%s\nwant:\n%s", ps.name, id, err, got, want)
+				}
+				res, err := s.Query(text)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", ps.name, id, err)
+				}
+				if !reflect.DeepEqual(res.Rows, ps.want[id]) {
+					t.Errorf("%s/%s: %d session rows differ from the default serial plan's %d",
+						ps.name, id, len(res.Rows), len(ps.want[id]))
+				}
+			}
+			s.Rollback()
+		}
+		testutil.WaitGoroutines(t, base)
+	})
 }
 
 // checkRowsGolden compares the default serial rows of every query under

@@ -410,17 +410,11 @@ func (st *Store) Exec(query string) (int64, error) {
 		return 0, err
 	}
 	if _, isSelect := stmt.(*sql.SelectStmt); isSelect {
-		if st.DB.TxnMgr != nil {
-			// Snapshot-consistent read on a concurrent store: run the
-			// SELECT under an implicit read-only session.
-			s, err := st.NewSession()
-			if err != nil {
-				return 0, err
-			}
-			defer s.Rollback()
-			return s.Exec(query)
+		res, err := st.Query(query)
+		if err != nil {
+			return 0, err
 		}
-		return st.DB.ExecStatement(stmt, nil)
+		return int64(len(res.Rows)), nil
 	}
 	var n int64
 	err = st.mvccDirect(func() error {

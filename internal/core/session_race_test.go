@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +24,28 @@ func TestSessionRaceStress(t *testing.T) {
 	st, _ := mvccPlayStore(t, XORator, 1)
 	if _, err := st.Exec(`INSERT INTO play (playID, play_title) VALUES (-100, '0')`); err != nil {
 		t.Fatal(err)
+	}
+	// Readers also plan a fragment-index scan of play, whose indexes
+	// every writer's commit maintains, and an index nested loop from
+	// play into act: plan-time probes and the operators read the live
+	// structures under the shared latch while commits wait.
+	if err := st.DB.CreateIndexes("act", []string{"act_parentID"}); err != nil {
+		t.Fatal(err)
+	}
+	indexed := map[string]string{
+		`SELECT playID FROM play WHERE findKeyInElm(play_personae, 'PERSONA', 'HAMLET') = 1`: "IndexedFragScan",
+		`SELECT play_title, actID FROM play, act WHERE act_parentID = playID`:                "IndexLoopJoin",
+	}
+	for q, op := range indexed {
+		s, err := st.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := s.es.Explain(q)
+		s.Rollback()
+		if err != nil || !strings.Contains(ex, op) {
+			t.Fatalf("%s plans no %s (%v):\n%s", q, op, err, ex)
+		}
 	}
 
 	var commits atomic.Int64
@@ -97,6 +121,22 @@ func TestSessionRaceStress(t *testing.T) {
 						first.Rows[0][0].Str(), again.Rows[0][0].Str())
 					s.Rollback()
 					return
+				}
+				for q := range indexed {
+					first, err := s.Query(q)
+					if err == nil {
+						again, err = s.Query(q)
+					}
+					if err != nil {
+						s.Rollback()
+						errc <- err
+						return
+					}
+					if len(first.Rows) == 0 || !reflect.DeepEqual(first.Rows, again.Rows) {
+						s.Rollback()
+						errc <- fmt.Errorf("%s: %d rows, then %d", q, len(first.Rows), len(again.Rows))
+						return
+					}
 				}
 				s.Rollback()
 			}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -67,6 +68,46 @@ func TestSeqScanReopen(t *testing.T) {
 		rows, err := Drain(scan)
 		if err != nil || len(rows) != 10 {
 			t.Fatalf("round %d: %d rows, %v", round, len(rows), err)
+		}
+	}
+}
+
+// TestSmallScanAllocs holds a scan's decode arrays to the table's size:
+// a scan of 3 rows allocates a few hundred bytes, not scanBatchRows
+// values per column, and a re-opened scan grows them when the table
+// has grown meanwhile.
+func TestSmallScanAllocs(t *testing.T) {
+	c := catalog.New(nil)
+	tbl := buildTable(t, c, "t", 3)
+	const reps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		if rows, err := Drain(NewSeqScan(tbl, "t", nil)); err != nil || len(rows) != 3 {
+			t.Fatalf("%d rows, %v", len(rows), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perScan := (after.TotalAlloc - before.TotalAlloc) / reps; perScan >= 8<<10 {
+		t.Errorf("a scan of 3 rows allocates %d bytes, want under 8 KiB", perScan)
+	}
+
+	scan := NewSeqScan(tbl, "t", nil)
+	if _, err := Drain(scan); err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < 2500; i++ {
+		if err := tbl.Insert([]types.Value{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("g%d", i%3)), types.NewInt(int64(i * 10))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := Drain(scan)
+	if err != nil || len(rows) != 2500 {
+		t.Fatalf("re-opened scan: %d rows, %v", len(rows), err)
+	}
+	for i, r := range rows {
+		if r[0].Int() != int64(i) {
+			t.Fatalf("re-opened scan: row %d has id %d", i, r[0].Int())
 		}
 	}
 }

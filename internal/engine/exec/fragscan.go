@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/expr"
+	"repro/internal/engine/mvcc"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
 )
@@ -32,11 +33,13 @@ type IndexedFragScan struct {
 	Pred expr.Expr
 	// IndexDesc names the conjuncts the index answered, for EXPLAIN.
 	IndexDesc string
+	// Txn is as for SeqScan: the versions the snapshot sees instead of
+	// the live candidates join them, and Pred re-verifies them too.
+	Txn *mvcc.Txn
 	// Est is the planner's estimated output cardinality; advisory only.
 	Est    float64
 	schema *expr.RowSchema
-	pos    int
-	row    []types.Value // a fetched row the predicate rejected, reused
+	src    ridRows
 }
 
 // NewIndexedFragScan returns an indexed fragment scan emitting the
@@ -53,39 +56,19 @@ func (s *IndexedFragScan) Schema() *expr.RowSchema { return s.schema }
 
 // Open implements Operator.
 func (s *IndexedFragScan) Open() error {
-	s.pos = 0
+	s.src.rids, s.src.pos = s.RIDs, 0
+	s.src.f = s.Txn.Filter(s.Table.V, -1, types.Null)
 	return nil
 }
 
 // Next implements Operator.
 func (s *IndexedFragScan) Next() ([]types.Value, error) {
-	for s.pos < len(s.RIDs) {
-		if s.row == nil {
-			s.row = make([]types.Value, len(s.schema.Cols))
-		}
-		row := s.row
-		if err := s.Table.Heap.GetInto(s.RIDs[s.pos], s.Cols, row); err != nil {
-			return nil, err
-		}
-		s.pos++
-		if s.Pred != nil {
-			v, err := s.Pred.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
-			}
-		}
-		s.row = nil
-		return row, nil
-	}
-	return nil, nil
+	return s.src.row(s.Table, s.Cols, len(s.schema.Cols), s.Pred)
 }
 
 // Close implements Operator.
 func (s *IndexedFragScan) Close() error {
-	s.pos = 0
+	s.src.rids, s.src.f = nil, nil
 	return nil
 }
 

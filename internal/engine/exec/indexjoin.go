@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/expr"
-	"repro/internal/engine/storage"
+	"repro/internal/engine/mvcc"
 	"repro/internal/engine/types"
 )
 
@@ -28,13 +28,13 @@ type IndexLoopJoin struct {
 	// schema (equivalently, the joined schema: left columns keep their
 	// positions).
 	LeftKey expr.Expr
+	Txn     *mvcc.Txn // see SeqScan.Txn
 	// Est is the planner's estimated output cardinality; advisory only.
 	Est float64
 
 	schema  *expr.RowSchema
 	leftRow []types.Value
-	rids    []storage.RID
-	pos     int
+	src     ridRows
 }
 
 // NewIndexLoopJoin builds the operator; cols (nil: all) are the inner
@@ -52,22 +52,23 @@ func (j *IndexLoopJoin) Schema() *expr.RowSchema { return j.schema }
 // Open implements Operator.
 func (j *IndexLoopJoin) Open() error {
 	j.leftRow = nil
-	j.rids = j.rids[:0]
-	j.pos = 0
+	j.src = ridRows{rids: j.src.rids[:0]}
 	return j.Left.Open()
 }
 
 // Next implements Operator.
 func (j *IndexLoopJoin) Next() ([]types.Value, error) {
 	for {
-		for j.pos < len(j.rids) {
+		if j.leftRow != nil && (j.src.f != nil || j.src.pos < len(j.src.rids)) {
 			out := make([]types.Value, len(j.schema.Cols))
 			lw := copy(out, j.leftRow)
-			if err := j.Right.Heap.GetInto(j.rids[j.pos], j.Cols, out[lw:]); err != nil {
+			_, ok, err := j.src.next(j.Right, j.Cols, out[lw:])
+			if err != nil {
 				return nil, err
 			}
-			j.pos++
-			return out, nil
+			if ok {
+				return out, nil
+			}
 		}
 		row, err := j.Left.Next()
 		if err != nil || row == nil {
@@ -77,18 +78,21 @@ func (j *IndexLoopJoin) Next() ([]types.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		j.leftRow = row
-		j.rids = j.rids[:0]
+		// A NULL key joins nothing.
+		j.leftRow = nil
 		if !key.IsNull() {
-			j.rids = j.Index.Tree.Lookup(key, j.rids...)
+			j.leftRow = row
+			j.src = ridRows{
+				rids: j.Index.Tree.Lookup(key, j.src.rids[:0]...),
+				f:    j.Txn.Filter(j.Right.V, j.Index.ColIdx, key),
+			}
 		}
-		j.pos = 0
 	}
 }
 
 // Close implements Operator.
 func (j *IndexLoopJoin) Close() error {
-	j.rids = j.rids[:0]
+	j.src = ridRows{rids: j.src.rids[:0]}
 	return j.Left.Close()
 }
 

@@ -29,24 +29,59 @@ type RowSource interface {
 
 // Live is the RowSource of the committed store: the heap, narrowed by a
 // B+tree probe (whose RIDs come out heap-ordered) when idx is set.
-var Live RowSource = liveRows{}
+var Live = Snapshot(nil)
 
-type liveRows struct{}
+// Snapshot returns the RowSource of txn's snapshot (nil: Live), whose
+// Scan runs under the shared latch (mvcc.TxnManager.Read).
+func Snapshot(txn *mvcc.Txn) RowSource { return snapshotRows{txn} }
 
-func (liveRows) Scan(t *catalog.Table, idx *catalog.Index, key types.Value, fn func(storage.RID, []types.Value) error) error {
-	if idx == nil {
-		return t.Heap.Scan(fn)
+type snapshotRows struct{ txn *mvcc.Txn }
+
+func (r snapshotRows) Scan(t *catalog.Table, idx *catalog.Index, key types.Value, fn func(storage.RID, []types.Value) error) error {
+	width := len(t.Schema.Columns)
+	if idx != nil {
+		src := ridRows{rids: idx.Tree.Lookup(key), f: r.txn.Filter(t.V, idx.ColIdx, key)}
+		for {
+			row := make([]types.Value, width)
+			rid, ok, err := src.next(t, nil, row)
+			if err != nil || !ok {
+				return err
+			}
+			if err := fn(rid, row); err != nil {
+				return err
+			}
+		}
 	}
-	for _, rid := range idx.Tree.Lookup(key) {
-		row, err := t.Heap.Get(rid)
-		if err != nil {
+	f := r.txn.Filter(t.V, -1, types.Null)
+	var spare []types.Value
+	// pop yields the rows f adds before the RID at, each a row of its own.
+	pop := func(at storage.RID) error {
+		for f != nil {
+			if spare == nil {
+				spare = make([]types.Value, width)
+			}
+			rid, ok := f.Pop(at, nil, spare)
+			if !ok {
+				break
+			}
+			row := spare
+			spare = nil
+			if err := fn(rid, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := t.Heap.Scan(func(rid storage.RID, row []types.Value) error {
+		if err := pop(rid); err != nil || !f.Keep(rid) {
 			return err
 		}
-		if err := fn(rid, row); err != nil {
-			return err
-		}
+		return fn(rid, row)
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return pop(mvcc.End)
 }
 
 // SetCol is one pre-evaluated column assignment of an UPDATE.

@@ -76,8 +76,8 @@ type Gather struct {
 
 // NewGather builds the exchange over worker pipelines. All pipelines
 // must be clones of the same fragment (identical schemas, same scanned
-// heap, no snapshot Source). Every leaf reads an empty range until its
-// worker claims a morsel.
+// heap, no snapshot Txn: a morsel cannot merge a snapshot's versions).
+// Every leaf reads an empty range until its worker claims a morsel.
 func NewGather(pipes []Pipeline, morselPages int, shared []Resettable) *Gather {
 	if len(pipes) == 0 {
 		panic("exec: Gather needs at least one pipeline")

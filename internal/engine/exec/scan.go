@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/expr"
+	"repro/internal/engine/mvcc"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
 )
@@ -27,56 +28,58 @@ func TableSchema(t *catalog.Table, alias string, cols []int) *expr.RowSchema {
 	return expr.NewRowSchema(out...)
 }
 
-// projectRow narrows a full table row to the stored columns cols, into
-// dst when it is non-nil (nil cols: the row itself) — the shape access
-// operators emit over a RowSource, whose rows come whole.
-func projectRow(dst, row []types.Value, cols []int) []types.Value {
-	if cols == nil {
-		return row
-	}
-	if dst == nil {
-		dst = make([]types.Value, len(cols))
-	}
-	for k, j := range cols {
-		dst[k] = row[j]
-	}
-	return dst
+// ridRows reads a RID-ordered list (a B+tree probe's matches, fragment
+// index candidates) through its snapshot filter f (nil: none).
+type ridRows struct {
+	rids  []storage.RID
+	pos   int
+	f     *mvcc.Filter
+	spare []types.Value // a row pred rejected, reused
 }
 
-// sourceRows holds the rows an access operator reading a RowSource (a
-// session snapshot) emits. They are gathered at Open, so the source's
-// latch is held only while they are collected, never across execution.
-type sourceRows struct {
-	rows [][]types.Value
-	pos  int
-}
-
-// gather collects the rows src yields for t (narrowed to the idx
-// equality on key when idx is set), projected to cols and filtered by
-// pred when it is set.
-func (r *sourceRows) gather(src RowSource, t *catalog.Table, idx *catalog.Index, key types.Value, cols []int, pred expr.Expr) error {
-	r.rows, r.pos = r.rows[:0], 0
-	var spare []types.Value // a projection pred rejected, reused
-	return src.Scan(t, idx, key, func(_ storage.RID, row []types.Value) error {
-		row = projectRow(spare, row, cols)
-		spare = nil
-		if ok, err := matches(pred, row); err != nil || !ok {
-			if cols != nil {
-				spare = row
-			}
-			return err
+// row returns the next row pred (nil: any) accepts, in a fresh slice.
+func (r *ridRows) row(t *catalog.Table, cols []int, width int, pred expr.Expr) ([]types.Value, error) {
+	for {
+		if r.spare == nil {
+			r.spare = make([]types.Value, width)
 		}
-		r.rows = append(r.rows, row)
-		return nil
-	})
+		_, ok, err := r.next(t, cols, r.spare)
+		if err != nil || !ok {
+			return nil, err
+		}
+		if ok, err = matches(pred, r.spare); err != nil {
+			return nil, err
+		}
+		if ok {
+			row := r.spare
+			r.spare = nil
+			return row, nil
+		}
+	}
 }
 
-func (r *sourceRows) next() []types.Value {
-	if r.pos >= len(r.rows) {
-		return nil
+// next decodes the next row's stored columns cols into out and returns
+// its RID.
+func (r *ridRows) next(t *catalog.Table, cols []int, out []types.Value) (storage.RID, bool, error) {
+	for {
+		if r.f != nil {
+			at := mvcc.End
+			if r.pos < len(r.rids) {
+				at = r.rids[r.pos]
+			}
+			if rid, ok := r.f.Pop(at, cols, out); ok {
+				return rid, true, nil
+			}
+		}
+		if r.pos == len(r.rids) {
+			return storage.RID{}, false, nil
+		}
+		at := r.rids[r.pos]
+		r.pos++
+		if r.f == nil || r.f.Keep(at) {
+			return at, true, t.Heap.GetInto(at, cols, out)
+		}
 	}
-	r.pos++
-	return r.rows[r.pos-1]
 }
 
 // scanBatchRows is how many rows a heap scan decodes per cursor call:
@@ -103,24 +106,27 @@ type SeqScan struct {
 	// every column. The schema holds exactly these.
 	Cols []int
 	Pred expr.Expr // optional, resolved against the scan schema
-	// Source, when set, is an MVCC snapshot: the scan emits the rows it
-	// yields, one at a time, instead of decoding the live heap.
-	Source RowSource
+	// Txn, when set, is the MVCC transaction whose snapshot the scan
+	// reads through mvcc.Filter.
+	Txn *mvcc.Txn
 	// Est is the planner's estimated output cardinality (rows surviving
 	// the fused predicate); zero when no estimate was made. Advisory
 	// only — execution never reads it.
 	Est    float64
 	schema *expr.RowSchema
 	cursor *storage.Cursor
-	src    sourceRows
+	f      *mvcc.Filter
 	// morsel is set by SetRange: Open then reads pages [lo, hi) instead
 	// of the whole heap.
 	morsel bool
 	lo, hi int
 
-	// cols[j][0:n] hold the decoded rows of the current cursor call; pos
-	// is the next one to emit and row the buffer Pred is evaluated on.
+	// cols[j][0:n] hold the decoded rows of the current cursor call and
+	// rids[0:n] their RIDs (under a filter); pos is the next one to emit
+	// and row the buffer Pred is evaluated on.
 	cols   [][]types.Value
+	rids   []storage.RID
+	size   int
 	n, pos int
 	row    []types.Value
 }
@@ -140,43 +146,52 @@ func (s *SeqScan) Schema() *expr.RowSchema { return s.schema }
 
 // Open implements Operator.
 func (s *SeqScan) Open() error {
-	if s.Source != nil {
-		return s.src.gather(s.Source, s.Table, nil, types.Null, s.Cols, s.Pred)
-	}
 	lo, hi := s.lo, s.hi
 	if !s.morsel {
 		lo, hi = 0, s.Table.Heap.DataPages()
 	}
 	s.cursor = s.Table.Heap.NewRangeCursor(lo, hi, s.Cols)
 	s.n, s.pos = 0, 0
-	if s.cols == nil {
-		// Kept across Close: a morsel leaf is re-opened per morsel.
+	// Sized to the table, kept across Close (a morsel leaf is re-opened
+	// per morsel), grown when the table has.
+	if size := min(scanBatchRows, max(1, s.Table.Heap.Rows())); size > s.size {
+		s.size = size
 		s.cols = make([][]types.Value, len(s.schema.Cols))
 		for j := range s.cols {
-			s.cols[j] = make([]types.Value, scanBatchRows)
+			s.cols[j] = make([]types.Value, size)
 		}
-		s.row = make([]types.Value, len(s.cols))
+		s.rids, s.row = nil, make([]types.Value, len(s.cols))
+	}
+	if s.f = s.Txn.Filter(s.Table.V, -1, types.Null); s.f != nil {
+		if s.rids == nil {
+			s.rids = make([]storage.RID, s.size)
+		}
+		s.cursor.RIDs = s.rids
 	}
 	return nil
 }
 
 // Next implements Operator.
 func (s *SeqScan) Next() ([]types.Value, error) {
-	if s.Source != nil {
-		return s.src.next(), nil
-	}
 	for {
 		if s.pos == s.n {
-			n, err := s.cursor.NextBatch(s.cols, scanBatchRows)
-			if err != nil || n == 0 {
+			n, err := s.cursor.NextBatch(s.cols, s.size)
+			if err != nil {
 				return nil, err
 			}
 			s.n, s.pos = n, 0
 		}
-		i := s.pos
-		s.pos++
-		for j, c := range s.cols {
-			s.row[j] = c[i]
+		if s.f == nil || !s.popped() {
+			if s.pos == s.n {
+				return nil, nil
+			}
+			s.pos++
+			if s.f != nil && !s.f.Keep(s.rids[s.pos-1]) {
+				continue
+			}
+			for j, c := range s.cols {
+				s.row[j] = c[s.pos-1]
+			}
 		}
 		if s.Pred != nil {
 			v, err := s.Pred.Eval(s.row)
@@ -191,10 +206,20 @@ func (s *SeqScan) Next() ([]types.Value, error) {
 	}
 }
 
+// popped reports whether the filter wrote into s.row a row it merges in
+// before the cursor's next one.
+func (s *SeqScan) popped() bool {
+	at := mvcc.End
+	if s.pos < s.n {
+		at = s.rids[s.pos]
+	}
+	_, ok := s.f.Pop(at, s.Cols, s.row)
+	return ok
+}
+
 // Close implements Operator.
 func (s *SeqScan) Close() error {
-	s.cursor = nil
-	s.src = sourceRows{}
+	s.cursor, s.f = nil, nil
 	s.n, s.pos = 0, 0
 	return nil
 }
@@ -220,15 +245,11 @@ type IndexScan struct {
 	Cols  []int
 	Index *catalog.Index
 	Key   types.Value
-	// Source, when set, is an MVCC snapshot: the equality access asks
-	// it for the key's rows, so only snapshot-visible rows surface.
-	Source RowSource
+	Txn   *mvcc.Txn // see SeqScan.Txn
 	// Est is the planner's estimated output cardinality; advisory only.
 	Est    float64
 	schema *expr.RowSchema
-	rids   []storage.RID
-	pos    int
-	src    sourceRows
+	src    ridRows
 }
 
 // NewIndexScan returns an equality index scan emitting the stored
@@ -242,34 +263,19 @@ func (s *IndexScan) Schema() *expr.RowSchema { return s.schema }
 
 // Open implements Operator.
 func (s *IndexScan) Open() error {
-	s.pos = 0
-	if s.Source != nil {
-		return s.src.gather(s.Source, s.Table, s.Index, s.Key, s.Cols, nil)
-	}
-	s.rids = s.Index.Tree.Lookup(s.Key, s.rids[:0]...)
+	s.src.rids, s.src.pos = s.Index.Tree.Lookup(s.Key, s.src.rids[:0]...), 0
+	s.src.f = s.Txn.Filter(s.Table.V, s.Index.ColIdx, s.Key)
 	return nil
 }
 
 // Next implements Operator.
 func (s *IndexScan) Next() ([]types.Value, error) {
-	if s.Source != nil {
-		return s.src.next(), nil
-	}
-	if s.pos >= len(s.rids) {
-		return nil, nil
-	}
-	row := make([]types.Value, len(s.schema.Cols))
-	if err := s.Table.Heap.GetInto(s.rids[s.pos], s.Cols, row); err != nil {
-		return nil, err
-	}
-	s.pos++
-	return row, nil
+	return s.src.row(s.Table, s.Cols, len(s.schema.Cols), nil)
 }
 
 // Close implements Operator.
 func (s *IndexScan) Close() error {
-	s.rids = s.rids[:0]
-	s.src = sourceRows{}
+	s.src.rids, s.src.f = s.src.rids[:0], nil
 	return nil
 }
 

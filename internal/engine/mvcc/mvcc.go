@@ -19,16 +19,16 @@
 // version intervals of any one RID are disjoint, so at most one version
 // of a RID is visible to any snapshot — including across RID reuse.
 //
-// Readers never block writers and vice versa in the long-running sense:
-// a reader collects the rows it touches (a B+tree probe's matches, or a
-// whole heap for a scan) under a brief shared latch and then runs
-// latch-free over the collected rows, while commits serialize only
-// against each other and against those reads.
+// A reader's access paths filter the RIDs they read from the live heap
+// and indexes through Filter, under the shared latch for the whole
+// statement: commits wait for the statements in flight, never for a
+// snapshot's lifetime.
 package mvcc
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -103,11 +103,9 @@ type Op struct {
 // TxnManager coordinates snapshots, commits, and version garbage
 // collection for one database.
 type TxnManager struct {
-	// latch is the database-wide structure latch: held shared while a
-	// reader collects its rows or a checkpoint scans the heaps, held
-	// exclusively while a commit (or direct operation) applies its
-	// mutations and stamps versions. It is never held across query
-	// execution, only across the collect/apply step itself.
+	// latch is the database-wide structure latch: held shared for one
+	// snapshot statement (Read), exclusively while a commit or direct
+	// operation applies and stamps versions, or version GC prunes.
 	latch sync.RWMutex
 	// commitMu serializes commit protocols and direct operations, which
 	// also makes it the lock under which all WAL writing happens (the
@@ -123,6 +121,7 @@ type TxnManager struct {
 	// commit that wrote it. Pruned below the oldest active snapshot.
 	writes map[string]uint64
 	tables []*TableVersions
+	pruned uint64 // the floor of the last gc
 
 	// applyTS is the commit timestamp of the transaction currently
 	// applying its mutations; non-zero only while latch is held
@@ -155,17 +154,13 @@ func (m *TxnManager) LastCommitted() uint64 {
 	return m.lastCommitted
 }
 
-// note records a journal key during an apply. Called from the version
-// hooks with the latch held exclusively.
-func (m *TxnManager) note(key string) { m.pending = append(m.pending, key) }
-
 // Begin opens a transaction on a snapshot of the latest committed state.
 func (m *TxnManager) Begin() *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.lastCommitted
 	m.active[s]++
-	return &Txn{mgr: m, snap: s, keys: map[string]struct{}{}}
+	return &Txn{mgr: m, snap: s, keys: map[string]struct{}{}, writes: map[string]*overlay{}}
 }
 
 // releaseLocked drops one reference to snapshot s. Caller holds m.mu.
@@ -191,20 +186,27 @@ func (m *TxnManager) minSnapshotLocked() uint64 {
 }
 
 // gc prunes version and journal state no live or future snapshot can
-// observe.
+// observe. The floor never falls and later versions lie above it, so a
+// floor already pruned is skipped without the exclusive latch, which
+// would wait for every statement in flight.
 func (m *TxnManager) gc(min uint64) {
-	m.latch.Lock()
-	for _, tv := range m.tables {
-		tv.pruneLocked(min)
-	}
-	m.latch.Unlock()
 	m.mu.Lock()
+	if min <= m.pruned {
+		m.mu.Unlock()
+		return
+	}
+	m.pruned = min
 	for k, ts := range m.writes {
 		if ts <= min {
 			delete(m.writes, k)
 		}
 	}
 	m.mu.Unlock()
+	m.latch.Lock()
+	for _, tv := range m.tables {
+		tv.pruneLocked(min)
+	}
+	m.latch.Unlock()
 }
 
 // RunDirect executes a single-shot mutation — the legacy Store paths
@@ -219,15 +221,7 @@ func (m *TxnManager) RunDirect(fn func(commitTS uint64) error) error {
 	m.mu.Lock()
 	commitTS := m.lastCommitted + 1
 	m.mu.Unlock()
-
-	m.latch.Lock()
-	m.applyTS = commitTS
-	m.pending = m.pending[:0]
-	err := fn(commitTS)
-	m.applyTS = 0
-	keys := append([]string(nil), m.pending...)
-	m.latch.Unlock()
-
+	keys, err := m.apply(commitTS, fn)
 	if err != nil && len(keys) == 0 {
 		// Failed before mutating anything: the timestamp was never
 		// observed, so it can be handed out again.
@@ -235,6 +229,18 @@ func (m *TxnManager) RunDirect(fn func(commitTS uint64) error) error {
 	}
 	m.finishCommit(commitTS, keys, nil)
 	return err
+}
+
+// apply runs fn as the commit at commitTS under the exclusive latch and
+// returns the journal keys the version hooks recorded.
+func (m *TxnManager) apply(commitTS uint64, fn func(commitTS uint64) error) ([]string, error) {
+	m.latch.Lock()
+	defer m.latch.Unlock()
+	m.applyTS = commitTS
+	m.pending = m.pending[:0]
+	err := fn(commitTS)
+	m.applyTS = 0
+	return append([]string(nil), m.pending...), err
 }
 
 // Quiesce runs fn with commits and direct operations blocked — the
@@ -276,10 +282,12 @@ func (m *TxnManager) finishCommit(commitTS uint64, keys []string, extra map[stri
 // Txn is one transaction: a snapshot timestamp plus the write keys its
 // operations touched, checked first-committer-wins at commit.
 type Txn struct {
-	mgr  *TxnManager
-	snap uint64
-	keys map[string]struct{}
-	done bool
+	mgr    *TxnManager
+	snap   uint64
+	keys   map[string]struct{}
+	writes map[string]*overlay // uncommitted row writes by table (Write)
+	nins   int
+	done   bool
 }
 
 // Snapshot returns the transaction's snapshot timestamp.
@@ -329,48 +337,27 @@ func (t *Txn) Commit(apply func(commitTS uint64) error) error {
 	m.mu.Lock()
 	for k := range t.keys {
 		if ts, ok := m.writes[k]; ok && ts > t.snap {
-			m.releaseLocked(t.snap)
-			min := m.minSnapshotLocked()
 			m.mu.Unlock()
-			t.done = true
-			m.gc(min)
+			t.Rollback()
 			return fmt.Errorf("%w: %s committed at %d, snapshot is %d", ErrConflict, k, ts, t.snap)
 		}
 	}
 	commitTS := m.lastCommitted + 1
 	m.mu.Unlock()
-
 	if apply == nil {
 		// Read-only: release the snapshot, consume no timestamp.
-		m.mu.Lock()
-		m.releaseLocked(t.snap)
-		min := m.minSnapshotLocked()
-		m.mu.Unlock()
-		t.done = true
-		m.gc(min)
+		t.Rollback()
 		return nil
 	}
-
-	m.latch.Lock()
-	m.applyTS = commitTS
-	m.pending = m.pending[:0]
-	err := apply(commitTS)
-	m.applyTS = 0
-	keys := append([]string(nil), m.pending...)
-	m.latch.Unlock()
-
+	keys, err := m.apply(commitTS, apply)
+	if err != nil && len(keys) == 0 {
+		t.Rollback()
+		return err
+	}
 	m.mu.Lock()
 	m.releaseLocked(t.snap)
 	m.mu.Unlock()
 	t.done = true
-
-	if err != nil && len(keys) == 0 {
-		m.mu.Lock()
-		min := m.minSnapshotLocked()
-		m.mu.Unlock()
-		m.gc(min)
-		return err
-	}
 	m.finishCommit(commitTS, keys, t.keys)
 	return err
 }
@@ -392,6 +379,7 @@ type TableVersions struct {
 	name    string
 	created map[storage.RID]uint64
 	undo    []undoEntry
+	newest  uint64 // the last timestamp that stamped or retired a version
 }
 
 // NoteInsert stamps a freshly inserted heap row with the applying
@@ -405,7 +393,7 @@ func (v *TableVersions) NoteInsert(rid storage.RID) {
 		return
 	}
 	v.created[rid] = ts
-	v.mgr.note(RowKey(v.name, rid))
+	v.note(rid)
 }
 
 // NoteDelete retires the row version at rid, preserving its image for
@@ -421,7 +409,7 @@ func (v *TableVersions) NoteDelete(rid storage.RID, old []types.Value) {
 	if born < ts {
 		v.undo = append(v.undo, undoEntry{rid, append([]types.Value(nil), old...), born, ts})
 	}
-	v.mgr.note(RowKey(v.name, rid))
+	v.note(rid)
 }
 
 // NoteUpdate retires the pre-image at rid and stamps the new version at
@@ -437,10 +425,17 @@ func (v *TableVersions) NoteUpdate(rid storage.RID, old []types.Value, newRID st
 		v.undo = append(v.undo, undoEntry{rid, append([]types.Value(nil), old...), born, ts})
 	}
 	v.created[newRID] = ts
-	v.mgr.note(RowKey(v.name, rid))
+	v.note(rid)
 	if newRID != rid {
-		v.mgr.note(RowKey(v.name, newRID))
+		v.note(newRID)
 	}
+}
+
+// note records the journal key of rid during an apply and marks the
+// table changed at its timestamp. The latch is held exclusively.
+func (v *TableVersions) note(rid storage.RID) {
+	v.newest = v.mgr.applyTS
+	v.mgr.pending = append(v.mgr.pending, RowKey(v.name, rid))
 }
 
 // pruneLocked drops versions and stamps no snapshot above min can
@@ -476,57 +471,138 @@ func (m *TxnManager) Versions() (created, undo int) {
 }
 
 // VRow is one visible row version: the RID names the version
-// (committed heap/undo RID, or a pseudo-RID for a session's own inserts)
-// and Row is its image. Rows are aliased, never copied — heap mutation
-// always installs fresh row slices, so a collected image stays immutable
-// after the latch is released.
+// (committed heap/undo RID, or a pseudo-RID for a transaction's own
+// inserts) and Row is its image. Rows are aliased, never copied — heap
+// mutation always installs fresh row slices, so an image stays
+// immutable once recorded.
 type VRow struct {
 	RID storage.RID
 	Row []types.Value
 }
 
-// Materialize collects the versions of one table visible at snapshot
-// snap, in RID order: the heap rows scan yields whose create stamp is
-// ≤ snap, merged with the undo images whose (born, died) interval
-// contains snap and that match accepts (nil accepts all). scan must
-// iterate in RID order: a whole heap (storage.HeapFile.Scan) with a nil
-// match, or the heap rows of a B+tree probe with match testing the same
-// key, so the undo images stand in for exactly the probed versions the
-// snapshot cannot see. The shared latch is held only while collecting.
-//
-// A nil sidecar means the table is unversioned (a store that predates
-// EnableMVCC, or the non-MVCC configuration); every row is visible.
-func (m *TxnManager) Materialize(tv *TableVersions, snap uint64, scan func(func(storage.RID, []types.Value) error) error, match func([]types.Value) bool) ([]VRow, error) {
+// End orders after every heap and pseudo RID.
+var End = storage.RID{Page: math.MaxInt32, Slot: math.MaxInt32}
+
+// overlay is a transaction's writes to one table: each written row's
+// new image (nil: deleted) by snapshot RID, and its own inserts.
+type overlay struct {
+	written  map[storage.RID][]types.Value
+	inserted []VRow
+}
+
+// Write layers a row op over the snapshot for the transaction's later
+// reads and returns it as recorded: an insert gets the next pseudo RID,
+// an update or delete of a committed row touches that row's key.
+func (t *Txn) Write(op Op) Op {
+	ov := t.writes[op.Table]
+	if ov == nil {
+		ov = &overlay{written: map[storage.RID][]types.Value{}}
+		t.writes[op.Table] = ov
+	}
+	switch op.Kind {
+	case OpRowInsert:
+		op.RID = PseudoRID(t.nins)
+		t.nins++
+		ov.inserted = append(ov.inserted, VRow{RID: op.RID, Row: op.Row})
+		return op
+	case OpRowUpdate:
+		ov.written[op.RID] = op.Row
+	case OpRowDelete:
+		ov.written[op.RID] = nil
+	}
+	if !IsPseudo(op.RID) {
+		t.Touch(RowKey(op.Table, op.RID))
+	}
+	return op
+}
+
+// Read runs fn — one snapshot statement, planning to drain — under the
+// shared latch, so the structures commits change hold still. fn must not
+// call Read again: a nested RLock behind a waiting commit deadlocks.
+func (m *TxnManager) Read(fn func() error) error {
 	m.latch.RLock()
 	defer m.latch.RUnlock()
-	var out []VRow
-	if tv == nil {
-		err := scan(func(rid storage.RID, row []types.Value) error {
-			out = append(out, VRow{rid, row})
-			return nil
-		})
-		return out, err
-	}
-	var old []VRow
-	for _, u := range tv.undo {
-		if u.born <= snap && snap < u.died && (match == nil || match(u.row)) {
-			old = append(old, VRow{u.rid, u.row})
-		}
-	}
-	slices.SortFunc(old, func(a, b VRow) int { return storage.CompareRID(a.RID, b.RID) })
-	i := 0
-	err := scan(func(rid storage.RID, row []types.Value) error {
-		for i < len(old) && storage.CompareRID(rid, old[i].RID) >= 0 {
-			out = append(out, old[i])
-			i++
-		}
-		if born, ok := tv.created[rid]; !ok || born <= snap {
-			out = append(out, VRow{rid, row})
-		}
+	return fn()
+}
+
+// Filter returns the snapshot filter of one access to the table of tv:
+// a B+tree probe for rows whose column col equals key, or with col < 0
+// a heap scan or fragment-index candidates. It is nil (read the table as
+// stored) for a nil transaction, an unversioned table, or one with no
+// version newer than the snapshot nor written by the transaction.
+func (t *Txn) Filter(tv *TableVersions, col int, key types.Value) *Filter {
+	if t == nil || tv == nil {
 		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return append(out, old[i:]...), nil
+	var ov overlay
+	if w := t.writes[tv.name]; w != nil {
+		ov = *w
+	} else if tv.newest <= t.snap {
+		return nil
+	}
+	f := &Filter{tv: tv, snap: t.snap, written: ov.written}
+	add := func(rid storage.RID, row []types.Value) {
+		if row != nil && (col < 0 || types.Equal(row[col], key)) {
+			f.extra = append(f.extra, VRow{rid, row})
+		}
+	}
+	for _, u := range tv.undo {
+		if _, w := ov.written[u.rid]; !w && u.born <= t.snap && t.snap < u.died {
+			add(u.rid, u.row)
+		}
+	}
+	for rid, row := range ov.written {
+		if !IsPseudo(rid) {
+			add(rid, row)
+		}
+	}
+	slices.SortFunc(f.extra, func(a, b VRow) int { return storage.CompareRID(a.RID, b.RID) })
+	for _, vr := range ov.inserted {
+		if row, w := ov.written[vr.RID]; w {
+			vr.Row = row
+		}
+		add(vr.RID, vr.Row)
+	}
+	return f
+}
+
+// Filter is snapshot visibility over the RIDs an access reads in RID
+// order: it keeps the heap RIDs Keep accepts and merges in, before each
+// RID and at End, what Pop yields — the matching undo images the
+// snapshot sees and rows the transaction updated, then its own inserts.
+// A nil Filter keeps every RID and adds nothing.
+type Filter struct {
+	tv      *TableVersions
+	snap    uint64
+	written map[storage.RID][]types.Value // the transaction's, by RID
+	extra   []VRow                        // RID order; own inserts last
+	next    int
+}
+
+// Keep reports whether the heap row at rid is born by the snapshot and
+// not written by the transaction (Pop yields its new image).
+func (f *Filter) Keep(rid storage.RID) bool {
+	if f == nil {
+		return true
+	}
+	born, ok := f.tv.created[rid]
+	_, w := f.written[rid]
+	return (!ok || born <= f.snap) && !w
+}
+
+// Pop writes the next added row ordered before the RID before into out,
+// narrowed to the stored columns cols (nil: all); ok is false if none.
+func (f *Filter) Pop(before storage.RID, cols []int, out []types.Value) (rid storage.RID, ok bool) {
+	if f == nil || f.next == len(f.extra) || storage.CompareRID(f.extra[f.next].RID, before) >= 0 {
+		return storage.RID{}, false
+	}
+	vr := f.extra[f.next]
+	f.next++
+	if cols == nil {
+		copy(out, vr.Row)
+	}
+	for k, j := range cols {
+		out[k] = vr.Row[j]
+	}
+	return vr.RID, true
 }

@@ -3,7 +3,9 @@ package mvcc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
@@ -59,17 +61,47 @@ func (h *fakeHeap) update(tv *TableVersions, r, newRID storage.RID, vals []types
 	tv.NoteUpdate(r, old, newRID)
 }
 
+// viewInts reads h through the visibility filter of tv at snap the way
+// an access operator reads a heap range, and returns the first column
+// of each row it yields.
 func viewInts(t *testing.T, m *TxnManager, tv *TableVersions, h *fakeHeap, snap uint64) []int64 {
 	t.Helper()
-	rows, err := m.Materialize(tv, snap, h.scan, nil)
+	var out []int64
+	err := m.Read(func() error {
+		f := (&Txn{mgr: m, snap: snap}).Filter(tv, -1, types.Null)
+		return filterScan(f, h, -1, types.Null, func(_ storage.RID, row []types.Value) {
+			out = append(out, row[0].Int())
+		})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []int64
-	for _, vr := range rows {
-		out = append(out, vr.Row[0].Int())
-	}
 	return out
+}
+
+// filterScan merges h's rows whose column col equals key (col < 0: all
+// rows) with what f, built for the same access, adds, in RID order, as
+// an operator does.
+func filterScan(f *Filter, h *fakeHeap, col int, key types.Value, fn func(storage.RID, []types.Value)) error {
+	pop := func(at storage.RID) {
+		for {
+			row := make([]types.Value, 1)
+			rid, ok := f.Pop(at, nil, row)
+			if !ok {
+				return
+			}
+			fn(rid, row)
+		}
+	}
+	err := h.scan(func(rid storage.RID, row []types.Value) error {
+		pop(rid)
+		if (col < 0 || types.Equal(row[col], key)) && f.Keep(rid) {
+			fn(rid, row)
+		}
+		return nil
+	})
+	pop(End)
+	return err
 }
 
 func eqInts(a, b []int64) bool {
@@ -367,5 +399,128 @@ func TestPseudoRIDs(t *testing.T) {
 	}
 	if IsPseudo(rid(0, 7)) {
 		t.Fatal("heap rid misclassified as pseudo")
+	}
+}
+
+// TestFilterOverlayAndProbe holds the filter to a transaction's own
+// writes over its snapshot, for a whole-table access and for probes by
+// key: updated rows carry their new image and join the key they moved
+// onto, deleted ones vanish, and own inserts come last.
+func TestFilterOverlayAndProbe(t *testing.T) {
+	m := NewTxnManager()
+	tv := m.Register("t")
+	h := newFakeHeap()
+	for i := int32(0); i < 3; i++ {
+		h.rows[rid(0, i)] = row(int64(i + 1))
+	}
+	txn := m.Begin()
+	if err := m.RunDirect(func(uint64) error {
+		h.update(tv, rid(0, 1), rid(0, 1), row(20))
+		h.delete(tv, rid(0, 2))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	txn.Write(Op{Kind: OpRowUpdate, Table: "t", RID: rid(0, 0), Row: row(2)})
+	own := txn.Write(Op{Kind: OpRowInsert, Table: "t", Row: row(2)})
+	gone := txn.Write(Op{Kind: OpRowInsert, Table: "t", Row: row(7)})
+	txn.Write(Op{Kind: OpRowDelete, Table: "t", RID: gone.RID})
+	if own.RID != PseudoRID(0) || gone.RID != PseudoRID(1) {
+		t.Fatalf("own inserts got %v and %v", own.RID, gone.RID)
+	}
+
+	read := func(col int, key types.Value) (rids []storage.RID, vals []int64) {
+		t.Helper()
+		err := m.Read(func() error {
+			return filterScan(txn.Filter(tv, col, key), h, col, key, func(r storage.RID, row []types.Value) {
+				rids = append(rids, r)
+				vals = append(vals, row[0].Int())
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rids, vals
+	}
+	if _, got := read(-1, types.Null); !eqInts(got, []int64{2, 2, 3, 2}) {
+		t.Fatalf("scan sees %v, want [2 2 3 2]", got)
+	}
+	rids, got := read(0, types.NewInt(2))
+	if !eqInts(got, []int64{2, 2, 2}) || !slices.Equal(rids, []storage.RID{rid(0, 0), rid(0, 1), PseudoRID(0)}) {
+		t.Fatalf("probe of 2 sees %v at %v, want [2 2 2] at (0,0) (0,1) and the own insert", got, rids)
+	}
+	for _, k := range []int64{1, 20, 7} {
+		if _, got := read(0, types.NewInt(k)); len(got) != 0 {
+			t.Fatalf("probe of %d sees %v, want nothing", k, got)
+		}
+	}
+	txn.Rollback()
+	if f := m.Begin().Filter(tv, -1, types.Null); f != nil {
+		t.Fatal("a snapshot after the last commit, with no writes, still filters")
+	}
+}
+
+// TestFilterAfterEachKindOfCommit holds the filter's plain-store
+// shortcut to the sidecar: a commit of only an insert, only an update or
+// only a delete each makes an older snapshot filter the table again.
+func TestFilterAfterEachKindOfCommit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		do   func(tv *TableVersions, h *fakeHeap)
+		want []int64
+	}{
+		{"insert", func(tv *TableVersions, h *fakeHeap) { h.insert(tv, rid(0, 2), row(3)) }, []int64{1, 2, 3}},
+		{"update", func(tv *TableVersions, h *fakeHeap) { h.update(tv, rid(0, 1), rid(0, 1), row(20)) }, []int64{1, 20}},
+		{"delete", func(tv *TableVersions, h *fakeHeap) { h.delete(tv, rid(0, 1)) }, []int64{1}},
+	} {
+		m := NewTxnManager()
+		tv := m.Register("t")
+		h := newFakeHeap()
+		h.rows[rid(0, 0)] = row(1)
+		h.rows[rid(0, 1)] = row(2)
+		reader := m.Begin()
+		if err := m.RunDirect(func(uint64) error { tc.do(tv, h); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := viewInts(t, m, tv, h, reader.Snapshot()); !eqInts(got, []int64{1, 2}) {
+			t.Errorf("%s: the older snapshot sees %v, want [1 2]", tc.name, got)
+		}
+		if got := viewInts(t, m, tv, h, m.LastCommitted()); !eqInts(got, tc.want) {
+			t.Errorf("%s: the new snapshot sees %v, want %v", tc.name, got, tc.want)
+		}
+		reader.Rollback()
+	}
+}
+
+// TestRollbackSkipsLatchWithNothingToPrune holds a read-only rollback
+// off the exclusive latch when the GC floor has nothing new to prune: a
+// statement in flight holds the shared latch, and a rollback waiting for
+// the exclusive one would stall every session behind that statement.
+func TestRollbackSkipsLatchWithNothingToPrune(t *testing.T) {
+	m := NewTxnManager()
+	tv := m.Register("t")
+	h := newFakeHeap()
+	if err := m.RunDirect(func(uint64) error { h.insert(tv, rid(0, 0), row(1)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	reader := m.Begin()
+	done := make(chan struct{})
+	err := m.Read(func() error {
+		go func() {
+			reader.Rollback()
+			close(done)
+		}()
+		select {
+		case <-done:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("a rollback with nothing to prune waited for the exclusive latch")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if created, undo := m.Versions(); created != 0 || undo != 0 {
+		t.Fatalf("sidecar keeps %d stamps and %d undo images, want none", created, undo)
 	}
 }

@@ -187,8 +187,8 @@ func (p *Planner) dpOrder(bases []*baseItem, preds []joinPred, ests map[string]*
 // dpInnerIndexed reports whether relation t, joined as the inner side
 // against the subset prev, is structurally eligible for an index
 // nested-loop join: some connecting predicate's t-side column carries a
-// B+tree index, t has no pushed predicates (those want their own access
-// path), and the plan is not running against a session snapshot.
+// B+tree index and t has no pushed predicates (those want their own
+// access path).
 func dpInnerIndexed(t, prev int, edges []dpEdge, bases []*baseItem) bool {
 	b := bases[t]
 	if len(b.push) != 0 {
@@ -225,9 +225,8 @@ const (
 // (leftCard rows) with the base table b that te estimates (outT
 // post-pushdown rows, outCard estimated join output; te.access is b's
 // access cost), choosing the cheapest eligible algorithm.
-// inlOK is the structural index-nested-loop eligibility; Views-gated
-// callers pass false. The returned choice is what the cost model would
-// pick absent an explicit Join option.
+// inlOK is the structural index-nested-loop eligibility. The returned
+// choice is what the cost model would pick absent an explicit Join option.
 //
 // Hash: build the accumulated side, stream b as probe. INL: one B+tree
 // descent per accumulated row, no scan of b at all. Merge: scan b, then
@@ -236,7 +235,7 @@ const (
 func (p *Planner) joinStepCost(te *tableEst, leftCard, outT, outCard float64, inlOK bool) (float64, physJoin) {
 	hash := leftCard*cHashBuildRow + te.access + outT*cHashProbeRow + outCard*cOutRow
 	best, alg := hash, physHash
-	if inlOK && p.Opts.Views == nil {
+	if inlOK {
 		inl := leftCard*(cIndexProbeRow+cRowTouch*te.width) + outCard*cOutRow
 		if inl < best {
 			best, alg = inl, physINL

@@ -141,9 +141,6 @@ func (b *parallelBuilder) rewrite(op exec.Operator) exec.Operator {
 func (b *parallelBuilder) fragment(op exec.Operator) ([]exec.Pipeline, []exec.Resettable, bool) {
 	switch n := op.(type) {
 	case *exec.SeqScan:
-		if n.Source != nil {
-			return nil, nil, false // a snapshot has no pages to split
-		}
 		morselPages := b.morselPages
 		if morselPages <= 0 {
 			morselPages = storage.DefaultMorselPages

@@ -143,42 +143,6 @@ func TestParallelResultsIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotScansStaySerial holds the parallel rewrite to heap scans:
-// a scan reading a snapshot Source has no pages to split into morsels,
-// so even a forced parallel plan keeps it serial and returns the serial
-// rows.
-func TestSnapshotScansStaySerial(t *testing.T) {
-	cat := bigFixture(t)
-	serial := &Planner{Cat: cat, Reg: expr.NewRegistry()}
-	snap := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{
-		Views: exec.Live, DOP: 4, MorselPages: 1, CPUs: 4, ForceParallel: true}}
-	for _, q := range []string{
-		`SELECT id, val FROM fact WHERE val > 500`,
-		`SELECT label, val FROM dim, fact WHERE grpID = grp`,
-		`SELECT DISTINCT grp FROM fact`,
-	} {
-		stmt, err := sql.Parse(q)
-		if err != nil {
-			t.Fatalf("parse %q: %v", q, err)
-		}
-		op := mustPlan(t, snap, stmt)
-		if text := Explain(op); strings.Contains(text, "Gather") {
-			t.Fatalf("%q: snapshot plan was parallelized:\n%s", q, text)
-		}
-		want, err := exec.Drain(mustPlan(t, serial, stmt))
-		if err != nil {
-			t.Fatalf("serial %q: %v", q, err)
-		}
-		got, err := exec.Drain(op)
-		if err != nil {
-			t.Fatalf("snapshot %q: %v", q, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: snapshot rows differ from serial (%d vs %d)", q, len(got), len(want))
-		}
-	}
-}
-
 func mustPlan(t *testing.T, p *Planner, stmt *sql.SelectStmt) exec.Operator {
 	t.Helper()
 	op, err := p.Plan(stmt)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/expr"
+	"repro/internal/engine/mvcc"
 	"repro/internal/engine/sql"
 	"repro/internal/engine/storage"
 )
@@ -76,14 +77,6 @@ type Options struct {
 	// that drifted past catalog.DefaultStaleRatio before planning; the
 	// estimator then falls back to defaults until an explicit RunStats.
 	DisableAutoStats bool
-	// Views, when set, plans every table access against a snapshot row
-	// source instead of the raw heap — the MVCC session path, where the
-	// engine's Session is the source. Access paths that walk shared
-	// physical structures outside the source (fragment-index probes,
-	// index nested loops, morsel parallelism, column-major page decoding)
-	// are disabled; scans read the source whole, and B+tree equality
-	// accesses ask it for the key's rows.
-	Views exec.RowSource
 }
 
 // Planner compiles SELECT statements against a catalog and function
@@ -95,6 +88,9 @@ type Planner struct {
 	// Spill accumulates spill statistics across every query this planner
 	// compiles; engine.Open points it at the database's sink. May be nil.
 	Spill *exec.SpillSink
+	// Txn, when set, is the MVCC transaction whose snapshot the plans'
+	// access operators read; it changes no plan.
+	Txn *mvcc.Txn
 }
 
 // New returns a planner with default options.
@@ -488,25 +484,18 @@ func narrowColumns(stmt *sql.SelectStmt, bases []*baseItem, schemas map[string]*
 func (p *Planner) access(b *baseItem) (exec.Operator, error) {
 	var op exec.Operator
 	remaining := b.push
-	// Under a session snapshot both scan shapes below read the snapshot
-	// source instead of the heap. Fragment-index probes are skipped
-	// entirely — their RID sets are computed against the live index at
-	// plan time, which a snapshot cannot trust.
-	//
 	// A covering fragment index on a findKeyInElm conjunct wins over a
 	// B+tree equality: the workload's equality columns (parentCODE and the
 	// like) select large fractions of the table, while a keyword/path probe
 	// is sharp — and the fragment scan re-verifies every pushed conjunct,
 	// equalities included, so precedence never affects results.
-	if !p.Opts.DisableXADTIndexes && p.Opts.Views == nil {
+	if !p.Opts.DisableXADTIndexes {
 		frag, err := p.xadtIndexAccess(b)
 		if err != nil {
 			return nil, err
 		}
 		if frag != nil {
-			if fs, ok := frag.(*exec.IndexedFragScan); ok {
-				fs.Est = b.est
-			}
+			frag.Est = b.est
 			return frag, nil
 		}
 	}
@@ -521,7 +510,7 @@ func (p *Planner) access(b *baseItem) (exec.Operator, error) {
 				continue
 			}
 			iscan := exec.NewIndexScan(b.table, b.alias, b.cols, idx, val)
-			iscan.Source = p.Opts.Views
+			iscan.Txn = p.Txn
 			iscan.Est = b.est
 			op = iscan
 			remaining = append(append([]sql.Expr(nil), b.push[:i]...), b.push[i+1:]...)
@@ -530,7 +519,7 @@ func (p *Planner) access(b *baseItem) (exec.Operator, error) {
 	}
 	if op == nil {
 		scan := exec.NewSeqScan(b.table, b.alias, b.cols)
-		scan.Source = p.Opts.Views
+		scan.Txn = p.Txn
 		scan.Est = b.est
 		if len(remaining) > 0 {
 			// Fuse pushed predicates into the scan itself: rows are
@@ -670,7 +659,7 @@ func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order [
 		// its own access path. An explicit Join option overrides the
 		// cost model's pick.
 		alg := p.Opts.Join
-		inlOK := alg == "" && keyL != nil && len(b.push) == 0 && p.Opts.Views == nil &&
+		inlOK := alg == "" && keyL != nil && len(b.push) == 0 &&
 			b.table.IndexOn(innerCol) != nil
 		step, phys := p.joinStepCost(ests[b.alias], curEst, b.est, outCard, inlOK)
 		curCost += step
@@ -682,6 +671,7 @@ func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order [
 		if useINL {
 			idx := b.table.IndexOn(innerCol)
 			ilj := exec.NewIndexLoopJoin(cur, b.table, b.alias, b.cols, idx, keyL)
+			ilj.Txn = p.Txn
 			ilj.Est = outCard
 			cur = ilj
 			for _, e := range extra {

@@ -98,7 +98,7 @@ func (b *baseItem) probe(conj sql.Expr) fragProbe {
 // pushed conjuncts — indexed and not — are re-verified on the fetched
 // rows, so the rewrite can only change how rows are found, never which
 // rows are returned. nil,nil means "no index applies, use a scan".
-func (p *Planner) xadtIndexAccess(b *baseItem) (exec.Operator, error) {
+func (p *Planner) xadtIndexAccess(b *baseItem) (*exec.IndexedFragScan, error) {
 	var rids []storage.RID
 	var matched []string
 	have := false
@@ -119,6 +119,7 @@ func (p *Planner) xadtIndexAccess(b *baseItem) (exec.Operator, error) {
 		return nil, nil
 	}
 	scan := exec.NewIndexedFragScan(b.table, b.alias, b.cols, rids, nil, strings.Join(matched, " AND "))
+	scan.Txn = p.Txn
 	if len(b.push) > 0 {
 		pred, err := p.bindConjuncts(b.push, scan.Schema())
 		if err != nil {

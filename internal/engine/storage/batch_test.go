@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,19 +79,29 @@ func TestCursorDecodesNamedColumns(t *testing.T) {
 // returns the rows it produced.
 func drainCursor(t *testing.T, cur *Cursor, ncols, max int) [][]types.Value {
 	t.Helper()
+	rows, _ := drainCursorRIDs(t, cur, ncols, max)
+	return rows
+}
+
+// drainCursorRIDs is drainCursor that also returns each row's RID.
+func drainCursorRIDs(t *testing.T, cur *Cursor, ncols, max int) ([][]types.Value, []RID) {
+	t.Helper()
 	cols := make([][]types.Value, ncols)
 	for j := range cols {
 		cols[j] = make([]types.Value, max)
 	}
+	cur.RIDs = make([]RID, max)
 	var rows [][]types.Value
+	var rids []RID
 	for {
 		k, err := cur.NextBatch(cols, max)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if k == 0 {
-			return rows
+			return rows, rids
 		}
+		rids = append(rids, cur.RIDs[:k]...)
 		for i := 0; i < k; i++ {
 			row := make([]types.Value, ncols)
 			for j := range cols {
@@ -117,16 +128,21 @@ func TestCursorNextBatchMatchesNext(t *testing.T) {
 	}
 
 	var want [][]types.Value
-	if err := h.Scan(func(_ RID, row []types.Value) error {
+	var wantRIDs []RID
+	if err := h.Scan(func(rid RID, row []types.Value) error {
 		want = append(want, row)
+		wantRIDs = append(wantRIDs, rid)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Deliberately small batches so page boundaries land mid-batch.
-	got := drainCursor(t, h.NewCursor(), 2, 100)
+	got, gotRIDs := drainCursorRIDs(t, h.NewCursor(), 2, 100)
 	if len(got) != n || len(want) != n {
 		t.Fatalf("batch cursor produced %d rows, Scan %d, want %d", len(got), len(want), n)
+	}
+	if !slices.Equal(gotRIDs, wantRIDs) {
+		t.Fatal("batch cursor RIDs differ from Scan's")
 	}
 	for i := range want {
 		for j := range want[i] {

@@ -463,6 +463,9 @@ type Cursor struct {
 	i     int     // index into pages
 	slot  int
 	cols  []int // columns decoded, ascending; nil means all
+	// RIDs, when set, receives the RIDs of the rows NextBatch decodes; it
+	// must be as long as NextBatch's max.
+	RIDs []RID
 }
 
 // NewCursor returns a cursor over the whole file, positioned before the
@@ -493,9 +496,9 @@ func (h *HeapFile) NewRangeCursor(lo, hi int, cols []int) *Cursor {
 // column-major access path of heap scans. cols must hold one slice per
 // decoded column (every table column unless the cursor was opened with a
 // column list), each at least max long; rows land in cols[j][0:n] in
-// cursor order. It returns the number of rows decoded; 0 means the page
-// range is exhausted. Buffer-pool accounting matches Scan: one Touch per
-// page entered.
+// cursor order, and their RIDs in RIDs[0:n] when RIDs is set. It returns
+// the number of rows decoded; 0 means the page range is exhausted.
+// Buffer-pool accounting matches Scan: one Touch per page entered.
 func (c *Cursor) NextBatch(cols [][]types.Value, max int) (int, error) {
 	n := 0
 	for n < max && c.i < len(c.pages) {
@@ -521,6 +524,9 @@ func (c *Cursor) NextBatch(cols [][]types.Value, max int) (int, error) {
 		}
 		if err := DecodeRecordCols(rec, c.cols, cols, n); err != nil {
 			return n, err
+		}
+		if c.RIDs != nil {
+			c.RIDs[n] = RID{Page: int32(c.base + c.i), Slot: int32(c.slot)}
 		}
 		c.slot++
 		n++
