@@ -26,7 +26,8 @@ race:
 	$(GO) test -race ./...
 
 # One-iteration benchmark pass: proves the engine, session point-read
-# and keyless-scan, B+tree probe, B+tree build and hash-join micro-benchmarks still compile and run, smoke-runs every workload of
+# and keyless-scan, B+tree probe, B+tree build, fragment-index lookup and
+# hash-join micro-benchmarks still compile and run, smoke-runs every workload of
 # the committed benchmark module (its own go.mod, so `test` does not
 # reach it), and runs the cost-model differential axis under the race
 # detector.
@@ -36,6 +37,7 @@ benchsmoke:
 	$(GO) test -run=NONE -bench=BenchmarkSessionScan -benchtime=1x ./internal/engine/
 	$(GO) test -run=NONE -bench=BenchmarkBTreeLookup -benchtime=1x ./internal/engine/index/
 	$(GO) test -run=NONE -bench=BenchmarkBTreeBuild -benchtime=1x ./internal/engine/index/
+	$(GO) test -run=NONE -bench=BenchmarkLookupFindKey -benchtime=1x ./internal/engine/xindex/
 	$(GO) test -run=NONE -bench=BenchmarkHashJoin -benchtime=1x ./internal/engine/exec/
 	cd benchmark && $(GO) test ./...
 	$(GO) test -race -run TestDifferentialCostModelAxis ./internal/difftest/
@@ -62,6 +64,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzMutationReplay -fuzztime=$(FUZZTIME) ./internal/engine/wal/
 	$(GO) test -run=NONE -fuzz=FuzzPostingCodec -fuzztime=$(FUZZTIME) ./internal/engine/xindex/
 	$(GO) test -run=NONE -fuzz=FuzzTokenizeSuperset -fuzztime=$(FUZZTIME) ./internal/engine/xindex/
+	$(GO) test -run=NONE -fuzz=FuzzFragmentIndexOps -fuzztime=$(FUZZTIME) ./internal/engine/xindex/
 	$(GO) test -run=NONE -fuzz=FuzzStatsCodec -fuzztime=$(FUZZTIME) ./internal/engine/catalog/
 	$(GO) test -run=NONE -fuzz=FuzzParseStatement -fuzztime=$(FUZZTIME) ./internal/engine/sql/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME) ./internal/engine/storage/

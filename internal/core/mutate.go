@@ -285,15 +285,6 @@ func (st *Store) ReplaceDocument(docID int64, doc *xmltree.Document) error {
 	})
 }
 
-// ReplaceXML parses and replaces one document text; see ReplaceDocument.
-func (st *Store) ReplaceXML(docID int64, text string) error {
-	doc, err := xmltree.Parse(text)
-	if err != nil {
-		return err
-	}
-	return st.ReplaceDocument(docID, doc)
-}
-
 // idColumn returns the index of a relation's synthetic ID column.
 func idColumn(rel *mapping.Relation) int {
 	for i, c := range rel.Columns {

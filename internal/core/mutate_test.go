@@ -160,7 +160,11 @@ func TestRemoveAndReplaceDocument(t *testing.T) {
 	}
 
 	repl := smallPlays(t, 1)[0]
-	if err := st.ReplaceXML(ids[1], xmltree.Serialize(repl.Root)); err != nil {
+	doc, err := xmltree.Parse(xmltree.Serialize(repl.Root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ReplaceDocument(ids[1], doc); err != nil {
 		t.Fatal(err)
 	}
 	if got := countRows(t, st, "play"); got != 2 {

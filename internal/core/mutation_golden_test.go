@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine/storage"
 	"repro/internal/engine/wal"
 	"repro/internal/xadt"
+	"repro/internal/xmltree"
 )
 
 var goldenBooks = []string{
@@ -115,7 +116,11 @@ func TestMutationWALGolden(t *testing.T) {
 	if err := st.RemoveDocument(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ReplaceXML(ids[2], `<book><title>Replaced</title><chapter>new</chapter></book>`); err != nil {
+	repl, err := xmltree.Parse(`<book><title>Replaced</title><chapter>new</chapter></book>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ReplaceDocument(ids[2], repl); err != nil {
 		t.Fatal(err)
 	}
 	sb.WriteString("store path: 3 documents added; INSERT 2 rows; UPDATE moving a row; DELETE by index; DELETE by scan; splice; remove; replace\n\n")

@@ -302,10 +302,11 @@ func TestSnapshotStability(t *testing.T) {
 }
 
 // TestSessionNarrowScansMatchStore runs queries that name one or two
-// columns of wide tables through a session, whose scans project the
-// snapshot's whole rows, and through the engine on the live heap, whose
-// scans decode only the named columns: with no writer between them the
-// rows must agree, scans and equality probes alike.
+// columns of wide tables through a session and through the engine on the
+// live heap. Both run the same narrowed operators, which decode only the
+// named columns; the session's also filter each RID through its
+// snapshot. With no writer between them the rows must agree, scans and
+// equality probes alike.
 func TestSessionNarrowScansMatchStore(t *testing.T) {
 	forEachCell(t, func(t *testing.T, alg Algorithm, dop int) {
 		st, _ := mvccPlayStore(t, alg, dop)

@@ -69,7 +69,7 @@ type Options struct {
 	// differential harness force parallel plans on tiny tables).
 	ForceParallel bool
 	// DisableXADTIndexes turns the XADT fragment-index rewrite off: even
-	// when a valid path/keyword index covers a findKeyInElm conjunct, the
+	// when a valid fragment index covers a findKeyInElm conjunct, the
 	// planner keeps the sequential scan. Used by the differential harness
 	// (index-on vs index-off cells) and the paper-query oracle.
 	DisableXADTIndexes bool

@@ -90,19 +90,6 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
-// ParseSyncPolicy parses "always", "batch", or "off".
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "batch":
-		return SyncBatch, nil
-	case "off":
-		return SyncOff, nil
-	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q (want always, batch, or off)", s)
-}
-
 // DefaultGroupSize is the commits-per-sync interval of SyncBatch.
 const DefaultGroupSize = 8
 

@@ -298,20 +298,10 @@ func TestScanCorruptions(t *testing.T) {
 	})
 }
 
-func TestSyncPolicyParse(t *testing.T) {
-	for _, tc := range []struct {
-		s string
-		p SyncPolicy
-	}{{"always", SyncAlways}, {"batch", SyncBatch}, {"off", SyncOff}} {
-		p, err := ParseSyncPolicy(tc.s)
-		if err != nil || p != tc.p {
-			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", tc.s, p, err)
+func TestSyncPolicyString(t *testing.T) {
+	for p, want := range map[SyncPolicy]string{SyncAlways: "always", SyncBatch: "batch", SyncOff: "off", SyncPolicy(9): "SyncPolicy(9)"} {
+		if got := p.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
 		}
-		if p.String() != tc.s {
-			t.Fatalf("String() = %q, want %q", p.String(), tc.s)
-		}
-	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("expected error for unknown policy")
 	}
 }

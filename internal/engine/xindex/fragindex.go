@@ -12,22 +12,24 @@ import (
 	"repro/internal/xadt"
 )
 
-// FragmentIndex is the combined secondary index over one stored XADT
-// column: a structural path index plus an inverted keyword index, built
-// row by row as tuples are inserted (or backfilled from the heap). It
-// tracks how many heap rows it has absorbed so the planner can detect a
-// stale index — an index that has not seen every row is never consulted,
-// and a row whose fragment fails to decode invalidates the whole index
-// rather than silently dropping postings. Lookups only ever produce
-// candidate supersets; IndexedFragScan re-verifies the real predicate.
+// FragmentIndex is the secondary index over one stored XADT column: two
+// posting maps, one from each element name to the rows containing an
+// element of that name, one from each text token to the rows whose
+// character data holds it, built row by row as tuples are inserted (or
+// backfilled from the heap). It tracks how many heap rows it has
+// absorbed so the planner can detect a stale index — an index that has
+// not seen every row is never consulted, and a row whose fragment fails
+// to decode invalidates the whole index rather than silently dropping
+// postings. Lookups only ever produce candidate supersets;
+// IndexedFragScan re-verifies the real predicate.
 type FragmentIndex struct {
 	mu     sync.RWMutex
 	table  string
 	column string
 	colIdx int
 
-	path *PathIndex
-	kw   *KeywordIndex
+	names postings // element name → rows with an element of that name
+	words postings // text token → rows whose text holds it
 
 	rows    int
 	invalid bool
@@ -45,17 +47,15 @@ type FragmentIndex struct {
 	overlay map[uint64]bool
 
 	// Working space of AddRow, reused from row to row.
-	walker  xadt.Walker
-	text    []byte // the row's character data
-	pathBuf []byte // the path of the current element
-	ends    []int  // ends[d-1]: length of the path of the open element at depth d
+	walker xadt.Walker
+	text   []byte // the row's character data
 }
 
 // NewFragmentIndex returns an empty index over table.column at colIdx.
 func NewFragmentIndex(table, column string, colIdx int) *FragmentIndex {
 	return &FragmentIndex{
 		table: table, column: column, colIdx: colIdx,
-		path: NewPathIndex(), kw: NewKeywordIndex(),
+		names: postings{}, words: postings{},
 	}
 }
 
@@ -96,7 +96,7 @@ func (fi *FragmentIndex) Invalidate() {
 func (fi *FragmentIndex) SizeBytes() int64 {
 	fi.mu.RLock()
 	defer fi.mu.RUnlock()
-	return fi.path.SizeBytes() + fi.kw.SizeBytes()
+	return fi.names.sizeBytes() + fi.words.sizeBytes()
 }
 
 // AddRow absorbs one inserted heap row. Every row counts toward
@@ -135,27 +135,26 @@ func (fi *FragmentIndex) AddRow(rid storage.RID, v types.Value) {
 }
 
 // addFragment indexes one stored fragment under fi.mu from the scanner's
-// element table, without decoding it to nodes. Every distinct
-// root-to-element path gets one posting for the row. The keyword
-// postings come from the fragment's character data in document order —
-// the concatenation InnerText performs, so any element's inner text is a
-// contiguous substring of it and the tokenizer's superset guarantee
-// carries through. It reports false when the bytes do not scan.
+// element table, without decoding it to nodes. Every distinct element
+// name gets one posting for the row. The word postings come from the
+// fragment's character data in document order — the concatenation
+// InnerText performs, so any element's inner text is a contiguous
+// substring of it and the tokenizer's superset guarantee carries
+// through. It reports false when the bytes do not scan or a posting
+// would break order.
 func (fi *FragmentIndex) addFragment(rid storage.RID, data []byte) bool {
-	ends := fi.ends[:0]
-	text, err := fi.walker.Walk(data, fi.text[:0], func(name []byte, depth int) {
-		ends = ends[:depth-1]
-		path := fi.pathBuf[:0]
-		if depth > 1 {
-			path = append(path[:ends[depth-2]], '/')
-		}
-		path = append(path, name...)
-		ends = append(ends, len(path))
-		fi.pathBuf = path
-		fi.path.Add(rid, path)
+	key, ok := ridKey(rid), true
+	text, err := fi.walker.Walk(data, fi.text[:0], func(name []byte, _ int) {
+		ok = fi.names.add(key, name) && ok
 	})
-	fi.ends, fi.text = ends, text
-	return err == nil && fi.kw.add(ridKey(rid), text)
+	fi.text = text
+	if err != nil {
+		return false
+	}
+	for lo, hi := nextToken(text, 0); lo < hi; lo, hi = nextToken(text, hi) {
+		ok = fi.words.add(key, text[lo:hi]) && ok
+	}
+	return ok
 }
 
 // DeleteRow records the removal of the heap row at rid: the key leaves
@@ -193,11 +192,11 @@ func (fi *FragmentIndex) Backlog() int {
 }
 
 // LookupFindKey answers a findKeyInElm(col, elm, key) = 1 conjunct with
-// a candidate RID set: rows containing an element named elm (path index)
-// intersected with rows whose text can contain key (keyword index),
-// sorted in heap order. ok is false when the index cannot answer — it is
-// invalid, or both the element name is empty and the key has no
-// word-shaped tokens to look up.
+// a candidate RID set: rows containing an element named elm (name
+// postings) intersected with rows whose text can contain key (word
+// postings), sorted in heap order. ok is false when the index cannot
+// answer — it is invalid, or both the element name is empty and the key
+// has no word-shaped tokens to look up.
 func (fi *FragmentIndex) LookupFindKey(elm, key string) (rids []storage.RID, ok bool) {
 	fi.lookups.Add(1)
 	fi.mu.RLock()
@@ -212,11 +211,13 @@ func (fi *FragmentIndex) LookupFindKey(elm, key string) (rids []storage.RID, ok 
 	var acc []uint64
 	have := false
 	if elm != "" {
-		acc = fi.path.LookupName(elm)
+		if pl := fi.names[elm]; pl != nil {
+			acc = pl.Values()
+		}
 		have = true
 	}
 	if len(tokens) > 0 {
-		kw, kok := fi.kw.Candidates(tokens)
+		kw, kok := fi.words.candidates(tokens)
 		if kok {
 			if have {
 				acc = IntersectSorted(acc, kw)
@@ -262,10 +263,9 @@ func (fi *FragmentIndex) LookupFindKey(elm, key string) (rids []storage.RID, ok 
 }
 
 // Diff describes the first difference between the contents of fi and o
-// — row count, validity, the path dictionary and each path's postings,
-// the keyword terms and their postings, tombstones and overlay — or
-// returns "" when both hold the same index. It lets tests compare two
-// builds of one column.
+// — row count, validity, the name and word postings, tombstones and
+// overlay — or returns "" when both hold the same index. It lets tests
+// compare two builds of one column.
 func (fi *FragmentIndex) Diff(o *FragmentIndex) string {
 	fi.mu.RLock()
 	defer fi.mu.RUnlock()
@@ -276,30 +276,11 @@ func (fi *FragmentIndex) Diff(o *FragmentIndex) string {
 		return fmt.Sprintf("rows %d vs %d", fi.rows, o.rows)
 	case fi.invalid != o.invalid:
 		return fmt.Sprintf("invalid %v vs %v", fi.invalid, o.invalid)
-	case len(fi.path.paths) != len(o.path.paths):
-		return fmt.Sprintf("%d paths vs %d", len(fi.path.paths), len(o.path.paths))
-	case len(fi.kw.terms) != len(o.kw.terms):
-		return fmt.Sprintf("%d terms vs %d", len(fi.kw.terms), len(o.kw.terms))
 	case !maps.Equal(fi.dead, o.dead) || !maps.Equal(fi.overlay, o.overlay):
 		return "tombstones or overlay differ"
 	}
-	for path, e := range fi.path.paths {
-		oe := o.path.paths[path]
-		if oe == nil {
-			return fmt.Sprintf("path %q missing", path)
-		}
-		if a, b := fi.path.tree.Lookup(e.key), o.path.tree.Lookup(oe.key); !slices.Equal(a, b) {
-			return fmt.Sprintf("path %q: rows %v vs %v", path, a, b)
-		}
+	if d := fi.names.diff("name", o.names); d != "" {
+		return d
 	}
-	for term, pl := range fi.kw.terms {
-		opl := o.kw.terms[term]
-		if opl == nil {
-			return fmt.Sprintf("term %q missing", term)
-		}
-		if a, b := pl.Values(), opl.Values(); !slices.Equal(a, b) {
-			return fmt.Sprintf("term %q: postings %v vs %v", term, a, b)
-		}
-	}
-	return ""
+	return fi.words.diff("term", o.words)
 }

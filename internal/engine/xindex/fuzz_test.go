@@ -1,20 +1,24 @@
 package xindex
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"testing"
 	"unicode"
+
+	"repro/internal/engine/storage"
+	"repro/internal/engine/types"
+	"repro/internal/xadt"
+	"repro/internal/xmltree"
 )
 
-// FuzzPostingCodec drives the delta/skip codec with arbitrary gap
-// sequences: append must round-trip exactly, SeekGE must agree with a
-// linear reference walk from any starting point, and intersecting the
-// two halves of the sequence must match a map-based reference.
+// FuzzPostingCodec drives the delta codec with arbitrary gap sequences:
+// append must round-trip exactly.
 func FuzzPostingCodec(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	f.Add([]byte{0})
-	f.Add(make([]byte, 3*SkipInterval))
+	f.Add(make([]byte, 192))
 	f.Add([]byte{255, 255, 0, 0, 1, 128, 7})
 	f.Fuzz(func(t *testing.T, gaps []byte) {
 		vals := make([]uint64, 0, len(gaps))
@@ -30,68 +34,8 @@ func FuzzPostingCodec(f *testing.F) {
 		if p.Len() != len(vals) {
 			t.Fatalf("Len = %d, want %d", p.Len(), len(vals))
 		}
-		got := p.Values()
-		for i, v := range got {
-			if v != vals[i] {
-				t.Fatalf("Values[%d] = %d, want %d", i, v, vals[i])
-			}
-		}
-		// SeekGE from a fresh iterator for a spread of targets, including
-		// exact hits, gap interiors, zero, and past-the-end.
-		targets := []uint64{0, cur, cur + 1}
-		for i := 0; i < len(vals); i += 1 + len(vals)/8 {
-			targets = append(targets, vals[i], vals[i]+1)
-		}
-		for _, target := range targets {
-			it := p.Iterator()
-			g, ok := it.SeekGE(target)
-			w, wok := refSeekGE(vals, target)
-			if ok != wok || (ok && g != w) {
-				t.Fatalf("SeekGE(%d) = %d,%v want %d,%v", target, g, ok, w, wok)
-			}
-		}
-		// Resumed seeks must never move backwards.
-		it := p.Iterator()
-		prev := uint64(0)
-		for _, target := range targets {
-			if target < prev {
-				target = prev
-			}
-			g, ok := it.SeekGE(target)
-			if !ok {
-				break
-			}
-			if g < prev {
-				t.Fatalf("SeekGE went backwards: %d after %d", g, prev)
-			}
-			prev = g
-		}
-		// Intersect the halves against a reference set intersection.
-		a, b := &PostingList{}, &PostingList{}
-		inA := map[uint64]bool{}
-		for i, v := range vals {
-			if i%2 == 0 || i%3 == 0 {
-				a.Append(v)
-				inA[v] = true
-			}
-			if i%2 == 1 || i%3 == 0 {
-				b.Append(v)
-			}
-		}
-		var want []uint64
-		for _, v := range b.Values() {
-			if inA[v] {
-				want = append(want, v)
-			}
-		}
-		gotI := Intersect([]*PostingList{a, b})
-		if len(gotI) != len(want) {
-			t.Fatalf("Intersect len = %d, want %d", len(gotI), len(want))
-		}
-		for i := range want {
-			if gotI[i] != want[i] {
-				t.Fatalf("Intersect[%d] = %d, want %d", i, gotI[i], want[i])
-			}
+		if got := p.Values(); !slices.Equal(got, vals) {
+			t.Fatalf("Values = %v, want %v", got, vals)
 		}
 	})
 }
@@ -120,7 +64,7 @@ func refTokenize(s string) []string {
 	return out
 }
 
-// FuzzTokenizeSuperset checks the property the keyword index's
+// FuzzTokenizeSuperset checks the property the word postings'
 // correctness rests on: if key occurs as a substring of text, then every
 // token of the key must be a substring of some token of the text — so
 // unioning postings of dictionary terms that contain a key token can
@@ -172,6 +116,97 @@ func FuzzTokenizeSuperset(f *testing.F) {
 			}
 			if !found {
 				t.Fatalf("text contains key %q but key token %q is in no text token %v", key, ktok, ttoks)
+			}
+		}
+	})
+}
+
+// FuzzFragmentIndexOps drives AddRow/DeleteRow sequences over a small
+// fragment pool the way a heap hands out RIDs: fresh RIDs past every
+// posting, and freed RIDs again (the overlay path), so one RID can cycle
+// postings → deleted → re-added → deleted. Each op byte picks its kind
+// from the low two bits (0 insert at a fresh RID, 1 insert at a freed
+// RID, 2 and 3 delete a live row) and its fragment or victim from the
+// rest. After every op, each probe's candidates must hold every live row
+// xadt.FindKeyInElm accepts and no RID that is not live, and Rows must
+// count the live rows.
+func FuzzFragmentIndexOps(f *testing.F) {
+	pool := []types.Value{types.Null}
+	for _, s := range []string{
+		`<LINE>O Romeo, Romeo! wherefore art thou Romeo?</LINE>`,
+		`<LINE><STAGEDIR>Aside</STAGEDIR>soft, what light</LINE>`,
+		`<SPEAKER>ROMEO</SPEAKER><LINE>my only love sprung from my only hate</LINE>`,
+		`<LINE>It is the east</LINE><LINE>and Juliet is the sun</LINE>`,
+	} {
+		nodes, err := xmltree.ParseFragment(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pool = append(pool, types.NewXADT(xadt.Encode(nodes, xadt.Raw).Bytes()))
+	}
+	probes := [][2]string{
+		{"LINE", ""}, {"STAGEDIR", ""}, {"SPEAKER", ""}, {"NOPE", ""}, {"", "Romeo"},
+		{"LINE", "love"}, {"STAGEDIR", "Aside"}, {"SPEAKER", "ROMEO"}, {"LINE", "Juliet is"},
+	}
+	f.Add([]byte{0x04, 0x08, 0x0C, 0x10})
+	// Delete the first row, reuse its RID, delete it again, then grow.
+	f.Add([]byte{0x04, 0x08, 0x0C, 0x10, 0x02, 0x09, 0x02, 0x04})
+	// Reuse every freed RID with a different fragment, NULLs included.
+	f.Add([]byte{0x04, 0x08, 0x0C, 0x10, 0x00, 0x06, 0x07, 0x0B, 0x01, 0x05, 0x0D, 0x11, 0x03})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		fi := NewFragmentIndex("speech", "speech_line", 0)
+		live := map[storage.RID]types.Value{}
+		var order, free []storage.RID // live rows in heap order; freed RIDs
+		fresh := 0
+		for step, op := range ops {
+			arg := int(op >> 2)
+			switch {
+			case op&3 < 2:
+				r := rid(int32(fresh/4), int32(fresh%4))
+				if op&3 == 1 && len(free) > 0 {
+					i := arg % len(free)
+					r = free[i]
+					free = slices.Delete(free, i, i+1)
+				} else {
+					fresh++
+				}
+				v := pool[arg%len(pool)]
+				fi.AddRow(r, v)
+				live[r] = v
+				order = append(order, r)
+				slices.SortFunc(order, func(a, b storage.RID) int { return cmp.Compare(ridKey(a), ridKey(b)) })
+			case len(order) > 0:
+				i := arg % len(order)
+				r := order[i]
+				fi.DeleteRow(r)
+				delete(live, r)
+				order = slices.Delete(order, i, i+1)
+				free = append(free, r)
+			}
+			if fi.Rows() != len(live) || !fi.Valid() {
+				t.Fatalf("step %d: Rows=%d Valid=%v, want %d live rows", step, fi.Rows(), fi.Valid(), len(live))
+			}
+			for _, p := range probes {
+				cands, ok := fi.LookupFindKey(p[0], p[1])
+				if !ok {
+					t.Fatalf("step %d: LookupFindKey(%q, %q) could not answer", step, p[0], p[1])
+				}
+				in := map[storage.RID]bool{}
+				for _, r := range cands {
+					if _, ok := live[r]; !ok {
+						t.Fatalf("step %d: LookupFindKey(%q, %q) = %v holds %v, which is not live", step, p[0], p[1], cands, r)
+					}
+					in[r] = true
+				}
+				for _, r := range order {
+					v := live[r]
+					if v.IsNull() || in[r] {
+						continue
+					}
+					if hit, err := xadt.FindKeyInElm(xadt.FromBytes(v.XADT()), p[0], p[1]); err != nil || hit {
+						t.Fatalf("step %d: LookupFindKey(%q, %q) = %v misses %v (FindKeyInElm %v, %v)", step, p[0], p[1], cands, r, hit, err)
+					}
+				}
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package xindex
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,63 +31,60 @@ func refAddRow(fi *FragmentIndex, rid storage.RID, v types.Value) {
 	for _, n := range nodes {
 		sb.WriteString(n.InnerText())
 	}
-	terms := map[string]bool{}
 	for _, tok := range refTokenize(sb.String()) {
-		if terms[tok] {
-			continue
-		}
-		terms[tok] = true
-		pl := fi.kw.terms[tok]
-		if pl == nil {
-			pl = &PostingList{}
-			fi.kw.terms[tok] = pl
-		}
-		pl.Append(ridKey(rid))
+		fi.words.add(ridKey(rid), []byte(tok))
 	}
-	seen := map[string]bool{}
-	var walk func(n *xmltree.Node, prefix string)
-	walk = func(n *xmltree.Node, prefix string) {
+	for name := range elementNames(nodes) {
+		fi.names.add(ridKey(rid), []byte(name))
+	}
+}
+
+// elementNames returns the names of every element in the forest.
+func elementNames(nodes []*xmltree.Node) map[string]bool {
+	names := map[string]bool{}
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
 		if !n.IsElement() {
 			return
 		}
-		p := n.Name
-		if prefix != "" {
-			p = prefix + "/" + n.Name
-		}
-		if !seen[p] {
-			seen[p] = true
-			fi.path.Add(rid, []byte(p))
-		}
+		names[n.Name] = true
 		for _, c := range n.Children {
-			walk(c, p)
+			walk(c)
 		}
 	}
 	for _, n := range nodes {
-		walk(n, "")
+		walk(n)
 	}
+	return names
 }
 
 // TestIndexMatchesNodeOracle builds each fragment index twice over the
 // same rows, once through AddRow and once through the node-walking
 // reference, for every storage format with and without a v1 header,
-// and requires identical contents: path dictionary and
-// per-path postings, keyword terms and postings, Rows and Valid.
+// and requires identical contents: name postings, word postings, Rows
+// and Valid. It also holds every element-name probe to the rows whose
+// decoded nodes contain an element of that name.
 func TestIndexMatchesNodeOracle(t *testing.T) {
 	frags := testutil.Fragments()
 	for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed, xadt.Directory} {
 		for _, headered := range []bool{false, true} {
 			got := NewFragmentIndex("t", "c", 0)
 			want := NewFragmentIndex("t", "c", 0)
+			rowsWith := map[string][]storage.RID{} // element name → rows holding it
 			for i, nodes := range frags {
 				enc := xadt.Encode(nodes, f).Bytes()
 				if headered {
 					enc = testutil.WithV1Header(enc)
 				}
 				v := types.NewXADT(enc)
+				r := rid(int32(i/50), int32(i%50))
 				if i%17 == 0 {
 					v = types.Null
+				} else {
+					for name := range elementNames(nodes) {
+						rowsWith[name] = append(rowsWith[name], r)
+					}
 				}
-				r := rid(int32(i/50), int32(i%50))
 				got.AddRow(r, v)
 				refAddRow(want, r, v)
 			}
@@ -94,8 +92,16 @@ func TestIndexMatchesNodeOracle(t *testing.T) {
 			if d := got.Diff(want); d != "" {
 				t.Fatalf("%s: index differs from the node oracle: %s", name, d)
 			}
-			if !got.Valid() || got.Rows() != len(frags) || got.path.Paths() == 0 || got.kw.Terms() == 0 {
-				t.Fatalf("%s: Valid=%v Rows=%d paths=%d terms=%d", name, got.Valid(), got.Rows(), got.path.Paths(), got.kw.Terms())
+			if !got.Valid() || got.Rows() != len(frags) || len(got.names) == 0 || len(got.words) == 0 {
+				t.Fatalf("%s: Valid=%v Rows=%d names=%d terms=%d", name, got.Valid(), got.Rows(), len(got.names), len(got.words))
+			}
+			if len(rowsWith) != len(got.names) {
+				t.Fatalf("%s: %d element names in the nodes, %d in the index", name, len(rowsWith), len(got.names))
+			}
+			for elm, want := range rowsWith {
+				if rids, ok := got.LookupFindKey(elm, ""); !ok || !slices.Equal(rids, want) {
+					t.Fatalf("%s: LookupFindKey(%q) = %v,%v, want %v", name, elm, rids, ok, want)
+				}
 			}
 		}
 	}

@@ -4,16 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/engine/storage"
 )
-
-// SkipInterval is the posting count of one skip block: every
-// SkipInterval-th posting starts a new block whose absolute value and
-// byte offset are kept in the skip table, so SeekGE can jump over whole
-// blocks instead of decoding every delta.
-const SkipInterval = 64
 
 // ridKey packs a heap RID into an integer that sorts exactly like heap
 // scan order (page-major, then slot), so sorted posting lists enumerate
@@ -27,34 +21,20 @@ func keyRID(k uint64) storage.RID {
 	return storage.RID{Page: int32(k >> 32), Slot: int32(uint32(k))}
 }
 
-// skipEntry indexes the start of one block: First is the block's first
-// posting value, Prev the value immediately before the block (the delta
-// base), Off the byte offset of the block in data, and N the number of
-// postings before the block.
-type skipEntry struct {
-	First uint64
-	Prev  uint64
-	Off   int
-	N     int
-}
-
 // PostingList is a strictly increasing sequence of uint64 posting values
-// stored as delta uvarints with a skip table. Appends must be in
-// increasing order (heap RIDs arrive that way); duplicates are rejected.
+// stored as delta uvarints. Appends must be in increasing order (heap
+// RIDs arrive that way); duplicates are rejected.
 type PostingList struct {
-	data  []byte
-	skips []skipEntry
-	n     int
-	last  uint64
+	data []byte
+	n    int
+	last uint64
 }
 
 // Len returns the number of postings.
 func (p *PostingList) Len() int { return p.n }
 
-// SizeBytes reports the encoded footprint including the skip table.
-func (p *PostingList) SizeBytes() int64 {
-	return int64(len(p.data)) + int64(len(p.skips))*32
-}
+// SizeBytes reports the encoded footprint.
+func (p *PostingList) SizeBytes() int64 { return int64(len(p.data)) }
 
 // Append adds v to the list. It reports false (and leaves the list
 // unchanged) when v does not extend the strictly increasing sequence.
@@ -62,134 +42,26 @@ func (p *PostingList) Append(v uint64) bool {
 	if p.n > 0 && v <= p.last {
 		return false
 	}
-	if p.n%SkipInterval == 0 {
-		p.skips = append(p.skips, skipEntry{First: v, Prev: p.last, Off: len(p.data), N: p.n})
-	}
-	var buf [binary.MaxVarintLen64]byte
-	m := binary.PutUvarint(buf[:], v-p.last)
-	p.data = append(p.data, buf[:m]...)
+	p.data = binary.AppendUvarint(p.data, v-p.last)
 	p.last = v
 	p.n++
 	return true
 }
 
-// Iterator returns a fresh iterator positioned before the first posting.
-type Iterator struct {
-	p    *PostingList
-	off  int
-	prev uint64
-	idx  int
-	cur  uint64
-	ok   bool
-}
-
-// Iterator returns an iterator over the list.
-func (p *PostingList) Iterator() *Iterator {
-	return &Iterator{p: p}
-}
-
-// Next advances to the following posting, reporting false at the end.
-func (it *Iterator) Next() (uint64, bool) {
-	if it.idx >= it.p.n {
-		it.ok = false
-		return 0, false
-	}
-	d, m := binary.Uvarint(it.p.data[it.off:])
-	if m <= 0 {
-		it.ok = false
-		return 0, false
-	}
-	it.off += m
-	it.prev += d
-	it.idx++
-	it.cur, it.ok = it.prev, true
-	return it.cur, true
-}
-
-// SeekGE advances to the first posting >= v, using the skip table to
-// jump forward when the target lies beyond the current block. It never
-// moves backwards: if the current posting already satisfies v it is
-// returned again.
-func (it *Iterator) SeekGE(v uint64) (uint64, bool) {
-	if it.ok && it.cur >= v {
-		return it.cur, true
-	}
-	// Find the last block whose first posting is <= v; only jump if it
-	// starts beyond the current position.
-	skips := it.p.skips
-	lo := sort.Search(len(skips), func(i int) bool { return skips[i].First > v })
-	if lo > 0 {
-		s := skips[lo-1]
-		if s.N > it.idx {
-			it.off, it.prev, it.idx = s.Off, s.Prev, s.N
-		}
-	}
-	for {
-		cur, ok := it.Next()
-		if !ok {
-			return 0, false
-		}
-		if cur >= v {
-			return cur, true
-		}
-	}
-}
-
 // Values decodes the whole list.
 func (p *PostingList) Values() []uint64 {
 	out := make([]uint64, 0, p.n)
-	it := p.Iterator()
-	for {
-		v, ok := it.Next()
-		if !ok {
-			return out
+	var v uint64
+	for off := 0; off < len(p.data); {
+		d, m := binary.Uvarint(p.data[off:])
+		if m <= 0 {
+			break
 		}
+		off += m
+		v += d
 		out = append(out, v)
 	}
-}
-
-// Intersect returns the values present in every list, using the
-// smallest list as the driver and skip-based seeks on the rest. A nil
-// or empty input yields nil.
-func Intersect(lists []*PostingList) []uint64 {
-	if len(lists) == 0 {
-		return nil
-	}
-	driver := 0
-	for i, l := range lists {
-		if l.Len() < lists[driver].Len() {
-			driver = i
-		}
-	}
-	if lists[driver].Len() == 0 {
-		return nil
-	}
-	its := make([]*Iterator, len(lists))
-	for i, l := range lists {
-		its[i] = l.Iterator()
-	}
-	var out []uint64
-	dit := its[driver]
-outer:
-	for {
-		v, ok := dit.Next()
-		if !ok {
-			return out
-		}
-		for i, it := range its {
-			if i == driver {
-				continue
-			}
-			got, ok := it.SeekGE(v)
-			if !ok {
-				return out
-			}
-			if got != v {
-				continue outer
-			}
-		}
-		out = append(out, v)
-	}
+	return out
 }
 
 // Union merges the lists into one sorted, deduplicated value slice.
@@ -225,7 +97,85 @@ func IntersectSorted(a, b []uint64) []uint64 {
 	return out
 }
 
-// String renders diagnostics.
-func (p *PostingList) String() string {
-	return fmt.Sprintf("postings(n=%d, %dB, %d skips)", p.n, len(p.data), len(p.skips))
+// postings maps each term to the posting list of the rows holding it.
+// A fragment index keeps two: element names and text tokens.
+type postings map[string]*PostingList
+
+// add records that the row at key holds term, once per row: rows arrive
+// in increasing key order, so a list already ending at key has the row.
+// A new term's key is a copy, so the index never pins a row's bytes. It
+// reports false if an append would break posting order.
+func (p postings) add(key uint64, term []byte) bool {
+	pl := p[string(term)]
+	if pl == nil {
+		pl = &PostingList{}
+		p[string(term)] = pl
+	}
+	if pl.n > 0 && pl.last == key {
+		return true
+	}
+	return pl.Append(key)
+}
+
+// sizeBytes reports the posting footprint plus the dictionary strings.
+func (p postings) sizeBytes() int64 {
+	var n int64
+	for t, pl := range p {
+		n += int64(len(t)) + pl.SizeBytes()
+	}
+	return n
+}
+
+// candidates answers a key by substring over the token postings.
+// Because the XADT predicates match by substring (strings.Contains), it
+// takes, per key token, the union of the postings of every term that
+// contains the token, then intersects those unions — rows where every
+// token is a substring of at least one of the row's terms, a guaranteed
+// superset of the rows whose text contains the key. ok is false when
+// tokens is empty (nothing to index on). An empty (non-nil) result means
+// no row can match.
+func (p postings) candidates(tokens []string) (rids []uint64, ok bool) {
+	if len(tokens) == 0 {
+		return nil, false
+	}
+	var acc []uint64
+	for i, tok := range tokens {
+		var lists []*PostingList
+		for term, pl := range p {
+			if strings.Contains(term, tok) {
+				lists = append(lists, pl)
+			}
+		}
+		if len(lists) == 0 {
+			return []uint64{}, true
+		}
+		u := Union(lists)
+		if i == 0 {
+			acc = u
+		} else {
+			acc = IntersectSorted(acc, u)
+		}
+		if len(acc) == 0 {
+			return []uint64{}, true
+		}
+	}
+	return acc, true
+}
+
+// diff describes the first term whose postings differ between p and o,
+// or returns "" when both hold the same terms and rows.
+func (p postings) diff(kind string, o postings) string {
+	if len(p) != len(o) {
+		return fmt.Sprintf("%d %ss vs %d", len(p), kind, len(o))
+	}
+	for term, pl := range p {
+		opl := o[term]
+		if opl == nil {
+			return fmt.Sprintf("%s %q missing", kind, term)
+		}
+		if a, b := pl.Values(), opl.Values(); !slices.Equal(a, b) {
+			return fmt.Sprintf("%s %q: postings %v vs %v", kind, term, a, b)
+		}
+	}
+	return ""
 }

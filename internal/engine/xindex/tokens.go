@@ -1,11 +1,10 @@
-// Package xindex provides the secondary index structures over stored
-// XADT columns: a structural path index (element path → RID postings,
-// kept in the engine's B+tree) and an inverted keyword index over
-// fragment text (tokenizer + delta-encoded posting lists with skip-based
-// intersection). Both feed the planner's IndexedFragScan rewrite; both
-// are strictly candidate-generating — the scan re-verifies the original
-// predicate on every fetched row, so the index only has to guarantee a
-// superset of the matching rows, never the exact set.
+// Package xindex provides the secondary index over stored XADT columns:
+// delta-encoded posting lists keyed by element name (the name the XADT
+// methods take) and by the tokens of the fragment text. It feeds the
+// planner's IndexedFragScan rewrite and is strictly candidate-generating
+// — the scan re-verifies the original predicate on every fetched row, so
+// the index only has to guarantee a superset of the matching rows, never
+// the exact set.
 package xindex
 
 import (
@@ -31,7 +30,7 @@ var asciiWord = func() (t [utf8.RuneSelf]bool) {
 // when no token is left.
 //
 // The tokens of a text are the word-shaped islands the XADT substring
-// predicates can land on, which gives the keyword index its superset
+// predicates can land on, which gives the word postings their superset
 // guarantee: if strings.Contains(text, key) holds, then every token of
 // key is a substring of some token of text — a key token is a maximal
 // word run inside key, and wherever key occurs in text that run sits

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
 	"repro/internal/xadt"
@@ -49,13 +50,6 @@ func TestPostingListEmpty(t *testing.T) {
 	if vs := p.Values(); len(vs) != 0 {
 		t.Fatalf("empty Values = %v", vs)
 	}
-	it := p.Iterator()
-	if _, ok := it.Next(); ok {
-		t.Fatal("empty iterator yielded a value")
-	}
-	if got := Intersect([]*PostingList{p, p}); len(got) != 0 {
-		t.Fatalf("empty intersect = %v", got)
-	}
 }
 
 func TestPostingListSingle(t *testing.T) {
@@ -65,14 +59,6 @@ func TestPostingListSingle(t *testing.T) {
 	}
 	if got := p.Values(); !reflect.DeepEqual(got, []uint64{7}) {
 		t.Fatalf("Values = %v", got)
-	}
-	it := p.Iterator()
-	if v, ok := it.SeekGE(7); !ok || v != 7 {
-		t.Fatalf("SeekGE(7) = %d,%v", v, ok)
-	}
-	it = p.Iterator()
-	if _, ok := it.SeekGE(8); ok {
-		t.Fatal("SeekGE(8) found a value past the end")
 	}
 }
 
@@ -90,90 +76,32 @@ func TestPostingListRejectsNonIncreasing(t *testing.T) {
 	}
 }
 
-// TestPostingListSkipBoundaries exercises lists whose lengths straddle
-// the skip interval, seeking to values at and around every block edge.
-func TestPostingListSkipBoundaries(t *testing.T) {
-	for _, n := range []int{SkipInterval - 1, SkipInterval, SkipInterval + 1, 2 * SkipInterval, 2*SkipInterval + 1} {
-		vals := make([]uint64, n)
-		p := &PostingList{}
-		for i := 0; i < n; i++ {
-			vals[i] = uint64(3*i + 1) // stride 3 so gaps exist to seek into
-			if !p.Append(vals[i]) {
-				t.Fatalf("n=%d: Append(%d) failed", n, vals[i])
-			}
-		}
-		if got := p.Values(); !reflect.DeepEqual(got, vals) {
-			t.Fatalf("n=%d: roundtrip mismatch", n)
-		}
-		for _, target := range []uint64{0, 1, 2, vals[n/2], vals[n/2] + 1, vals[n-1], vals[n-1] + 1} {
-			it := p.Iterator()
-			got, ok := it.SeekGE(target)
-			want, wok := refSeekGE(vals, target)
-			if ok != wok || (ok && got != want) {
-				t.Fatalf("n=%d: SeekGE(%d) = %d,%v want %d,%v", n, target, got, ok, want, wok)
-			}
-		}
-	}
-}
-
-func refSeekGE(vals []uint64, target uint64) (uint64, bool) {
-	for _, v := range vals {
-		if v >= target {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// TestIntersectAcrossBlocks intersects lists sized around the skip
-// interval so the skip-based SeekGE crosses block boundaries mid-walk.
-func TestIntersectAcrossBlocks(t *testing.T) {
-	a, b := &PostingList{}, &PostingList{}
-	var want []uint64
-	for i := uint64(0); i < uint64(3*SkipInterval); i++ {
-		a.Append(2 * i) // evens
-		b.Append(3 * i) // multiples of 3
-		if 3*i%2 == 0 && 3*i < 2*uint64(3*SkipInterval) {
-			want = append(want, 3*i) // multiples of 6 within a's range
-		}
-	}
-	got := Intersect([]*PostingList{a, b})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Intersect = %v..., want %v...", head(got), head(want))
-	}
-}
-
-func head(v []uint64) []uint64 {
-	if len(v) > 8 {
-		return v[:8]
-	}
-	return v
-}
-
 func TestKeywordCandidatesSubstringTerms(t *testing.T) {
-	kw := NewKeywordIndex()
-	kw.add(1, []byte("STAGEDIR Rising"))
-	kw.add(2, []byte("uprising, noise"))
-	kw.add(3, []byte("quiet"))
+	kw := postings{}
+	for key, text := range []string{1: "STAGEDIR Rising", 2: "uprising, noise", 3: "quiet"} {
+		for _, tok := range Tokenize(text) {
+			kw.add(uint64(key), []byte(tok))
+		}
+	}
 	// "Rising" must match both the exact term and "upRising"? No —
 	// matching is case-sensitive substring: "Rising" ⊄ "uprising", but
 	// "rising" ⊂ "uprising". Candidates("rising") should hit row 2 only.
-	got, ok := kw.Candidates([]string{"rising"})
+	got, ok := kw.candidates([]string{"rising"})
 	if !ok || !reflect.DeepEqual(got, []uint64{2}) {
-		t.Fatalf("Candidates(rising) = %v,%v", got, ok)
+		t.Fatalf("candidates(rising) = %v,%v", got, ok)
 	}
-	got, ok = kw.Candidates([]string{"Rising"})
+	got, ok = kw.candidates([]string{"Rising"})
 	if !ok || !reflect.DeepEqual(got, []uint64{1}) {
-		t.Fatalf("Candidates(Rising) = %v,%v", got, ok)
+		t.Fatalf("candidates(Rising) = %v,%v", got, ok)
 	}
 	// A token matching no dictionary term is a definitive empty set.
-	got, ok = kw.Candidates([]string{"zzz"})
+	got, ok = kw.candidates([]string{"zzz"})
 	if !ok || got == nil || len(got) != 0 {
-		t.Fatalf("Candidates(zzz) = %v,%v", got, ok)
+		t.Fatalf("candidates(zzz) = %v,%v", got, ok)
 	}
 	// Empty token list: cannot answer.
-	if _, ok := kw.Candidates(nil); ok {
-		t.Fatal("Candidates(nil) claimed to answer")
+	if _, ok := kw.candidates(nil); ok {
+		t.Fatal("candidates(nil) claimed to answer")
 	}
 }
 
@@ -188,9 +116,9 @@ func fragValue(t *testing.T, xml string) types.Value {
 	return types.NewXADT(xadt.Encode(nodes, xadt.Raw).Bytes())
 }
 
-// TestDuplicatePathsOneDocument: a document repeating the same path many
-// times must contribute each path posting once per row, keeping the
-// structural postings strictly increasing and Append from failing.
+// TestDuplicatePathsOneDocument: a document repeating the same element
+// name many times must contribute each name posting once per row,
+// keeping the name postings strictly increasing and Append from failing.
 func TestDuplicatePathsOneDocument(t *testing.T) {
 	fi := NewFragmentIndex("speech", "speech_line", 0)
 	fi.AddRow(rid(0, 0), fragValue(t,
@@ -281,20 +209,21 @@ func TestNullAndInvalidRows(t *testing.T) {
 	}
 }
 
+// TestPathIndexLookupName: an element-name probe finds the rows with an
+// element of that name at any depth, nested or not, and no others.
 func TestPathIndexLookupName(t *testing.T) {
-	p := NewPathIndex()
-	p.Add(rid(0, 1), []byte("SPEECH/LINE"))
-	p.Add(rid(0, 0), []byte("SPEECH/LINE/STAGEDIR"))
-	p.Add(rid(0, 1), []byte("SPEECH/SPEAKER"))
-	got := p.LookupName("LINE")
-	if !reflect.DeepEqual(got, []uint64{ridKey(rid(0, 0)), ridKey(rid(0, 1))}) {
-		t.Fatalf("LookupName(LINE) = %v", got)
+	fi := NewFragmentIndex("speech", "speech", 0)
+	fi.AddRow(rid(0, 0), fragValue(t, `<SPEECH><LINE><STAGEDIR>Aside</STAGEDIR></LINE></SPEECH>`))
+	fi.AddRow(rid(0, 1), fragValue(t, `<SPEECH><SPEAKER>ROMEO</SPEAKER><LINE>soft</LINE></SPEECH>`))
+	got, ok := fi.LookupFindKey("LINE", "")
+	if !ok || !reflect.DeepEqual(got, []storage.RID{rid(0, 0), rid(0, 1)}) {
+		t.Fatalf("LookupFindKey(LINE) = %v,%v", got, ok)
 	}
-	if got := p.LookupName("SPEAKER"); !reflect.DeepEqual(got, []uint64{ridKey(rid(0, 1))}) {
-		t.Fatalf("LookupName(SPEAKER) = %v", got)
+	if got, ok := fi.LookupFindKey("SPEAKER", ""); !ok || !reflect.DeepEqual(got, []storage.RID{rid(0, 1)}) {
+		t.Fatalf("LookupFindKey(SPEAKER) = %v,%v", got, ok)
 	}
-	if got := p.LookupName("NOPE"); len(got) != 0 {
-		t.Fatalf("LookupName(NOPE) = %v", got)
+	if got, ok := fi.LookupFindKey("NOPE", ""); !ok || len(got) != 0 {
+		t.Fatalf("LookupFindKey(NOPE) = %v,%v", got, ok)
 	}
 }
 
@@ -338,5 +267,32 @@ func TestDeleteAfterRIDReuseStaysDead(t *testing.T) {
 	}
 	if got := fi.Rows(); got != 1 {
 		t.Fatalf("Rows() = %d, want 1", got)
+	}
+}
+
+// BenchmarkLookupFindKey probes a speech_line index over three generated
+// plays the way the paper's QS1 and QS2 do: an element name alone, and
+// an element name with a key.
+func BenchmarkLookupFindKey(b *testing.B) {
+	fi := NewFragmentIndex("speech", "speech_line", 0)
+	n := 0
+	for _, doc := range datagen.GeneratePlays(datagen.PlayConfig{Plays: 3, Seed: 1}) {
+		for _, sp := range doc.Root.Descendants("SPEECH") {
+			fi.AddRow(rid(int32(n/64), int32(n%64)), types.NewXADT(xadt.Encode(sp.ChildrenNamed("LINE"), xadt.Raw).Bytes()))
+			n++
+		}
+	}
+	for _, bc := range []struct{ name, elm, key string }{
+		{"name", "STAGEDIR", ""},
+		{"name+key", "STAGEDIR", "Rising"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := fi.LookupFindKey(bc.elm, bc.key); !ok {
+					b.Fatal("lookup could not answer")
+				}
+			}
+		})
 	}
 }
