@@ -26,8 +26,8 @@ race:
 	$(GO) test -race ./...
 
 # One-iteration benchmark pass: proves the engine, session point-read
-# and keyless-scan, B+tree probe, B+tree build, fragment-index lookup and
-# hash-join micro-benchmarks still compile and run, smoke-runs every workload of
+# and keyless-scan, B+tree probe, B+tree build, fragment-index lookup,
+# unnest-chain and hash-join micro-benchmarks still compile and run, smoke-runs every workload of
 # the committed benchmark module (its own go.mod, so `test` does not
 # reach it), and runs the cost-model differential axis under the race
 # detector.
@@ -38,6 +38,7 @@ benchsmoke:
 	$(GO) test -run=NONE -bench=BenchmarkBTreeLookup -benchtime=1x ./internal/engine/index/
 	$(GO) test -run=NONE -bench=BenchmarkBTreeBuild -benchtime=1x ./internal/engine/index/
 	$(GO) test -run=NONE -bench=BenchmarkLookupFindKey -benchtime=1x ./internal/engine/xindex/
+	$(GO) test -run=NONE -bench=BenchmarkUnnestChain -benchtime=1x ./internal/xadt/
 	$(GO) test -run=NONE -bench=BenchmarkHashJoin -benchtime=1x ./internal/engine/exec/
 	cd benchmark && $(GO) test ./...
 	$(GO) test -race -run TestDifferentialCostModelAxis ./internal/difftest/

@@ -458,9 +458,13 @@ func registerStandardFunctions(reg *expr.Registry, caches *xadt.CachePool) {
 			if err != nil {
 				return nil, err
 			}
+			// The outputs stay references into the argument's bytes;
+			// one array holds every one-column row.
+			cells := make([]types.Value, len(vals))
 			out := make([][]types.Value, len(vals))
 			for i, v := range vals {
-				out[i] = []types.Value{types.NewXADT(v.Bytes())}
+				cells[i] = types.FromXADT(v)
+				out[i] = cells[i : i+1 : i+1]
 			}
 			return out, nil
 		},
@@ -523,13 +527,13 @@ func registerStandardFunctions(reg *expr.Registry, caches *xadt.CachePool) {
 	}))
 }
 
-// xadtArg converts an argument to an XADT value; VARCHAR arguments are
-// treated as raw fragments, mirroring the paper's implementation of the
-// XADT on top of VARCHAR.
+// xadtArg converts an argument to an XADT value, keeping a reference
+// one; VARCHAR arguments are treated as raw fragments, mirroring the
+// paper's implementation of the XADT on top of VARCHAR.
 func xadtArg(v types.Value) (xadt.Value, error) {
 	switch v.Kind() {
 	case types.KindXADT:
-		return xadt.FromBytes(v.XADT()), nil
+		return v.Fragment(), nil
 	case types.KindString:
 		return xadt.Parse(v.Str(), xadt.Raw)
 	default:

@@ -35,7 +35,7 @@ func (j *NestedLoopJoin) Schema() *expr.RowSchema { return j.schema }
 
 // Open materializes the right side.
 func (j *NestedLoopJoin) Open() error {
-	rows, err := Drain(j.Right)
+	rows, err := collect(j.Right, false)
 	if err != nil {
 		return err
 	}
@@ -324,11 +324,11 @@ func keyedRows(rows [][]types.Value, key func([]types.Value) (types.Value, error
 
 // Open materializes, sorts, and merges both inputs.
 func (j *MergeJoin) Open() error {
-	leftRows, err := Drain(j.Left)
+	leftRows, err := collect(j.Left, false)
 	if err != nil {
 		return err
 	}
-	rightRows, err := Drain(j.Right)
+	rightRows, err := collect(j.Right, false)
 	if err != nil {
 		return err
 	}

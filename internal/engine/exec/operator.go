@@ -22,23 +22,60 @@ type Operator interface {
 	Close() error
 }
 
-// Drain runs an operator to completion and collects its rows.
+// Drain runs an operator to completion and collects its rows: a
+// statement's result. The rows leave the statement, so each XADT
+// reference in them is materialised (types.Plain). A result of no rows
+// is nil.
 func Drain(op Operator) ([][]types.Value, error) {
+	return collect(op, true)
+}
+
+// drainChunkMax caps the rows in one of collect's chunks: 96 KiB of row
+// headers, a whole number of pages, so the allocator rounds nothing up.
+const drainChunkMax = 4096
+
+// collect runs op to completion and returns its rows, materialising
+// references when plain is set; operators that buffer their input
+// within a statement collect without it. Rows gather in chunks that
+// double from 8 rows up to drainChunkMax and are copied once into a
+// result of exact size, so a large result costs about twice its final
+// slice where append's 1.25× growth cost about five times.
+func collect(op Operator, plain bool) ([][]types.Value, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	var out [][]types.Value
+	var full [][][]types.Value
+	var cur [][]types.Value
+	n := 0
 	for {
 		row, err := op.Next()
 		if err != nil {
 			return nil, err
 		}
 		if row == nil {
-			return out, nil
+			break
 		}
-		out = append(out, row)
+		if plain {
+			types.Plain(row)
+		}
+		if len(cur) == cap(cur) {
+			if cur != nil {
+				full = append(full, cur)
+			}
+			cur = make([][]types.Value, 0, min(max(2*cap(cur), 8), drainChunkMax))
+		}
+		cur = append(cur, row)
+		n++
 	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([][]types.Value, 0, n)
+	for _, c := range full {
+		out = append(out, c...)
+	}
+	return append(out, cur...), nil
 }
 
 // concatRows builds a joined output row.

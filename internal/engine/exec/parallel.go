@@ -136,7 +136,7 @@ func (g *Gather) worker(p Pipeline, wg *sync.WaitGroup) {
 			return
 		}
 		p.Leaf.SetRange(m.Lo, m.Hi)
-		rows, err := Drain(p.Root)
+		rows, err := collect(p.Root, false)
 		if err != nil {
 			// Stop handing out work; in-flight morsels on other workers
 			// finish so every claimed sequence number gets a batch.
@@ -279,7 +279,7 @@ const parallelBuildThreshold = 1024
 
 // build drains the input and hashes it into the table.
 func (b *HashBuild) build() (map[uint64][][]types.Value, error) {
-	rows, err := Drain(b.Input)
+	rows, err := collect(b.Input, false)
 	if err != nil {
 		return nil, err
 	}

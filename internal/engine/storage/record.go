@@ -49,9 +49,10 @@ func EncodeRecord(row []types.Value) []byte {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Str())))
 			buf = append(buf, v.Str()...)
 		case types.KindXADT:
+			x := v.XADT() // builds a reference's bytes once
 			buf = append(buf, vXADT)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.XADT())))
-			buf = append(buf, v.XADT()...)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
+			buf = append(buf, x...)
 		case types.KindBool:
 			buf = append(buf, vBool)
 			if v.Bool() {

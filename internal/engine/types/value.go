@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"unsafe"
+
+	"repro/internal/xadt"
 )
 
 // Kind enumerates the runtime types of a Value.
@@ -47,6 +49,13 @@ func (k Kind) String() string {
 // Value is a single SQL value. The zero Value is NULL. It is 32 bytes:
 // VARCHAR and XADT payloads share the string field, since a value holds
 // at most one of them.
+//
+// An XADT value with a nonzero i is a reference (xadt.Value's Parts): s
+// holds the bytes of the stored value it points into and i the span of
+// its element. The XADT methods read a reference in place; every other
+// reader of the bytes goes through bytes, which materialises it. No
+// reference outlives its statement: exec.Drain materialises result rows,
+// and the record codec writes what bytes returns.
 type Value struct {
 	s    string
 	i    int64
@@ -67,6 +76,13 @@ func NewString(s string) Value { return Value{kind: KindString, s: s} }
 // again.
 func NewXADT(b []byte) Value {
 	return Value{kind: KindXADT, s: unsafe.String(unsafe.SliceData(b), len(b))}
+}
+
+// FromXADT returns the XADT value holding x, which stays a reference
+// when it is one.
+func FromXADT(x xadt.Value) Value {
+	data, span := x.Parts()
+	return Value{kind: KindXADT, s: unsafe.String(unsafe.SliceData(data), len(data)), i: span}
 }
 
 // NewBool returns a boolean value.
@@ -102,12 +118,43 @@ func (v Value) Str() string {
 
 // XADT returns the fragment encoding; it panics on other kinds. The slice
 // aliases the value's payload and must not be modified; its capacity
-// equals its length, so appending to it copies.
+// equals its length, so appending to it copies. A reference is
+// materialised, into fresh memory on every call.
 func (v Value) XADT() []byte {
 	if v.kind != KindXADT {
 		panic("types: XADT() on " + v.kind.String())
 	}
-	return unsafe.Slice(unsafe.StringData(v.s), len(v.s))
+	s := v.bytes()
+	return unsafe.Slice(unsafe.StringData(s), len(s))
+}
+
+// Fragment returns the XADT value without materialising a reference,
+// for the XADT methods; it panics on other kinds.
+func (v Value) Fragment() xadt.Value {
+	if v.kind != KindXADT {
+		panic("types: Fragment() on " + v.kind.String())
+	}
+	return xadt.FromParts(unsafe.Slice(unsafe.StringData(v.s), len(v.s)), v.i)
+}
+
+// bytes returns the payload of a string or XADT value, materialising a
+// reference.
+func (v Value) bytes() string {
+	if v.i == 0 {
+		return v.s
+	}
+	b := v.Fragment().Bytes()
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// Plain replaces each XADT reference in row by a value holding its
+// bytes, for rows that leave their statement.
+func Plain(row []Value) {
+	for k := range row {
+		if v := &row[k]; v.kind == KindXADT && v.i != 0 {
+			*v = Value{kind: KindXADT, s: v.bytes()}
+		}
+	}
 }
 
 // Bool returns the boolean payload; it panics on other kinds.
@@ -139,7 +186,7 @@ func (v Value) String() string {
 	case KindString:
 		return v.s
 	case KindXADT:
-		return fmt.Sprintf("XADT(%d bytes)", len(v.s))
+		return fmt.Sprintf("XADT(%d bytes)", len(v.bytes()))
 	case KindBool:
 		if v.i != 0 {
 			return "true"
@@ -155,6 +202,34 @@ func (v Value) String() string {
 // of different non-null kinds orders by kind (strings before XADT), which
 // gives sorting a total order without implicit casts.
 func Compare(a, b Value) int {
+	// One test sends NULL and XADT to compareRare, so the integer and
+	// string paths never look for a reference.
+	if (rareKinds>>uint(a.kind)|rareKinds>>uint(b.kind))&1 != 0 {
+		return compareRare(a, b)
+	}
+	if sa, sb := a.kind == KindString, b.kind == KindString; sa != sb {
+		if sb {
+			return -1
+		}
+		return 1
+	} else if sa {
+		return strings.Compare(a.s, b.s)
+	}
+	switch {
+	case a.i < b.i:
+		return -1
+	case a.i > b.i:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// rareKinds is the bit set of the kinds Compare leaves to compareRare.
+const rareKinds uint64 = 1<<KindNull | 1<<KindXADT
+
+// compareRare is Compare when a or b is NULL or XADT.
+func compareRare(a, b Value) int {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
 		case a.kind == b.kind:
@@ -172,17 +247,7 @@ func Compare(a, b Value) int {
 		}
 		return 1
 	}
-	if ka == classNumeric {
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return strings.Compare(a.s, b.s)
+	return strings.Compare(a.bytes(), b.bytes())
 }
 
 const (
@@ -227,12 +292,20 @@ func Hash(v Value) uint64 {
 		for i := 0; i < 8; i++ {
 			h = (h ^ (p >> (8 * i) & 0xff)) * fnvPrime
 		}
-	case KindString, KindXADT:
-		// The tag is the kind: 2 for strings, 3 for XADT.
-		h = (h ^ uint64(v.kind)) * fnvPrime
-		for i := 0; i < len(v.s); i++ {
-			h = (h ^ uint64(v.s[i])) * fnvPrime
-		}
+	case KindString:
+		h = hashBytes(h, KindString, v.s)
+	case KindXADT:
+		h = hashBytes(h, KindXADT, v.bytes())
+	}
+	return h
+}
+
+// hashBytes continues h over a payload, after a tag byte that is its
+// kind: 2 for strings, 3 for XADT.
+func hashBytes(h uint64, k Kind, s string) uint64 {
+	h = (h ^ uint64(k)) * fnvPrime
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
 }
@@ -245,8 +318,10 @@ func (v Value) Size() int {
 		return 1
 	case KindInt, KindBool:
 		return 9
-	case KindString, KindXADT:
+	case KindString:
 		return 5 + len(v.s)
+	case KindXADT:
+		return 5 + len(v.bytes())
 	default:
 		return 1
 	}

@@ -1,10 +1,15 @@
 package types
 
 import (
+	"bytes"
 	"hash/fnv"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"repro/internal/testutil"
+	"repro/internal/xadt"
 )
 
 func TestKindsAndAccessors(t *testing.T) {
@@ -251,5 +256,64 @@ func TestValueLayout(t *testing.T) {
 	}
 	if cap(x) != len(x) {
 		t.Errorf("XADT() cap %d, len %d: appending would write past the payload", cap(x), len(x))
+	}
+}
+
+// TestReferenceReadsMaterialize holds every reader of an XADT reference
+// to the bytes it stands for: for the Unnest outputs of every fragment
+// of testutil.Fragments() in every format, XADT(), Hash, Compare, Size
+// and String equal those of the value holding Encode of the element's
+// node, Compare orders references as it orders their bytes, and Plain
+// leaves a value equal, field for field, to that twin.
+func TestReferenceReadsMaterialize(t *testing.T) {
+	var refs, twins []Value
+	for _, nodes := range testutil.Fragments() {
+		for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed, xadt.Directory} {
+			parent := xadt.Encode(nodes, f)
+			for i, n := range nodes {
+				if i > 0 && n.Name == nodes[i-1].Name {
+					continue // Unnest already returned it
+				}
+				outs, err := xadt.Unnest(parent, n.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range outs {
+					r := FromXADT(o)
+					nodes, err := o.Nodes()
+					if err != nil || len(nodes) != 1 {
+						t.Fatalf("reference decodes to %d nodes, %v", len(nodes), err)
+					}
+					want := NewXADT(xadt.Encode(nodes, f).Bytes())
+					if !bytes.Equal(r.XADT(), want.XADT()) {
+						t.Fatalf("XADT() of a reference = %q, Encode %q", r.XADT(), want.XADT())
+					}
+					if Hash(r) != Hash(want) || Compare(r, want) != 0 || Compare(want, r) != 0 ||
+						r.Size() != want.Size() || r.String() != want.String() {
+						t.Fatalf("reference of %q reads differently from its bytes", want.XADT())
+					}
+					refs, twins = append(refs, r), append(twins, want)
+				}
+			}
+		}
+	}
+	for i := range refs {
+		for _, j := range []int{(i + 1) % len(refs), (i * 7919) % len(refs)} {
+			if got, want := Compare(refs[i], refs[j]), Compare(twins[i], twins[j]); got != want {
+				t.Fatalf("Compare of references %d, of their bytes %d", got, want)
+			}
+		}
+		for _, other := range []Value{Null, NewInt(1), NewString("x")} {
+			if Compare(refs[i], other) != Compare(twins[i], other) || Compare(other, refs[i]) != Compare(other, twins[i]) {
+				t.Fatalf("reference orders against %v unlike its bytes", other)
+			}
+		}
+	}
+	row := slices.Clone(refs)
+	Plain(row)
+	for i := range row {
+		if row[i] != twins[i] {
+			t.Fatalf("Plain left %#v, want %#v", row[i], twins[i])
+		}
 	}
 }

@@ -108,8 +108,9 @@ func TestIndexMatchesNodeOracle(t *testing.T) {
 }
 
 // TestAddRowAllocations guards the write path's allocation budget: a
-// fragment whose paths and terms are all indexed already adds postings
-// without allocating, apart from amortized posting and B+tree growth.
+// fragment whose element names and text terms all have posting lists
+// already adds its postings without allocating, apart from the lists'
+// amortized growth.
 func TestAddRowAllocations(t *testing.T) {
 	frag := fragValue(t, `<LINE>my only love sprung from my only hate</LINE>`+
 		`<LINE>Too early seen unknown, and known too late!</LINE><LINE><STAGEDIR>Aside</STAGEDIR>prodigious</LINE>`)

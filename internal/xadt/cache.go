@@ -27,6 +27,10 @@ type Cache struct {
 	// throttled to avoid paying key-copy + eviction per call.
 	missStreak int
 	w          scratch
+	// split is the table of the value Unnest split last, kept apart
+	// from the LRU: methods on the references Unnest returned read it
+	// without a scan, whatever the LRU admitted.
+	split lastSplit
 }
 
 type cacheEntry struct {
@@ -48,8 +52,17 @@ func NewCache(max int) *Cache {
 
 // table returns the element table of v, scanning and caching on miss.
 // A table the cache does not keep lives in its scratch space and is
-// valid until the next call.
+// valid until the next call. A reference never goes through the LRU
+// (see refTable).
 func (c *Cache) table(v Value) (*table, error) {
+	if v.span != 0 {
+		return c.refTable(v)
+	}
+	return c.lookup(v, true)
+}
+
+// lookup is table, caching a scan only when admit is set.
+func (c *Cache) lookup(v Value, admit bool) (*table, error) {
 	// The inline string(v.data) conversion lets the compiler elide the
 	// key copy on the hit path.
 	if e, ok := c.entries[string(v.data)]; ok {
@@ -67,7 +80,7 @@ func (c *Cache) table(v Value) (*table, error) {
 	// Sweep detection: after 2*cap consecutive misses nothing inserted
 	// recently has been re-referenced, so admit only every 8th fragment.
 	// A single hit resets the streak and restores full admission.
-	if c.missStreak > 2*c.cap && c.missStreak%8 != 0 {
+	if !admit || c.missStreak > 2*c.cap && c.missStreak%8 != 0 {
 		return &c.w.t, nil
 	}
 	// A full cache reuses the evicted entry and its table slices; only a
@@ -84,6 +97,7 @@ func (c *Cache) table(v Value) (*table, error) {
 	e.t = table{
 		format: c.w.t.format,
 		body:   c.w.t.body,
+		end:    c.w.t.end,
 		names:  append(e.t.names[:0], c.w.t.names...),
 		elems:  append(e.t.elems[:0], c.w.t.elems...),
 	}

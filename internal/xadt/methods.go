@@ -15,13 +15,17 @@ type Evaluator struct {
 }
 
 // table scans in, through the cache when one is attached, and returns
-// its element table with the scratch space to build outputs in.
+// its element table with the scratch space to build outputs in. Without
+// a cache a reference scans only its own span.
 func (e *Evaluator) table(in Value) (*table, *scratch, error) {
 	if e != nil && e.Cache != nil {
 		t, err := e.Cache.table(in)
 		return t, &e.Cache.w, err
 	}
 	w := &scratch{}
+	if in.span != 0 {
+		return &w.t, w, w.scanSpan(in.data, in.span, &w.t)
+	}
 	return &w.t, w, w.scan(in.data, &w.t)
 }
 
@@ -147,7 +151,12 @@ func GetElmIndex(in Value, parentElm, childElm string, startPos, endPos int) (Va
 // (the top level when parent is -1) with code child whose position among
 // them lies in [startPos, endPos].
 func (t *table) pickChildren(picks []int32, parent int, child int32, startPos, endPos int) []int32 {
-	depth, pos := int32(1), 0
+	if len(t.elems) == 0 {
+		return picks
+	}
+	// The first element is at the top level: depth 1 in a value's own
+	// table, the referenced element's depth in a view.
+	depth, pos := t.elems[0].depth, 0
 	if parent >= 0 {
 		depth = t.elems[parent].depth + 1
 	}
@@ -163,9 +172,17 @@ func (t *table) pickChildren(picks []int32, parent int, child int32, startPos, e
 
 // Unnest implements the unnest table function of §3.5: it splits the
 // fragment into one Value per element with the given tag name, in document
-// order. Each returned Value keeps the input's storage format.
+// order. Each returned Value keeps the input's storage format. They are
+// references into in's bytes (into its parent's, when in is one): no
+// bytes are built until someone asks for them.
 func (e *Evaluator) Unnest(in Value, tag string) ([]Value, error) {
-	t, w, err := e.table(in)
+	var t *table
+	var err error
+	if in.span == 0 && e != nil && e.Cache != nil {
+		t, err = e.Cache.splitTable(in)
+	} else {
+		t, _, err = e.table(in)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -180,9 +197,8 @@ func (e *Evaluator) Unnest(in Value, tag string) ([]Value, error) {
 	}
 	out := make([]Value, 0, n)
 	for i := range t.elems {
-		if t.elems[i].name == code {
-			w.picks = append(w.picks[:0], int32(i))
-			out = append(out, t.encode(in.data, w, w.picks))
+		if el := &t.elems[i]; el.name == code {
+			out = append(out, Value{data: in.data, span: packSpan(el.open, el.close)})
 		}
 	}
 	return out, nil
@@ -196,9 +212,15 @@ func Unnest(in Value, tag string) ([]Value, error) {
 // InnerText returns the fragment's character data without tags or
 // attributes: the concatenated InnerText of its top-level nodes.
 func (e *Evaluator) InnerText(in Value) (string, error) {
+	if in.span != 0 {
+		// The element was scanned with its parent; its text needs no
+		// table.
+		open, close := spanBounds(in.span)
+		return string(appendText(nil, in.data, open, close)), nil
+	}
 	t, _, err := e.table(in)
 	if err != nil {
 		return "", err
 	}
-	return string(appendText(nil, in.data, t.body, len(in.data))), nil
+	return string(appendText(nil, in.data, t.body, t.end)), nil
 }

@@ -35,7 +35,8 @@ import (
 
 // element is one element of a fragment. Tables list elements in document
 // order, so an element's descendants are the entries after it with a
-// greater depth. Offsets index the whole value.
+// greater depth. Offsets index the whole value (for a reference, the
+// value it points into).
 type element struct {
 	name  int32 // code into table.names
 	depth int32 // 1 for a top-level element
@@ -51,9 +52,10 @@ type span struct{ off, len int32 }
 // table is the scanned form of one value.
 type table struct {
 	format Format
-	// body is the offset of the tagged text: the Raw text, the Directory
-	// text part, or the Compressed coded body.
-	body int
+	// body and end bound the tagged text: the Raw text, the Directory
+	// text part, or the Compressed coded body; for a reference, its
+	// element.
+	body, end int
 	// names maps name codes to names in the value: the dictionary of a
 	// Compressed value, the first occurrence of each element and
 	// attribute name otherwise.
@@ -65,6 +67,7 @@ type table struct {
 // keeps one so that warm calls allocate only their results.
 type scratch struct {
 	t      table   // the last scan's table, when no cache entry holds it
+	view   table   // a reference's elements within a kept table (Cache.refTable)
 	stack  []int32 // open elements while scanning
 	attrs  []int32 // attribute codes of the start tag being scanned
 	picks  []int32 // elements a method returns
@@ -80,37 +83,60 @@ func (w *scratch) scan(data []byte, t *table) error {
 	if len(data) > math.MaxInt32 {
 		return errors.New("xadt: value too large to scan")
 	}
-	t.names, t.elems = t.names[:0], t.elems[:0]
-	off := payloadOffset(data)
-	t.format, t.body = Raw, off
-	if off == len(data) {
-		return nil
-	}
-	t.body = off + 1
-	var err error
-	switch data[off] {
-	case byte(Compressed):
-		t.format = Compressed
-		t.body, err = t.readDict(data, off+1)
-	case byte(Directory):
-		t.format = Directory
-		t.body, err = directoryBody(data, off+1)
-	}
+	body, err := t.readHeader(data)
 	if err != nil {
 		return err
 	}
-	return w.scanBody(data, t)
+	t.body, t.end = body, len(data)
+	return w.scanBody(data, t, 0)
+}
+
+// scanSpan builds into t the table of the reference to the element
+// data[open:close) that span packs: the value's names (a Compressed
+// value's dictionary) and the element with its descendants, depths
+// counted from it. It reads the value header and the span, nothing else
+// of data. The whole value was scanned when the reference was made, so
+// the element's Compressed codes may appear in any order.
+func (w *scratch) scanSpan(data []byte, span int64, t *table) error {
+	if _, err := t.readHeader(data); err != nil {
+		return err
+	}
+	t.body, t.end = spanBounds(span)
+	return w.scanBody(data, t, int32(len(t.names)))
+}
+
+// readHeader resets t and reads the header of the value data: the
+// format and, for Compressed, the dictionary. It returns the offset of
+// the tagged text.
+func (t *table) readHeader(data []byte) (int, error) {
+	t.names, t.elems = t.names[:0], t.elems[:0]
+	off := payloadOffset(data)
+	t.format = Raw
+	if off == len(data) {
+		return off, nil
+	}
+	switch data[off] {
+	case byte(Compressed):
+		t.format = Compressed
+		return t.readDict(data, off+1)
+	case byte(Directory):
+		t.format = Directory
+		return directoryBody(data, off+1)
+	}
+	return off + 1, nil
 }
 
 func malformed(what string, at int) error {
 	return fmt.Errorf("xadt: malformed fragment: %s at offset %d", what, at)
 }
 
-// scanBody scans the tagged text from t.body to the end of data.
-func (w *scratch) scanBody(data []byte, t *table) error {
+// scanBody scans the tagged text data[t.body:t.end]. next is the
+// Compressed code whose first appearance is due: 0 for a whole value,
+// len(t.names) where codes may come in any order.
+func (w *scratch) scanBody(data []byte, t *table, next int32) error {
+	data = data[:t.end] // offsets stay those of the whole value
 	coded := t.format == Compressed
 	stack := w.stack[:0]
-	var next int32 // Compressed: the code whose first appearance is due
 	// tagName reads the element or attribute name at data[i]: a name,
 	// interned into t.names, or a dictionary code in first-appearance
 	// order.
@@ -439,7 +465,7 @@ func (k *Walker) Walk(data, text []byte, elem func(name []byte, depth int)) ([]b
 	for _, e := range t.elems {
 		elem(t.name(data, e.name), int(e.depth))
 	}
-	return appendText(text, data, t.body, len(data)), nil
+	return appendText(text, data, t.body, t.end), nil
 }
 
 // rewriteCodes appends the coded markup data[lo:hi] to dst with every
@@ -492,9 +518,9 @@ func (t *table) rename(dst, data []byte, code int32, w *scratch) []byte {
 // itself, or for Compressed the body with its codes expanded to names.
 func (t *table) text(data []byte) []byte {
 	if t.format != Compressed {
-		return data[t.body:]
+		return data[t.body:t.end]
 	}
-	return t.rewriteCodes(make([]byte, 0, 2*(len(data)-t.body)), data, t.body, len(data), nil)
+	return t.rewriteCodes(make([]byte, 0, 2*(t.end-t.body)), data, t.body, t.end, nil)
 }
 
 // encode builds the value holding the picked elements, in t's format:

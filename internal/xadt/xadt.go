@@ -44,9 +44,11 @@ func (f Format) String() string {
 }
 
 // Value is an XADT instance. The zero Value is the empty fragment in raw
-// format.
+// format. A Value returned by Unnest is a reference into the value it
+// split (see ref.go).
 type Value struct {
 	data []byte
+	span int64 // nonzero for a reference: its element within data
 }
 
 // FromBytes reconstitutes a Value from its stored bytes (as written by
@@ -54,11 +56,16 @@ type Value struct {
 func FromBytes(b []byte) Value { return Value{data: b} }
 
 // Bytes returns the stored representation. The slice must not be
-// modified.
-func (v Value) Bytes() []byte { return v.data }
+// modified. A reference builds it, into fresh memory on every call.
+func (v Value) Bytes() []byte {
+	if v.span == 0 {
+		return v.data
+	}
+	return v.materialize()
+}
 
 // Len returns the storage size in bytes.
-func (v Value) Len() int { return len(v.data) }
+func (v Value) Len() int { return len(v.Bytes()) }
 
 // IsEmpty reports whether the value holds no fragment.
 func (v Value) IsEmpty() bool { return len(v.payloadBytes()) <= 1 }
@@ -111,7 +118,7 @@ func encodeRaw(nodes []*xmltree.Node) Value {
 
 // Nodes decodes the fragment into a node list.
 func (v Value) Nodes() ([]*xmltree.Node, error) {
-	p := v.payloadBytes()
+	p := v.plain().payloadBytes()
 	if len(p) == 0 {
 		return nil, nil
 	}
@@ -132,6 +139,7 @@ func (v Value) Nodes() ([]*xmltree.Node, error) {
 // Text returns the serialized fragment text, expanding the tag codes of
 // a Compressed value.
 func (v Value) Text() (string, error) {
+	v = v.plain()
 	p := v.payloadBytes()
 	if len(p) == 0 {
 		return "", nil
