@@ -27,10 +27,10 @@ race:
 
 # One-iteration benchmark pass: proves the engine, session point-read
 # and keyless-scan, B+tree probe, B+tree build, fragment-index lookup,
-# unnest-chain and hash-join micro-benchmarks still compile and run, smoke-runs every workload of
-# the committed benchmark module (its own go.mod, so `test` does not
-# reach it), and runs the cost-model differential axis under the race
-# detector.
+# unnest-chain, stored-method and hash-join micro-benchmarks still
+# compile and run, smoke-runs every workload of the committed benchmark
+# module (its own go.mod, so `test` does not reach it), and runs the
+# cost-model differential axis under the race detector.
 benchsmoke:
 	$(GO) test -run=NONE -bench=BenchmarkScan -benchtime=1x ./internal/engine/
 	$(GO) test -run=NONE -bench=BenchmarkSessionPointRead -benchtime=1x ./internal/engine/
@@ -39,6 +39,7 @@ benchsmoke:
 	$(GO) test -run=NONE -bench=BenchmarkBTreeBuild -benchtime=1x ./internal/engine/index/
 	$(GO) test -run=NONE -bench=BenchmarkLookupFindKey -benchtime=1x ./internal/engine/xindex/
 	$(GO) test -run=NONE -bench=BenchmarkUnnestChain -benchtime=1x ./internal/xadt/
+	$(GO) test -run=NONE -bench=BenchmarkMethodsOnStored -benchtime=1x ./internal/xadt/
 	$(GO) test -run=NONE -bench=BenchmarkHashJoin -benchtime=1x ./internal/engine/exec/
 	cd benchmark && $(GO) test ./...
 	$(GO) test -race -run TestDifferentialCostModelAxis ./internal/difftest/
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzRawScanEntities -fuzztime=$(FUZZTIME) ./internal/xadt/
 	$(GO) test -run=NONE -fuzz=FuzzScanVsTree -fuzztime=$(FUZZTIME) ./internal/xadt/
 	$(GO) test -run=NONE -fuzz=FuzzHeaderDecode -fuzztime=$(FUZZTIME) ./internal/xadt/
+	$(GO) test -run=NONE -fuzz=FuzzTableRead -fuzztime=$(FUZZTIME) ./internal/xadt/
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/engine/wal/
 	$(GO) test -run=NONE -fuzz=FuzzMutationReplay -fuzztime=$(FUZZTIME) ./internal/engine/wal/
 	$(GO) test -run=NONE -fuzz=FuzzPostingCodec -fuzztime=$(FUZZTIME) ./internal/engine/xindex/

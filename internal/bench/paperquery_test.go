@@ -222,7 +222,7 @@ func TestPaperQueryOracle(t *testing.T) {
 			if ps.alg != core.XORator {
 				continue
 			}
-			for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed, xadt.Directory} {
+			for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed} {
 				st, _, err := buildStore(ps.ds, core.Config{Algorithm: core.XORator, ForceFormat: &f}, 1)
 				if err != nil {
 					t.Fatalf("%s %v: %v", ps.name, f, err)

@@ -418,10 +418,11 @@ func (st *Store) Exec(query string) (int64, error) {
 	return n, err
 }
 
-// replayOp re-executes one logged mutation during recovery. The registry
-// table is created on demand: a checkpoint taken before the first
-// AddDocuments does not hold it, yet the tail may insert into it.
-func (st *Store) replayOp(seq uint64, op wal.ScannedOp) error {
+// replayOp re-executes one logged mutation during recovery, after the
+// ingress check of its XADT values (through k). The registry table is
+// created on demand: a checkpoint taken before the first AddDocuments
+// does not hold it, yet the tail may insert into it.
+func (st *Store) replayOp(seq uint64, op wal.ScannedOp, k *xadt.Walker) error {
 	if op.Kind == wal.OpDocRemove {
 		if err := st.applyRemoveDocument(op.DocID); err != nil {
 			return fmt.Errorf("core: replaying batch %d removal of document %d: %w", seq, op.DocID, err)
@@ -437,6 +438,9 @@ func (st *Store) replayOp(seq uint64, op wal.ScannedOp) error {
 	}
 	if tbl == nil {
 		return &wal.CorruptError{Reason: fmt.Sprintf("batch %d references unknown table %s", seq, op.Table)}
+	}
+	if err := tbl.CheckFragments(k, op.Row); err != nil {
+		return fmt.Errorf("core: replaying batch %d into %s: %w", seq, op.Table, err)
 	}
 	var err error
 	switch op.Kind {

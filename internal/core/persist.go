@@ -317,6 +317,7 @@ func OpenRecovered(cfg Config) (*Store, error) {
 	// IDs a never-crashed store would, even when the max-ID rows were
 	// deleted again later in the log.
 	maxSeen := map[string]int64{}
+	var k xadt.Walker
 	for _, b := range tail.Batches {
 		if b.Seq <= hdr.LastBatch {
 			// Already absorbed by the checkpoint; a crash between
@@ -329,7 +330,7 @@ func OpenRecovered(cfg Config) (*Store, error) {
 			formatSet = true
 		}
 		for _, op := range b.Ops {
-			if err := st.replayOp(b.Seq, op); err != nil {
+			if err := st.replayOp(b.Seq, op, &k); err != nil {
 				return nil, err
 			}
 			if op.Kind != wal.OpInsert {

@@ -2,10 +2,9 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"maps"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -13,8 +12,7 @@ import (
 	"repro/internal/engine/catalog"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
-	"repro/internal/engine/xindex"
-	"repro/internal/testutil"
+	"repro/internal/engine/wal"
 	"repro/internal/xadt"
 )
 
@@ -204,39 +202,14 @@ func TestSnapshotPreservesXADTPayloads(t *testing.T) {
 	}
 }
 
-// TestSnapshotOpensMixedHeaderStore opens a snapshot whose speech
-// fragments carry the v1 header that stores wrote before values were
-// stored headerless (and whose header says "legacy": true, as some of
-// those snapshots do), then resumes loading into it, so headerless rows
-// land beside the headered ones. Queries answer as before; RunStats
-// element counts equal a store built fresh from the same documents; and
-// after the next snapshot each fragment index equals one built over
-// headerless encodings of the same rows.
-func TestSnapshotOpensMixedHeaderStore(t *testing.T) {
+// TestSnapshotRejectsAlteredTable alters one byte of the element table
+// of a stored fragment in a saved snapshot, and separately stores every
+// speech fragment in the format written before values carried a table
+// (format byte and text). Opening either snapshot fails with the ingress
+// error naming the table and the column; the snapshot keeps no checksum
+// that would fire first.
+func TestSnapshotRejectsAlteredTable(t *testing.T) {
 	st := newPlayStore(t, XORator)
-	if err := st.CreateDefaultIndexes(); err != nil {
-		t.Fatal(err)
-	}
-	q := `SELECT xadtText(speech_line) FROM speech WHERE findKeyInElm(speech_speaker, 'SPEAKER', 'ROMEO') = 1`
-	texts := func(s *Store) []string {
-		t.Helper()
-		res, err := s.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]string, len(res.Rows))
-		for i, r := range res.Rows {
-			out[i] = r[0].Str()
-		}
-		slices.Sort(out)
-		return out
-	}
-	want := texts(st)
-	if len(want) == 0 {
-		t.Fatal("query matches no speech")
-	}
-
-	// Rewrite every stored fragment of speech behind a v1 header.
 	tbl := st.DB.Catalog.Table("speech")
 	var rids []storage.RID
 	var rows [][]types.Value
@@ -246,110 +219,95 @@ func TestSnapshotOpensMixedHeaderStore(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for i, row := range rows {
-		for j, v := range row {
-			if v.Kind() == types.KindXADT {
-				row[j] = types.NewXADT(testutil.WithV1Header(v.XADT()))
-			}
-		}
-		if _, err := tbl.UpdateRID(rids[i], row); err != nil {
-			t.Fatal(err)
+	col := -1
+	for j, v := range rows[0] {
+		if v.Kind() == types.KindXADT {
+			col = j
+			break
 		}
 	}
-
+	if col < 0 {
+		t.Fatal("speech has no XADT value")
+	}
+	wantErr := "catalog: table speech column " + tbl.Schema.Columns[col].Name + ": xadt:"
+	open := func(what string, snap []byte) {
+		t.Helper()
+		_, err := OpenSnapshot(bytes.NewReader(snap), engine.Config{})
+		if err == nil || !strings.Contains(err.Error(), wantErr) || !strings.Contains(err.Error(), "element table") {
+			t.Fatalf("%s: OpenSnapshot error %v, want one naming %q and the element table", what, err, wantErr)
+		}
+	}
 	var buf bytes.Buffer
 	if err := st.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	hlen, n := binary.Uvarint(data)
-	hdr := append([]byte(`{"legacy":true,`), data[n+1:n+int(hlen)]...)
-	snap := binary.AppendUvarint(nil, uint64(len(hdr)))
-	snap = append(append(snap, hdr...), data[n+int(hlen):]...)
-
-	restored, err := OpenSnapshot(bytes.NewReader(snap), engine.Config{})
-	if err != nil {
-		t.Fatal(err)
+	val := rows[0][col].XADT()
+	at := bytes.Index(buf.Bytes(), val)
+	if at < 0 {
+		t.Fatalf("stored value %q not found in the snapshot", val)
 	}
-	if got := texts(restored); !slices.Equal(got, want) {
-		t.Fatalf("headered snapshot returns %d fragments, want %d", len(got), len(want))
-	}
+	altered := bytes.Clone(buf.Bytes())
+	copy(altered[at:], alterTable(t, val))
+	open("altered table byte", altered)
 
-	more := smallPlays(t, 1)
-	fresh := newPlayStore(t, XORator)
-	for _, s := range []*Store{restored, fresh} {
-		if err := s.Load(more); err != nil {
+	for i, row := range rows {
+		text, err := xadt.FromBytes(row[col].XADT()).Text()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunStats(); err != nil {
+		row[col] = types.NewXADT(append([]byte{byte(xadt.Raw)}, text...))
+		if _, err := tbl.UpdateRID(rids[i], row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := texts(restored), texts(fresh); !slices.Equal(got, want) {
-		t.Fatalf("after a resumed load the query returns %d fragments, a fresh store %d", len(got), len(want))
-	}
-	// Reopening builds the fragment indexes in heap order, the order the
-	// reference below adds rows in.
 	buf.Reset()
-	if err := restored.Save(&buf); err != nil {
+	if err := st.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if restored, err = OpenSnapshot(&buf, engine.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	mixed := restored.Table("speech")
-	// headered counts the values that start with the v1 header marker
-	// rather than a format byte.
-	headered := func(s *Store) int {
-		n := 0
-		if err := s.Table("speech").Heap.Scan(func(_ storage.RID, row []types.Value) error {
-			for _, v := range row {
-				if v.Kind() == types.KindXADT && v.XADT()[0] > byte(xadt.Directory) {
-					n++
-				}
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	if n, f := headered(restored), headered(fresh); n == 0 || f != 0 || mixed.Heap.Rows() != fresh.Table("speech").Heap.Rows() {
-		t.Fatalf("%d headered fragments in %d rows; fresh store: %d in %d rows", n, mixed.Heap.Rows(), f, fresh.Table("speech").Heap.Rows())
-	}
-	for _, col := range mixed.Schema.Columns {
-		if col.Type != types.KindXADT {
-			continue
-		}
-		got, want := mixed.Stats.Cols[col.Name].PathFreq, fresh.Table("speech").Stats.Cols[col.Name].PathFreq
-		if len(want) == 0 || !maps.Equal(got, want) {
-			t.Errorf("%s element counts %v, fresh store %v", col.Name, got, want)
-		}
-	}
+	open("values without a table", buf.Bytes())
+}
 
-	// Headered rows moved when they grew, so the mixed store's RIDs are
-	// its own: the reference indexes its rows, re-encoded.
-	if len(mixed.FragIndexes) == 0 {
-		t.Fatal("no fragment index on speech")
+// alterTable returns a copy of the stored value val with its first
+// table entry, the name code of its first element, one larger.
+func alterTable(t *testing.T, val []byte) []byte {
+	t.Helper()
+	if len(val) < 3 || val[1] == 0 || val[1] >= 0x80 || val[2] >= 0x7F {
+		t.Fatalf("value %x: no one-byte table entry", val)
 	}
-	for _, fi := range mixed.FragIndexes {
-		ref := xindex.NewFragmentIndex(fi.Table(), fi.Column(), fi.ColumnIndex())
-		if err := mixed.Heap.Scan(func(rid storage.RID, row []types.Value) error {
-			v := row[fi.ColumnIndex()]
-			if !v.IsNull() {
-				nodes, err := xadt.FromBytes(v.XADT()).Nodes()
-				if err != nil {
-					return err
-				}
-				v = types.NewXADT(xadt.Encode(nodes, restored.Format).Bytes())
-			}
-			ref.AddRow(rid, v)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+	out := bytes.Clone(val)
+	out[2]++
+	return out
+}
+
+// TestRecoveryRejectsAlteredTable logs a row whose XADT value has one
+// table byte altered (the log's checksums are computed over it, so they
+// pass): recovery fails with the ingress error naming the table and the
+// column.
+func TestRecoveryRejectsAlteredTable(t *testing.T) {
+	vfs := storage.NewMemVFS()
+	st, _ := addPlayStore(t, XORator, vfs)
+	tbl := st.DB.Catalog.Table("speech")
+	var row []types.Value
+	if err := tbl.Heap.Scan(func(_ storage.RID, r []types.Value) error {
+		if row == nil {
+			row = r
 		}
-		if d := fi.Diff(ref); d != "" {
-			t.Errorf("%s: fragment index differs from a headerless build: %s", fi.Column(), d)
-		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	col := slices.IndexFunc(row, func(v types.Value) bool { return v.Kind() == types.KindXADT })
+	row[col] = types.NewXADT(alterTable(t, row[col].XADT()))
+	b := st.wal.Begin()
+	if err := b.Insert("speech", row); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenRecovered(Config{Engine: engine.Config{WALDir: "wal", WALSync: wal.SyncAlways, VFS: vfs}})
+	want := "catalog: table speech column " + tbl.Schema.Columns[col].Name + ": xadt:"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenRecovered error %v, want one naming %q", err, want)
 	}
 }

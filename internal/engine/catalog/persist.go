@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine/storage"
 	"repro/internal/engine/types"
+	"repro/internal/xadt"
 )
 
 // snapshotMagic identifies a catalog snapshot stream. Format v3 appends
@@ -151,6 +152,10 @@ func Load(r io.Reader, pool *storage.BufferPool) (*Catalog, error) {
 			return nil, fmt.Errorf("catalog: table %s heap: %w", name, err)
 		}
 		tbl.Heap = heap
+		var k xadt.Walker
+		if err := heap.Scan(func(_ storage.RID, row []types.Value) error { return tbl.CheckFragments(&k, row) }); err != nil {
+			return nil, err
+		}
 		// The column's type decides the kind of index CreateIndexes
 		// builds; the prefix must agree with it.
 		for j, def := range idxCols {
@@ -200,6 +205,21 @@ func Load(r io.Reader, pool *storage.BufferPool) (*Catalog, error) {
 		}
 	}
 	return c, nil
+}
+
+// CheckFragments holds each XADT value of row, read from outside the
+// process, to the ingress check: its stored element table must be the
+// one its text scans to. The error names the table and the column.
+func (t *Table) CheckFragments(k *xadt.Walker, row []types.Value) error {
+	for i, v := range row {
+		if v.Kind() != types.KindXADT || i >= len(t.Schema.Columns) {
+			continue
+		}
+		if err := k.Check(v.XADT()); err != nil {
+			return fmt.Errorf("catalog: table %s column %s: %w", t.Schema.Table, t.Schema.Columns[i].Name, err)
+		}
+	}
+	return nil
 }
 
 func writeUvarint(w io.Writer, v uint64) error {

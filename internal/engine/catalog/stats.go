@@ -223,7 +223,7 @@ func buildHistogram(kind types.Kind, sample []types.Value, totalNonNull int) *Hi
 }
 
 // elementCounter tallies the element names of stored XADT fragments from
-// the scanner's element table, reusing its working space across rows.
+// their stored element table, reusing its working space across rows.
 type elementCounter struct {
 	w    xadt.Walker
 	text []byte

@@ -141,9 +141,8 @@ func TestStatsEncodingGolden(t *testing.T) {
 }
 
 // TestElementCountsMatchNodeWalk holds RunStats' element-name tally,
-// taken from the scanner's element table, to a walk of the decoded nodes
-// over generated fragments in every storage format, with and without a
-// v1 header.
+// taken from the stored element table, to a walk of the decoded nodes
+// over generated fragments in every storage format.
 func TestElementCountsMatchNodeWalk(t *testing.T) {
 	frags := testutil.Fragments()
 	want := map[string]int{}
@@ -157,20 +156,14 @@ func TestElementCountsMatchNodeWalk(t *testing.T) {
 			})
 		}
 	}
-	for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed, xadt.Directory} {
-		for _, headered := range []bool{false, true} {
-			got := map[string]int{}
-			var c elementCounter
-			for _, nodes := range frags {
-				enc := xadt.Encode(nodes, f).Bytes()
-				if headered {
-					enc = testutil.WithV1Header(enc)
-				}
-				c.count(types.NewXADT(enc), got)
-			}
-			if !maps.Equal(got, want) {
-				t.Errorf("%v headered=%v: element counts %v, node walk %v", f, headered, got, want)
-			}
+	for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed} {
+		got := map[string]int{}
+		var c elementCounter
+		for _, nodes := range frags {
+			c.count(types.NewXADT(xadt.Encode(nodes, f).Bytes()), got)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%v: element counts %v, node walk %v", f, got, want)
 		}
 	}
 }

@@ -75,7 +75,7 @@ type Database struct {
 	// envelope (see core's direct-op wrappers).
 	TxnMgr  *mvcc.TxnManager
 	planner *plan.Planner
-	caches  *xadt.CachePool // XADT table caches the UDFs borrow
+	caches  *xadt.CachePool // XADT caches the UDFs borrow
 	spill   *exec.SpillSink
 }
 
@@ -99,8 +99,9 @@ func (db *Database) SpillStats() exec.SpillStats { return db.spill.Stats() }
 // spill activity to one measured query.
 func (db *Database) ResetSpillStats() { db.spill.Reset() }
 
-// XADTCacheStats returns the table-cache hit/miss totals accumulated
-// so far, the XADT counterpart of Pool.Stats.
+// XADTCacheStats returns the XADT caches' totals so far: element tables
+// decoded (misses) and reads a cache's table slot served (hits), the
+// XADT counterpart of Pool.Stats.
 func (db *Database) XADTCacheStats() xadt.CacheStats { return db.caches.Stats() }
 
 // Result is a fully materialized query result.
@@ -137,7 +138,7 @@ func newDatabase(cat *catalog.Catalog, pool *storage.BufferPool, cfg Config) *Da
 		Pool:     pool,
 		planner:  &plan.Planner{Cat: cat, Reg: reg, Opts: plannerOptions(cfg), Spill: spill},
 		spill:    spill,
-		caches:   xadt.NewCachePool(xadt.DefaultCacheEntries),
+		caches:   xadt.NewCachePool(0),
 	}
 	registerStandardFunctions(reg, db.caches)
 	if cfg.MVCC {
@@ -288,8 +289,8 @@ func OpenSnapshot(r io.Reader, cfg Config) (*Database, error) {
 // registerStandardFunctions installs the XADT methods (§3.4.2), the
 // unnest table function (§3.5), and the built-in/UDF string function
 // pairs of the Figure 14 experiment. Each XADT UDF invocation borrows a
-// table cache from caches (sync.Pool keeps it effectively worker-private,
-// so the hot path takes no locks). They are ReadOnly — they never mutate the fragment
+// cache from caches (sync.Pool keeps it effectively worker-private, so
+// the hot path takes no locks). They are ReadOnly — they never mutate the fragment
 // bytes — so the call convention skips the defensive argument copy.
 func registerStandardFunctions(reg *expr.Registry, caches *xadt.CachePool) {
 	must := func(err error) {

@@ -14,7 +14,7 @@ import (
 // produced for an indexable UDF conjunct, in heap order, and re-verifies
 // the full pushed predicate on each fetched row. The index only supplies
 // a superset of the matching RIDs (its keyword postings match by
-// token-substring, its path postings by element presence), so the
+// token-substring, its name postings by element presence), so the
 // re-verification is what makes results exact: a lossy or conservative
 // index can cost time but can never change the rows. Candidates are
 // sorted by (page, slot), which is exactly SeqScan's emission order, so

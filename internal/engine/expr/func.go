@@ -160,7 +160,7 @@ func (c *Call) Eval(row []types.Value) (types.Value, error) {
 		// UDF's own memory (DB2 marshals SQL values into the UDF's
 		// buffers on every call) — the per-call cost Figure 14
 		// quantifies. ReadOnly UDFs skip the copy; it also keeps the
-		// bytes' identity stable, which the XADT decode cache keys on.
+		// bytes' identity stable, which the XADT cache's table slot keys on.
 		if c.Func.ReadOnly {
 			args[i] = v
 		} else {

@@ -131,15 +131,16 @@ func TestPlanProbesEachFragmentIndexOnce(t *testing.T) {
 }
 
 // TestScannerRejectedFragmentDisablesIndex: a stored value the tree
-// parser reads but the byte scanner rejects, such as a self-closing tag
-// or a comment, invalidates its fragment index. The row still counts
-// toward Rows, and the planner falls back to scans.
+// parser reads but whose element table does not decode invalidates its
+// fragment index. The row still counts toward Rows, and the planner
+// falls back to scans.
 func TestScannerRejectedFragmentDisablesIndex(t *testing.T) {
 	p := fragFixture(t, true)
 	speech := p.Cat.Table("speech")
 	stored := func(markup string) types.Value {
 		t.Helper()
-		v := xadt.FromBytes(append([]byte{byte(xadt.Raw)}, markup...))
+		// A one-byte table whose entry names a code the value lacks.
+		v := xadt.FromBytes(append([]byte{byte(xadt.Raw), 1, 0x10}, markup...))
 		if _, err := v.Nodes(); err != nil {
 			t.Fatalf("Nodes rejects %q: %v", markup, err)
 		}

@@ -268,7 +268,7 @@ func TestValueLayout(t *testing.T) {
 func TestReferenceReadsMaterialize(t *testing.T) {
 	var refs, twins []Value
 	for _, nodes := range testutil.Fragments() {
-		for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed, xadt.Directory} {
+		for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed} {
 			parent := xadt.Encode(nodes, f)
 			for i, n := range nodes {
 				if i > 0 && n.Name == nodes[i-1].Name {

@@ -103,8 +103,8 @@ func (fi *FragmentIndex) SizeBytes() int64 {
 // coverage, including NULL fragments (which simply contribute no
 // postings). Rows at RIDs past every posting extend the main indexes; a
 // row at a reused (lower) RID lands in the overlay instead, since the
-// delta-coded postings are append-only. A fragment the byte scanner
-// rejects invalidates the index instead of erroring the insert —
+// delta-coded postings are append-only. A fragment whose element table
+// does not read invalidates the index instead of erroring the insert —
 // correctness comes from the planner's fallback, not from aborting
 // loads.
 func (fi *FragmentIndex) AddRow(rid storage.RID, v types.Value) {
@@ -134,7 +134,7 @@ func (fi *FragmentIndex) AddRow(rid storage.RID, v types.Value) {
 	}
 }
 
-// addFragment indexes one stored fragment under fi.mu from the scanner's
+// addFragment indexes one stored fragment under fi.mu from its stored
 // element table, without decoding it to nodes. Every distinct element
 // name gets one posting for the row. The word postings come from the
 // fragment's character data in document order — the concatenation

@@ -1,7 +1,6 @@
 package xindex
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -60,48 +59,41 @@ func elementNames(nodes []*xmltree.Node) map[string]bool {
 
 // TestIndexMatchesNodeOracle builds each fragment index twice over the
 // same rows, once through AddRow and once through the node-walking
-// reference, for every storage format with and without a v1 header,
-// and requires identical contents: name postings, word postings, Rows
-// and Valid. It also holds every element-name probe to the rows whose
+// reference, for every storage format, and requires identical contents:
+// name postings, word postings, Rows and Valid. It also holds every element-name probe to the rows whose
 // decoded nodes contain an element of that name.
 func TestIndexMatchesNodeOracle(t *testing.T) {
 	frags := testutil.Fragments()
-	for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed, xadt.Directory} {
-		for _, headered := range []bool{false, true} {
-			got := NewFragmentIndex("t", "c", 0)
-			want := NewFragmentIndex("t", "c", 0)
-			rowsWith := map[string][]storage.RID{} // element name → rows holding it
-			for i, nodes := range frags {
-				enc := xadt.Encode(nodes, f).Bytes()
-				if headered {
-					enc = testutil.WithV1Header(enc)
+	for _, f := range []xadt.Format{xadt.Raw, xadt.Compressed} {
+		got := NewFragmentIndex("t", "c", 0)
+		want := NewFragmentIndex("t", "c", 0)
+		rowsWith := map[string][]storage.RID{} // element name → rows holding it
+		for i, nodes := range frags {
+			v := types.NewXADT(xadt.Encode(nodes, f).Bytes())
+			r := rid(int32(i/50), int32(i%50))
+			if i%17 == 0 {
+				v = types.Null
+			} else {
+				for name := range elementNames(nodes) {
+					rowsWith[name] = append(rowsWith[name], r)
 				}
-				v := types.NewXADT(enc)
-				r := rid(int32(i/50), int32(i%50))
-				if i%17 == 0 {
-					v = types.Null
-				} else {
-					for name := range elementNames(nodes) {
-						rowsWith[name] = append(rowsWith[name], r)
-					}
-				}
-				got.AddRow(r, v)
-				refAddRow(want, r, v)
 			}
-			name := fmt.Sprintf("%v headered=%v", f, headered)
-			if d := got.Diff(want); d != "" {
-				t.Fatalf("%s: index differs from the node oracle: %s", name, d)
-			}
-			if !got.Valid() || got.Rows() != len(frags) || len(got.names) == 0 || len(got.words) == 0 {
-				t.Fatalf("%s: Valid=%v Rows=%d names=%d terms=%d", name, got.Valid(), got.Rows(), len(got.names), len(got.words))
-			}
-			if len(rowsWith) != len(got.names) {
-				t.Fatalf("%s: %d element names in the nodes, %d in the index", name, len(rowsWith), len(got.names))
-			}
-			for elm, want := range rowsWith {
-				if rids, ok := got.LookupFindKey(elm, ""); !ok || !slices.Equal(rids, want) {
-					t.Fatalf("%s: LookupFindKey(%q) = %v,%v, want %v", name, elm, rids, ok, want)
-				}
+			got.AddRow(r, v)
+			refAddRow(want, r, v)
+		}
+		name := f.String()
+		if d := got.Diff(want); d != "" {
+			t.Fatalf("%s: index differs from the node oracle: %s", name, d)
+		}
+		if !got.Valid() || got.Rows() != len(frags) || len(got.names) == 0 || len(got.words) == 0 {
+			t.Fatalf("%s: Valid=%v Rows=%d names=%d terms=%d", name, got.Valid(), got.Rows(), len(got.names), len(got.words))
+		}
+		if len(rowsWith) != len(got.names) {
+			t.Fatalf("%s: %d element names in the nodes, %d in the index", name, len(rowsWith), len(got.names))
+		}
+		for elm, want := range rowsWith {
+			if rids, ok := got.LookupFindKey(elm, ""); !ok || !slices.Equal(rids, want) {
+				t.Fatalf("%s: LookupFindKey(%q) = %v,%v, want %v", name, elm, rids, ok, want)
 			}
 		}
 	}

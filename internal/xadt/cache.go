@@ -5,121 +5,46 @@ import (
 	"sync/atomic"
 )
 
-// DefaultCacheEntries bounds each table cache. 128 fragments is enough
-// to cover the reuse pattern that matters — a WHERE predicate scanning a
-// fragment and the projection scanning the same one again — while
-// keeping a worker's cache well under a megabyte on the paper's
-// datasets.
-const DefaultCacheEntries = 128
-
-// Cache memoizes fragment→element table, keyed by the fragment's stored
-// bytes, with LRU eviction. A table holds only offsets, so a hit applies
-// it to the caller's bytes, which equal the key. It is not safe for
-// concurrent use; each execution worker owns one (see CachePool).
+// Cache is an execution worker's XADT working space: scratch space for
+// building method outputs, and one slot holding the decoded element
+// table of the value read last, keyed by the identity of its bytes (the
+// same memory, which a Value never writes to). The slot serves a row's
+// verify and projection on the same stored value, and every reference
+// into the value Unnest split. It is not safe for concurrent use; each
+// execution worker owns one (see CachePool).
 type Cache struct {
-	cap     int
-	entries map[string]*cacheEntry
-	// Intrusive LRU list with a sentinel: head.next is most recent.
-	head         cacheEntry
+	w    scratch
+	data []byte // the value whose table t holds
+	t    table
+	// hits counts reads the slot served, misses tables decoded.
 	hits, misses uint64
-	// missStreak counts consecutive misses; a long streak means the
-	// caller is sweeping distinct fragments (no reuse), so admission is
-	// throttled to avoid paying key-copy + eviction per call.
-	missStreak int
-	w          scratch
-	// split is the table of the value Unnest split last, kept apart
-	// from the LRU: methods on the references Unnest returned read it
-	// without a scan, whatever the LRU admitted.
-	split lastSplit
+	shard        int // the CachePool counters Put adds to
 }
 
-type cacheEntry struct {
-	key        string
-	t          table
-	prev, next *cacheEntry
-}
+// NewCache returns an empty cache. The argument is ignored: a cache
+// holds one table (callers written for the sized cache it replaced still
+// pass one).
+func NewCache(int) *Cache { return &Cache{} }
 
-// NewCache returns a cache bounded to max entries (DefaultCacheEntries
-// if max <= 0).
-func NewCache(max int) *Cache {
-	if max <= 0 {
-		max = DefaultCacheEntries
-	}
-	c := &Cache{cap: max, entries: make(map[string]*cacheEntry, max)}
-	c.head.prev, c.head.next = &c.head, &c.head
-	return c
-}
-
-// table returns the element table of v, scanning and caching on miss.
-// A table the cache does not keep lives in its scratch space and is
-// valid until the next call. A reference never goes through the LRU
-// (see refTable).
+// table returns the element table of v, decoding it into the slot
+// unless the slot holds v's bytes. A reference reads its element's
+// entries within the table of the value it points into.
 func (c *Cache) table(v Value) (*table, error) {
-	if v.span != 0 {
-		return c.refTable(v)
-	}
-	return c.lookup(v, true)
-}
-
-// lookup is table, caching a scan only when admit is set.
-func (c *Cache) lookup(v Value, admit bool) (*table, error) {
-	// The inline string(v.data) conversion lets the compiler elide the
-	// key copy on the hit path.
-	if e, ok := c.entries[string(v.data)]; ok {
+	if len(v.data) > 0 && len(v.data) == len(c.data) && &v.data[0] == &c.data[0] {
 		c.hits++
-		c.missStreak = 0
-		c.unlink(e)
-		c.pushFront(e)
-		return &e.t, nil
-	}
-	c.misses++
-	c.missStreak++
-	if err := c.w.scan(v.data, &c.w.t); err != nil {
-		return nil, err
-	}
-	// Sweep detection: after 2*cap consecutive misses nothing inserted
-	// recently has been re-referenced, so admit only every 8th fragment.
-	// A single hit resets the streak and restores full admission.
-	if !admit || c.missStreak > 2*c.cap && c.missStreak%8 != 0 {
-		return &c.w.t, nil
-	}
-	// A full cache reuses the evicted entry and its table slices; only a
-	// cache with room allocates an entry.
-	var e *cacheEntry
-	if len(c.entries) >= c.cap {
-		e = c.head.prev
-		c.unlink(e)
-		delete(c.entries, e.key)
 	} else {
-		e = &cacheEntry{}
+		c.misses++
+		c.data = nil
+		if err := c.w.read(v.data, &c.t); err != nil {
+			return nil, err
+		}
+		c.data = v.data
 	}
-	e.key = string(v.data)
-	e.t = table{
-		format: c.w.t.format,
-		body:   c.w.t.body,
-		end:    c.w.t.end,
-		names:  append(e.t.names[:0], c.w.t.names...),
-		elems:  append(e.t.elems[:0], c.w.t.elems...),
+	if v.span != 0 {
+		return c.w.viewOf(&c.t, v.span)
 	}
-	c.entries[e.key] = e
-	c.pushFront(e)
-	return &e.t, nil
+	return &c.t, nil
 }
-
-func (c *Cache) unlink(e *cacheEntry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-}
-
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.next = c.head.next
-	e.prev = &c.head
-	e.next.prev = e
-	c.head.next = e
-}
-
-// Len reports the number of cached fragments.
-func (c *Cache) Len() int { return len(c.entries) }
 
 // Stats reports the cache's accumulated hit/miss counters.
 func (c *Cache) Stats() CacheStats {
@@ -132,23 +57,28 @@ type CacheStats struct {
 	Misses uint64
 }
 
-// CachePool hands out table caches to execution workers. It is backed
-// by sync.Pool, so under the parallel executor each worker effectively
+// CachePool hands out caches to execution workers. It is backed by
+// sync.Pool, so under the parallel executor each worker effectively
 // keeps a private cache for the life of a pipeline (no contention on the
-// hot path); counters are flushed into the pool's atomic totals on Put
-// so Stats survives cache recycling.
+// hot path). Put folds a cache's counters into one of the pool's
+// counter shards, chosen when the cache was made, so that workers'
+// Puts write different cache lines; Stats sums the shards.
 type CachePool struct {
-	pool    sync.Pool
-	entries int
-	hits    atomic.Uint64
-	misses  atomic.Uint64
+	pool   sync.Pool
+	made   atomic.Uint32
+	shards [8]struct {
+		hits, misses atomic.Uint64
+		// Shards 128 bytes apart never share a 64-byte line, however
+		// the array is aligned.
+		_ [112]byte
+	}
 }
 
-// NewCachePool returns a pool of caches each bounded to entriesPerCache
-// (DefaultCacheEntries if <= 0).
-func NewCachePool(entriesPerCache int) *CachePool {
-	p := &CachePool{entries: entriesPerCache}
-	p.pool.New = func() any { return NewCache(p.entries) }
+// NewCachePool returns a pool of caches. The argument is ignored, as by
+// NewCache.
+func NewCachePool(int) *CachePool {
+	p := &CachePool{}
+	p.pool.New = func() any { return &Cache{shard: int(p.made.Add(1)) % len(p.shards)} }
 	return p
 }
 
@@ -156,16 +86,22 @@ func NewCachePool(entriesPerCache int) *CachePool {
 func (p *CachePool) Get() *Cache { return p.pool.Get().(*Cache) }
 
 // Put returns a cache to the pool, folding its counters into the pool
-// totals. The cache keeps its contents, so a worker that re-borrows one
-// still benefits from earlier scans.
+// totals. The cache keeps its slot, so a worker that re-borrows it still
+// reads the value it read last without decoding it again.
 func (p *CachePool) Put(c *Cache) {
-	p.hits.Add(c.hits)
-	p.misses.Add(c.misses)
+	s := &p.shards[c.shard]
+	s.hits.Add(c.hits)
+	s.misses.Add(c.misses)
 	c.hits, c.misses = 0, 0
 	p.pool.Put(c)
 }
 
 // Stats returns the pool-wide totals flushed by Put so far.
 func (p *CachePool) Stats() CacheStats {
-	return CacheStats{Hits: p.hits.Load(), Misses: p.misses.Load()}
+	var st CacheStats
+	for i := range p.shards {
+		st.Hits += p.shards[i].hits.Load()
+		st.Misses += p.shards[i].misses.Load()
+	}
+	return st
 }

@@ -2,31 +2,30 @@ package xadt
 
 import "errors"
 
-// Evaluator runs the XADT methods with an optional table cache, which
-// skips re-scanning fragments seen earlier in the execution. A nil
-// *Evaluator is valid and scans every call; the package-level functions
-// use it.
+// Evaluator runs the XADT methods with an optional Cache, which keeps
+// the table decoded last and the scratch space outputs are built in. A
+// nil *Evaluator is valid and decodes every call into fresh scratch
+// space; the package-level functions use it.
 //
 // Evaluators are cheap value-like structs; each execution worker should
 // use its own Cache (see CachePool) since caches are not thread-safe.
 type Evaluator struct {
-	// Cache, when non-nil, memoizes fragment element tables across calls.
+	// Cache, when non-nil, keeps the table decoded last across calls.
 	Cache *Cache
 }
 
-// table scans in, through the cache when one is attached, and returns
-// its element table with the scratch space to build outputs in. Without
-// a cache a reference scans only its own span.
+// table returns the element table of in, through the cache when one is
+// attached, with the scratch space to build outputs in.
 func (e *Evaluator) table(in Value) (*table, *scratch, error) {
-	if e != nil && e.Cache != nil {
-		t, err := e.Cache.table(in)
-		return t, &e.Cache.w, err
+	var c *Cache
+	if e != nil {
+		c = e.Cache
 	}
-	w := &scratch{}
-	if in.span != 0 {
-		return &w.t, w, w.scanSpan(in.data, in.span, &w.t)
+	if c == nil {
+		c = new(Cache)
 	}
-	return &w.t, w, w.scan(in.data, &w.t)
+	t, err := c.table(in)
+	return t, &c.w, err
 }
 
 // GetElm implements the getElm method of §3.4.2: it returns all rootElm
@@ -176,13 +175,7 @@ func (t *table) pickChildren(picks []int32, parent int, child int32, startPos, e
 // references into in's bytes (into its parent's, when in is one): no
 // bytes are built until someone asks for them.
 func (e *Evaluator) Unnest(in Value, tag string) ([]Value, error) {
-	var t *table
-	var err error
-	if in.span == 0 && e != nil && e.Cache != nil {
-		t, err = e.Cache.splitTable(in)
-	} else {
-		t, _, err = e.table(in)
-	}
+	t, _, err := e.table(in)
 	if err != nil {
 		return nil, err
 	}
@@ -213,13 +206,12 @@ func Unnest(in Value, tag string) ([]Value, error) {
 // attributes: the concatenated InnerText of its top-level nodes.
 func (e *Evaluator) InnerText(in Value) (string, error) {
 	if in.span != 0 {
-		// The element was scanned with its parent; its text needs no
-		// table.
+		// The element's text needs no table.
 		open, close := spanBounds(in.span)
 		return string(appendText(nil, in.data, open, close)), nil
 	}
-	t, _, err := e.table(in)
-	if err != nil {
+	var t table
+	if _, _, err := t.readHeader(in.data); err != nil {
 		return "", err
 	}
 	return string(appendText(nil, in.data, t.body, t.end)), nil

@@ -1,9 +1,8 @@
 package xadt
 
 import (
+	"errors"
 	"sort"
-
-	"repro/internal/xmltree"
 )
 
 // A reference is a Value that names one element of another value instead
@@ -34,25 +33,17 @@ func (v Value) Parts() (data []byte, span int64) { return v.data, v.span }
 func FromParts(data []byte, span int64) Value { return Value{data: data, span: span} }
 
 // materialize builds the bytes of the reference v, as encode builds a
-// one-element method output. It reads only the value header and the
-// element's span.
+// one-element method output, from the table of the value it points into.
 func (v Value) materialize() []byte {
 	var w scratch
-	t := &w.t
-	if _, err := t.readHeader(v.data); err != nil {
-		// The parent was scanned whole when the reference was made.
+	if err := w.read(v.data, &w.t); err != nil {
+		// The parent's table was read when the reference was made.
 		panic("xadt: reference into an unreadable value: " + err.Error())
 	}
-	open, close := spanBounds(v.span)
-	root := element{open: int32(open), close: int32(close)}
-	if t.format == Directory {
-		end := open + 1
-		for end < close && xmltree.IsNameChar(v.data[end]) {
-			end++
-		}
-		root.name = t.intern(v.data, open+1, end)
+	t, err := w.viewOf(&w.t, v.span)
+	if err != nil {
+		panic(err)
 	}
-	t.elems = append(t.elems, root)
 	return t.encode(v.data, &w, []int32{0}).data
 }
 
@@ -65,63 +56,17 @@ func (v Value) plain() Value {
 	return Value{data: v.materialize()}
 }
 
-// splitTable returns the table of the stored value v that Unnest is
-// splitting, and keeps it as the table the references it returns are
-// read through: a copy, whatever the LRU later admits or evicts. The
-// LRU serves a hit but does not admit v, whose table the copy already
-// keeps; a lateral unnest sweeps its column, one value per row.
-func (c *Cache) splitTable(v Value) (*table, error) {
-	s := &c.split
-	if s.holds(v.data) {
-		return &s.t, nil
-	}
-	t, err := c.lookup(v, false)
-	if err != nil {
-		return nil, err
-	}
-	s.data = v.data
-	s.t = table{
-		format: t.format, body: t.body, end: t.end,
-		names: append(s.t.names[:0], t.names...),
-		elems: append(s.t.elems[:0], t.elems...),
-	}
-	return &s.t, nil
-}
-
-// lastSplit is the value Unnest split last, with its table.
-type lastSplit struct {
-	data []byte
-	t    table
-}
-
-// holds reports whether data is the split value's bytes: the same
-// memory, which a Value never writes to.
-func (s *lastSplit) holds(data []byte) bool {
-	return len(data) > 0 && len(data) == len(s.data) && &data[0] == &s.data[0]
-}
-
-// refTable returns the table of the reference v: a view of the kept
-// split table when v points into it, else a scan of v's span only.
-func (c *Cache) refTable(v Value) (*table, error) {
-	if c.split.holds(v.data) {
-		if t := c.w.viewOf(&c.split.t, v.span); t != nil {
-			return t, nil
-		}
-	}
-	return &c.w.t, c.w.scanSpan(v.data, v.span, &c.w.t)
-}
-
 // viewOf points w.view at the elements of p that span names, the root
-// element and its descendants, sharing p's slices; nil when p has no
-// element at span. Depths stay p's: the methods use depth differences,
-// and pickChildren takes the top level from the first element.
-func (w *scratch) viewOf(p *table, span int64) *table {
+// element and its descendants, sharing p's slices. Depths stay p's: the
+// methods use depth differences, and pickChildren takes the top level
+// from the first element.
+func (w *scratch) viewOf(p *table, span int64) (*table, error) {
 	open, close := spanBounds(span)
 	lo := sort.Search(len(p.elems), func(i int) bool { return int(p.elems[i].open) >= open })
 	if lo == len(p.elems) || int(p.elems[lo].close) != close {
-		return nil
+		return nil, errors.New("xadt: reference to no element of its value")
 	}
 	hi := lo + sort.Search(len(p.elems)-lo, func(i int) bool { return int(p.elems[lo+i].open) >= close })
 	w.view = table{format: p.format, body: open, end: close, names: p.names, elems: p.elems[lo:hi]}
-	return &w.view
+	return &w.view, nil
 }

@@ -14,22 +14,20 @@ import (
 
 // The XADT methods run on the stored bytes, as the paper's implementation
 // does with "string compare and copy functions on the VARCHAR" (§4.1).
-// One pass over a payload builds a flat element table; the methods walk
-// the table and build their outputs by copying byte ranges of the value
-// (Raw, Directory) or by recoding them with a fresh dictionary
-// (Compressed). No xmltree nodes are built and no text is copied while
-// scanning.
+// Every value carries a flat element table (see table.go); the methods
+// decode it, walk it and build their outputs by copying byte ranges of
+// the value (Raw) or by recoding them with a fresh dictionary
+// (Compressed). No xmltree nodes are built and no text is copied.
 //
-// The scanner accepts exactly the markup the encoders write: elements
-// with explicit end tags, attributes written as ` name="value"`, the
-// escapes &lt; &gt; &amp; in character data and those plus &quot; in
-// attribute values, and nothing else — no comments, CDATA sections,
-// processing instructions, self-closing tags or other references. A
-// Compressed value must also use its dictionary in first-appearance
-// order, as encodeCompressed writes it. Anything else is an error. Every
-// stored value comes from Encode (behind a v1 header if it is old) and
-// every VARCHAR argument goes through Parse, so only corrupt bytes are
-// rejected, and on what it accepts the scanner agrees with Nodes byte for
+// The scanner below builds the same table from the text. It is the
+// ingress check (Walker.Check) and accepts exactly the markup the
+// encoders write: elements with explicit end tags, attributes written as
+// ` name="value"`, the escapes &lt; &gt; &amp; in character data and
+// those plus &quot; in attribute values, and nothing else — no comments,
+// CDATA sections, processing instructions, self-closing tags or other
+// references. A Compressed value must also use its dictionary in
+// first-appearance order, as Encode writes it. Anything else
+// is an error. On what it accepts the scanner agrees with Nodes byte for
 // byte: output ranges copied from accepted markup are exactly what
 // serializing the parsed nodes would write.
 
@@ -49,98 +47,57 @@ type element struct {
 // span is a byte range of a value.
 type span struct{ off, len int32 }
 
-// table is the scanned form of one value.
+// table is the decoded (or scanned) form of one value.
 type table struct {
 	format Format
-	// body and end bound the tagged text: the Raw text, the Directory
-	// text part, or the Compressed coded body; for a reference, its
-	// element.
+	// body and end bound the tagged text: the Raw text or the
+	// Compressed coded body; for a reference, its element.
 	body, end int
 	// names maps name codes to names in the value: the dictionary of a
-	// Compressed value, the first occurrence of each element and
-	// attribute name otherwise.
+	// Compressed value, the first occurrence of each element name
+	// otherwise.
 	names []span
 	elems []element
 }
 
-// scratch is the working space of scans and method outputs. A Cache
-// keeps one so that warm calls allocate only their results.
+// scratch is the working space of table reads and method outputs. A
+// Cache keeps one so that warm calls allocate only their results.
 type scratch struct {
-	t      table   // the last scan's table, when no cache entry holds it
-	view   table   // a reference's elements within a kept table (Cache.refTable)
-	stack  []int32 // open elements while scanning
-	attrs  []int32 // attribute codes of the start tag being scanned
+	t      table   // the table read last, when no Cache slot holds it
+	view   table   // a reference's elements within its parent's table
+	stack  []int32 // open elements while scanning or recoding
+	attrs  []span  // attribute names of the start tag being scanned
 	picks  []int32 // elements a method returns
+	tab    []byte  // the output's table entries
 	buf    []byte  // recoded body of a Compressed output
-	out    []byte  // the output being built
 	recode []int32 // input code → output code + 1 (0: not yet used)
 	order  []int32 // output code → input code
 }
 
-// scan builds the element table of the value data into t, reusing t's
-// slices.
+// scan builds the element table of the value data into t from its text,
+// reusing t's slices.
 func (w *scratch) scan(data []byte, t *table) error {
-	if len(data) > math.MaxInt32 {
-		return errors.New("xadt: value too large to scan")
-	}
-	body, err := t.readHeader(data)
-	if err != nil {
+	if _, _, err := t.readHeader(data); err != nil {
 		return err
 	}
-	t.body, t.end = body, len(data)
-	return w.scanBody(data, t, 0)
-}
-
-// scanSpan builds into t the table of the reference to the element
-// data[open:close) that span packs: the value's names (a Compressed
-// value's dictionary) and the element with its descendants, depths
-// counted from it. It reads the value header and the span, nothing else
-// of data. The whole value was scanned when the reference was made, so
-// the element's Compressed codes may appear in any order.
-func (w *scratch) scanSpan(data []byte, span int64, t *table) error {
-	if _, err := t.readHeader(data); err != nil {
-		return err
-	}
-	t.body, t.end = spanBounds(span)
-	return w.scanBody(data, t, int32(len(t.names)))
-}
-
-// readHeader resets t and reads the header of the value data: the
-// format and, for Compressed, the dictionary. It returns the offset of
-// the tagged text.
-func (t *table) readHeader(data []byte) (int, error) {
-	t.names, t.elems = t.names[:0], t.elems[:0]
-	off := payloadOffset(data)
-	t.format = Raw
-	if off == len(data) {
-		return off, nil
-	}
-	switch data[off] {
-	case byte(Compressed):
-		t.format = Compressed
-		return t.readDict(data, off+1)
-	case byte(Directory):
-		t.format = Directory
-		return directoryBody(data, off+1)
-	}
-	return off + 1, nil
+	return w.scanBody(data, t)
 }
 
 func malformed(what string, at int) error {
 	return fmt.Errorf("xadt: malformed fragment: %s at offset %d", what, at)
 }
 
-// scanBody scans the tagged text data[t.body:t.end]. next is the
-// Compressed code whose first appearance is due: 0 for a whole value,
-// len(t.names) where codes may come in any order.
-func (w *scratch) scanBody(data []byte, t *table, next int32) error {
+// scanBody scans the tagged text data[t.body:t.end].
+func (w *scratch) scanBody(data []byte, t *table) error {
 	data = data[:t.end] // offsets stay those of the whole value
 	coded := t.format == Compressed
 	stack := w.stack[:0]
-	// tagName reads the element or attribute name at data[i]: a name,
-	// interned into t.names, or a dictionary code in first-appearance
-	// order.
-	tagName := func(i int) (int32, int, error) {
+	next := int32(0) // the Compressed code whose first appearance is due
+	// tagName reads the element or attribute name at data[i]: a
+	// dictionary code in first-appearance order, or a name, which an
+	// element interns into t.names. It returns the code and the offset
+	// after the name.
+	tagName := func(i int, elem bool) (int32, int, error) {
 		if coded {
 			c, j := decimal(data, i, len(t.names))
 			if j < 0 || c > next {
@@ -156,6 +113,9 @@ func (w *scratch) scanBody(data []byte, t *table, next int32) error {
 			return 0, 0, malformed("expected name", i)
 		}
 		for j++; j < len(data) && xmltree.IsNameChar(data[j]); j++ {
+		}
+		if !elem {
+			return -1, j, nil
 		}
 		return t.intern(data, i, j), j, nil
 	}
@@ -194,18 +154,19 @@ func (w *scratch) scanBody(data []byte, t *table, next int32) error {
 			i = j + 1
 			continue
 		}
-		code, j, err := tagName(i + 1)
+		code, j, err := tagName(i+1, true)
 		if err != nil {
 			return err
 		}
 		attrs := w.attrs[:0]
 		for j < len(data) && data[j] == ' ' {
-			a, k, err := tagName(j + 1)
+			_, k, err := tagName(j+1, false)
 			if err != nil {
 				return err
 			}
+			a := span{int32(j + 1), int32(k - j - 1)}
 			for _, b := range attrs {
-				if a == b {
+				if bytes.Equal(data[a.off:a.off+a.len], data[b.off:b.off+b.len]) {
 					return malformed("duplicate attribute", j)
 				}
 			}
@@ -328,7 +289,7 @@ func (t *table) intern(data []byte, lo, hi int) int32 {
 
 // readDict reads the dictionary of a Compressed payload at data[pos]
 // into t.names and returns the offset of the coded body. Names must be
-// distinct XML names, as encodeCompressed writes them.
+// distinct XML names, as Encode writes them.
 func (t *table) readDict(data []byte, pos int) (int, error) {
 	r := byteReader{b: data, pos: pos}
 	n, err := r.uvarint()
@@ -378,8 +339,11 @@ func textByte(data []byte, i, hi int) (c byte, next int, ok bool) {
 		return 0, hi, false
 	}
 	if data[i] == '&' {
-		c, n := unescape(data[i:hi], false)
-		return c, i + n, true
+		// A value that passed Check has no other '&'; keep the byte
+		// of any other, as appendText does.
+		if c, n := unescape(data[i:hi], false); n > 0 {
+			return c, i + n, true
+		}
 	}
 	return data[i], i + 1, true
 }
@@ -446,20 +410,25 @@ func appendText(dst, data []byte, lo, hi int) []byte {
 	return dst
 }
 
-// Walker is the reusable working space of Walk. The zero value is ready
-// to use; a Walker must not be used by two goroutines at once.
-type Walker struct{ w scratch }
+// Walker is the reusable working space of Walk and Check. The zero
+// value is ready to use; a Walker must not be used by two goroutines at
+// once.
+type Walker struct {
+	w      scratch
+	stored table // Check's decoded table, held to w.t's scan
+}
 
-// Walk scans the stored value data, without a Cache, and calls elem with the name and depth
-// (1 for a top-level element) of each element in document order. Names
-// alias data; a Compressed value's come from its dictionary. Walk then
-// returns text with the value's character data appended: the bytes
-// Evaluator.InnerText returns. A value the scanner rejects is an error,
-// and elem is not called for it. Once the Walker has seen values of the
-// same shape, a call allocates nothing beyond text's growth.
+// Walk reads the element table of the stored value data, without a
+// Cache, and calls elem with the name and depth (1 for a top-level
+// element) of each element in document order. Names alias data; a
+// Compressed value's come from its dictionary. Walk then returns text
+// with the value's character data appended: the bytes
+// Evaluator.InnerText returns. A value whose table does not decode is an
+// error, and elem is not called for it. Once the Walker has seen values
+// of the same shape, a call allocates nothing beyond text's growth.
 func (k *Walker) Walk(data, text []byte, elem func(name []byte, depth int)) ([]byte, error) {
 	t := &k.w.t
-	if err := k.w.scan(data, t); err != nil {
+	if err := k.w.read(data, t); err != nil {
 		return text, err
 	}
 	for _, e := range t.elems {
@@ -468,99 +437,124 @@ func (k *Walker) Walk(data, text []byte, elem func(name []byte, depth int)) ([]b
 	return appendText(text, data, t.body, t.end), nil
 }
 
-// rewriteCodes appends the coded markup data[lo:hi] to dst with every
-// tag code rewritten by t.rename.
-func (t *table) rewriteCodes(dst, data []byte, lo, hi int, w *scratch) []byte {
-	for i := lo; i < hi; {
-		lt := bytes.IndexByte(data[i:hi], '<')
-		if lt < 0 {
-			return append(dst, data[i:hi]...)
+// encode builds the value holding the picked elements, in t's format:
+// exactly what Encode writes for their nodes, table included. A Raw
+// output copies the elements' bytes; a Compressed output recodes them
+// with a fresh dictionary in first-appearance order, as Encode numbers
+// names.
+func (t *table) encode(data []byte, w *scratch, picks []int32) Value {
+	w.recode = slices.Grow(w.recode[:0], len(t.names))[:len(t.names)]
+	clear(w.recode)
+	w.order = w.order[:0]
+	tab, body, size := w.tab[:0], w.buf[:0], 0
+	for _, p := range picks {
+		end := t.subtree(int(p))
+		if t.format == Compressed {
+			body, tab = t.recodeElems(body, tab, data, int(p), end, w)
+			continue
 		}
-		dst = append(dst, data[i:i+lt+1]...)
-		i += lt + 1
-		if data[i] == '/' {
-			dst = append(dst, '/')
-			i++
+		for _, e := range t.elems[p:end] {
+			tab = binary.AppendUvarint(tab, uint64(w.rename(e.name)))
 		}
-		code, j := decimal(data, i, math.MaxInt32)
-		dst = t.rename(dst, data, code, w)
-		for i = j; data[i] == ' '; {
-			code, j = decimal(data, i+1, math.MaxInt32)
-			dst = t.rename(append(dst, ' '), data, code, w)
-			// Copy `="value"`; '"' is escaped inside the value.
-			q := j + 2 + bytes.IndexByte(data[j+2:hi], '"')
-			dst = append(dst, data[j:q+1]...)
-			i = q + 1
-		}
-		dst = append(dst, '>')
-		i++
+		size += int(t.elems[p].close - t.elems[p].open)
 	}
-	return dst
+	w.tab, w.buf = tab, body
+	size += 1 + binary.MaxVarintLen32 + len(tab) + len(body)
+	if t.format == Compressed {
+		size += binary.MaxVarintLen32
+		for _, code := range w.order {
+			size += binary.MaxVarintLen32 + int(t.names[code].len)
+		}
+	}
+	out := appendBytes(append(make([]byte, 0, size), byte(t.format)), tab)
+	if t.format == Compressed {
+		out = binary.AppendUvarint(out, uint64(len(w.order)))
+		for _, code := range w.order {
+			out = appendBytes(out, t.name(data, code))
+		}
+		return Value{data: append(out, body...)}
+	}
+	for _, p := range picks {
+		out = append(out, data[t.elems[p].open:t.elems[p].close]...)
+	}
+	return Value{data: out}
 }
 
-// rename appends what a tag code becomes: its name when w is nil, else
-// its code in the output dictionary w is building, assigned on first
-// use.
-func (t *table) rename(dst, data []byte, code int32, w *scratch) []byte {
-	if w == nil {
-		return append(dst, t.name(data, code)...)
+// subtree returns the index one past the last descendant of element i.
+func (t *table) subtree(i int) int {
+	j := i + 1
+	for j < len(t.elems) && t.elems[j].depth > t.elems[i].depth {
+		j++
 	}
+	return j
+}
+
+// rename returns the output code of the input code, assigning the next
+// one on first use.
+func (w *scratch) rename(code int32) int32 {
 	c := w.recode[code]
 	if c == 0 {
 		w.order = append(w.order, code)
 		c = int32(len(w.order))
 		w.recode[code] = c
 	}
-	return strconv.AppendInt(dst, int64(c-1), 10)
+	return c - 1
 }
 
-// text returns the fragment text of the scanned value: the tagged text
-// itself, or for Compressed the body with its codes expanded to names.
-func (t *table) text(data []byte) []byte {
-	if t.format != Compressed {
-		return data[t.body:t.end]
+// recodeElems appends to body the coded markup of the Compressed
+// elements [i, end) of t — element i and its descendants — with every
+// tag code rewritten by w.rename, and to tab their output codes. It
+// reads only the tags the table places: the character data between
+// them is copied as it is.
+func (t *table) recodeElems(body, tab, data []byte, i, end int, w *scratch) ([]byte, []byte) {
+	stack, pos := w.stack[:0], t.elems[i].open
+	for k := i; ; k++ {
+		limit := int32(math.MaxInt32)
+		if k < end {
+			limit = t.elems[k].open
+		}
+		// Close the open elements that end before element k.
+		for len(stack) > 0 && t.elems[stack[len(stack)-1]].close <= limit {
+			e := &t.elems[stack[len(stack)-1]]
+			body = append(body, data[pos:e.end]...)
+			body = strconv.AppendInt(append(body, '<', '/'), int64(w.rename(e.name)), 10)
+			body, pos = append(body, '>'), e.close
+			stack = stack[:len(stack)-1]
+		}
+		if k == end {
+			w.stack = stack
+			return body, tab
+		}
+		e := &t.elems[k]
+		body = append(body, data[pos:e.open]...)
+		code := w.rename(e.name)
+		tab = binary.AppendUvarint(tab, uint64(code))
+		body = strconv.AppendInt(append(body, '<'), int64(code), 10)
+		body = t.recodeAttrs(body, data, int(e.open)+1+digits(e.name), int(e.start)-1, w)
+		body, pos = append(body, '>'), e.start
+		stack = append(stack, int32(k))
 	}
-	return t.rewriteCodes(make([]byte, 0, 2*(t.end-t.body)), data, t.body, t.end, nil)
 }
 
-// encode builds the value holding the picked elements, in t's format:
-// exactly what Encode writes for their nodes. Compressed outputs recode
-// the elements with a fresh dictionary in first-appearance order, as
-// encodeCompressed numbers nodes; Directory outputs get one directory
-// entry per element, as encodeDirectory writes them.
-func (t *table) encode(data []byte, w *scratch, picks []int32) Value {
-	out := append(w.out[:0], byte(t.format))
-	switch t.format {
-	case Compressed:
-		w.recode = slices.Grow(w.recode[:0], len(t.names))[:len(t.names)]
-		clear(w.recode)
-		w.order = w.order[:0]
-		body := w.buf[:0]
-		for _, p := range picks {
-			body = t.rewriteCodes(body, data, int(t.elems[p].open), int(t.elems[p].close), w)
+// recodeAttrs appends the coded attributes data[lo:hi] — ` code="value"`
+// each — with their codes rewritten by w.rename. Bytes that do not read
+// as attributes are copied as they are.
+func (t *table) recodeAttrs(dst, data []byte, lo, hi int, w *scratch) []byte {
+	for lo < hi && data[lo] == ' ' {
+		code, j := decimal(data[:hi], lo+1, len(t.names))
+		if j < 0 || j+1 >= hi || data[j] != '=' || data[j+1] != '"' {
+			break
 		}
-		out = binary.AppendUvarint(out, uint64(len(w.order)))
-		for _, code := range w.order {
-			out = appendBytes(out, t.name(data, code))
+		q := bytes.IndexByte(data[j+2:hi], '"')
+		if q < 0 {
+			break
 		}
-		w.buf, w.out = body, append(out, body...)
-		return Value{data: bytes.Clone(w.out)}
-	case Directory:
-		out = binary.AppendUvarint(out, uint64(len(picks)))
-		text := 0
-		for _, p := range picks {
-			e := &t.elems[p]
-			out = appendBytes(out, t.name(data, e.name))
-			out = binary.AppendUvarint(out, uint64(text))
-			text += int(e.close - e.open)
-			out = binary.AppendUvarint(out, uint64(text))
-		}
+		q += j + 2
+		dst = strconv.AppendInt(append(dst, ' '), int64(w.rename(code)), 10)
+		dst = append(dst, data[j:q+1]...)
+		lo = q + 1
 	}
-	for _, p := range picks {
-		out = append(out, data[t.elems[p].open:t.elems[p].close]...)
-	}
-	w.out = out
-	return Value{data: bytes.Clone(out)}
+	return append(dst, data[lo:hi]...)
 }
 
 // appendBytes appends b with its uvarint length in front.

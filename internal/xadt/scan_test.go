@@ -2,6 +2,7 @@ package xadt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/testutil"
 	"repro/internal/xmltree"
 )
 
@@ -162,26 +162,25 @@ func TestScannerRejectsWhatEncodersNeverWrite(t *testing.T) {
 	}
 	for _, s := range raw {
 		var w scratch
-		if err := w.scan(append([]byte{byte(Raw)}, s...), &w.t); err == nil {
+		if err := w.scan(append([]byte{byte(Raw), 0}, s...), &w.t); err == nil {
 			t.Errorf("Raw %q accepted", s)
 		}
 	}
 	dict := func(body string, names ...string) []byte {
-		b := []byte{byte(Compressed), byte(len(names))}
+		b := []byte{byte(Compressed), 0, byte(len(names))}
 		for _, n := range names {
 			b = append(append(b, byte(len(n))), n...)
 		}
 		return append(b, body...)
 	}
 	for _, b := range [][]byte{
-		dict("<1>x</1>", "a", "b"),                                      // codes out of first-appearance order
-		dict("<0>x</0>", "a", "b"),                                      // unused dictionary entry
-		dict("<0><1>x</1></0>", "a", "a"),                               // duplicate name
-		dict("<0>x</0>", "a b"),                                         // not a name
-		dict("<00>x</00>", "a"),                                         // leading zero
-		dict(`<0 1=x">y</0>`, "a", "b"),                                 // unquoted attribute
-		dict(`<0 1="v" 1="w">y</0>`, "a", "b"),                          // duplicate attribute
-		append([]byte{byte(Directory), 1, 1, 'a', 0, 9}, "<a>x</a>"...), // entry past the text
+		dict("<1>x</1>", "a", "b"),             // codes out of first-appearance order
+		dict("<0>x</0>", "a", "b"),             // unused dictionary entry
+		dict("<0><1>x</1></0>", "a", "a"),      // duplicate name
+		dict("<0>x</0>", "a b"),                // not a name
+		dict("<00>x</00>", "a"),                // leading zero
+		dict(`<0 1=x">y</0>`, "a", "b"),        // unquoted attribute
+		dict(`<0 1="v" 1="w">y</0>`, "a", "b"), // duplicate attribute
 	} {
 		var w scratch
 		if err := w.scan(b, &w.t); err == nil {
@@ -193,9 +192,8 @@ func TestScannerRejectsWhatEncodersNeverWrite(t *testing.T) {
 // TestMethodsKeepInputFormat pins the output-format rule: every method
 // returns values in its input's storage format.
 func TestMethodsKeepInputFormat(t *testing.T) {
-	for _, f := range []Format{Raw, Compressed, Directory} {
-		plain := Encode(fragment(t, speechFrag), f)
-		for _, v := range []Value{plain, FromBytes(testutil.WithV1Header(plain.Bytes()))} {
+	for _, f := range allFormats {
+		for _, v := range []Value{Encode(fragment(t, speechFrag), f)} {
 			var outs []Value
 			for _, call := range []func() (Value, error){
 				func() (Value, error) { return GetElm(v, "LINE", "", "", 0) },
@@ -227,7 +225,7 @@ func TestMethodsKeepInputFormat(t *testing.T) {
 // GetElm only its result, Unnest only its result slice (the results are
 // references). A warm Walk allocates nothing either.
 func TestWarmCallAllocations(t *testing.T) {
-	for _, f := range []Format{Raw, Compressed, Directory} {
+	for _, f := range allFormats {
 		v := Encode(fragment(t, speechFrag), f)
 		e := &Evaluator{Cache: NewCache(0)}
 		check := func(name string, max float64, call func()) {
@@ -247,7 +245,8 @@ func TestWarmCallAllocations(t *testing.T) {
 
 // FuzzRawScanEntities drives the scanner with arbitrary bytes as a Raw
 // payload, element names and keys. No input may panic; malformed markup
-// is an error.
+// is an error, and markup the scanner accepts, stored with the table it
+// scans to, passes Check.
 func FuzzRawScanEntities(f *testing.F) {
 	f.Add("<a>hello &amp; goodbye</a>", "a", "hello")
 	f.Add("<a><b k=\"v\">x&#65;y</b><b>z</b></a>", "b", "xAy")
@@ -258,7 +257,13 @@ func FuzzRawScanEntities(f *testing.F) {
 	f.Add("&bogus;&#xZZ;&#99999999999;", "e", "k")
 	f.Add("<e>\xff\xfe</e>", "e", "\xff")
 	f.Fuzz(func(t *testing.T, markup, elm, key string) {
-		v := FromBytes(append([]byte{byte(Raw)}, markup...))
+		data := append([]byte{byte(Raw), 0}, markup...)
+		v := withTable(data)
+		var w scratch
+		var k Walker
+		if err := k.Check(v.Bytes()); err != nil && w.scan(data, &w.t) == nil {
+			t.Fatalf("scanned table of %q fails Check: %v", markup, err)
+		}
 		callAll(v, elm, elm, key, 1, 2, 1)
 	})
 }
@@ -275,12 +280,13 @@ func callAll(v Value, a, b, key string, lo, hi, level int) {
 	v.Text()
 }
 
-// FuzzScanVsTree holds the scanner to the tree oracle. The scanner never
-// panics; it accepts every value the encoders write for a parsed
-// fragment, in every format, headered or not; and whenever it accepts a
-// value, Nodes accepts it too and the four methods and the inner text
-// are identical to the tree evaluator's, byte for byte. Every method on
-// each reference Unnest returns answers as on its materialised bytes.
+// FuzzScanVsTree holds the scanner and the table readers to the tree
+// oracle. The scanner never panics; it accepts every value the encoders
+// write for a parsed fragment, in every format, with the table they
+// write; and whenever a value passes Check, Nodes accepts it too and the
+// four methods and the inner text are identical to the tree evaluator's,
+// byte for byte. Every method on each reference Unnest returns answers
+// as on its materialised bytes.
 func FuzzScanVsTree(f *testing.F) {
 	for _, s := range []string{
 		"<a>hello &amp; goodbye</a>", "<a><b k=\"v\">x&#65;y</b><b>z</b></a>",
@@ -305,19 +311,17 @@ func FuzzScanVsTree(f *testing.F) {
 	f.Add("<LINE>καλημέρα ٣٤ 東京</LINE><LINE>x\xffy \xe2\x82 z<S>\xed\xa0\x80</S></LINE>", "LINE", "S", "٣٤", uint8(1), uint8(2), int8(0))
 	f.Fuzz(func(t *testing.T, markup, a, b, key string, lo, hi uint8, level int8) {
 		vals := []Value{FromBytes([]byte(markup))}
-		for _, fm := range []Format{Raw, Compressed, Directory} {
-			vals = append(vals, FromBytes(append([]byte{byte(fm)}, markup...)))
+		for _, fm := range allFormats {
+			vals = append(vals, withTable(append([]byte{byte(fm), 0}, markup...)))
 		}
 		if nodes, err := xmltree.ParseFragment(markup); err == nil {
-			for _, fm := range []Format{Raw, Compressed, Directory} {
-				plain := Encode(nodes, fm)
-				for _, v := range []Value{plain, FromBytes(testutil.WithV1Header(plain.Bytes()))} {
-					var w scratch
-					if err := w.scan(v.Bytes(), &w.t); err != nil {
-						t.Fatalf("scanner rejects the %v encoding of %q: %v", fm, markup, err)
-					}
-					vals = append(vals, v)
+			for _, fm := range allFormats {
+				v := Encode(nodes, fm)
+				var k Walker
+				if err := k.Check(v.Bytes()); err != nil {
+					t.Fatalf("Check rejects the %v encoding of %q: %v", fm, markup, err)
 				}
+				vals = append(vals, v)
 			}
 		}
 		for _, v := range vals {
@@ -329,8 +333,8 @@ func FuzzScanVsTree(f *testing.F) {
 
 func agreeWithTree(t *testing.T, v Value, a, b, key string, lo, hi, level int) {
 	t.Helper()
-	var w scratch
-	if w.scan(v.Bytes(), &w.t) != nil {
+	var k Walker
+	if k.Check(v.Bytes()) != nil {
 		return
 	}
 	nodes, err := v.Nodes()
@@ -362,7 +366,6 @@ func agreeWithTree(t *testing.T, v Value, a, b, key string, lo, hi, level int) {
 		visit(n, 1)
 	}
 	wtext, _ := treeInnerText(v)
-	var k Walker
 	for pass := 0; pass < 2; pass++ { // the second pass reuses the Walker
 		var got []string
 		text, err := k.Walk(v.Bytes(), nil, func(name []byte, depth int) {
@@ -405,4 +408,20 @@ func agreeWithTree(t *testing.T, v Value, a, b, key string, lo, hi, level int) {
 			}
 		}
 	}
+}
+
+// withTable returns the value data, whose element table is empty, with
+// the table the scanner builds from its text in place of the empty one,
+// or data unchanged when the scanner rejects it.
+func withTable(data []byte) Value {
+	var w scratch
+	if w.scan(data, &w.t) != nil {
+		return FromBytes(data)
+	}
+	var tab []byte
+	for _, e := range w.t.elems {
+		tab = binary.AppendUvarint(tab, uint64(e.name))
+	}
+	out := appendBytes([]byte{data[0]}, tab)
+	return FromBytes(append(out, data[2:]...))
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/xmltree"
 )
@@ -25,27 +26,20 @@ const (
 	Raw Format = 0
 	// Compressed stores the fragment with dictionary-coded tag names.
 	Compressed Format = 1
-	// Directory stores the raw text preceded by an offset directory of
-	// the top-level elements — the metadata extension the paper proposes
-	// as future work to speed up the XADT methods.
-	Directory Format = 2
 )
 
 // String names the format.
 func (f Format) String() string {
-	switch f {
-	case Compressed:
+	if f == Compressed {
 		return "compressed"
-	case Directory:
-		return "directory"
-	default:
-		return "raw"
 	}
+	return "raw"
 }
 
-// Value is an XADT instance. The zero Value is the empty fragment in raw
-// format. A Value returned by Unnest is a reference into the value it
-// split (see ref.go).
+// Value is an XADT instance: the format byte, the element table (see
+// table.go) and the fragment text. The zero Value is the empty fragment
+// in raw format. A Value returned by Unnest is a reference into the
+// value it split (see ref.go).
 type Value struct {
 	data []byte
 	span int64 // nonzero for a reference: its element within data
@@ -68,36 +62,46 @@ func (v Value) Bytes() []byte {
 func (v Value) Len() int { return len(v.Bytes()) }
 
 // IsEmpty reports whether the value holds no fragment.
-func (v Value) IsEmpty() bool { return len(v.payloadBytes()) <= 1 }
+func (v Value) IsEmpty() bool {
+	var t table
+	_, _, err := t.readHeader(v.plain().data)
+	return err == nil && t.body == t.end
+}
 
-// Format returns the storage representation of the value, looking
-// through a v1 header if present.
+// Format returns the storage representation of the value.
 func (v Value) Format() Format {
-	p := v.payloadBytes()
-	if len(p) == 0 {
-		return Raw
-	}
-	switch p[0] {
-	case byte(Compressed):
+	if len(v.data) > 0 && v.data[0] == byte(Compressed) {
 		return Compressed
-	case byte(Directory):
-		return Directory
-	default:
-		return Raw
 	}
+	return Raw
 }
 
 // Encode builds a Value from fragment nodes in the given format.
 func Encode(nodes []*xmltree.Node, f Format) Value {
-	switch f {
-	case Compressed:
-		return encodeCompressed(nodes)
-	case Directory:
-		return encodeDirectory(nodes)
-	default:
-		return encodeRaw(nodes)
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.coded, e.tab, e.body, e.names = f == Compressed, e.tab[:0], e.body[:0], e.names[:0]
+	for _, n := range nodes {
+		e.emit(n)
 	}
+	size := 1 + 2*binary.MaxVarintLen32 + len(e.tab) + len(e.body)
+	for _, name := range e.names {
+		size += binary.MaxVarintLen32 + len(name)
+	}
+	data := appendBytes(append(make([]byte, 0, size), byte(f)), e.tab)
+	if e.coded {
+		data = binary.AppendUvarint(data, uint64(len(e.names)))
+		for _, name := range e.names {
+			data = appendString(data, name)
+		}
+	}
+	clear(e.names)
+	return Value{data: append(data, e.body...)}
 }
+
+// EncodeStored is Encode. The benchmark's XADT probe still calls it by
+// this name.
+func EncodeStored(nodes []*xmltree.Node, f Format) Value { return Encode(nodes, f) }
 
 // Parse builds a Value from fragment text in the given format.
 func Parse(fragment string, f Format) (Value, error) {
@@ -108,66 +112,97 @@ func Parse(fragment string, f Format) (Value, error) {
 	return Encode(nodes, f), nil
 }
 
-func encodeRaw(nodes []*xmltree.Node) Value {
-	text := xmltree.SerializeAll(nodes)
-	data := make([]byte, 0, len(text)+1)
-	data = append(data, byte(Raw))
-	data = append(data, text...)
-	return Value{data: data}
+// encoders keeps Encode's working space between calls.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// encoder writes the text of a fragment and its element table.
+type encoder struct {
+	coded bool   // Compressed: tags hold dictionary codes
+	tab   []byte // the element table's entries
+	body  []byte
+	// names lists the name of each code: the dictionary of a Compressed
+	// value (element and attribute names), the element names otherwise.
+	// A fragment uses few names, so a code is found by a linear search.
+	names []string
+}
+
+func (e *encoder) code(name string) int32 {
+	for c, n := range e.names {
+		if n == name {
+			return int32(c)
+		}
+	}
+	e.names = append(e.names, name)
+	return int32(len(e.names) - 1)
+}
+
+// tag appends an element or attribute name: its code in a Compressed
+// value, the name itself otherwise.
+func (e *encoder) tag(name string) {
+	if e.coded {
+		e.body = appendDecimal(e.body, e.code(name))
+	} else {
+		e.body = append(e.body, name...)
+	}
+}
+
+func (e *encoder) emit(n *xmltree.Node) {
+	if n.IsText() {
+		e.body = append(e.body, xmltree.EscapeText(n.Text)...)
+		return
+	}
+	e.tab = binary.AppendUvarint(e.tab, uint64(e.code(n.Name)))
+	e.body = append(e.body, '<')
+	e.tag(n.Name)
+	for _, a := range n.Attrs {
+		e.body = append(e.body, ' ')
+		e.tag(a.Name)
+		e.body = append(e.body, '=', '"')
+		e.body = append(e.body, xmltree.EscapeAttr(a.Value)...)
+		e.body = append(e.body, '"')
+	}
+	e.body = append(e.body, '>')
+	for _, child := range n.Children {
+		e.emit(child)
+	}
+	e.body = append(e.body, '<', '/')
+	e.tag(n.Name)
+	e.body = append(e.body, '>')
 }
 
 // Nodes decodes the fragment into a node list.
 func (v Value) Nodes() ([]*xmltree.Node, error) {
-	p := v.plain().payloadBytes()
-	if len(p) == 0 {
-		return nil, nil
+	text, err := v.Text()
+	if err != nil {
+		return nil, err
 	}
-	switch p[0] {
-	case byte(Compressed):
-		return decodeCompressed(p[1:])
-	case byte(Directory):
-		body, err := directoryBody(p, 1)
-		if err != nil {
-			return nil, err
-		}
-		return xmltree.ParseFragment(string(p[body:]))
-	default:
-		return xmltree.ParseFragment(string(p[1:]))
-	}
+	return xmltree.ParseFragment(text)
 }
 
 // Text returns the serialized fragment text, expanding the tag codes of
 // a Compressed value.
 func (v Value) Text() (string, error) {
 	v = v.plain()
-	p := v.payloadBytes()
-	if len(p) == 0 {
-		return "", nil
+	var t table
+	if _, _, err := t.readHeader(v.data); err != nil {
+		return "", err
 	}
-	switch p[0] {
-	case byte(Raw):
-		return string(p[1:]), nil
-	case byte(Directory):
-		body, err := directoryBody(p, 1)
-		if err != nil {
-			return "", err
-		}
-		return string(p[body:]), nil
-	default:
-		var w scratch
-		if err := w.scan(v.data, &w.t); err != nil {
-			return "", err
-		}
-		return string(w.t.text(v.data)), nil
+	if t.format == Raw {
+		return string(v.data[t.body:]), nil
 	}
+	names := make([]string, len(t.names))
+	for c := range names {
+		names[c] = string(t.name(v.data, int32(c)))
+	}
+	return expandCodes(string(v.data[t.body:]), names)
 }
 
-// Compressed layout, following the paper's XMill-inspired scheme (§3.4.1):
-// element and attribute names are replaced by decimal integer codes in an
-// otherwise textual XML rendering, and a dictionary mapping codes back to
-// names travels with the value.
+// Compressed layout, following the paper's XMill-inspired scheme
+// (§3.4.1): element and attribute names are replaced by decimal integer
+// codes in an otherwise textual XML rendering, and a dictionary mapping
+// codes back to names travels with the value, after its element table:
 //
-//	[format=1]
+//	[format=1] [element table]
 //	[uvarint ndict] [len-prefixed name]*   -- dictionary: code i → name
 //	coded fragment text: <0 1="v">text</0><2>…</2>
 //
@@ -175,58 +210,10 @@ func (v Value) Text() (string, error) {
 // saving per tag is (len(name) - len(code digits)), so values dominated by
 // character data (Shakespeare lines) barely compress and the dictionary
 // can make them larger, while deeply tagged fragments (SIGMOD sList
-// subtrees) shrink substantially.
-func encodeCompressed(nodes []*xmltree.Node) Value {
-	dict := map[string]int{}
-	var names []string
-	code := func(name string) int {
-		if c, ok := dict[name]; ok {
-			return c
-		}
-		c := len(names)
-		dict[name] = c
-		names = append(names, name)
-		return c
-	}
-	var body []byte
-	var emit func(n *xmltree.Node)
-	emit = func(n *xmltree.Node) {
-		if n.IsText() {
-			body = append(body, xmltree.EscapeText(n.Text)...)
-			return
-		}
-		c := code(n.Name)
-		body = append(body, '<')
-		body = appendDecimal(body, c)
-		for _, a := range n.Attrs {
-			body = append(body, ' ')
-			body = appendDecimal(body, code(a.Name))
-			body = append(body, '=', '"')
-			body = append(body, xmltree.EscapeAttr(a.Value)...)
-			body = append(body, '"')
-		}
-		body = append(body, '>')
-		for _, child := range n.Children {
-			emit(child)
-		}
-		body = append(body, '<', '/')
-		body = appendDecimal(body, c)
-		body = append(body, '>')
-	}
-	for _, n := range nodes {
-		emit(n)
-	}
+// subtrees) shrink substantially. Codes are numbered in first-appearance
+// order, an element's name before its attributes' names.
 
-	data := []byte{byte(Compressed)}
-	data = binary.AppendUvarint(data, uint64(len(names)))
-	for _, name := range names {
-		data = appendString(data, name)
-	}
-	data = append(data, body...)
-	return Value{data: data}
-}
-
-func appendDecimal(b []byte, n int) []byte {
+func appendDecimal(b []byte, n int32) []byte {
 	return strconv.AppendInt(b, int64(n), 10)
 }
 
@@ -264,36 +251,6 @@ func (r *byteReader) bytes() ([]byte, error) {
 	b := r.b[r.pos : r.pos+int(n)]
 	r.pos += int(n)
 	return b, nil
-}
-
-func (r *byteReader) str() (string, error) {
-	b, err := r.bytes()
-	return string(b), err
-}
-
-func (r *byteReader) done() bool { return r.pos >= len(r.b) }
-
-func decodeCompressed(b []byte) ([]*xmltree.Node, error) {
-	r := &byteReader{b: b}
-	ndict, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ndict > uint64(len(b)) {
-		return nil, errors.New("xadt: corrupt dictionary size")
-	}
-	names := make([]string, ndict)
-	for i := range names {
-		if names[i], err = r.str(); err != nil {
-			return nil, err
-		}
-	}
-	// Substitute codes back into tag names, then reuse the XML parser.
-	expanded, err := expandCodes(string(r.b[r.pos:]), names)
-	if err != nil {
-		return nil, err
-	}
-	return xmltree.ParseFragment(expanded)
 }
 
 // expandCodes rewrites <0 1="v">…</0> into <NAME ATTR="v">…</NAME>.

@@ -90,10 +90,6 @@ const (
 	Raw = xadt.Raw
 	// Compressed stores fragments with dictionary-coded tag names.
 	Compressed = xadt.Compressed
-	// Directory stores raw text with a top-level element offset
-	// directory — the paper's future-work metadata extension, which
-	// speeds up order access (getElmIndex) and unnest.
-	Directory = xadt.Directory
 )
 
 // NewStore parses a DTD and prepares an empty store.
