@@ -4,9 +4,9 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test race benchsmoke crashmatrix fuzz bench repro clean
+.PHONY: ci fmt vet build test race examples benchsmoke crashmatrix fuzz bench repro clean
 
-ci: fmt vet build test race benchsmoke crashmatrix fuzz
+ci: fmt vet build test race examples benchsmoke crashmatrix fuzz
 
 # Fails listing the files when any Go file is not gofmt-formatted.
 fmt:
@@ -24,6 +24,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Builds every program under examples/ into a temporary directory and
+# runs it; a nonzero exit fails the target (`build` only compiles them).
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for ex in examples/*/; do \
+		name=$$(basename $$ex); \
+		echo "run examples/$$name"; \
+		$(GO) build -o "$$dir/$$name" ./$$ex && "$$dir/$$name" >/dev/null || exit 1; \
+	done
 
 # One-iteration benchmark pass: proves the engine, session point-read
 # and keyless-scan, B+tree probe, B+tree build, fragment-index lookup,

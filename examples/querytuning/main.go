@@ -1,9 +1,8 @@
 // Querytuning: the paper's performance-engineering observations as
 // runnable ablations — the UDF-vs-builtin call overhead of Figure 14, the
 // fenced-UDF penalty the paper avoided, the §4.1 compression trade-off,
-// the §4.4 join-algorithm cost shapes, and the statistics-driven plan
-// change: the same three-table join planned before and after RunStats
-// (DESIGN.md §5j).
+// and the statistics-driven plan change: the same three-table join
+// planned before and after RunStats (DESIGN.md §5j).
 package main
 
 import (
@@ -16,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine/catalog"
-	"repro/internal/engine/plan"
 	"repro/internal/engine/types"
 )
 
@@ -44,14 +42,6 @@ func main() {
 	fmt.Printf("not fenced: %v   fenced: %v   penalty: %.1fx\n",
 		base.Round(time.Microsecond), fenced.Round(time.Microsecond),
 		float64(fenced)/float64(base))
-
-	fmt.Println("\n== §4.4 join algorithm ablation (QS4 Hybrid plan) ==")
-	qs4 := bench.ShakespeareQueries()[3].Hybrid
-	for _, alg := range []plan.JoinAlgorithm{plan.JoinHash, plan.JoinMerge, plan.JoinNested} {
-		hybrid.DB.SetPlannerOptions(plan.Options{Join: alg})
-		fmt.Printf("%-8s %v\n", alg, timeIt(hybrid, qs4).Round(time.Microsecond))
-	}
-	hybrid.DB.SetPlannerOptions(plan.Options{})
 
 	fmt.Println("\n== §4.1 XADT storage-format trade-off ==")
 	sig := bench.SigmodDataset(200)

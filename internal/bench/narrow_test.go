@@ -45,9 +45,6 @@ func accessColumns(t *testing.T, op exec.Operator, out map[string][][]string) {
 	case *exec.HashJoin:
 		accessColumns(t, n.Left, out)
 		accessColumns(t, n.Right, out)
-	case *exec.MergeJoin:
-		accessColumns(t, n.Left, out)
-		accessColumns(t, n.Right, out)
 	case *exec.NestedLoopJoin:
 		accessColumns(t, n.Left, out)
 		accessColumns(t, n.Right, out)
@@ -81,7 +78,7 @@ func TestAccessOperatorsDecodeNamedColumns(t *testing.T) {
 	for _, opts := range []plan.Options{
 		{DOP: 1},
 		{DOP: 4, MorselPages: 1, CPUs: 4, ForceParallel: true},
-		{DOP: 1, Join: plan.JoinMerge},
+		{DOP: 1, DisableIndexScan: true},
 	} {
 		st.DB.SetPlannerOptions(opts)
 		op, err := st.DB.Plan(qs1.Hybrid)

@@ -35,7 +35,8 @@ type paperStore struct {
 // every execution-path switch the engine keeps and requires rows
 // identical, in identical order, to the default serial plan. Each cell
 // is one alternative path: the order-preserving parallel exchange, scans
-// instead of fragment indexes, and spilling blocking operators.
+// instead of fragment indexes, heap scans and hash joins instead of
+// B+tree scans and index joins, and spilling blocking operators.
 func TestPaperQueryOracle(t *testing.T) {
 	serial := plan.Options{DOP: 1}
 	var stores []*paperStore
@@ -76,6 +77,7 @@ func TestPaperQueryOracle(t *testing.T) {
 	}{
 		{name: "dop4", opts: plan.Options{DOP: 4, MorselPages: 1, CPUs: 4}},
 		{name: "noxadtindex", opts: plan.Options{DOP: 1, DisableXADTIndexes: true}},
+		{name: "noindex", opts: plan.Options{DOP: 1, DisableIndexScan: true}},
 		{name: "membudget4k", opts: plan.Options{DOP: 1, MemBudgetBytes: 4 << 10, SpillVFS: storage.NewMemVFS()}},
 	}
 	for _, c := range cells {

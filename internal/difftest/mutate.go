@@ -646,6 +646,20 @@ func fragileCross(name string) bool {
 	return strings.Contains(name, "xadtcount") || strings.Contains(name, "xadtfindkey")
 }
 
+// parallelOptions are the options of the harness's DOP cells.
+func parallelOptions(opts Options) plan.Options {
+	return plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true}
+}
+
+// noIndex turns o into a "noindex" cell's options: no fragment index,
+// no B+tree scan and no index nested-loop join, so the cell reads only
+// the heap and catches an index that drifted from it.
+func noIndex(o plan.Options) plan.Options {
+	o.DisableXADTIndexes = true
+	o.DisableIndexScan = true
+	return o
+}
+
 // checkMutCase runs one case across the mutation cell set: serial
 // reference vs DOP-N, index-on vs index-off (both the XADT fragment
 // indexes and the B+tree scans), and — while the
@@ -657,10 +671,8 @@ func (ms *mutState) checkMutCase(opts Options, c Case) ([]Divergence, int, error
 		divs = append(divs, Divergence{Case: c, Axis: axis, Detail: detail})
 	}
 	serial := plan.Options{DOP: 1}
-	par := plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true}
-	noIdx := plan.Options{DOP: 1, DisableXADTIndexes: true, DisableIndexScan: true}
-	noIdxPar := plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true,
-		DisableXADTIndexes: true, DisableIndexScan: true}
+	par := parallelOptions(opts)
+	noIdx, noIdxPar := noIndex(serial), noIndex(par)
 	type cellSpec struct {
 		axis string
 		o    plan.Options

@@ -1,12 +1,15 @@
 package difftest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine/exec"
+	"repro/internal/engine/plan"
 	"repro/internal/testutil"
 )
 
@@ -96,4 +99,89 @@ func TestMutationDetectsDivergence(t *testing.T) {
 		}
 	}
 	t.Logf("detected: %s", sum.Divergences[0])
+}
+
+// indexReads walks a plan and appends the type of every operator that
+// reads an index: B+tree scans and joins, and fragment-index scans.
+// Gather pipelines are walked one by one.
+func indexReads(t *testing.T, op exec.Operator, out []string) []string {
+	t.Helper()
+	switch n := op.(type) {
+	case *exec.IndexScan, *exec.IndexedFragScan:
+		out = append(out, fmt.Sprintf("%T", n))
+	case *exec.IndexLoopJoin:
+		out = indexReads(t, n.Left, append(out, fmt.Sprintf("%T", n)))
+	case *exec.SeqScan, *exec.ValuesScan:
+	case *exec.Filter:
+		out = indexReads(t, n.Child, out)
+	case *exec.Project:
+		out = indexReads(t, n.Child, out)
+	case *exec.TableFuncApply:
+		out = indexReads(t, n.Child, out)
+	case *exec.HashAggregate:
+		out = indexReads(t, n.Child, out)
+	case *exec.Sort:
+		out = indexReads(t, n.Child, out)
+	case *exec.TopN:
+		out = indexReads(t, n.Child, out)
+	case *exec.Limit:
+		out = indexReads(t, n.Child, out)
+	case *exec.HashJoin:
+		out = indexReads(t, n.Right, indexReads(t, n.Left, out))
+	case *exec.NestedLoopJoin:
+		out = indexReads(t, n.Right, indexReads(t, n.Left, out))
+	case *exec.Gather:
+		for _, p := range n.Pipes {
+			out = indexReads(t, p.Root, out)
+		}
+	default:
+		t.Fatalf("indexReads: unhandled operator %T", op)
+	}
+	return out
+}
+
+// TestNoIndexCellsReadNoIndex holds the mutation harness's "noindex"
+// cells to their job: they are the heap-only oracle that an index which
+// drifted from its heap after mutations diverges from, so no plan they
+// run may read a B+tree or a fragment index. Every generated case of
+// both mappings is planned under the cells' options; the default
+// options must read some index, or the check proves nothing.
+func TestNoIndexCellsReadNoIndex(t *testing.T) {
+	opts := Options{}
+	opts.setDefaults()
+	serial := plan.Options{DOP: 1}
+	indexed := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		ms, err := newMutState(opts, seed, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range ms.cases {
+			for _, m := range []struct {
+				st  *core.Store
+				sql string
+			}{{ms.hy, c.Hybrid}, {ms.xo, c.XORator}} {
+				if m.sql == "" {
+					continue
+				}
+				for _, o := range []plan.Options{serial, noIndex(serial), noIndex(parallelOptions(opts))} {
+					m.st.DB.SetPlannerOptions(o)
+					op, err := m.st.DB.Plan(m.sql)
+					if err != nil {
+						t.Fatalf("seed %d %s: %q: %v", seed, c.Name, m.sql, err)
+					}
+					reads := indexReads(t, op, nil)
+					if !o.DisableIndexScan {
+						indexed += len(reads)
+					} else if len(reads) > 0 {
+						t.Errorf("seed %d %s under %+v reads %v:\n%s", seed, c.Name, o, reads, plan.Explain(op))
+					}
+				}
+			}
+		}
+	}
+	if indexed == 0 {
+		t.Fatal("no default plan read an index; the check is vacuous")
+	}
+	t.Logf("%d index reads in the default plans, none under the noindex options", indexed)
 }

@@ -166,7 +166,7 @@ func plannerOptions(cfg Config) plan.Options {
 }
 
 // SetPlannerOptions replaces the optimizer options; ablations and the
-// test oracles switch join algorithms, parallelism and index use here.
+// test oracles switch parallelism and index use here.
 func (db *Database) SetPlannerOptions(opts plan.Options) {
 	db.planner.Opts = opts
 }

@@ -264,10 +264,18 @@ SELECT speechID FROM speech WHERE findKeyInElm(speech_speaker, 'SPEAKER', 'HAMLE
 
 func TestSetPlannerOptions(t *testing.T) {
 	db := fixtureDB(t)
-	db.SetPlannerOptions(plan.Options{Join: plan.JoinMerge})
-	text, err := db.Explain(`SELECT speechID FROM speech, act WHERE speech_parentID = actID`)
-	if err != nil || !strings.Contains(text, "MergeJoin") {
-		t.Errorf("explain = %q, %v", text, err)
+	if err := db.CreateIndexes("speech", []string{"speechID"}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT speech_parentID FROM speech WHERE speechID = 2`
+	text, err := db.Explain(q)
+	if err != nil || !strings.Contains(text, "IndexScan") {
+		t.Fatalf("explain = %q, %v", text, err)
+	}
+	db.SetPlannerOptions(plan.Options{DisableIndexScan: true})
+	text, err = db.Explain(q)
+	if err != nil || strings.Contains(text, "IndexScan") || !strings.Contains(text, "SeqScan") {
+		t.Errorf("explain with DisableIndexScan = %q, %v", text, err)
 	}
 }
 

@@ -426,14 +426,12 @@ func TestJoinsAgree(t *testing.T) {
 		switch kind {
 		case "hash":
 			return NewHashJoin(ls, rs, lk, rk)
-		case "merge":
-			return NewMergeJoin(ls, rs, lk, rk)
 		default:
 			return NewNestedLoopJoin(ls, rs, &expr.Cmp{Op: expr.EQ, L: lk, R: rk})
 		}
 	}
 	var results [][][]types.Value
-	for _, kind := range []string{"hash", "merge", "nlj"} {
+	for _, kind := range []string{"hash", "nlj"} {
 		rows, err := Drain(build(kind))
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -492,7 +490,7 @@ func TestJoinDuplicateKeys(t *testing.T) {
 	rk := col(joined, "b", "k", t)
 	for _, j := range []Operator{
 		NewHashJoin(l, r, lk, rk),
-		NewMergeJoin(l, r, lk, rk),
+		NewNestedLoopJoin(l, r, &expr.Cmp{Op: expr.EQ, L: lk, R: rk}),
 	} {
 		rows, err := Drain(j)
 		if err != nil || len(rows) != 7 {
@@ -511,7 +509,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	rk := col(joined, "b", "k", t)
 	for _, j := range []Operator{
 		NewHashJoin(l, r, lk, rk),
-		NewMergeJoin(l, r, lk, rk),
+		NewNestedLoopJoin(l, r, &expr.Cmp{Op: expr.EQ, L: lk, R: rk}),
 	} {
 		rows, err := Drain(j)
 		if err != nil || len(rows) != 1 {

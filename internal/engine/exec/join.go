@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"repro/internal/engine/expr"
 	"repro/internal/engine/types"
 )
@@ -264,130 +262,5 @@ func (j *HashJoin) Close() error {
 		j.rightOpen = false
 		return j.Right.Close()
 	}
-	return nil
-}
-
-// MergeJoin is an equi-join that sorts both inputs on their keys and
-// merges matching groups — the O(n log n) alternative the paper contrasts
-// with nested loops. Key expressions follow the HashJoin convention: both
-// are resolved against the concatenated schema.
-type MergeJoin struct {
-	Left, Right       Operator
-	LeftKey, RightKey expr.Expr
-	// Est is the planner's estimated output cardinality; advisory only.
-	Est    float64
-	schema *expr.RowSchema
-	out    [][]types.Value
-	pos    int
-}
-
-// NewMergeJoin joins left and right where leftKey = rightKey.
-func NewMergeJoin(left, right Operator, leftKey, rightKey expr.Expr) *MergeJoin {
-	return &MergeJoin{
-		Left: left, Right: right, LeftKey: leftKey, RightKey: rightKey,
-		schema: expr.Concat(left.Schema(), right.Schema()),
-	}
-}
-
-// Schema implements Operator.
-func (j *MergeJoin) Schema() *expr.RowSchema { return j.schema }
-
-// keyedRows evaluates a key over rows and returns them sorted by key,
-// NULL keys removed.
-func keyedRows(rows [][]types.Value, key func([]types.Value) (types.Value, error)) ([][]types.Value, []types.Value, error) {
-	type pair struct {
-		row []types.Value
-		key types.Value
-	}
-	pairs := make([]pair, 0, len(rows))
-	for _, row := range rows {
-		k, err := key(row)
-		if err != nil {
-			return nil, nil, err
-		}
-		if k.IsNull() {
-			continue
-		}
-		pairs = append(pairs, pair{row: row, key: k})
-	}
-	sort.SliceStable(pairs, func(a, b int) bool {
-		return types.Compare(pairs[a].key, pairs[b].key) < 0
-	})
-	outRows := make([][]types.Value, len(pairs))
-	outKeys := make([]types.Value, len(pairs))
-	for i, p := range pairs {
-		outRows[i] = p.row
-		outKeys[i] = p.key
-	}
-	return outRows, outKeys, nil
-}
-
-// Open materializes, sorts, and merges both inputs.
-func (j *MergeJoin) Open() error {
-	leftRows, err := collect(j.Left, false)
-	if err != nil {
-		return err
-	}
-	rightRows, err := collect(j.Right, false)
-	if err != nil {
-		return err
-	}
-	lw := len(j.Left.Schema().Cols)
-	ls, lk, err := keyedRows(leftRows, func(r []types.Value) (types.Value, error) {
-		return j.LeftKey.Eval(r)
-	})
-	if err != nil {
-		return err
-	}
-	rs, rk, err := keyedRows(rightRows, func(r []types.Value) (types.Value, error) {
-		return j.RightKey.Eval(concatRows(make([]types.Value, lw), r))
-	})
-	if err != nil {
-		return err
-	}
-	j.out = nil
-	li, ri := 0, 0
-	for li < len(ls) && ri < len(rs) {
-		c := types.Compare(lk[li], rk[ri])
-		switch {
-		case c < 0:
-			li++
-		case c > 0:
-			ri++
-		default:
-			// Emit the full group cross product.
-			lEnd := li
-			for lEnd < len(ls) && types.Equal(lk[lEnd], lk[li]) {
-				lEnd++
-			}
-			rEnd := ri
-			for rEnd < len(rs) && types.Equal(rk[rEnd], rk[ri]) {
-				rEnd++
-			}
-			for a := li; a < lEnd; a++ {
-				for b := ri; b < rEnd; b++ {
-					j.out = append(j.out, concatRows(ls[a], rs[b]))
-				}
-			}
-			li, ri = lEnd, rEnd
-		}
-	}
-	j.pos = 0
-	return nil
-}
-
-// Next implements Operator.
-func (j *MergeJoin) Next() ([]types.Value, error) {
-	if j.pos >= len(j.out) {
-		return nil, nil
-	}
-	row := j.out[j.pos]
-	j.pos++
-	return row, nil
-}
-
-// Close implements Operator.
-func (j *MergeJoin) Close() error {
-	j.out = nil
 	return nil
 }

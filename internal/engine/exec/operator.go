@@ -1,6 +1,6 @@
 // Package exec implements the physical operators of the engine as Volcano
-// iterators: sequential and index scans, filter, project, nested-loop /
-// hash / sort-merge joins, sort, hash aggregation (which also serves
+// iterators: sequential and index scans, filter, project, hash,
+// index nested-loop and nested-loop joins, sort, hash aggregation (which also serves
 // DISTINCT), and the lateral table-function apply that powers the unnest
 // UDF. A parallel plan runs clones of the same operators under a Gather.
 package exec

@@ -1,8 +1,8 @@
 // Package plan turns parsed SELECT statements into executable operator
 // trees: it binds column references and function calls, pushes filters
 // down to scans, chooses index scans for indexed equality predicates,
-// orders joins by estimated cardinality, and picks join algorithms (hash
-// by default, as the paper's DB2 configuration enabled).
+// orders joins by estimated cardinality, and picks hash joins (the
+// paper's DB2 configuration) or index nested loops by estimated cost.
 package plan
 
 import (

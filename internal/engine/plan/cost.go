@@ -38,8 +38,6 @@ const (
 	cHashProbeRow = 1.2
 	// cIndexProbeRow is one B+tree descent.
 	cIndexProbeRow = 3.0
-	// cSortRow is the per-row-per-log2(n) cost of an in-memory sort.
-	cSortRow = 0.4
 	// cOutRow is the cost of materializing one joined output row.
 	cOutRow = 0.3
 	// cWorkerStartup is the fixed cost of spinning up one parallel
@@ -48,11 +46,6 @@ const (
 	// cExchangeRow is the cost of moving one row through the Gather
 	// exchange.
 	cExchangeRow = 0.2
-	// cMergeSetup is the fixed charge of a merge join (two
-	// materializations plus merge bookkeeping); it keeps merge from
-	// spuriously beating hash on inputs of a handful of rows, where the
-	// affine per-row terms are all noise.
-	cMergeSetup = 64.0
 )
 
 // defaultNDV is the distinct-count guess when statistics are missing or

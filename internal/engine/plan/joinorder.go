@@ -211,48 +211,22 @@ func dpInnerIndexed(t, prev int, edges []dpEdge, bases []*baseItem) bool {
 	return false
 }
 
-// physJoin names the physical join alternatives the cost model
-// compares.
-type physJoin int
-
-const (
-	physHash physJoin = iota
-	physINL
-	physMerge
-)
-
 // joinStepCost returns the cost of joining the accumulated left side
 // (leftCard rows) with the base table b that te estimates (outT
 // post-pushdown rows, outCard estimated join output; te.access is b's
-// access cost), choosing the cheapest eligible algorithm.
-// inlOK is the structural index-nested-loop eligibility. The returned
-// choice is what the cost model would pick absent an explicit Join option.
+// access cost), and whether index nested loops beat the hash join.
+// inlOK is the index-nested-loop eligibility.
 //
 // Hash: build the accumulated side, stream b as probe. INL: one B+tree
-// descent per accumulated row, no scan of b at all. Merge: scan b, then
-// materialize and sort both sides. The accumulated side's production
-// cost is paid by the caller's running total, not here.
-func (p *Planner) joinStepCost(te *tableEst, leftCard, outT, outCard float64, inlOK bool) (float64, physJoin) {
+// descent per accumulated row, no scan of b at all. The accumulated
+// side's production cost is paid by the caller's running total, not
+// here.
+func (p *Planner) joinStepCost(te *tableEst, leftCard, outT, outCard float64, inlOK bool) (float64, bool) {
 	hash := leftCard*cHashBuildRow + te.access + outT*cHashProbeRow + outCard*cOutRow
-	best, alg := hash, physHash
 	if inlOK {
-		inl := leftCard*(cIndexProbeRow+cRowTouch*te.width) + outCard*cOutRow
-		if inl < best {
-			best, alg = inl, physINL
+		if inl := leftCard*(cIndexProbeRow+cRowTouch*te.width) + outCard*cOutRow; inl < hash {
+			return inl, true
 		}
 	}
-	merge := cMergeSetup + te.access + sortCost(leftCard) + sortCost(outT) +
-		(leftCard+outT)*cRowTouch + outCard*cOutRow
-	if merge < best {
-		best, alg = merge, physMerge
-	}
-	return best, alg
-}
-
-// sortCost is the n·log2(n) in-memory sort estimate.
-func sortCost(n float64) float64 {
-	if n < 2 {
-		return cSortRow
-	}
-	return cSortRow * n * math.Log2(n)
+	return hash, false
 }

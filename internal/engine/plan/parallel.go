@@ -125,9 +125,6 @@ func (b *parallelBuilder) rewrite(op exec.Operator) exec.Operator {
 	case *exec.HashJoin:
 		n.Left = b.rewrite(n.Left)
 		n.Right = b.rewrite(n.Right)
-	case *exec.MergeJoin:
-		n.Left = b.rewrite(n.Left)
-		n.Right = b.rewrite(n.Right)
 	case *exec.IndexLoopJoin:
 		n.Left = b.rewrite(n.Left)
 	}

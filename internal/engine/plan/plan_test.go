@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,20 +85,6 @@ WHERE emp_deptID = deptID AND dept_name = 'eng'`)
 		if r[1].Str() != "eng" {
 			t.Fatalf("row = %v", r)
 		}
-	}
-}
-
-func TestPlanJoinAlgorithmsAgree(t *testing.T) {
-	cat, _ := fixture(t)
-	q := `SELECT empID FROM emp, dept WHERE emp_deptID = deptID AND dept_name = 'hr'`
-	var counts []int
-	for _, alg := range []JoinAlgorithm{JoinHash, JoinMerge, JoinNested} {
-		p := &Planner{Cat: cat, Reg: expr.NewRegistry(), Opts: Options{Join: alg}}
-		rows := runQuery(t, p, q)
-		counts = append(counts, len(rows))
-	}
-	if counts[0] != 20 || counts[1] != counts[0] || counts[2] != counts[0] {
-		t.Errorf("join algorithm row counts disagree: %v", counts)
 	}
 }
 
@@ -349,11 +336,19 @@ func TestIndexLoopJoin(t *testing.T) {
 	if err != nil || len(rows) != 20 {
 		t.Fatalf("rows = %d, %v", len(rows), err)
 	}
-	// Results agree with the hash-join plan.
-	p.Opts.Join = JoinHash
-	hashRows := runQuery(t, p, `SELECT emp_name FROM emp, dept WHERE emp_deptID = deptID AND dept_name = 'eng'`)
-	if len(hashRows) != len(rows) {
-		t.Errorf("hash join rows = %d, index join rows = %d", len(hashRows), len(rows))
+	// With index access disabled the join hashes, and returns the same
+	// rows in the same order.
+	p.Opts.DisableIndexScan = true
+	op, err = p.Plan(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := Explain(op); strings.Contains(text, "IndexLoopJoin") || !strings.Contains(text, "HashJoin") {
+		t.Fatalf("expected a hash join with DisableIndexScan:\n%s", text)
+	}
+	hashRows, err := exec.Drain(op)
+	if err != nil || !reflect.DeepEqual(hashRows, rows) {
+		t.Errorf("hash join rows = %v (%v), index join rows = %v", hashRows, err, rows)
 	}
 }
 

@@ -12,22 +12,11 @@ import (
 	"repro/internal/engine/storage"
 )
 
-// JoinAlgorithm selects the physical equi-join operator.
-type JoinAlgorithm string
-
-// Join algorithms. The paper's DB2 setup had hash joins enabled; merge
-// and nested-loop exist for the §4.4 cost-shape ablation.
-const (
-	JoinHash   JoinAlgorithm = "hash"
-	JoinMerge  JoinAlgorithm = "merge"
-	JoinNested JoinAlgorithm = "nested"
-)
-
 // Options tune the optimizer.
 type Options struct {
-	// Join picks the equi-join algorithm; empty means hash.
-	Join JoinAlgorithm
-	// DisableIndexScan forces sequential scans.
+	// DisableIndexScan forces sequential scans and hash joins: no
+	// IndexScan or IndexLoopJoin reads a B+tree. Rows and their order
+	// do not change (see buildJoinTree).
 	DisableIndexScan bool
 	// DOP is the degree of intra-query parallelism: scan-rooted plan
 	// fragments are cloned across up to DOP workers behind a Gather
@@ -581,12 +570,12 @@ func (jp joinPred) expr() sql.Expr {
 
 // buildJoinTree assembles a left-deep join tree following the chosen
 // join order, consuming every equi predicate at the first step where
-// both its sides are bound. Per join it picks the physical algorithm:
-// an explicit Join option forces one (the §4.4 ablation), otherwise
-// the cost model compares hash, merge, and index nested loops — a
-// comparison that reads only statistics, the query, and durable store
-// state, so every differential-harness cell picks the same algorithm
-// and row order stays cell-invariant.
+// both its sides are bound. Per keyed join the cost model picks hash or
+// index nested loops — a comparison that reads only statistics, the
+// query, and durable store state, so every differential-harness cell
+// picks the same algorithm and row order stays cell-invariant. Under
+// DisableIndexScan an index join runs as a hash join that keeps its row
+// order. A join with no key is a cross product.
 func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order []int, ests map[string]*tableEst, qctx *exec.QueryCtx, sum *CostSummary) (exec.Operator, error) {
 	used := make([]bool, len(joinPreds))
 	joined := map[string]bool{}
@@ -608,102 +597,98 @@ func (p *Planner) buildJoinTree(bases []*baseItem, joinPreds []joinPred, order [
 		b := bases[oi]
 		sum.JoinOrder = append(sum.JoinOrder, b.alias)
 
-		// Collect the applicable predicates: one side owned by b, the
-		// other already joined.
-		combined := expr.Concat(cur.Schema(), b.schema)
-		var keyL, keyR expr.Expr
-		var innerCol string // b-side column of the first key
-		var extra []expr.Expr
+		// Collect the applicable predicates as (joined side, b side)
+		// column pairs.
+		var keys [][2]*sql.ColRef
 		predSel := 1.0
 		for i, jp := range joinPreds {
 			if used[i] {
 				continue
 			}
-			var oldRef, newRef *sql.ColRef
 			switch {
 			case joined[jp.la] && jp.ra == b.alias:
-				oldRef, newRef = jp.l, jp.r
+				keys = append(keys, [2]*sql.ColRef{jp.l, jp.r})
 			case jp.la == b.alias && joined[jp.ra]:
-				oldRef, newRef = jp.r, jp.l
+				keys = append(keys, [2]*sql.ColRef{jp.r, jp.l})
 			default:
 				continue
 			}
 			used[i] = true
 			predSel *= joinSel(jp, ests)
-			boundOld, err := p.bind(oldRef, combined)
-			if err != nil {
-				return nil, err
-			}
-			boundNew, err := p.bind(newRef, combined)
-			if err != nil {
-				return nil, err
-			}
-			if keyL == nil {
-				keyL, keyR = boundOld, boundNew
-				innerCol = newRef.Name
-			} else {
-				extra = append(extra, &expr.Cmp{Op: expr.EQ, L: boundOld, R: boundNew})
-			}
 		}
 
 		outCard := curEst * b.est
-		if keyL != nil {
+		if len(keys) > 0 {
 			outCard *= predSel
 		}
 		if outCard < 1 {
 			outCard = 1
 		}
 
-		// Index nested loops: structurally eligible when the inner table
-		// has an index on the join column and no pushed predicate wants
-		// its own access path. An explicit Join option overrides the
-		// cost model's pick.
-		alg := p.Opts.Join
-		inlOK := alg == "" && keyL != nil && len(b.push) == 0 &&
-			b.table.IndexOn(innerCol) != nil
-		step, phys := p.joinStepCost(ests[b.alias], curEst, b.est, outCard, inlOK)
+		// Index nested loops: eligible when the inner table has an
+		// index on the first key's column and no pushed predicate wants
+		// its own access path.
+		var idx *catalog.Index
+		if len(keys) > 0 && len(b.push) == 0 {
+			idx = b.table.IndexOn(keys[0][1].Name)
+		}
+		step, useINL := p.joinStepCost(ests[b.alias], curEst, b.est, outCard, idx != nil)
 		curCost += step
-		useINL := phys == physINL
-		if alg == "" && phys == physMerge {
-			alg = JoinMerge
+
+		// With index access disabled, an index join runs as a hash join
+		// that builds b and streams the joined side, so it returns the
+		// index join's rows in its order (joined-side order, then b's
+		// heap order), read from the heap instead of the B+tree.
+		swap := useINL && p.Opts.DisableIndexScan
+		schema := expr.Concat(cur.Schema(), b.schema)
+		if swap {
+			schema = expr.Concat(b.schema, cur.Schema())
+		}
+		// The first pair is the join key; the others become filters.
+		var keyOld, keyNew expr.Expr
+		var extra []expr.Expr
+		for i, k := range keys {
+			old, err := p.bind(k[0], schema)
+			if err != nil {
+				return nil, err
+			}
+			nw, err := p.bind(k[1], schema)
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				keyOld, keyNew = old, nw
+			} else {
+				extra = append(extra, &expr.Cmp{Op: expr.EQ, L: old, R: nw})
+			}
 		}
 
-		if useINL {
-			idx := b.table.IndexOn(innerCol)
-			ilj := exec.NewIndexLoopJoin(cur, b.table, b.alias, b.cols, idx, keyL)
+		if useINL && !swap {
+			ilj := exec.NewIndexLoopJoin(cur, b.table, b.alias, b.cols, idx, keyOld)
 			ilj.Txn = p.Txn
 			ilj.Est = outCard
 			cur = ilj
-			for _, e := range extra {
-				cur = exec.NewFilter(cur, e)
+		} else {
+			right, err := p.access(b)
+			if err != nil {
+				return nil, err
 			}
-			joined[b.alias] = true
-			curEst = outCard
-			continue
-		}
-
-		right, err := p.access(b)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case keyL == nil:
-			nlj := exec.NewNestedLoopJoin(cur, right, nil)
-			nlj.Est = outCard
-			cur = nlj
-		case alg == JoinMerge:
-			mj := exec.NewMergeJoin(cur, right, keyL, keyR)
-			mj.Est = outCard
-			cur = mj
-		case alg == JoinNested:
-			nlj := exec.NewNestedLoopJoin(cur, right, &expr.Cmp{Op: expr.EQ, L: keyL, R: keyR})
-			nlj.Est = outCard
-			cur = nlj
-		default:
-			hj := exec.NewHashJoin(cur, right, keyL, keyR)
-			hj.Ctx = qctx
-			hj.Est = outCard
-			cur = hj
+			var hj *exec.HashJoin
+			switch {
+			case keyOld == nil:
+				nlj := exec.NewNestedLoopJoin(cur, right, nil)
+				nlj.Est = outCard
+				cur = nlj
+			case swap:
+				hj = exec.NewHashJoin(right, cur, keyNew, keyOld)
+			default:
+				hj = exec.NewHashJoin(cur, right, keyOld, keyNew)
+			}
+			if hj != nil {
+				hj.Ctx = qctx
+				hj.Est = outCard
+				cur = hj
+			}
 		}
 		for _, e := range extra {
 			cur = exec.NewFilter(cur, e)
@@ -973,10 +958,6 @@ func explain(sb *strings.Builder, op exec.Operator, depth int) {
 			explain(sb, n.Left, depth+1)
 		}
 		explain(sb, n.Right, depth+1)
-	case *exec.MergeJoin:
-		fmt.Fprintf(sb, "%sMergeJoin(%s = %s)%s\n", indent, n.LeftKey, n.RightKey, estSuffix(n.Est))
-		explain(sb, n.Left, depth+1)
-		explain(sb, n.Right, depth+1)
 	case *exec.NestedLoopJoin:
 		if n.Pred == nil {
 			fmt.Fprintf(sb, "%sCrossProduct%s\n", indent, estSuffix(n.Est))
@@ -1025,8 +1006,6 @@ func CountJoins(op exec.Operator) int {
 	case *exec.Project:
 		return CountJoins(n.Child)
 	case *exec.HashJoin:
-		return 1 + CountJoins(n.Left) + CountJoins(n.Right)
-	case *exec.MergeJoin:
 		return 1 + CountJoins(n.Left) + CountJoins(n.Right)
 	case *exec.NestedLoopJoin:
 		return 1 + CountJoins(n.Left) + CountJoins(n.Right)
