@@ -63,34 +63,20 @@ func (st *Store) nextDocID() (int64, error) {
 func (st *Store) AddDocuments(docs []*xmltree.Document) ([]int64, error) {
 	var ids []int64
 	err := st.mvccDirect(func() error {
-		var err error
-		ids, err = st.addDocumentsDirect(docs)
-		return err
+		reg, next, err := st.startDocAdd(docs)
+		if err != nil {
+			return err
+		}
+		for _, doc := range docs {
+			if err := st.commit(func(b *wal.Batch) error { return st.loadDocument(reg, next, doc, b) }); err != nil {
+				return err
+			}
+			ids = append(ids, next)
+			next++
+		}
+		return nil
 	})
 	return ids, err
-}
-
-func (st *Store) addDocumentsDirect(docs []*xmltree.Document) ([]int64, error) {
-	if err := st.ensureLoader(docs); err != nil {
-		return nil, err
-	}
-	reg, err := st.ensureDocRegistry()
-	if err != nil {
-		return nil, err
-	}
-	next, err := st.nextDocID()
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]int64, 0, len(docs))
-	for _, doc := range docs {
-		if err := st.addDocumentWithID(reg, next, doc); err != nil {
-			return ids, err
-		}
-		ids = append(ids, next)
-		next++
-	}
-	return ids, nil
 }
 
 // AddXML parses and adds document texts; see AddDocuments.
@@ -106,44 +92,37 @@ func (st *Store) AddXML(texts []string) ([]int64, error) {
 	return st.AddDocuments(docs)
 }
 
-// addDocumentWithID loads one document and registers its tuple spans
-// under docID, all inside one WAL batch. The loader's per-relation ID
-// counters before and after the load delimit exactly this document's
-// rows: IDs are dense per relation and never reused.
-func (st *Store) addDocumentWithID(reg *catalog.Table, docID int64, doc *xmltree.Document) error {
-	var b *wal.Batch
-	if st.wal != nil {
-		b = st.wal.Begin()
+// startDocAdd prepares to register docs: the loader (sampling docs for
+// the XADT format on first use), the document registry, and the first
+// free document ID, from which the documents take consecutive IDs.
+func (st *Store) startDocAdd(docs []*xmltree.Document) (*catalog.Table, int64, error) {
+	if err := st.ensureLoader(docs); err != nil {
+		return nil, 0, err
 	}
-	if err := st.loadDocumentSpans(reg, docID, doc, b); err != nil {
-		return err
+	reg, err := st.ensureDocRegistry()
+	if err != nil {
+		return nil, 0, err
 	}
-	if b != nil {
-		if err := b.Commit(); err != nil {
-			return err
-		}
-		st.pendingFormat = false
-	}
-	return nil
+	next, err := st.nextDocID()
+	return reg, next, err
 }
 
-// loadDocumentSpans shreds one document and registers its tuple spans
-// under docID, logging redo records into b when set (the caller owns the
-// batch lifecycle: the legacy path commits one batch per document, a
-// session commit shares one batch across the whole transaction). The
-// pending XADT format decision is logged into the batch but stays
-// pending until the caller's commit succeeds.
-func (st *Store) loadDocumentSpans(reg *catalog.Table, docID int64, doc *xmltree.Document, b *wal.Batch) error {
-	before := st.loader.TupleCounts()
+// loadDocument shreds one document, logging its tuples into b when set.
+// With reg set it also registers the document's tuple spans under docID:
+// the loader's per-relation ID counters before and after the load
+// delimit exactly this document's rows, because IDs are dense per
+// relation and never reused.
+func (st *Store) loadDocument(reg *catalog.Table, docID int64, doc *xmltree.Document, b *wal.Batch) error {
+	var before map[string]int64
+	if reg != nil {
+		before = st.loader.TupleCounts()
+	}
 	if b != nil {
-		if st.pendingFormat {
-			b.SetFormat(byte(st.Format))
-		}
 		st.loader.OnInsert = b.Insert
 	}
 	err := st.loader.LoadDocument(doc)
 	st.loader.OnInsert = nil
-	if err != nil {
+	if err != nil || reg == nil {
 		return err
 	}
 	after := st.loader.TupleCounts()
@@ -169,38 +148,10 @@ func (st *Store) loadDocumentSpans(reg *catalog.Table, docID int64, doc *xmltree
 }
 
 // RemoveDocument deletes every row a document produced (per the
-// registry) plus its registry entries. On a WAL store the removal is one
-// committed batch holding a single logical doc-removal record; recovery
-// re-executes the same deterministic procedure.
+// registry) plus its registry entries, as one committed batch of row
+// deletes.
 func (st *Store) RemoveDocument(docID int64) error {
-	return st.mvccDirect(func() error { return st.removeDocumentDirect(docID) })
-}
-
-func (st *Store) removeDocumentDirect(docID int64) error {
-	if st.wal == nil {
-		return st.applyRemoveDocument(docID)
-	}
-	b := st.wal.Begin()
-	if err := b.RemoveDoc(docID); err != nil {
-		return err
-	}
-	if err := st.applyRemoveDocument(docID); err != nil {
-		return err
-	}
-	return b.Commit()
-}
-
-// applyRemoveDocument removes a document from the live store without
-// logging its row deletes: the caller logs the one logical docremove
-// frame, and WAL replay of that frame runs this same procedure. It is
-// deterministic given the store state, so replay reproduces the exact
-// same heap mutations.
-func (st *Store) applyRemoveDocument(docID int64) error {
-	ops, err := st.removeDocumentOps(exec.Live, docID)
-	if err != nil {
-		return err
-	}
-	return st.DB.ApplyOps(ops, nil)
+	return st.direct(func() ([]mvcc.Op, error) { return st.removeDocumentOps(exec.Live, docID) })
 }
 
 // removeDocumentOps computes the row deletes that remove document docID
@@ -281,7 +232,7 @@ func (st *Store) ReplaceDocument(docID int64, doc *xmltree.Document) error {
 		if err != nil {
 			return err
 		}
-		return st.addDocumentWithID(reg, docID, doc)
+		return st.commit(func(b *wal.Batch) error { return st.loadDocument(reg, docID, doc, b) })
 	})
 }
 
@@ -303,12 +254,9 @@ func idColumn(rel *mapping.Relation) int {
 // the column keeps its structural assumptions. On a WAL store the splice
 // is one committed batch holding the row's update record.
 func (st *Store) SpliceFragment(table, column string, id int64, fragTexts []string) error {
-	return st.mvccDirect(func() error {
+	return st.direct(func() ([]mvcc.Op, error) {
 		op, err := st.spliceOp(exec.Live, table, column, id, fragTexts)
-		if err != nil {
-			return err
-		}
-		return st.logged(func(log exec.MutationLog) error { return st.DB.ApplyOps([]mvcc.Op{op}, log) })
+		return []mvcc.Op{op}, err
 	})
 }
 
@@ -378,19 +326,6 @@ func (st *Store) spliceOp(rows exec.RowSource, table, column string, id int64, f
 	return op, nil
 }
 
-// logged runs fn with a redo log: on a WAL store a fresh batch, committed
-// once fn succeeds; otherwise nil.
-func (st *Store) logged(fn func(exec.MutationLog) error) error {
-	if st.wal == nil {
-		return fn(nil)
-	}
-	b := st.wal.Begin()
-	if err := fn(b); err != nil {
-		return err
-	}
-	return b.Commit()
-}
-
 // Exec parses and runs one SQL statement. SELECTs execute like Query and
 // return their row count; INSERT/UPDATE/DELETE apply the mutation and
 // return the affected-row count, committing their redo records as one
@@ -408,14 +343,15 @@ func (st *Store) Exec(query string) (int64, error) {
 		return int64(len(res.Rows)), nil
 	}
 	var n int64
-	err = st.mvccDirect(func() error {
-		return st.logged(func(log exec.MutationLog) error {
-			var err error
-			n, err = st.DB.ExecStatement(stmt, log)
-			return err
-		})
+	err = st.direct(func() ([]mvcc.Op, error) {
+		ops, err := st.DB.MutationOps(stmt)
+		n = int64(len(ops))
+		return ops, err
 	})
-	return n, err
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // replayOp re-executes one logged mutation during recovery, after the
@@ -423,12 +359,6 @@ func (st *Store) Exec(query string) (int64, error) {
 // created on demand: a checkpoint taken before the first AddDocuments
 // does not hold it, yet the tail may insert into it.
 func (st *Store) replayOp(seq uint64, op wal.ScannedOp, k *xadt.Walker) error {
-	if op.Kind == wal.OpDocRemove {
-		if err := st.applyRemoveDocument(op.DocID); err != nil {
-			return fmt.Errorf("core: replaying batch %d removal of document %d: %w", seq, op.DocID, err)
-		}
-		return nil
-	}
 	tbl := st.DB.Catalog.Table(op.Table)
 	if tbl == nil && op.Table == docRegistryTable {
 		var err error

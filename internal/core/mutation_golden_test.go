@@ -7,6 +7,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,8 +81,6 @@ func dumpWAL(t *testing.T, vfs storage.VFS) string {
 				fmt.Fprintf(&sb, "  delete %s rid=%d/%d\n", op.Table, op.RID.Page, op.RID.Slot)
 			case wal.OpUpdate:
 				fmt.Fprintf(&sb, "  update %s rid=%d/%d %v\n", op.Table, op.RID.Page, op.RID.Slot, op.Row)
-			case wal.OpDocRemove:
-				fmt.Fprintf(&sb, "  docremove id=%d\n", op.DocID)
 			}
 		}
 	}
@@ -169,4 +168,59 @@ func TestMutationWALGolden(t *testing.T) {
 		t.Fatalf("mutation WAL frames differ from %s.\nIf intentional, rerun with -update.\n--- got ---\n%s\n--- want ---\n%s",
 			goldenPath, got, want)
 	}
+}
+
+// TestDirectAndSessionLogAlike holds the two write paths to one log: a
+// mutation run directly on a store, and the same mutation recorded in a
+// session and committed on a twin, log the same row frames.
+func TestDirectAndSessionLogAlike(t *testing.T) {
+	const update = `UPDATE book SET book_title = 'Retitled at length' WHERE bookID >= 2`
+	frags := []string{"<chapter>spliced</chapter>"}
+	for _, tc := range []struct {
+		name    string
+		direct  func(*Store) error
+		session func(*Session) error
+	}{
+		{"remove",
+			func(st *Store) error { return st.RemoveDocument(2) },
+			func(s *Session) error { return s.RemoveDocument(2) }},
+		{"splice",
+			func(st *Store) error { return st.SpliceFragment("book", "book_chapter", 3, frags) },
+			func(s *Session) error { return s.SpliceFragment("book", "book_chapter", 3, frags) }},
+		{"dml",
+			func(st *Store) error { _, err := st.Exec(update); return err },
+			func(s *Session) error { _, err := s.Exec(update); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, vfs, _ := goldenBookStore(t, true)
+			if err := tc.direct(st); err != nil {
+				t.Fatal(err)
+			}
+			tw, twVFS, _ := goldenBookStore(t, true)
+			s, err := tw.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.session(s); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			want, got := scanWAL(t, vfs), scanWAL(t, twVFS)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("session path logs %+v\nstore path logs %+v", got, want)
+			}
+		})
+	}
+}
+
+// scanWAL returns the committed batches of a WAL directory's log.
+func scanWAL(t *testing.T, vfs storage.VFS) []wal.ScannedBatch {
+	t.Helper()
+	tail, err := wal.Scan(vfs, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tail.Batches
 }

@@ -263,12 +263,10 @@ func OpenSnapshotFile(path string, engineCfg engine.Config) (*Store, error) {
 // Structural log damage beyond a torn tail surfaces as a
 // *wal.CorruptError; a directory without a checkpoint yields
 // ErrNoCheckpoint. The store's identity (mapping algorithm, XADT format)
-// comes from the checkpoint, not from cfg, which supplies
-// the engine configuration and the loading policy
-// (ForceFormat/CompressionThreshold/SampleDocs) — the latter matters
-// only when the crash preceded the first committed batch, so the format
-// decision has not been logged yet and resumed loading must re-make it
-// under the caller's knobs.
+// comes from the checkpoint, not from cfg, which supplies the engine
+// configuration and ForceFormat — the latter matters only when the crash
+// preceded the first committed batch, so the format decision has not
+// been logged yet and resumed loading must re-make it.
 func OpenRecovered(cfg Config) (*Store, error) {
 	dir := cfg.Engine.WALDir
 	if dir == "" {
@@ -291,14 +289,6 @@ func OpenRecovered(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
 	}
 	st.cfg.ForceFormat = cfg.ForceFormat
-	st.cfg.CompressionThreshold = cfg.CompressionThreshold
-	st.cfg.SampleDocs = cfg.SampleDocs
-	if st.cfg.CompressionThreshold == 0 {
-		st.cfg.CompressionThreshold = 0.20
-	}
-	if st.cfg.SampleDocs == 0 {
-		st.cfg.SampleDocs = 5
-	}
 	// The checkpoint may predate the first load (it is written at store
 	// creation), so make sure every mapped relation exists before
 	// replay.

@@ -311,3 +311,51 @@ func TestRecoveryRejectsAlteredTable(t *testing.T) {
 		t.Fatalf("OpenRecovered error %v, want one naming %q", err, want)
 	}
 }
+
+// indexSet lists a store's indexes, one "table.column kind" entry each,
+// in table order.
+func indexSet(st *Store) []string {
+	var out []string
+	for _, name := range st.DB.Catalog.TableNames() {
+		t := st.DB.Catalog.Table(name)
+		for _, idx := range t.Indexes {
+			out = append(out, name+"."+idx.Column+" btree")
+		}
+		for _, fi := range t.FragIndexes {
+			out = append(out, name+"."+fi.Column()+" fragment")
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestRecoveredStoreHoldsLiveIndexes holds an XORator WAL store and the
+// store OpenRecovered rebuilds from its log to the same indexes and the
+// same plan: loading builds no index, so neither store's indexes depend
+// on what the creation checkpoint recorded.
+func TestRecoveredStoreHoldsLiveIndexes(t *testing.T) {
+	vfs := storage.NewMemVFS()
+	st, _ := addPlayStore(t, XORator, vfs)
+	rec, err := OpenRecovered(Config{Engine: engine.Config{WALDir: "wal", WALSync: wal.SyncAlways, VFS: vfs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.RunStats(); err != nil {
+		t.Fatal(err)
+	}
+	if live, got := indexSet(st), indexSet(rec); !slices.Equal(live, got) {
+		t.Fatalf("recovered indexes %v, live %v", got, live)
+	}
+	q := `SELECT speechID FROM speech WHERE findKeyInElm(speech_line, 'LINE', 'love') = 1`
+	want, err := st.DB.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.DB.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("recovered plan:\n%s\nlive plan:\n%s", got, want)
+	}
+}

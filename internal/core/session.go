@@ -60,33 +60,7 @@ func (s *Session) Ops() []mvcc.Op { return s.es.Ops() }
 // session's recorded ops to the shared store as one committed WAL batch.
 func (s *Session) Commit() error {
 	ops := s.es.Ops()
-	hasDocs := false
-	for _, op := range ops {
-		if op.Kind == mvcc.OpDocAdd {
-			hasDocs = true
-			break
-		}
-	}
-	return s.es.CommitWith(func(uint64) error {
-		var b *wal.Batch
-		if s.st.wal != nil {
-			b = s.st.wal.Begin()
-		}
-		if err := s.st.applyTxnOps(ops, b); err != nil {
-			return err
-		}
-		if b != nil {
-			if err := b.Commit(); err != nil {
-				return err
-			}
-			if hasDocs {
-				// A doc-adding batch carried the pending format frame
-				// (loadDocumentSpans wrote it); it is durable now.
-				s.st.pendingFormat = false
-			}
-		}
-		return nil
-	})
+	return s.es.CommitWith(func(uint64) error { return s.st.commitOps(ops) })
 }
 
 // AddDocuments schedules documents for load at Commit. Shredding runs at
@@ -143,11 +117,53 @@ func (s *Session) SpliceFragment(table, column string, id int64, fragTexts []str
 	return nil
 }
 
-// applyTxnOps replays a committed transaction's op list against the
-// store, logging redo records into b (nil for stores without a WAL, and
-// for the serial oracle of the differential harness). Row ops go through
-// the engine applier; document adds run the loader with the shared
-// batch, assigning document IDs in commit order.
+// commit runs fn, which applies one transaction's mutations and logs
+// their redo records into b, and commits b as one WAL batch; without a
+// WAL, b is nil and nothing is logged. Every store mutation commits
+// here: a loaded document, a statement, a session. A batch carries the
+// XADT format decision while it is pending, so this is the one place
+// that marks it logged.
+func (st *Store) commit(fn func(b *wal.Batch) error) error {
+	if st.wal == nil {
+		return fn(nil)
+	}
+	b := st.wal.Begin()
+	if err := fn(b); err != nil {
+		return err
+	}
+	if st.pendingFormat {
+		b.SetFormat(byte(st.Format))
+	}
+	if err := b.Commit(); err != nil {
+		return err
+	}
+	st.pendingFormat = false
+	return nil
+}
+
+// commitOps applies a transaction's ops and commits them as one batch.
+func (st *Store) commitOps(ops []mvcc.Op) error {
+	return st.commit(func(b *wal.Batch) error { return st.applyTxnOps(ops, b) })
+}
+
+// direct runs one mutation outside a session, inside the direct
+// envelope, as a one-statement transaction: ops computes its row ops
+// against the live store (exec.Live), and they commit as a session's do.
+func (st *Store) direct(ops func() ([]mvcc.Op, error)) error {
+	return st.mvccDirect(func() error {
+		o, err := ops()
+		if err != nil {
+			return err
+		}
+		return st.commitOps(o)
+	})
+}
+
+// applyTxnOps applies a transaction's op list to the store, logging redo
+// records into b (nil for stores without a WAL, and for the serial
+// oracle of the differential harness). Row ops go through one engine
+// applier; document adds run the loader with the same batch, assigning
+// document IDs in commit order.
 func (st *Store) applyTxnOps(ops []mvcc.Op, b *wal.Batch) error {
 	var log exec.MutationLog
 	if b != nil {
@@ -172,21 +188,14 @@ func (st *Store) applyTxnOps(ops []mvcc.Op, b *wal.Batch) error {
 	return nil
 }
 
-// applyDocAdd shreds scheduled documents at commit time.
+// applyDocAdd shreds scheduled documents at commit time, into b.
 func (st *Store) applyDocAdd(docs []*xmltree.Document, b *wal.Batch) error {
-	if err := st.ensureLoader(docs); err != nil {
-		return err
-	}
-	reg, err := st.ensureDocRegistry()
-	if err != nil {
-		return err
-	}
-	next, err := st.nextDocID()
+	reg, next, err := st.startDocAdd(docs)
 	if err != nil {
 		return err
 	}
 	for _, doc := range docs {
-		if err := st.loadDocumentSpans(reg, next, doc, b); err != nil {
+		if err := st.loadDocument(reg, next, doc, b); err != nil {
 			return err
 		}
 		next++

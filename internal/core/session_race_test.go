@@ -29,7 +29,7 @@ func TestSessionRaceStress(t *testing.T) {
 	// every writer's commit maintains, and an index nested loop from
 	// play into act: plan-time probes and the operators read the live
 	// structures under the shared latch while commits wait.
-	if err := st.DB.CreateIndexes("act", []string{"act_parentID"}); err != nil {
+	if err := st.CreateDefaultIndexes(); err != nil {
 		t.Fatal(err)
 	}
 	indexed := map[string]string{

@@ -37,17 +37,19 @@ const (
 type Config struct {
 	// Algorithm picks the mapping; default XORator.
 	Algorithm Algorithm
-	// CompressionThreshold is the minimum fractional saving required to
-	// choose the compressed XADT representation; the paper uses 0.20.
-	CompressionThreshold float64
-	// SampleDocs bounds how many of the first batch's documents are
-	// sampled for the compression decision; default 5.
-	SampleDocs int
 	// ForceFormat, when non-nil, overrides the sampling decision.
 	ForceFormat *xadt.Format
 	// Engine configures the underlying database.
 	Engine engine.Config
 }
+
+// The XADT format decision of §4.1: the first loaded batch's leading
+// sampleDocs documents are sampled, and the compressed representation is
+// chosen only when it saves at least minCompressionSaving of their size.
+const (
+	sampleDocs           = 5
+	minCompressionSaving = 0.20
+)
 
 // Store is a loaded XML store under one mapping.
 type Store struct {
@@ -101,12 +103,6 @@ func (s Stats) String() string {
 func NewStore(dtdSource string, cfg Config) (*Store, error) {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = XORator
-	}
-	if cfg.CompressionThreshold == 0 {
-		cfg.CompressionThreshold = 0.20
-	}
-	if cfg.SampleDocs == 0 {
-		cfg.SampleDocs = 5
 	}
 	d, err := dtd.Parse(dtdSource)
 	if err != nil {
@@ -164,8 +160,8 @@ func (st *Store) openWAL() error {
 	return st.Checkpoint()
 }
 
-// mvccDirect runs a legacy direct mutation. On a single-user store it
-// runs fn as-is; on an MVCC store it wraps fn in its own committed
+// mvccDirect runs a mutation outside a session. On a single-user store
+// it runs fn as-is; on an MVCC store it wraps fn in its own committed
 // transaction — the exclusive-latch direct path, where the catalog
 // hooks stamp versions and journal conflict keys so concurrent snapshot
 // sessions stay isolated from (and conflict-checked against) it.
@@ -176,44 +172,22 @@ func (st *Store) mvccDirect(fn func() error) error {
 	return st.DB.TxnMgr.RunDirect(func(uint64) error { return fn() })
 }
 
-// Load shreds documents into the store. The first call fixes the XADT
-// storage representation by sampling the batch (the paper parses "a few
-// sample documents" and compresses only if it saves at least the
-// threshold).
+// Load shreds documents into the store, each document one WAL batch:
+// its tuples are logged as they are shredded and become durable
+// together, so recovery never sees half a document. The first call
+// fixes the XADT storage representation by sampling the batch.
 func (st *Store) Load(docs []*xmltree.Document) error {
-	return st.mvccDirect(func() error { return st.loadDirect(docs) })
-}
-
-func (st *Store) loadDirect(docs []*xmltree.Document) error {
-	if err := st.ensureLoader(docs); err != nil {
-		return err
-	}
-	for _, doc := range docs {
-		if st.wal == nil {
-			if err := st.loader.LoadDocument(doc); err != nil {
+	return st.mvccDirect(func() error {
+		if err := st.ensureLoader(docs); err != nil {
+			return err
+		}
+		for _, doc := range docs {
+			if err := st.commit(func(b *wal.Batch) error { return st.loadDocument(nil, 0, doc, b) }); err != nil {
 				return err
 			}
-			continue
 		}
-		// One document is one WAL batch: its tuples are logged as they
-		// are shredded and become durable together at Commit, so
-		// recovery never sees half a document.
-		b := st.wal.Begin()
-		if st.pendingFormat {
-			b.SetFormat(byte(st.Format))
-		}
-		st.loader.OnInsert = b.Insert
-		err := st.loader.LoadDocument(doc)
-		st.loader.OnInsert = nil
-		if err != nil {
-			return err
-		}
-		if err := b.Commit(); err != nil {
-			return err
-		}
-		st.pendingFormat = false
-	}
-	return nil
+		return nil
+	})
 }
 
 // ensureLoader creates the loader on first use, fixing the XADT storage
@@ -227,11 +201,7 @@ func (st *Store) ensureLoader(docs []*xmltree.Document) error {
 	if st.cfg.ForceFormat != nil {
 		format = *st.cfg.ForceFormat
 	} else if st.cfg.Algorithm == XORator {
-		n := st.cfg.SampleDocs
-		if n > len(docs) {
-			n = len(docs)
-		}
-		format = shred.ChooseFormat(st.Schema, docs[:n], st.cfg.CompressionThreshold)
+		format = shred.ChooseFormat(st.Schema, docs[:min(sampleDocs, len(docs))], minCompressionSaving)
 	}
 	var loader *shred.Loader
 	var err error

@@ -275,6 +275,40 @@ func checkAll(opts Options, st *iterState) ([]Divergence, int, error) {
 	return divs, cells, nil
 }
 
+// cellSpec is one cell of a differential matrix: an axis name and the
+// planner options its query runs under.
+type cellSpec struct {
+	axis string
+	o    plan.Options
+}
+
+// plainCells returns the cells the plain harness runs a store's cases
+// under besides the serial reference, their axes prefixed with alg.
+// Parallel cells bypass the parallelism cost gate (parallelOptions) so
+// the tiny generated tables still produce genuinely parallel plans. The
+// noindex cells read only the heap (noIndex), so an indexed plan must
+// return byte-identical rows to the scans it replaced. Budget cells
+// spill through an in-memory VFS; spill file names are globally unique,
+// so cells never collide.
+func plainCells(opts Options, alg string) []cellSpec {
+	serial, par := plan.Options{DOP: 1}, parallelOptions(opts)
+	cells := []cellSpec{
+		{alg + ":dop", par},
+		{alg + ":noindex", noIndex(serial)},
+		{alg + ":noindex+dop", noIndex(par)},
+	}
+	if opts.MemBudget > 0 {
+		spillFS := storage.NewMemVFS()
+		budget, budgetPar := serial, par
+		budget.MemBudgetBytes, budget.SpillVFS = opts.MemBudget, spillFS
+		budgetPar.MemBudgetBytes, budgetPar.SpillVFS = opts.MemBudget, spillFS
+		cells = append(cells,
+			cellSpec{alg + ":membudget", budget},
+			cellSpec{alg + ":membudget+dop", budgetPar})
+	}
+	return cells
+}
+
 // checkCase executes one case across the matrix. Within a store, every
 // cell must match the serial reference exactly (same rows, same order);
 // the crash-recovered twin holds byte-identical data, so its cells are
@@ -287,28 +321,7 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 	record := func(axis, detail string) {
 		divs = append(divs, Divergence{Case: c, Axis: axis, Detail: detail})
 	}
-	type cellSpec struct {
-		axis string
-		o    plan.Options
-	}
-	// Parallel cells bypass the parallelism cost gate (ForceParallel) so
-	// the tiny generated tables still produce genuinely parallel plans.
-	serial := plan.Options{DOP: 1}
-	par := plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true}
-	// Index cells: the reference runs with the XADT fragment indexes on
-	// (stores build them by default), so the noindex cells are the
-	// index-on vs index-off differential axis — an indexed plan must
-	// return byte-identical rows to the scan it replaced.
-	noIdx := plan.Options{DOP: 1, DisableXADTIndexes: true}
-	noIdxPar := plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true, DisableXADTIndexes: true}
-	// Budget cells spill through one shared in-memory VFS; spill file
-	// names are globally unique, so cells never collide.
-	var budget, budgetPar plan.Options
-	if opts.MemBudget > 0 {
-		spillFS := storage.NewMemVFS()
-		budget = plan.Options{DOP: 1, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS}
-		budgetPar = plan.Options{DOP: opts.DOP, MorselPages: 1, ForceParallel: true, MemBudgetBytes: opts.MemBudget, SpillVFS: spillFS}
-	}
+	serial, par := plan.Options{DOP: 1}, parallelOptions(opts)
 	run := func(s *core.Store, o plan.Options, sql string) (*engine.Result, error) {
 		s.DB.SetPlannerOptions(o)
 		defer s.DB.SetPlannerOptions(serial)
@@ -326,17 +339,7 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 			return divs, cells, fmt.Errorf("hybrid %w", err)
 		}
 		hyRef = ref
-		hyCells := []cellSpec{
-			{"hybrid:dop", par},
-			{"hybrid:noindex", noIdx},
-			{"hybrid:noindex+dop", noIdxPar},
-		}
-		if opts.MemBudget > 0 {
-			hyCells = append(hyCells,
-				cellSpec{"hybrid:membudget", budget},
-				cellSpec{"hybrid:membudget+dop", budgetPar})
-		}
-		for _, cell := range hyCells {
+		for _, cell := range plainCells(opts, "hybrid") {
 			got, err := run(st.hy, cell.o, c.Hybrid)
 			if err != nil {
 				return divs, cells, fmt.Errorf("hybrid %w", err)
@@ -353,17 +356,7 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 			return divs, cells, fmt.Errorf("xorator %w", err)
 		}
 		xoRef = ref
-		xoCells := []cellSpec{
-			{"xorator:dop", par},
-			{"xorator:noindex", noIdx},
-			{"xorator:noindex+dop", noIdxPar},
-		}
-		if opts.MemBudget > 0 {
-			xoCells = append(xoCells,
-				cellSpec{"xorator:membudget", budget},
-				cellSpec{"xorator:membudget+dop", budgetPar})
-		}
-		for _, cell := range xoCells {
+		for _, cell := range plainCells(opts, "xorator") {
 			got, err := run(st.xo, cell.o, c.XORator)
 			if err != nil {
 				return divs, cells, fmt.Errorf("xorator %w", err)
@@ -377,7 +370,7 @@ func checkCase(opts Options, st *iterState, c Case) ([]Divergence, int, error) {
 			for _, cell := range []cellSpec{
 				{"xorator:recovered", serial},
 				{"xorator:recovered+dop", par},
-				{"xorator:recovered+noindex", noIdx},
+				{"xorator:recovered+noindex", noIndex(serial)},
 			} {
 				got, err := run(st.recovered, cell.o, c.XORator)
 				if err != nil {

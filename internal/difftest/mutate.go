@@ -673,10 +673,6 @@ func (ms *mutState) checkMutCase(opts Options, c Case) ([]Divergence, int, error
 	serial := plan.Options{DOP: 1}
 	par := parallelOptions(opts)
 	noIdx, noIdxPar := noIndex(serial), noIndex(par)
-	type cellSpec struct {
-		axis string
-		o    plan.Options
-	}
 	var hyRef, xoRef *engine.Result
 	if c.Hybrid != "" {
 		ref, err := runStoreQuery(ms.hy, serial, c.Hybrid)

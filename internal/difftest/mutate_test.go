@@ -185,3 +185,51 @@ func TestNoIndexCellsReadNoIndex(t *testing.T) {
 	}
 	t.Logf("%d index reads in the default plans, none under the noindex options", indexed)
 }
+
+// TestPlainNoIndexCellsReadNoIndex holds the plain harness's "noindex"
+// cells to the same job: every generated case of both mappings (seeds
+// 1–10) is planned under each noindex cell plainCells returns, and none
+// may read a B+tree or a fragment index. The serial reference must read
+// some index, or the check proves nothing.
+func TestPlainNoIndexCellsReadNoIndex(t *testing.T) {
+	opts := Options{}
+	opts.setDefaults()
+	serial := plan.Options{DOP: 1}
+	indexed := 0
+	for seed := int64(1); seed <= 10; seed++ {
+		it, err := buildIteration(opts, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range it.cases {
+			for _, m := range []struct {
+				alg string
+				st  *core.Store
+				sql string
+			}{{"hybrid", it.hy, c.Hybrid}, {"xorator", it.xo, c.XORator}} {
+				if m.sql == "" {
+					continue
+				}
+				for _, cell := range append([]cellSpec{{m.alg, serial}}, plainCells(opts, m.alg)...) {
+					m.st.DB.SetPlannerOptions(cell.o)
+					op, err := m.st.DB.Plan(m.sql)
+					if err != nil {
+						t.Fatalf("seed %d %s: %q: %v", seed, c.Name, m.sql, err)
+					}
+					reads := indexReads(t, op, nil)
+					switch {
+					case cell.axis == m.alg:
+						indexed += len(reads)
+					case strings.Contains(cell.axis, "noindex") && len(reads) > 0:
+						t.Errorf("seed %d %s cell %s reads %v:\n%s", seed, c.Name, cell.axis, reads, plan.Explain(op))
+					}
+				}
+				m.st.DB.SetPlannerOptions(serial)
+			}
+		}
+	}
+	if indexed == 0 {
+		t.Fatal("no reference plan read an index; the check is vacuous")
+	}
+	t.Logf("%d index reads in the reference plans, none in the noindex cells", indexed)
+}

@@ -208,45 +208,15 @@ func (db *Database) Query(query string) (*Result, error) {
 	return &Result{Cols: op.Schema().Names(), Rows: rows}, nil
 }
 
-// Exec parses and runs any statement — SELECT or DML — returning the
-// result-row count for queries and the affected-row count for mutations.
-// Redo records of mutations go to log (often a *wal.Batch); a nil log
-// runs them without durability.
-func (db *Database) Exec(query string, log exec.MutationLog) (int64, error) {
-	stmt, err := sql.ParseStatement(query)
-	if err != nil {
-		return 0, err
-	}
-	return db.ExecStatement(stmt, log)
-}
-
-// ExecStatement runs an already-parsed statement; see Exec. A mutation
-// computes its row ops against the live heap, then applies them all; a
-// statement that fails validation changes nothing.
-func (db *Database) ExecStatement(stmt sql.Statement, log exec.MutationLog) (int64, error) {
-	if sel, ok := stmt.(*sql.SelectStmt); ok {
-		op, err := db.planner.Plan(sel)
-		if err != nil {
-			return 0, err
-		}
-		rows, err := exec.Drain(op)
-		if err != nil {
-			return 0, fmt.Errorf("engine: executing statement: %w", err)
-		}
-		return int64(len(rows)), nil
-	}
+// MutationOps binds an INSERT, UPDATE or DELETE and computes its row
+// ops against the live store; applying them all runs the statement. A
+// statement that fails validation returns no ops.
+func (db *Database) MutationOps(stmt sql.Statement) ([]mvcc.Op, error) {
 	m, err := db.planner.PlanMutation(stmt)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	ops, err := m.Ops(exec.Live)
-	if err != nil {
-		return 0, err
-	}
-	if err := db.ApplyOps(ops, log); err != nil {
-		return 0, err
-	}
-	return int64(len(ops)), nil
+	return m.Ops(exec.Live)
 }
 
 // Explain returns the physical plan of a query as text.

@@ -91,8 +91,8 @@ type SetCol struct {
 }
 
 // Mutation is a bound INSERT, UPDATE or DELETE. Ops computes its row
-// ops once; the store applies them at once (engine.Database.ApplyOps),
-// a session records them for commit (engine.Session.Record).
+// ops once; the store applies them at once (engine.Applier), a session
+// records them for commit (engine.Session.Record).
 type Mutation struct {
 	Kind  mvcc.OpKind // OpRowInsert, OpRowUpdate or OpRowDelete
 	Table *catalog.Table

@@ -209,8 +209,8 @@ func (m *TxnManager) gc(min uint64) {
 	m.latch.Unlock()
 }
 
-// RunDirect executes a single-shot mutation — the legacy Store paths
-// (Load, AddDocuments, Exec, ...) on an MVCC store — as its own
+// RunDirect executes a single-shot mutation — a Store mutation outside
+// a session (Load, AddDocuments, Exec, ...) on an MVCC store — as its own
 // committed transaction: exclusive latch, fresh commit timestamp, hooks
 // stamping versions and journaling keys. fn runs with every concurrent
 // snapshot read blocked, so its heap mutations are atomic with

@@ -348,7 +348,7 @@ func runMutationTimeline(vfs storage.VFS, cfg crashConfig, ops []func(*core.Stor
 // splice, and a document removal, and is killed at every mutating
 // filesystem operation (plus torn-write variants). Recovery must
 // reproduce the committed-prefix twin byte-for-byte — including the
-// delete/update/docremove redo frames — and resuming the remaining
+// delete and update redo frames — and resuming the remaining
 // operations must land in the never-crashed state.
 func TestCrashMatrixMutation(t *testing.T) {
 	docs := crashDocs(t)

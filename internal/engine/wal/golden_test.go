@@ -46,16 +46,13 @@ func TestWALFormatGolden(t *testing.T) {
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Mutation frames (delete/update/docremove), added with DML support;
-	// their byte layout is pinned here too.
+	// Mutation frames (update/delete), added with DML support; their
+	// byte layout is pinned here too.
 	b = w.Begin()
 	if err := b.Update("play", storage.RID{Page: 0, Slot: 1}, row(3, "Macbeth", nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Delete("act", storage.RID{Page: 2, Slot: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RemoveDoc(42); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Commit(); err != nil {
@@ -71,7 +68,7 @@ func TestWALFormatGolden(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	sb.WriteString("WAL log image: format frame + 2 inserts + commit, insert + commit, update + delete + docremove + commit\n\n")
+	sb.WriteString("WAL log image: format frame + 2 inserts + commit, insert + commit, update + delete + commit\n\n")
 	sb.WriteString(hex.Dump(data))
 	sb.WriteString("\nframes:\n")
 	tail, err := ScanBytes(data)
@@ -88,8 +85,6 @@ func TestWALFormatGolden(t *testing.T) {
 				fmt.Fprintf(&sb, "  delete table=%s rid=%d/%d\n", op.Table, op.RID.Page, op.RID.Slot)
 			case OpUpdate:
 				fmt.Fprintf(&sb, "  update table=%s rid=%d/%d cols=%d\n", op.Table, op.RID.Page, op.RID.Slot, len(op.Row))
-			case OpDocRemove:
-				fmt.Fprintf(&sb, "  docremove id=%d\n", op.DocID)
 			}
 		}
 	}

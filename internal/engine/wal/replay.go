@@ -20,12 +20,11 @@ const (
 	OpInsert OpKind = iota
 	OpDelete
 	OpUpdate
-	OpDocRemove
 )
 
-// ScannedOp is one logged mutation. Which fields are meaningful depends
-// on Kind: inserts carry Table/Row/Overflow, deletes Table/RID, updates
-// Table/RID/Row, doc removals DocID only.
+// ScannedOp is one logged row mutation. Which fields are meaningful
+// depends on Kind: inserts carry Table/Row/Overflow, deletes Table/RID,
+// updates Table/RID/Row.
 type ScannedOp struct {
 	Kind  OpKind
 	Table string
@@ -35,8 +34,6 @@ type ScannedOp struct {
 	Overflow bool
 	// RID addresses the target row of a delete or update.
 	RID storage.RID
-	// DocID identifies the document of a doc-removal op.
-	DocID int64
 }
 
 // ScannedBatch is one committed batch of the log.
@@ -148,12 +145,6 @@ func ScanBytes(data []byte) (*Tail, error) {
 				return nil, &CorruptError{Offset: frameStart, Reason: err.Error()}
 			}
 			pending = append(pending, op)
-		case frameDocRemove:
-			docID, n := binary.Uvarint(payload)
-			if n <= 0 || n != len(payload) || docID > 1<<62 {
-				return nil, &CorruptError{Offset: frameStart, Reason: "malformed document id"}
-			}
-			pending = append(pending, ScannedOp{Kind: OpDocRemove, DocID: int64(docID)})
 		case frameFormat:
 			if len(payload) != 1 {
 				return nil, &CorruptError{Offset: frameStart, Reason: "format frame payload must be 1 byte"}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"path"
@@ -76,6 +77,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("XORWAL99"))
 	f.Add(append([]byte(Magic), 0x04, 0x01, 0x00, 0xde, 0xad, 0xbe, 0xef))
+	f.Add(docRemoveLog())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tail, err := ScanBytes(data)
@@ -122,11 +124,31 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
+// docRemoveLog is a committed batch holding one CRC-valid frame of type
+// 0x07, the logical document removal older logs carried: 0x07 is no
+// longer a frame type, so such a log is corrupt, not torn.
+func docRemoveLog() []byte {
+	data := append([]byte(Magic), appendFrame(nil, 0x07, binary.AppendUvarint(nil, 1))...)
+	return appendFrame(data, frameCommit, binary.AppendUvarint(nil, 1))
+}
+
+// TestScanRejectsDocRemoveFrame holds a log with a 0x07 frame to a
+// *CorruptError: recovery replays row frames only.
+func TestScanRejectsDocRemoveFrame(t *testing.T) {
+	_, err := ScanBytes(docRemoveLog())
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("ScanBytes = %v, want a *CorruptError", err)
+	}
+	if ce.Offset != int64(len(Magic)) {
+		t.Fatalf("corrupt at offset %d, want the 0x07 frame at %d", ce.Offset, len(Magic))
+	}
+}
+
 // buildMutationLog writes a log exercising the full mutation frame
 // vocabulary through the real Writer: committed batches carrying
-// deletes, in-place and moving updates (including an overflow payload),
-// a whole-document removal, and an abandoned mutation batch at the
-// tail.
+// deletes and in-place and moving updates (including an overflow
+// payload), and an abandoned mutation batch at the tail.
 func buildMutationLog(tb testing.TB) []byte {
 	tb.Helper()
 	vfs := storage.NewMemVFS()
@@ -160,17 +182,10 @@ func buildMutationLog(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	b = w.Begin()
-	if err := b.RemoveDoc(1); err != nil {
-		tb.Fatal(err)
-	}
-	if err := b.Commit(); err != nil {
-		tb.Fatal(err)
-	}
-	b = w.Begin()
 	if err := b.Delete("play", storage.RID{Page: 0, Slot: 0}); err != nil {
 		tb.Fatal(err)
 	}
-	if err := b.RemoveDoc(7); err != nil {
+	if err := b.Update("speech", storage.RID{Page: 0, Slot: 1}, row(1, "abandoned")); err != nil {
 		tb.Fatal(err)
 	}
 	_ = b // abandoned: never committed
@@ -187,7 +202,7 @@ func buildMutationLog(tb testing.TB) []byte {
 
 // FuzzMutationReplay pins the same recovery-scanner contract as
 // FuzzWALReplay on logs built from the mutation frame vocabulary
-// (delete, update, docremove): arbitrary corruption of such a log must
+// (delete, update): arbitrary corruption of such a log must
 // never panic and never surface an uncommitted mutation suffix — the
 // scanner returns a clean committed prefix or a typed *CorruptError,
 // and the accepted prefix is rescan-stable.
@@ -204,8 +219,8 @@ func FuzzMutationReplay(f *testing.F) {
 		flipped[off] ^= 0x10
 		f.Add(flipped)
 	}
-	// A lone delete frame with no commit, and a docremove with a huge
-	// declared length.
+	// A lone delete frame with no commit, and a frame of the retired
+	// 0x07 type with a huge declared length.
 	f.Add(append([]byte(Magic), 0x05, 0x03, 'x', 'y', 'z'))
 	f.Add(append([]byte(Magic), 0x07, 0xff, 0xff, 0xff, 0x7f))
 
@@ -232,7 +247,7 @@ func FuzzMutationReplay(f *testing.F) {
 			last = b.Seq
 			for _, op := range b.Ops {
 				switch op.Kind {
-				case OpInsert, OpDelete, OpUpdate, OpDocRemove:
+				case OpInsert, OpDelete, OpUpdate:
 				default:
 					t.Fatalf("committed batch %d carries unknown op kind %v", b.Seq, op.Kind)
 				}

@@ -1,7 +1,8 @@
 // Package wal implements the engine's record-level write-ahead log: a
 // single append-only file of length- and CRC32-framed entries, delimited
-// into batches by commit frames. One batch corresponds to one loaded
-// document, so recovery replays exactly the committed-prefix of the load.
+// into batches by commit frames. One batch is one committed transaction
+// (a loaded document, a statement, a session), so recovery replays
+// exactly the committed prefix.
 // All file I/O goes through storage.VFS, which lets tests drive every
 // crash point deterministically with a fault-injecting filesystem.
 //
@@ -20,7 +21,6 @@
 //	0x04 commit : uvarint(batch sequence number, strictly increasing)
 //	0x05 delete : uvarint(len(table)) | table | uvarint(page) | uvarint(slot)
 //	0x06 update : uvarint(len(table)) | table | uvarint(page) | uvarint(slot) | record (any size)
-//	0x07 docrm  : uvarint(document id) — logical doc removal, re-executed on replay
 //
 // Delete and update frames address rows by RID, which is sound because
 // snapshots persist raw page images and free lists verbatim and every
@@ -49,13 +49,12 @@ const Magic = "XORWAL01"
 
 // Frame types.
 const (
-	frameInsert    byte = 0x01
-	frameBlob      byte = 0x02
-	frameFormat    byte = 0x03
-	frameCommit    byte = 0x04
-	frameDelete    byte = 0x05
-	frameUpdate    byte = 0x06
-	frameDocRemove byte = 0x07
+	frameInsert byte = 0x01
+	frameBlob   byte = 0x02
+	frameFormat byte = 0x03
+	frameCommit byte = 0x04
+	frameDelete byte = 0x05
+	frameUpdate byte = 0x06
 )
 
 // FileName is the log file inside the WAL directory.
@@ -228,22 +227,25 @@ func (w *Writer) maybeSync(force bool) error {
 	return nil
 }
 
-// Batch accumulates the frames of one document load. Frames are buffered
-// in memory and reach the file only at Commit, so an abandoned batch
-// leaves no trace in the log.
+// Batch accumulates the frames of one committed transaction (a loaded
+// document, a statement, a session). Frames are buffered in memory and
+// reach the file only at Commit, so an abandoned batch leaves no trace
+// in the log.
 type Batch struct {
 	w      *Writer
+	format []byte // the format frame, if set; written ahead of frames
 	frames [][]byte
 }
 
 // Begin starts a new batch.
 func (w *Writer) Begin() *Batch { return &Batch{w: w} }
 
-// SetFormat logs the XADT storage-format decision as part of this batch.
-// The loader calls it on the first batch after sampling fixes the format,
-// so recovery restores the same representation for resumed loads.
+// SetFormat logs the XADT storage-format decision as part of this batch,
+// so recovery restores the same representation for resumed loads. It
+// may be called at any point before Commit, which writes the format
+// frame ahead of the batch's row frames.
 func (b *Batch) SetFormat(format byte) {
-	b.frames = append(b.frames, appendFrame(nil, frameFormat, []byte{format}))
+	b.format = appendFrame(nil, frameFormat, []byte{format})
 }
 
 // Insert logs one row insert. Rows whose encoded record exceeds the
@@ -289,13 +291,6 @@ func (b *Batch) Update(table string, rid storage.RID, row []types.Value) error {
 	return nil
 }
 
-// RemoveDoc logs a whole-document removal as a single logical redo
-// record; replay re-executes the deterministic removal procedure.
-func (b *Batch) RemoveDoc(docID int64) error {
-	b.frames = append(b.frames, appendFrame(nil, frameDocRemove, binary.AppendUvarint(nil, uint64(docID))))
-	return nil
-}
-
 // Commit writes the batch's frames followed by its commit frame and syncs
 // per the writer's policy. After a successful Commit the batch's rows are
 // replayed by recovery; before it, they are invisible.
@@ -305,8 +300,11 @@ func (b *Batch) Commit() error {
 		return w.broken
 	}
 	seq := w.seq + 1
-	commit := binary.AppendUvarint(nil, seq)
-	frames := append(b.frames, appendFrame(nil, frameCommit, commit))
+	frames := b.frames
+	if b.format != nil {
+		frames = append([][]byte{b.format}, frames...)
+	}
+	frames = append(frames, appendFrame(nil, frameCommit, binary.AppendUvarint(nil, seq)))
 	for _, fr := range frames {
 		if _, err := w.f.Write(fr); err != nil {
 			return w.fail(fmt.Errorf("wal: commit write: %w", err))
@@ -316,7 +314,7 @@ func (b *Batch) Commit() error {
 		return err
 	}
 	w.seq = seq
-	b.frames = nil
+	b.format, b.frames = nil, nil
 	return nil
 }
 

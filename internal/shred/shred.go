@@ -44,9 +44,6 @@ func NewLoader(db *engine.Database, schema *mapping.Schema, format xadt.Format) 
 	if err := EnsureTables(db, schema); err != nil {
 		return nil, err
 	}
-	if err := EnsureXADTIndexes(db, schema); err != nil {
-		return nil, err
-	}
 	return &Loader{DB: db, Schema: schema, Format: format, ids: map[string]int64{}}, nil
 }
 
@@ -63,32 +60,6 @@ func EnsureTables(db *engine.Database, schema *mapping.Schema) error {
 			cols[i] = catalog.Column{Name: c.Name, Type: kindOf(c.Type)}
 		}
 		if _, err := db.CreateTable(rel.Name, cols); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EnsureXADTIndexes creates the secondary fragment index (structural
-// paths + inverted keywords) on every mapped XADT column that lacks one.
-// Creating them before the first load means Insert maintains them row by
-// row instead of a separate backfill pass.
-func EnsureXADTIndexes(db *engine.Database, schema *mapping.Schema) error {
-	for _, rel := range schema.Relations {
-		t := db.Catalog.Table(rel.Name)
-		if t == nil {
-			continue
-		}
-		var cols []string
-		for _, col := range rel.Columns {
-			if col.Kind == mapping.KindXADT && t.FragIndexOn(col.Name) == nil {
-				cols = append(cols, col.Name)
-			}
-		}
-		if len(cols) == 0 {
-			continue
-		}
-		if err := db.CreateIndexes(rel.Name, cols); err != nil {
 			return err
 		}
 	}
